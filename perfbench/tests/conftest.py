@@ -1,0 +1,15 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
+
+
+@pytest.fixture(scope="session")
+def tl():
+    import torsionlab
+    import torsionlab.cli  # noqa: F401  (the workloads reach it as tl.cli)
+
+    return torsionlab
