@@ -10,7 +10,7 @@ import sys
 
 from .document import DocumentError, document_of, parse_document, serialize_document
 from .factorization import TorsionTheory, factor, normality_report
-from .postnikov import boundedness_window, postnikov_tower, verify_tower
+from .postnikov import postnikov_tower, verify_tower
 from .suite import (
     SuiteConfig,
     render_tree,
@@ -88,7 +88,7 @@ def _cmd_postnikov(args) -> int:
     tower = postnikov_tower(f)
     stages = {f"stage{i}": s.map for i, s in enumerate(tower.stages)}
     out = document_of(doc.quiver, doc.field, maps=stages)
-    win = boundedness_window(f)
+    win = tower.window
     wrapper = {
         "document": json.loads(serialize_document(out)),
         "window": None if win is None else [win.lo, win.hi],

@@ -3,7 +3,8 @@
 Grading is homological: the differential lowers degree, d_n : X_n -> X_{n-1},
 and d_{n} d_{n+1} = 0 is enforced at construction.  The conventions below are
 part of the API contract; all higher constructions are derived from them and
-the tests pin them bit for bit.
+tests/test_conventions.py pins them bit for bit.  Direct sums stack their
+summands in the order written, at every vertex.
 
   shift         X[k]_n = X_{n-k}, differential scaled by (-1)^k
   cone(f)_n   = X_{n-1} (+) Y_n          d(x, y) = (-dx, fx + dy)
@@ -34,7 +35,6 @@ from .quiver import (
     RepMap,
     direct_sum,
     graded_from_flat,
-    map_from_flat,
     post_op,
     pre_op,
     random_rep,
@@ -46,13 +46,13 @@ __all__ = [
     "Complex",
     "ChainMap",
     "Homotopy",
-    "Triangle",
     "CommutingSquare",
     "Cone",
     "Fiber",
     "Cofiber",
     "Pullback",
     "Pushout",
+    "GradedSum",
     "HomComplex",
     "HomologyData",
     "zero_complex",
@@ -69,9 +69,9 @@ __all__ = [
     "cone",
     "fib",
     "cofib",
-    "triangle_of",
     "is_quasi_iso",
     "direct_sum_complex",
+    "block_components",
     "hom_complex",
     "homotopy_pullback",
     "homotopy_pushout",
@@ -79,7 +79,6 @@ __all__ = [
     "is_cartesian",
     "is_cocartesian",
     "homotopic",
-    "lift_through",
     "chain_map_basis",
     "random_complex",
     "random_chain_map",
@@ -355,36 +354,6 @@ class Homotopy:
         return f"Homotopy({self.from_map!r} => {self.to_map!r})"
 
 
-def zero_homotopy(f: ChainMap) -> Homotopy:
-    """Witness that f is homotopic to itself."""
-    return Homotopy(f, f, {})
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """X --f--> Y --g--> Z --h--> X[1] with nullcomposite witnesses."""
-
-    f: ChainMap
-    g: ChainMap
-    h: ChainMap
-    w_gf: Homotopy
-    w_hg: Homotopy
-    w_fh: Homotopy
-
-    def __post_init__(self):
-        if self.g.source != self.f.target or self.h.source != self.g.target:
-            raise ValueError("triangle maps do not chain")
-        if self.h.target != shift(self.f.source, 1):
-            raise ValueError("triangle does not land in the shifted source")
-        for w, want in (
-            (self.w_gf, compose(self.g, self.f)),
-            (self.w_hg, compose(self.h, self.g)),
-            (self.w_fh, compose(shift_map(self.f, 1), self.h)),
-        ):
-            if w.to_map != want or not w.from_map.is_zero():
-                raise ValueError("triangle witness does not match its composite")
-
-
 @dataclass(frozen=True)
 class CommutingSquare:
     """top: W->X, left: W->Y, right: X->Z, bottom: Y->Z, commuting up to
@@ -525,46 +494,127 @@ def induced_homology_map(f: ChainMap, n: int) -> RepMap:
     return RepMap(hx.rep, hy.rep, tuple(comps))
 
 
-# -- cones, fibers, cofibers --------------------------------------------------
+# -- graded sums: cones, fibers, direct sums, homotopy (co)limits ------------------
+
+
+@dataclass(frozen=True)
+class GradedSum:
+    """A complex whose degree-n term is the direct sum, over its parts
+    (C_i, k_i), of (C_i)_{n - k_i}: the terms of the shifts C_i[k_i].
+
+    Every vertex stacks the parts in order; offsets[n][i][v] is the first
+    coordinate of part i in degree n at vertex v.  The differential is
+    block lower-triangular: each part's shifted differential on the
+    diagonal, plus the twists that glue the parts together.
+    """
+
+    complex: Complex
+    parts: tuple[tuple[Complex, int], ...]
+    offsets: dict[int, tuple[tuple[int, ...], ...]]
+
+    def inclusion(self, i: int) -> ChainMap:
+        """C_i[k_i] -> the sum; a chain map when no twist leaves part i."""
+        c, k = self.parts[i]
+        part = shift(c, k)
+        comps = block_components(part, self, 0, {(i, 0): (1, identity_map(c).comps)})
+        return ChainMap(part, self.complex, comps)
+
+    def projection(self, i: int) -> ChainMap:
+        """The sum -> C_i[k_i]; a chain map when no twist enters part i."""
+        c, k = self.parts[i]
+        part = shift(c, k)
+        comps = block_components(self, part, 0, {(0, i): (1, identity_map(c).comps)})
+        return ChainMap(self.complex, part, comps)
+
+
+def _graded_sum(parts, twists=None) -> GradedSum:
+    """The graded sum of parts [(C_i, k_i)], twisted by twists[(j, i)] =
+    (sign, chain-map components C_i -> C_j keyed by source degree); a twist
+    needs k_i = k_j + 1 to lower the degree."""
+    quiver, fld = parts[0][0].quiver, parts[0][0].field
+    live = [(c, k) for c, k in parts if not c.is_zero()]
+    if not live:
+        return GradedSum(zero_complex(quiver, fld), tuple(parts), {})
+    lo = min(c.lo + k for c, k in live)
+    hi = max(c.hi + k for c, k in live)
+    terms, offsets = [], {}
+    for n in range(lo, hi + 1):
+        term, offsets[n] = direct_sum(*(c.term(n - k) for c, k in parts))
+        terms.append(term)
+    table = {
+        (i, i): (-1 if k % 2 else 1, dict(zip(range(c.lo + 1, c.hi + 1), c.diffs)))
+        for i, (c, k) in enumerate(parts)
+    }
+    table.update(twists or {})
+    diffs = []
+    for n in range(lo + 1, hi + 1):
+        src, tgt = terms[n - lo], terms[n - 1 - lo]
+        mats = _blocks(parts, offsets[n], src, n, offsets[n - 1], tgt, table)
+        diffs.append(RepMap._unchecked(src, tgt, mats) if mats else RepMap.zero(src, tgt))
+    cx = Complex(quiver, fld, lo, tuple(terms), tuple(diffs))
+    return GradedSum(cx, tuple(parts), offsets)
+
+
+def _blocks(parts, src_at, src, n, tgt_at, tgt, table):
+    """Vertex matrices src -> tgt holding the table's blocks, with the source
+    parts read in degree n; None when every block is absent."""
+    mats = None
+    for (j, i), (sign, maps) in table.items():
+        g = maps.get(n - parts[i][1])
+        if g is None:
+            continue
+        if mats is None:
+            mats = [np.zeros(shape, dtype=np.int64) for shape in zip(tgt.dims, src.dims)]
+        for a, b, row, col in zip(mats, g.components, tgt_at[j], src_at[i]):
+            a[row : row + b.rows, col : col + b.cols] = b.a if sign == 1 else -b.a
+    return None if mats is None else tuple(Mat(src.field, a) for a in mats)
+
+
+def _layout(side: "GradedSum | Complex"):
+    if isinstance(side, GradedSum):
+        return side.complex, side.parts, side.offsets
+    at = ((0,) * len(side.quiver.vertices),)
+    return side, ((side, 0),), {n: at for n in side.support}
+
+
+def block_components(
+    source: "GradedSum | Complex", target: "GradedSum | Complex", degree: int, table
+) -> dict[int, RepMap]:
+    """Components source_n -> target_{n+degree} of a graded map given by blocks.
+
+    A plain complex is a graded sum with itself as its one part.  table maps
+    (target part j, source part i) to (sign, maps): maps holds the components
+    (C_i)_m -> (D_j)_{m + degree + k_i - l_j}, keyed by m.
+    The components are trusted; wrap them in a checking ChainMap or Homotopy.
+    """
+    src, parts, src_offsets = _layout(source)
+    tgt, _, tgt_offsets = _layout(target)
+    out = {}
+    for n in src.support:
+        t = n + degree
+        if t not in tgt_offsets:
+            continue
+        s_term, t_term = src.term(n), tgt.term(t)
+        mats = _blocks(parts, src_offsets[n], s_term, n, tgt_offsets[t], t_term, table)
+        if mats is not None:
+            out[n] = RepMap._unchecked(s_term, t_term, mats)
+    return out
 
 
 @dataclass(frozen=True)
 class Cone:
-    complex: Complex
+    blocks: GradedSum  # parts (X, 1), (Y, 0)
     into: ChainMap  # Y -> cone
     outof: ChainMap  # cone -> X[1]
-    inj_x: dict[int, RepMap]  # X_{n-1} -> cone_n
-    inj_y: dict[int, RepMap]
-    proj_x: dict[int, RepMap]  # cone_n -> X_{n-1}
-    proj_y: dict[int, RepMap]
+
+    @property
+    def complex(self) -> Complex:
+        return self.blocks.complex
 
 
 def cone(f: ChainMap) -> Cone:
-    x, y = f.source, f.target
-    quiver, fld = x.quiver, x.field
-    if x.is_zero() and y.is_zero():
-        z = zero_complex(quiver, fld)
-        zm = zero_map(y, z)
-        return Cone(z, zm, zero_map(z, shift(x, 1)), {}, {}, {}, {})
-    lo = min(y.lo if not y.is_zero() else x.lo + 1, x.lo + 1 if not x.is_zero() else y.lo)
-    hi = max(y.hi if not y.is_zero() else x.hi + 1, x.hi + 1 if not x.is_zero() else y.hi)
-    terms, ix, iy, px, py = {}, {}, {}, {}, {}
-    for n in range(lo, hi + 1):
-        s, ia, ib, pa, pb = direct_sum(x.term(n - 1), y.term(n))
-        terms[n] = s
-        ix[n], iy[n], px[n], py[n] = ia, ib, pa, pb
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        d = (
-            ix[n - 1].compose((-x.diff(n - 1)).compose(px[n]))
-            + iy[n - 1].compose(f.comp(n - 1).compose(px[n]))
-            + iy[n - 1].compose(y.diff(n).compose(py[n]))
-        )
-        diffs.append(d)
-    z = Complex(quiver, fld, lo, tuple(terms[n] for n in range(lo, hi + 1)), tuple(diffs))
-    into = ChainMap(y, z, {n: iy[n] for n in range(lo, hi + 1)})
-    outof = ChainMap(z, shift(x, 1), {n: px[n] for n in range(lo, hi + 1)})
-    return Cone(z, into, outof, ix, iy, px, py)
+    s = _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f.comps)})
+    return Cone(s, s.inclusion(1), s.projection(0))
 
 
 @dataclass(frozen=True)
@@ -581,138 +631,71 @@ def cofib(f: ChainMap) -> Cofiber:
     wit = Homotopy(
         zero_map(x, c.complex),
         compose(c.into, f),
-        {n: c.inj_x[n + 1] for n in x.support if n + 1 in c.inj_x},
+        block_components(x, c.blocks, 1, {(0, 0): (1, identity_map(x).comps)}),
     )
     return Cofiber(c.complex, c.into, wit, c)
 
 
 @dataclass(frozen=True)
 class Fiber:
-    complex: Complex
+    blocks: GradedSum  # parts (X, 0), (Y, -1)
     to_source: ChainMap  # fib(f) -> X
     null_wit: Homotopy  # from 0 to f . to_source
-    inj_x: dict[int, RepMap]  # X_n -> fib_n
-    inj_y: dict[int, RepMap]  # Y_{n+1} -> fib_n
-    proj_x: dict[int, RepMap]
-    proj_y: dict[int, RepMap]
+
+    @property
+    def complex(self) -> Complex:
+        return self.blocks.complex
 
 
 def fib(f: ChainMap) -> Fiber:
     x, y = f.source, f.target
-    quiver, fld = x.quiver, x.field
-    if x.is_zero() and y.is_zero():
-        z = zero_complex(quiver, fld)
-        zm = zero_map(z, x)
-        return Fiber(z, zm, Homotopy(zero_map(z, y), compose(f, zm), {}), {}, {}, {}, {})
-    lo = min(x.lo if not x.is_zero() else y.lo - 1, y.lo - 1 if not y.is_zero() else x.lo)
-    hi = max(x.hi if not x.is_zero() else y.hi - 1, y.hi - 1 if not y.is_zero() else x.hi)
-    terms, ix, iy, px, py = {}, {}, {}, {}, {}
-    for n in range(lo, hi + 1):
-        s, ia, ib, pa, pb = direct_sum(x.term(n), y.term(n + 1))
-        terms[n] = s
-        ix[n], iy[n], px[n], py[n] = ia, ib, pa, pb
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        d = (
-            ix[n - 1].compose(x.diff(n).compose(px[n]))
-            - iy[n - 1].compose(f.comp(n).compose(px[n]))
-            - iy[n - 1].compose(y.diff(n + 1).compose(py[n]))
-        )
-        diffs.append(d)
-    w = Complex(quiver, fld, lo, tuple(terms[n] for n in range(lo, hi + 1)), tuple(diffs))
-    to_source = ChainMap(w, x, {n: px[n] for n in range(lo, hi + 1)})
+    s = _graded_sum([(x, 0), (y, -1)], {(1, 0): (-1, f.comps)})
+    to_source = s.projection(0)
     null_wit = Homotopy(
-        zero_map(w, y),
+        zero_map(s.complex, y),
         compose(f, to_source),
-        {n: -py[n] for n in range(lo, hi + 1)},
+        block_components(s, y, 1, {(0, 1): (-1, identity_map(y).comps)}),
     )
-    return Fiber(w, to_source, null_wit, ix, iy, px, py)
-
-
-def triangle_of(f: ChainMap) -> Triangle:
-    """The cone triangle X -> Y -> cone(f) -> X[1] with its witnesses."""
-    x, y = f.source, f.target
-    c = cone(f)
-    w_gf = Homotopy(
-        zero_map(x, c.complex),
-        compose(c.into, f),
-        {n: c.inj_x[n + 1] for n in x.support if n + 1 in c.inj_x},
-    )
-    w_hg = Homotopy(zero_map(y, shift(x, 1)), compose(c.outof, c.into), {})
-    w_fh = Homotopy(
-        zero_map(c.complex, shift(y, 1)),
-        compose(shift_map(f, 1), c.outof),
-        {n: c.proj_y[n] for n in c.proj_y},
-    )
-    return Triangle(f, c.into, c.outof, w_gf, w_hg, w_fh)
+    return Fiber(s, to_source, null_wit)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
     return is_acyclic(cone(f).complex)
 
 
-# -- direct sums and (co)cartesian gadgets ------------------------------------
-
-
-def direct_sum_complex(
-    x: Complex, y: Complex
-) -> tuple[Complex, ChainMap, ChainMap, ChainMap, ChainMap]:
-    quiver, fld = x.quiver, x.field
-    if x.is_zero() and y.is_zero():
-        z = zero_complex(quiver, fld)
-        zm = zero_map(z, z)
-        return z, zm, zm, zm, zm
-    lo = min(x.lo if not x.is_zero() else y.lo, y.lo if not y.is_zero() else x.lo)
-    hi = max(x.hi if not x.is_zero() else y.hi, y.hi if not y.is_zero() else x.hi)
-    terms, ix, iy, px, py = {}, {}, {}, {}, {}
-    for n in range(lo, hi + 1):
-        s, ia, ib, pa, pb = direct_sum(x.term(n), y.term(n))
-        terms[n] = s
-        ix[n], iy[n], px[n], py[n] = ia, ib, pa, pb
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        d = ix[n - 1].compose(x.diff(n).compose(px[n])) + iy[n - 1].compose(
-            y.diff(n).compose(py[n])
-        )
-        diffs.append(d)
-    s = Complex(quiver, fld, lo, tuple(terms[n] for n in range(lo, hi + 1)), tuple(diffs))
-    rng_all = range(lo, hi + 1)
-    inj_x = ChainMap(x, s, {n: ix[n] for n in rng_all})
-    inj_y = ChainMap(y, s, {n: iy[n] for n in rng_all})
-    proj_x = ChainMap(s, x, {n: px[n] for n in rng_all})
-    proj_y = ChainMap(s, y, {n: py[n] for n in rng_all})
-    return s, inj_x, inj_y, proj_x, proj_y
+def direct_sum_complex(x: Complex, y: Complex) -> GradedSum:
+    """X (+) Y; its inclusions and projections are chain maps."""
+    return _graded_sum([(x, 0), (y, 0)])
 
 
 @dataclass(frozen=True)
 class Pullback:
-    complex: Complex
+    blocks: GradedSum  # fib(X (+) Y -> Z): parts (X, 0), (Y, 0), (Z, -1)
     proj_first: ChainMap
     proj_second: ChainMap
     square: CommutingSquare
-    inj_parts: tuple[dict[int, RepMap], dict[int, RepMap], dict[int, RepMap]]
-    proj_parts: tuple[dict[int, RepMap], dict[int, RepMap], dict[int, RepMap]]
+
+    @property
+    def complex(self) -> Complex:
+        return self.blocks.complex
 
 
 def homotopy_pullback(f: ChainMap, g: ChainMap) -> Pullback:
     """W with projections to the sources of f, g : * -> Z and the witness square."""
     if f.target != g.target:
         raise ValueError("pullback legs must share a target")
-    x, y = f.source, g.source
-    s, inj_x, inj_y, proj_x, proj_y = direct_sum_complex(x, y)
-    diff_map = compose(f, proj_x) - compose(g, proj_y)
-    fb = fib(diff_map)
-    proj1 = compose(proj_x, fb.to_source)
-    proj2 = compose(proj_y, fb.to_source)
-    wit = Homotopy(compose(g, proj2), compose(f, proj1), dict(fb.null_wit.comps))
-    square = CommutingSquare(proj1, proj2, f, g, wit)
-    ix = {n: fb.inj_x[n].compose(inj_x.comp(n)) for n in fb.inj_x}
-    iy = {n: fb.inj_x[n].compose(inj_y.comp(n)) for n in fb.inj_x}
-    iz = dict(fb.inj_y)
-    px = {n: proj_x.comp(n).compose(fb.proj_x[n]) for n in fb.proj_x}
-    py = {n: proj_y.comp(n).compose(fb.proj_x[n]) for n in fb.proj_x}
-    pz = dict(fb.proj_y)
-    return Pullback(fb.complex, proj1, proj2, square, (ix, iy, iz), (px, py, pz))
+    z = f.target
+    s = _graded_sum(
+        [(f.source, 0), (g.source, 0), (z, -1)],
+        {(2, 0): (-1, f.comps), (2, 1): (1, g.comps)},
+    )
+    proj1, proj2 = s.projection(0), s.projection(1)
+    wit = Homotopy(
+        compose(g, proj2),
+        compose(f, proj1),
+        block_components(s, z, 1, {(0, 2): (-1, identity_map(z).comps)}),
+    )
+    return Pullback(s, proj1, proj2, CommutingSquare(proj1, proj2, f, g, wit))
 
 
 def pullback_induced(
@@ -733,27 +716,21 @@ def pullback_induced(
     ):
         if compose(on_base, old) != compose(new, side):
             raise ValueError("cospan map does not commute strictly")
-    ix, iy, iz = pb_to.inj_parts
-    px, py, pz = pb_from.proj_parts
-    comps = {}
-    for n in pb_from.complex.support:
-        acc = RepMap.zero(pb_from.complex.term(n), pb_to.complex.term(n))
-        if n in px and n in ix:
-            acc = acc + ix[n].compose(on_first.comp(n).compose(px[n]))
-            acc = acc + iy[n].compose(on_second.comp(n).compose(py[n]))
-        if n in pz and n in iz:
-            acc = acc + iz[n].compose(on_base.comp(n + 1).compose(pz[n]))
-        comps[n] = acc
+    table = {(i, i): (1, g.comps) for i, g in enumerate((on_first, on_second, on_base))}
+    comps = block_components(pb_from.blocks, pb_to.blocks, 0, table)
     return ChainMap(pb_from.complex, pb_to.complex, comps)
 
 
 @dataclass(frozen=True)
 class Pushout:
-    complex: Complex
+    blocks: GradedSum  # cone(W -> X (+) Y): parts (W, 1), (X, 0), (Y, 0)
     inj_first: ChainMap
     inj_second: ChainMap
     square: CommutingSquare
-    proj_parts: tuple[dict[int, RepMap], dict[int, RepMap], dict[int, RepMap]]
+
+    @property
+    def complex(self) -> Complex:
+        return self.blocks.complex
 
 
 def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
@@ -761,38 +738,32 @@ def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
     if f.source != g.source:
         raise ValueError("pushout legs must share a source")
     w = f.source
-    x, y = f.target, g.target
-    s, inj_x, inj_y, proj_x, proj_y = direct_sum_complex(x, y)
-    glue = compose(inj_x, f) - compose(inj_y, g)
-    cn = cone(glue)
-    inj1 = compose(cn.into, inj_x)
-    inj2 = compose(cn.into, inj_y)
+    s = _graded_sum(
+        [(w, 1), (f.target, 0), (g.target, 0)],
+        {(1, 0): (1, f.comps), (2, 0): (-1, g.comps)},
+    )
+    inj1, inj2 = s.inclusion(1), s.inclusion(2)
     wit = Homotopy(
         compose(inj2, g),
         compose(inj1, f),
-        {n: cn.inj_x[n + 1] for n in w.support if n + 1 in cn.inj_x},
+        block_components(w, s, 1, {(0, 0): (1, identity_map(w).comps)}),
     )
-    square = CommutingSquare(f, g, inj1, inj2, wit)
-    px = {n: proj_x.comp(n).compose(cn.proj_y[n]) for n in cn.proj_y}
-    py = {n: proj_y.comp(n).compose(cn.proj_y[n]) for n in cn.proj_y}
-    pw = dict(cn.proj_x)
-    return Pushout(cn.complex, inj1, inj2, square, (px, py, pw))
+    return Pushout(s, inj1, inj2, CommutingSquare(f, g, inj1, inj2, wit))
 
 
 def _square_glue_map(sq: CommutingSquare) -> ChainMap:
     """The comparison cone(W -> X (+) Y) -> Z assembled with the witness."""
-    w = sq.top.source
-    x, y, z = sq.top.target, sq.left.target, sq.right.target
-    s, inj_x, inj_y, proj_x, proj_y = direct_sum_complex(x, y)
-    u = compose(inj_x, sq.top) + compose(inj_y, sq.left)
-    cu = cone(u)
-    v = compose(sq.right, proj_x) - compose(sq.bottom, proj_y)
-    comps = {}
-    for n in cu.complex.support:
-        part = v.comp(n).compose(cu.proj_y[n])
-        h = sq.witness.comp(n - 1)
-        comps[n] = part + h.compose(cu.proj_x[n])
-    return ChainMap(cu.complex, z, comps)
+    z = sq.right.target
+    s = _graded_sum(
+        [(sq.top.source, 1), (sq.top.target, 0), (sq.left.target, 0)],
+        {(1, 0): (1, sq.top.comps), (2, 0): (1, sq.left.comps)},
+    )
+    table = {
+        (0, 0): (1, sq.witness.comps),
+        (0, 1): (1, sq.right.comps),
+        (0, 2): (-1, sq.bottom.comps),
+    }
+    return ChainMap(s.complex, z, block_components(s, z, 0, table))
 
 
 def is_pullout(sq: CommutingSquare) -> bool:
@@ -806,33 +777,25 @@ def is_pullout(sq: CommutingSquare) -> bool:
 
 def is_cartesian(sq: CommutingSquare) -> bool:
     pb = homotopy_pullback(sq.right, sq.bottom)
-    ix, iy, iz = pb.inj_parts
     w = sq.top.source
-    comps = {}
-    for n in pb.complex.support:
-        acc = RepMap.zero(w.term(n), pb.complex.term(n))
-        if n in ix:
-            acc = acc + ix[n].compose(sq.top.comp(n)) + iy[n].compose(sq.left.comp(n))
-        if n in iz:
-            acc = acc - iz[n].compose(sq.witness.comp(n))
-        comps[n] = acc
-    chi = ChainMap(w, pb.complex, comps)
+    table = {
+        (0, 0): (1, sq.top.comps),
+        (1, 0): (1, sq.left.comps),
+        (2, 0): (-1, sq.witness.comps),
+    }
+    chi = ChainMap(w, pb.complex, block_components(w, pb.blocks, 0, table))
     return is_quasi_iso(chi)
 
 
 def is_cocartesian(sq: CommutingSquare) -> bool:
     po = homotopy_pushout(sq.top, sq.left)
-    px, py, pw = po.proj_parts
     z = sq.right.target
-    comps = {}
-    for n in po.complex.support:
-        acc = RepMap.zero(po.complex.term(n), z.term(n))
-        if n in px:
-            acc = acc + sq.right.comp(n).compose(px[n]) + sq.bottom.comp(n).compose(py[n])
-        if n in pw:
-            acc = acc + sq.witness.comp(n - 1).compose(pw[n])
-        comps[n] = acc
-    psi = ChainMap(po.complex, z, comps)
+    table = {
+        (0, 0): (1, sq.witness.comps),
+        (0, 1): (1, sq.right.comps),
+        (0, 2): (1, sq.bottom.comps),
+    }
+    psi = ChainMap(po.complex, z, block_components(po.blocks, z, 0, table))
     return is_quasi_iso(psi)
 
 
@@ -1017,49 +980,16 @@ def hom_precompose(f: ChainMap, t: Complex) -> ChainMap:
 # -- block linear systems over chain data -------------------------------------
 
 
-def solve_block_system(
-    fld: PrimeField,
-    unknowns: list[tuple[object, int]],
-    equations: list[tuple[int, list[tuple[object, np.ndarray]], np.ndarray]],
-) -> tuple[dict[object, np.ndarray], int] | None:
-    """Solve a dense block linear system over F_p.
-
-    unknowns: (key, width) pairs; equations: (rowdim, [(key, coefficient
-    matrix)], rhs).  Returns (assignment, kernel dimension) or None.
-    """
-    offsets = {}
-    total = 0
-    for key, width in unknowns:
-        offsets[key] = (total, width)
-        total += width
-    rows = sum(r for r, _, _ in equations)
-    m = np.zeros((rows, total), dtype=np.int64)
-    rhs = np.zeros((rows, 1), dtype=np.int64)
-    r = 0
-    for rowdim, coefs, b in equations:
-        for key, mat in coefs:
-            off, width = offsets[key]
-            if mat.shape != (rowdim, width):
-                raise ValueError("block shape mismatch in linear system")
-            m[r : r + rowdim, off : off + width] += mat
-        rhs[r : r + rowdim, 0] = b
-        r += rowdim
-    sol = solve(Mat(fld, m % fld.p), Mat(fld, rhs % fld.p))
-    if sol is None:
-        return None
-    x, ker = sol
-    out = {}
-    for key, (off, width) in ((k, offsets[k]) for k, _ in unknowns):
-        out[key] = x.a[off : off + width, 0]
-    return out, ker.cols
-
-
 def block_matrix(
     fld: PrimeField,
     unknowns: list[tuple[object, int]],
     equations: list[tuple[int, list[tuple[object, np.ndarray]]]],
 ) -> tuple[Mat, dict[object, tuple[int, int]]]:
-    """The homogeneous system matrix for the given blocks."""
+    """The homogeneous system matrix for the given blocks.
+
+    unknowns: (key, width) pairs; equations: (rowdim, [(key, coefficient
+    matrix)]).  Returns the matrix and each unknown's (column offset, width).
+    """
     offsets = {}
     total = 0
     for key, width in unknowns:
@@ -1071,9 +1001,31 @@ def block_matrix(
     for rowdim, coefs in equations:
         for key, mat in coefs:
             off, width = offsets[key]
+            if mat.shape != (rowdim, width):
+                raise ValueError("block shape mismatch in linear system")
             m[r : r + rowdim, off : off + width] += mat
         r += rowdim
-    return Mat(fld, m % fld.p), offsets
+    return Mat(fld, m), offsets
+
+
+def solve_block_system(
+    fld: PrimeField,
+    unknowns: list[tuple[object, int]],
+    equations: list[tuple[int, list[tuple[object, np.ndarray]], np.ndarray]],
+) -> tuple[dict[object, np.ndarray], int] | None:
+    """Solve block_matrix(unknowns, equations) x = (the stacked right sides).
+
+    equations: (rowdim, [(key, coefficient matrix)], rhs).  Returns
+    (assignment, kernel dimension) or None.
+    """
+    m, offsets = block_matrix(fld, unknowns, [(r, coefs) for r, coefs, _ in equations])
+    rhs = [np.asarray(b, dtype=np.int64).reshape(-1) for _, _, b in equations]
+    b = np.concatenate(rhs) if rhs else np.zeros(0, dtype=np.int64)
+    sol = solve(m, Mat(fld, b.reshape(-1, 1)))
+    if sol is None:
+        return None
+    x, ker = sol
+    return {key: x.a[off : off + width, 0] for key, (off, width) in offsets.items()}, ker.cols
 
 
 # -- homotopies and lifts ------------------------------------------------------
@@ -1120,7 +1072,8 @@ def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
     comps = {}
     for n, b in bases.items():
         vec = (b.a @ assign[n]) % x.field.p
-        comps[n] = map_from_flat(x.term(n), y.term(n + 1), vec)
+        src, tgt = x.term(n), y.term(n + 1)
+        comps[n] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
     return Homotopy(g, f, comps)
 
 
@@ -1160,68 +1113,10 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
         for n, b in bases.items():
             off, width = offsets[("u", n)]
             vec = (b.a @ ker.a[off : off + width, j]) % x.field.p
-            comps[n] = map_from_flat(x.term(n), y.term(n), vec)
+            src, tgt = x.term(n), y.term(n)
+            comps[n] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
         out.append(ChainMap(x, y, comps))
     return out
-
-
-def lift_through(m: ChainMap, g: ChainMap) -> tuple[ChainMap, Homotopy] | None:
-    """Find u with m.u homotopic to g, returning u and the witness."""
-    if m.target != g.target:
-        raise ValueError("lift target mismatch")
-    x = g.source
-    s = m.source
-    y = m.target
-    fld = x.field
-    u_bases = _hom_bases_for_homotopy(x, s, 0)
-    h_bases = _hom_bases_for_homotopy(x, y, 1)
-    unknowns = [(("u", n), b.cols) for n, b in sorted(u_bases.items())] + [
-        (("h", n), b.cols) for n, b in sorted(h_bases.items())
-    ]
-    equations = []
-    for n in sorted(set(x.support) | {s + 1 for s in x.support}):
-        rowdim = flat_dim(x.term(n), s.term(n - 1))
-        if rowdim == 0:
-            continue
-        coefs = []
-        if n in u_bases:
-            coefs.append((("u", n), post_op(s.diff(n), x.term(n)) @ u_bases[n].a % fld.p))
-        if n - 1 in u_bases:
-            coefs.append(
-                (("u", n - 1), (-(pre_op(x.diff(n), s.term(n - 1)) @ u_bases[n - 1].a)) % fld.p)
-            )
-        equations.append((rowdim, coefs, np.zeros(rowdim, dtype=np.int64)))
-    for n in sorted(set(x.support) | set(g.comps)):
-        rowdim = flat_dim(x.term(n), y.term(n))
-        if rowdim == 0:
-            continue
-        coefs = []
-        if n in u_bases:
-            coefs.append((("u", n), post_op(m.comp(n), x.term(n)) @ u_bases[n].a % fld.p))
-        if n in h_bases:
-            coefs.append(
-                (("h", n), (-(post_op(y.diff(n + 1), x.term(n)) @ h_bases[n].a)) % fld.p)
-            )
-        if n - 1 in h_bases:
-            coefs.append(
-                (("h", n - 1), (-(pre_op(x.diff(n), y.term(n)) @ h_bases[n - 1].a)) % fld.p)
-            )
-        equations.append((rowdim, coefs, g.comp(n).flat()))
-    got = solve_block_system(fld, unknowns, equations)
-    if got is None:
-        return None
-    assign, _ = got
-    u_comps = {}
-    for n, b in u_bases.items():
-        vec = (b.a @ assign[("u", n)]) % fld.p
-        u_comps[n] = map_from_flat(x.term(n), s.term(n), vec)
-    u = ChainMap(x, s, u_comps)
-    h_comps = {}
-    for n, b in h_bases.items():
-        vec = (b.a @ assign[("h", n)]) % fld.p
-        h_comps[n] = map_from_flat(x.term(n), y.term(n + 1), vec)
-    wit = Homotopy(g, compose(m, u), h_comps)
-    return u, wit
 
 
 # -- random generation ---------------------------------------------------------
@@ -1254,7 +1149,7 @@ def random_complex(
             ker = kernel_basis(constraint)
             coeffs = rng.integers(0, field.p, size=ker.cols)
             vec = (basis.a @ ((ker.a @ coeffs) % field.p)) % field.p
-        d = map_from_flat(src, tgt, vec)
+        d = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
         diffs.append(d)
         prev = d
     return Complex(quiver, field, slo, tuple(terms), tuple(diffs))
@@ -1274,5 +1169,6 @@ def random_chain_map(x: Complex, y: Complex, rng: np.random.Generator) -> ChainM
     for n, b in bases.items():
         off, width = offsets[("u", n)]
         vec = (b.a @ sol[off : off + width]) % x.field.p
-        comps[n] = map_from_flat(x.term(n), y.term(n), vec)
+        src, tgt = x.term(n), y.term(n)
+        comps[n] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
     return ChainMap(x, y, comps)

@@ -81,12 +81,29 @@ class Document:
         return None
 
 
+def _is_int(value) -> bool:
+    # JSON true and false arrive as Python bools, which are ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a JSON array")
+    return value
+
+
 def _as_matrix(fld: PrimeField, rows, rows_want: int, cols_want: int, where: str) -> Mat:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise DocumentError(f"{where}: matrix must be a list of rows")
     for r in rows:
         for entry in r:
-            if not isinstance(entry, int):
+            if not _is_int(entry):
                 raise DocumentError(f"{where}: matrix entries must be integers")
             if not 0 <= entry < fld.p:
                 raise DocumentError(f"{where}: entry {entry} outside [0, {fld.p})")
@@ -117,14 +134,14 @@ def parse_document(text: str) -> Document:
             line=exc.lineno,
             col=exc.colno,
         ) from None
-    if not isinstance(tree, dict):
-        raise DocumentError("document must be a JSON object")
-    if tree.get("format_version") != FORMAT_VERSION:
-        raise DocumentError(
-            f"unsupported format_version {tree.get('format_version')!r}"
-        )
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
+    _object(tree, "document")
+    version = tree.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format_version {version!r}")
     p = tree.get("prime")
-    if not isinstance(p, int):
+    if not _is_int(p):
         raise DocumentError("prime must be an integer")
     try:
         fld = PrimeField(p)
@@ -142,15 +159,14 @@ def parse_document(text: str) -> Document:
         raise DocumentError(f"bad quiver: {exc}") from None
 
     reps: dict[str, QuiverRep] = {}
-    for name, body in (tree.get("reps") or {}).items():
+    for name, body in _object(tree.get("reps", {}), "reps").items():
+        body = _object(body, f"rep {name!r}")
         dims = body.get("dims")
-        if not isinstance(dims, list) or any(
-            not isinstance(d, int) or d < 0 for d in dims
-        ):
+        if not isinstance(dims, list) or any(not _is_int(d) or d < 0 for d in dims):
             raise DocumentError(f"rep {name!r}: dims must be non-negative integers")
         if len(dims) != len(quiver.vertices):
             raise DocumentError(f"rep {name!r}: one dim per vertex required")
-        arrow_bodies = body.get("arrows", [])
+        arrow_bodies = _list(body.get("arrows", []), f"rep {name!r}: arrows")
         if len(arrow_bodies) != len(quiver.arrows):
             raise DocumentError(f"rep {name!r}: one matrix per arrow required")
         mats = []
@@ -167,17 +183,18 @@ def parse_document(text: str) -> Document:
         reps[name] = QuiverRep(quiver, fld, tuple(dims), tuple(mats))
 
     complexes: dict[str, Complex] = {}
-    for name, body in (tree.get("complexes") or {}).items():
+    for name, body in _object(tree.get("complexes", {}), "complexes").items():
+        body = _object(body, f"complex {name!r}")
         lo = body.get("lo")
         term_names = body.get("terms")
-        if not isinstance(lo, int) or not isinstance(term_names, list):
+        if not _is_int(lo) or not isinstance(term_names, list):
             raise DocumentError(f"complex {name!r}: needs integer lo and a term list")
         terms = []
         for tn in term_names:
-            if tn not in reps:
+            if not isinstance(tn, str) or tn not in reps:
                 raise DocumentError(f"complex {name!r}: unresolved rep name {tn!r}")
             terms.append(reps[tn])
-        diff_bodies = body.get("diffs", [])
+        diff_bodies = _list(body.get("diffs", []), f"complex {name!r}: diffs")
         if len(diff_bodies) != max(len(terms) - 1, 0):
             raise DocumentError(f"complex {name!r}: needs one diff per adjacent pair")
         diffs = []
@@ -200,13 +217,15 @@ def parse_document(text: str) -> Document:
         complexes[name] = Complex(quiver, fld, lo, tuple(terms), tuple(diffs))
 
     maps: dict[str, ChainMap] = {}
-    for name, body in (tree.get("maps") or {}).items():
+    for name, body in _object(tree.get("maps", {}), "maps").items():
+        body = _object(body, f"map {name!r}")
         src_name, tgt_name = body.get("source"), body.get("target")
-        if src_name not in complexes or tgt_name not in complexes:
+        if not all(isinstance(n, str) and n in complexes for n in (src_name, tgt_name)):
             raise DocumentError(f"map {name!r}: unresolved complex name")
         src, tgt = complexes[src_name], complexes[tgt_name]
         comps = {}
-        for deg_str, rows_list in (body.get("components") or {}).items():
+        components = _object(body.get("components", {}), f"map {name!r}: components")
+        for deg_str, rows_list in components.items():
             try:
                 deg = int(deg_str)
             except ValueError:

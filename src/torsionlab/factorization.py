@@ -31,6 +31,7 @@ from .complexes import (
     Complex,
     Homotopy,
     Pullback,
+    block_components,
     cofib,
     compose,
     fib,
@@ -149,9 +150,7 @@ def reflection_fiber(x: Complex, tt: TorsionTheory) -> tuple[Complex, ChainMap]:
     _, unit = reflection(x, tt)
     fb = fib(unit)
     sx, counit = coreflection(x, tt)
-    comps = {
-        n: fb.inj_x[n].compose(counit.comp(n)) for n in sx.support if n in fb.inj_x
-    }
+    comps = block_components(sx, fb.blocks, 0, {(0, 0): (1, counit.comps)})
     return fb.complex, ChainMap(sx, fb.complex, comps)
 
 
@@ -160,9 +159,7 @@ def coreflection_cofiber(x: Complex, tt: TorsionTheory) -> tuple[Complex, ChainM
     _, counit = coreflection(x, tt)
     cf = cofib(counit)
     rx, unit = reflection(x, tt)
-    comps = {
-        n: unit.comp(n).compose(cf.cone.proj_y[n]) for n in cf.complex.support
-    }
+    comps = block_components(cf.cone.blocks, rx, 0, {(0, 1): (1, unit.comps)})
     return cf.complex, ChainMap(cf.complex, rx, comps)
 
 
@@ -235,15 +232,7 @@ def factor(f: ChainMap, tt: TorsionTheory) -> Factorization:
     _, unit_y = reflection(y, tt)
     pb = homotopy_pullback(below, unit_y)
     _, unit_x = reflection(x, tt)
-    ix, iy, _ = pb.inj_parts
-    comps = {}
-    for n in x.support:
-        acc = RepMap.zero(x.term(n), pb.complex.term(n))
-        if n in ix:
-            acc = acc + ix[n].compose(unit_x.comp(n))
-        if n in iy:
-            acc = acc + iy[n].compose(f.comp(n))
-        comps[n] = acc
+    comps = block_components(x, pb.blocks, 0, {(0, 0): (1, unit_x.comps), (1, 0): (1, f.comps)})
     e = ChainMap(x, pb.complex, comps)
     m = pb.proj_second
     witness = Homotopy(compose(m, e), f, {})
@@ -264,8 +253,7 @@ def factorization_pullout_square(
     _, counit_x = coreflection(x, tt)
     sy, counit_y = coreflection(y, tt)
     above = truncate_map_ge(f, tt.t)
-    _, iy, _ = fac.mid.inj_parts
-    comps = {n: iy[n].compose(counit_y.comp(n)) for n in sy.support if n in iy}
+    comps = block_components(sy, fac.mid.blocks, 0, {(1, 0): (1, counit_y.comps)})
     bottom = ChainMap(sy, fac.mid.complex, comps)
     return CommutingSquare.strict(counit_x, above, fac.e, bottom)
 
@@ -450,19 +438,9 @@ def semiexact_data(
     above = truncate_map_ge(f, tt.t)
     pb = homotopy_pullback(below, unit_y)
     po = homotopy_pushout(above, coreflection(x, tt)[1])
-    ixp, iyp, _ = pb.inj_parts
-    pxq, pyq, _ = po.proj_parts
-    comps = {}
-    for n in po.complex.support:
-        acc = RepMap.zero(po.complex.term(n), pb.complex.term(n))
-        if n in ixp and n in pyq:
-            acc = acc + ixp[n].compose(unit_x.comp(n).compose(pyq[n]))
-        if n in iyp and n in pxq:
-            acc = acc + iyp[n].compose(counit_y.comp(n).compose(pxq[n]))
-        if n in iyp and n in pyq:
-            acc = acc + iyp[n].compose(f.comp(n).compose(pyq[n]))
-        comps[n] = acc
-    w = ChainMap(po.complex, pb.complex, comps)
+    # pushout parts (sx, 1), (sy, 0), (x, 0); pullback parts (rx, 0), (y, 0), (ry, -1)
+    table = {(0, 2): (1, unit_x.comps), (1, 1): (1, counit_y.comps), (1, 2): (1, f.comps)}
+    w = ChainMap(po.complex, pb.complex, block_components(po.blocks, pb.blocks, 0, table))
     return w, pb.proj_first
 
 

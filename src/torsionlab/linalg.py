@@ -129,7 +129,7 @@ class Mat:
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
-        return Mat(self.field, (self.a @ other.a) % self.field.p)
+        return Mat(self.field, self.a @ other.a)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_field(other)

@@ -24,11 +24,13 @@ from .complexes import (
     Complex,
     Fiber,
     Homotopy,
+    block_components,
     cofib,
     compose,
     fib,
     homology_dims,
     homotopic,
+    identity_map,
     is_quasi_iso,
     shift,
 )
@@ -100,30 +102,15 @@ def _lift_into_fiber(
 ) -> ChainMap:
     """The strict lift x -> (g x, -h x) of g through fib(q), given a strict
     null-homotopy h from 0 to q.g."""
-    src = g.source
-    comps = {}
-    for m in src.support:
-        acc = RepMap.zero(src.term(m), fb.complex.term(m))
-        if m in fb.inj_x:
-            acc = acc + fb.inj_x[m].compose(g.comp(m))
-        if m in null_h and m in fb.inj_y:
-            acc = acc - fb.inj_y[m].compose(null_h[m])
-        comps[m] = acc
-    return ChainMap(src, fb.complex, comps)
+    table = {(0, 0): (1, g.comps), (1, 0): (-1, null_h)}
+    return ChainMap(g.source, fb.complex, block_components(g.source, fb.blocks, 0, table))
 
 
 def _fiber_descend(fb_hi: Fiber, fb_lo: Fiber, restrict: ChainMap) -> ChainMap:
     """fib(Y -> B) -> fib(Y -> B') over Y, along a strict B -> B' under Y."""
-    comps = {}
-    for m in fb_hi.complex.support:
-        acc = RepMap.zero(fb_hi.complex.term(m), fb_lo.complex.term(m))
-        if m in fb_hi.proj_x and m in fb_lo.inj_x:
-            acc = acc + fb_lo.inj_x[m].compose(fb_hi.proj_x[m])
-        if m in fb_hi.proj_y and m in fb_lo.inj_y:
-            acc = acc + fb_lo.inj_y[m].compose(
-                restrict.comp(m + 1).compose(fb_hi.proj_y[m])
-            )
-        comps[m] = acc
+    y = fb_hi.to_source.target
+    table = {(0, 0): (1, identity_map(y).comps), (1, 1): (1, restrict.comps)}
+    comps = block_components(fb_hi.blocks, fb_lo.blocks, 0, table)
     return ChainMap(fb_hi.complex, fb_lo.complex, comps)
 
 

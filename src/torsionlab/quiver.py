@@ -25,10 +25,9 @@ __all__ = [
     "Quiver",
     "QuiverRep",
     "RepMap",
-    "rep_hom_basis",
+    "rep_hom_basis_flat",
     "rep_kernel",
     "rep_cokernel",
-    "rep_image",
     "direct_sum",
     "random_rep",
     "random_rep_map",
@@ -273,20 +272,11 @@ def flat_dim(source: QuiverRep, target: QuiverRep) -> int:
     return sum(t * s for t, s in zip(target.dims, source.dims))
 
 
-def map_from_flat(source: QuiverRep, target: QuiverRep, vec: np.ndarray) -> RepMap:
-    """Inverse of RepMap.flat; the result must satisfy the intertwiner law."""
-    comps = []
-    off = 0
-    for t, s in zip(target.dims, source.dims):
-        comps.append(Mat(source.field, vec[off : off + t * s], shape=(t, s)))
-        off += t * s
-    return RepMap(source, target, tuple(comps))
-
-
 def graded_from_flat(
     source: QuiverRep, target: QuiverRep, vec: np.ndarray
 ) -> tuple[Mat, ...]:
-    """Like map_from_flat but without imposing the intertwiner law."""
+    """Inverse of RepMap.flat: the vertex components, not yet checked as an
+    intertwiner."""
     comps = []
     off = 0
     for t, s in zip(target.dims, source.dims):
@@ -348,14 +338,9 @@ def hom_constraint_matrix(a: QuiverRep, b: QuiverRep) -> Mat:
     return Mat(a.field, np.concatenate(rows, axis=0))
 
 
-def rep_hom_basis(a: QuiverRep, b: QuiverRep) -> list[RepMap]:
-    """Deterministic basis of the intertwiner space Hom(a, b)."""
-    ker = kernel_basis(hom_constraint_matrix(a, b))
-    return [map_from_flat(a, b, ker.a[:, j]) for j in range(ker.cols)]
-
-
 def rep_hom_basis_flat(a: QuiverRep, b: QuiverRep) -> Mat:
-    """Same basis as rep_hom_basis, packed as flat column vectors."""
+    """Deterministic basis of the intertwiner space Hom(a, b), as flat column
+    vectors (see RepMap.flat)."""
     return kernel_basis(hom_constraint_matrix(a, b))
 
 
@@ -412,65 +397,27 @@ def quotient_rep(
     return out, proj, tuple(sects)
 
 
-def rep_image(f: RepMap) -> tuple[QuiverRep, RepMap]:
-    """Vertexwise image with induced arrow maps and its inclusion."""
-    quiver = f.source.quiver
-    field = f.source.field
-    imats = [image_basis(c) for c in f.components]
-    dims = tuple(m.cols for m in imats)
-    arrow_maps = []
-    for (src, tgt), a_map in zip(quiver.arrows, f.target.arrow_maps):
-        i, j = quiver.index(src), quiver.index(tgt)
-        sol = solve(imats[j], a_map @ imats[i])
-        if sol is None:
-            raise AssertionError("image is not arrow-stable; intertwiner law broken")
-        arrow_maps.append(sol[0])
-    img = QuiverRep(quiver, field, dims, tuple(arrow_maps))
-    inc = RepMap(img, f.target, tuple(imats))
-    return img, inc
+def direct_sum(*reps: QuiverRep) -> tuple[QuiverRep, tuple[tuple[int, ...], ...]]:
+    """The biproduct of reps, stacked in order at every vertex.
 
-
-def direct_sum(
-    a: QuiverRep, b: QuiverRep
-) -> tuple[QuiverRep, RepMap, RepMap, RepMap, RepMap]:
-    """Biproduct with injections and projections (inj_a, inj_b, proj_a, proj_b)."""
-    if a.quiver != b.quiver or a.field != b.field:
+    Returns the sum and offsets[i][v], the first coordinate of summand i at
+    vertex v; arrow maps are block diagonal in the same order.
+    """
+    quiver, field = reps[0].quiver, reps[0].field
+    if any(r.quiver != quiver or r.field != field for r in reps):
         raise ValueError("direct sum over mismatched quiver or field")
-    quiver, field = a.quiver, a.field
-    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
+    offsets, at = [], (0,) * len(quiver.vertices)
+    for r in reps:
+        offsets.append(at)
+        at = tuple(o + d for o, d in zip(at, r.dims))
     arrow_maps = []
     for idx, (src, tgt) in enumerate(quiver.arrows):
         i, j = quiver.index(src), quiver.index(tgt)
-        block = np.zeros((dims[j], dims[i]), dtype=np.int64)
-        block[: a.dims[j], : a.dims[i]] = a.arrow_maps[idx].a
-        block[a.dims[j] :, a.dims[i] :] = b.arrow_maps[idx].a
+        block = np.zeros((at[j], at[i]), dtype=np.int64)
+        for r, off in zip(reps, offsets):
+            block[off[j] : off[j] + r.dims[j], off[i] : off[i] + r.dims[i]] = r.arrow_maps[idx].a
         arrow_maps.append(Mat(field, block))
-    s = QuiverRep(quiver, field, dims, tuple(arrow_maps))
-
-    def _inj(rep, before):
-        comps = []
-        for v_idx in range(len(quiver.vertices)):
-            m = np.zeros((dims[v_idx], rep.dims[v_idx]), dtype=np.int64)
-            off = before[v_idx]
-            m[off : off + rep.dims[v_idx], :] = np.eye(rep.dims[v_idx], dtype=np.int64)
-            comps.append(Mat(field, m))
-        return RepMap(rep, s, tuple(comps))
-
-    def _proj(rep, before):
-        comps = []
-        for v_idx in range(len(quiver.vertices)):
-            m = np.zeros((rep.dims[v_idx], dims[v_idx]), dtype=np.int64)
-            off = before[v_idx]
-            m[:, off : off + rep.dims[v_idx]] = np.eye(rep.dims[v_idx], dtype=np.int64)
-            comps.append(Mat(field, m))
-        return RepMap(s, rep, tuple(comps))
-
-    zeros = tuple(0 for _ in quiver.vertices)
-    inj_a = _inj(a, zeros)
-    inj_b = _inj(b, a.dims)
-    proj_a = _proj(a, zeros)
-    proj_b = _proj(b, a.dims)
-    return s, inj_a, inj_b, proj_a, proj_b
+    return QuiverRep(quiver, field, at, tuple(arrow_maps)), tuple(offsets)
 
 
 def random_rep(
@@ -490,4 +437,4 @@ def random_rep_map(a: QuiverRep, b: QuiverRep, rng: np.random.Generator) -> RepM
     basis = rep_hom_basis_flat(a, b)
     coeffs = rng.integers(0, a.field.p, size=(basis.cols, 1))
     vec = (basis.a @ coeffs) % a.field.p
-    return map_from_flat(a, b, vec.reshape(-1))
+    return RepMap(a, b, graded_from_flat(a, b, vec.reshape(-1)))

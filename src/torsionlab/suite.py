@@ -3,9 +3,8 @@
 Each property draws its cases from a deterministic stream: case k of
 property i under seed s uses the generator seeded with [s, i, k], and the
 (prime, quiver) pair and truncation cutoff rotate with k.  Reports are
-therefore byte-identical for identical configs.  Cases may run on a small
-thread pool (TORSIONLAB_THREADS); aggregation keys on the case index, not
-completion order, so the counterexample is always the lowest failing case.
+therefore byte-identical for identical configs.  Cases run in order, and
+the counterexample is always the lowest failing case.
 
 Truncation entry points are called through the tstruct module object
 rather than imported names, so a deliberately corrupted truncation
@@ -18,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -442,7 +440,7 @@ def _case_em_intersection(rng, fld, quiver, cut, config, case):
     # constructed quasi-iso: pad the source with a contractible summand
     a = _draw(rng, fld, quiver, config)
     ca = cofib(identity_map(a)).complex
-    _, inj, _, _, _ = direct_sum_complex(x, ca)
+    inj = direct_sum_complex(x, ca).inclusion(0)
     if not (is_quasi_iso(inj) and in_E(inj, tt) and in_M(inj, tt)):
         return {
             "detail": "constructed quasi-iso missing from one of the classes",
@@ -685,23 +683,15 @@ def replay_case(config: SuiteConfig, name: str, case: int) -> dict | None:
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    threads = int(os.environ.get("TORSIONLAB_THREADS", "1") or "1")
     results = []
     for idx, (name, _) in enumerate(PROPERTIES):
         ncases = _case_count(name, config)
         start = time.perf_counter()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(
-                    pool.map(lambda c: _run_case(config, idx, c), range(ncases))
-                )
-        else:
-            outcomes = [_run_case(config, idx, c) for c in range(ncases)]
+        outcomes = [_run_case(config, idx, c) for c in range(ncases)]
         elapsed = time.perf_counter() - start
-        # outcomes is indexed by case, so min() keys on case index regardless
-        # of which thread finished first
+        # cases run in order, so the first failure is the lowest failing case
         failures = [f for f in outcomes if f is not None]
-        counterexample = min(failures, key=lambda f: f["case"]) if failures else None
+        counterexample = failures[0] if failures else None
         results.append(
             PropertyResult(name, ncases, len(failures), counterexample, elapsed)
         )

@@ -37,7 +37,7 @@ from .linalg import solve
 from .quiver import (
     RepMap,
     flat_dim,
-    map_from_flat,
+    graded_from_flat,
     post_op,
     pre_op,
     quotient_rep,
@@ -329,12 +329,14 @@ def heart_comparison(f: HeartMorphism) -> tuple[ChainMap, Homotopy]:
     u_comps = {}
     for k, b in u_bases.items():
         vec = (b.a @ assign[("u", k)]) % fld.p
-        u_comps[k] = map_from_flat(coim.term(k), img.term(k), vec)
+        src, tgt = coim.term(k), img.term(k)
+        u_comps[k] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
     u = ChainMap(coim, img, u_comps)
     h_comps = {}
     for k, b in h_bases.items():
         vec = (b.a @ assign[("h", k)]) % fld.p
-        h_comps[k] = map_from_flat(x.term(k), y.term(k + 1), vec)
+        src, tgt = x.term(k), y.term(k + 1)
+        h_comps[k] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
     wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), h_comps)
     return u, wit
 

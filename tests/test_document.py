@@ -168,3 +168,51 @@ def test_document_of_registers_endpoints_once():
     text = serialize_document(doc)
     body = json.loads(text)["maps"]["f"]
     assert body["source"] == body["target"]
+
+
+_A2 = {"vertices": ["a", "b"], "arrows": [["a", "b"]]}
+_R = {"dims": [1, 0], "arrows": [[]]}
+_X = {"lo": 0, "terms": ["r"], "diffs": []}
+MALFORMED = {
+    "reps-not-object": {"reps": []},
+    "complexes-not-object": {"complexes": 5},
+    "maps-not-object": {"maps": "f"},
+    "rep-body": {"reps": {"r": 5}},
+    "complex-body": {"complexes": {"x": 5}},
+    "map-body": {"maps": {"f": 5}},
+    "rep-arrows": {"reps": {"r": {"dims": [1, 0], "arrows": 5}}},
+    "complex-diffs": {"complexes": {"x": {"lo": 0, "terms": [], "diffs": 5}}},
+    "complex-terms": {"complexes": {"x": {"lo": 0, "terms": [[1]], "diffs": []}}},
+    "map-components": {
+        "reps": {"r": _R},
+        "complexes": {"x": _X},
+        "maps": {"f": {"source": "x", "target": "x", "components": 5}},
+    },
+    "map-source": {
+        "reps": {"r": _R},
+        "complexes": {"x": _X},
+        "maps": {"f": {"source": ["x"], "target": "x", "components": {}}},
+    },
+    "bool-version": {"format_version": True},
+    "bool-prime": {"prime": True},
+    "bool-dims": {"reps": {"r": {"dims": [True, 0], "arrows": [[]]}}},
+    "bool-lo": {"reps": {"r": _R}, "complexes": {"x": {**_X, "lo": False}}},
+    "bool-entry": {"reps": {"s": {"dims": [1, 1], "arrows": [[[True]]]}}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_documents_are_rejected_with_one_error_line(kind, tmp_path, capsys):
+    from torsionlab.cli import main
+
+    tree = {"format_version": 1, "prime": 2, "quiver": _A2, **MALFORMED[kind]}
+    text = json.dumps(tree)
+    with pytest.raises(DocumentError):
+        parse_document(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["factor", str(path), "--map", "f"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

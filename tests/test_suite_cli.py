@@ -38,13 +38,10 @@ from torsionlab.tstruct import TStructure, truncate_ge
 SMALL = SuiteConfig(cases=8, max_dim=3, window=(-2, 2), seed=5)
 
 
-def test_reports_are_byte_identical(monkeypatch):
+def test_reports_are_byte_identical():
     first = report_json(run_suite(SMALL))
     second = report_json(run_suite(SMALL))
     assert first == second
-    monkeypatch.setenv("TORSIONLAB_THREADS", "3")
-    third = report_json(run_suite(SMALL))
-    assert first == third
 
 
 def test_all_properties_pass_small():
