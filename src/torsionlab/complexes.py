@@ -28,7 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Mat, PrimeField, image_basis, kernel_basis, quotient, rank, solve
+from .linalg import (
+    Mat,
+    PrimeField,
+    image_basis,
+    kernel_basis,
+    kernel_coords,
+    quotient,
+    rank,
+    solve,
+)
 from .quiver import (
     Quiver,
     QuiverRep,
@@ -425,10 +434,10 @@ class HomologyData:
 
     def class_of(self, v_idx: int, cycles: Mat) -> Mat:
         """Coordinates of homology classes of the given cycle columns."""
-        sol = solve(self.kernels[v_idx], cycles)
-        if sol is None:
+        coords = kernel_coords(self.kernels[v_idx], cycles)
+        if coords is None:
             raise ValueError("vector is not a cycle")
-        return self.projections[v_idx] @ sol[0]
+        return self.projections[v_idx] @ coords
 
 
 def homology_data(x: Complex, n: int) -> HomologyData:
@@ -439,10 +448,10 @@ def homology_data(x: Complex, n: int) -> HomologyData:
     for v_idx in range(len(quiver.vertices)):
         k = kernel_basis(d_out.components[v_idx])
         bd = image_basis(d_in.components[v_idx])
-        coords = solve(k, bd)
+        coords = kernel_coords(k, bd)
         if coords is None:
             raise AssertionError("boundaries are not cycles; d-squared broken")
-        q, s = quotient(field, k.cols, image_basis(coords[0]))
+        q, s = quotient(field, k.cols, image_basis(coords))
         kernels.append(k)
         projs.append(q)
         sects.append(s)
@@ -453,10 +462,10 @@ def homology_data(x: Complex, n: int) -> HomologyData:
     for a_idx, (src, tgt) in enumerate(quiver.arrows):
         i, j = quiver.index(src), quiver.index(tgt)
         carried = term.arrow_maps[a_idx] @ reps[i]
-        coords = solve(kernels[j], carried)
+        coords = kernel_coords(kernels[j], carried)
         if coords is None:
             raise AssertionError("arrow map does not preserve cycles")
-        arrow_maps.append(projs[j] @ coords[0])
+        arrow_maps.append(projs[j] @ coords)
     h = QuiverRep(quiver, field, tuple(dims), tuple(arrow_maps))
     return HomologyData(x, n, h, tuple(kernels), tuple(projs), reps)
 
@@ -466,18 +475,17 @@ def homology(x: Complex, n: int) -> QuiverRep:
 
 
 def homology_dims(x: Complex) -> dict[int, tuple[int, ...]]:
-    """Vertexwise homology dimensions on the support, by rank counting."""
-    out: dict[int, tuple[int, ...]] = {}
-    for n in x.support:
-        term = x.term(n)
-        d_out = x.diff(n)
-        d_in = x.diff(n + 1)
-        dims = tuple(
-            term.dims[v] - rank(d_out.components[v]) - rank(d_in.components[v])
-            for v in range(len(x.quiver.vertices))
-        )
-        out[n] = dims
-    return out
+    """Vertexwise homology dimensions on the support, by rank counting.
+
+    Each stored differential is ranked once; the differentials out of and
+    into the ends of the support are zero.
+    """
+    edge = ((0,) * len(x.quiver.vertices),)
+    ranks = edge + tuple(tuple(rank(c) for c in d.components) for d in x.diffs) + edge
+    return {
+        n: tuple(d - r_out - r_in for d, r_out, r_in in zip(term.dims, ranks[i], ranks[i + 1]))
+        for i, (n, term) in enumerate(zip(x.support, x.terms))
+    }
 
 
 def is_acyclic(x: Complex) -> bool:
@@ -612,8 +620,12 @@ class Cone:
         return self.blocks.complex
 
 
+def _cone_sum(f: ChainMap) -> GradedSum:
+    return _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f.comps)})
+
+
 def cone(f: ChainMap) -> Cone:
-    s = _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f.comps)})
+    s = _cone_sum(f)
     return Cone(s, s.inclusion(1), s.projection(0))
 
 
@@ -660,7 +672,7 @@ def fib(f: ChainMap) -> Fiber:
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    return is_acyclic(cone(f).complex)
+    return is_acyclic(_cone_sum(f).complex)
 
 
 def direct_sum_complex(x: Complex, y: Complex) -> GradedSum:
@@ -851,10 +863,10 @@ class HomComplex:
             g = graded.get(i)
             if g is not None and not g.is_zero():
                 vec = Mat(self.source.field, g.flat().reshape(-1, 1))
-                sol = solve(basis, vec)
-                if sol is None:
+                coords = kernel_coords(basis, vec)
+                if coords is None:
                     raise ValueError("graded map is not an intertwiner collection")
-                out[off : off + basis.cols] = sol[0].a[:, 0]
+                out[off : off + basis.cols] = coords.a[:, 0]
             off += basis.cols
         return out
 
@@ -904,10 +916,10 @@ def hom_complex(x: Complex, y: Complex) -> HomComplex:
                 images.append((i + 1, (-sgn * pre) % fld.p))
             for j, img in images:
                 off_j, basis_j = tgt_offsets[j]
-                sol = solve(basis_j, Mat(fld, img))
-                if sol is None:
+                coords = kernel_coords(basis_j, Mat(fld, img))
+                if coords is None:
                     raise AssertionError("hom differential left the intertwiner space")
-                mat[off_j : off_j + basis_j.cols, col : col + b.cols] = sol[0].a
+                mat[off_j : off_j + basis_j.cols, col : col + b.cols] = coords.a
             col += b.cols
         diffs.append(
             RepMap(terms[n], terms[n - 1], (Mat(fld, mat),))
@@ -942,10 +954,10 @@ def _hom_slot_transport(
             if i in dst_offsets:
                 off_i, basis_i = dst_offsets[i]
                 img = carry(n, i, b)
-                sol = solve(basis_i, Mat(fld, img))
-                if sol is None:
+                coords = kernel_coords(basis_i, Mat(fld, img))
+                if coords is None:
                     raise AssertionError("transport left the intertwiner space")
-                mat[off_i : off_i + basis_i.cols, col : col + b.cols] = sol[0].a
+                mat[off_i : off_i + basis_i.cols, col : col + b.cols] = coords.a
             col += b.cols
         comps[n] = RepMap(
             src.complex.term(n), dst.complex.term(n), (Mat(fld, mat),)
@@ -1024,8 +1036,8 @@ def solve_block_system(
     sol = solve(m, Mat(fld, b.reshape(-1, 1)))
     if sol is None:
         return None
-    x, ker = sol
-    return {key: x.a[off : off + width, 0] for key, (off, width) in offsets.items()}, ker.cols
+    x, nullity = sol
+    return {key: x.a[off : off + width, 0] for key, (off, width) in offsets.items()}, nullity
 
 
 # -- homotopies and lifts ------------------------------------------------------

@@ -150,12 +150,18 @@ def parse_document(text: str) -> Document:
     qtree = tree.get("quiver")
     if not isinstance(qtree, dict):
         raise DocumentError("quiver section missing")
+    vertices = _list(qtree.get("vertices", []), "quiver vertices")
+    arrows = _list(qtree.get("arrows", []), "quiver arrows")
+    if any(not isinstance(v, str) for v in vertices):
+        raise DocumentError("quiver vertices must be strings")
+    if any(
+        not isinstance(a, list) or len(a) != 2 or not all(isinstance(e, str) for e in a)
+        for a in arrows
+    ):
+        raise DocumentError("quiver arrows must be [source, target] pairs of vertex names")
     try:
-        quiver = Quiver(
-            tuple(qtree.get("vertices", ())),
-            tuple((a[0], a[1]) for a in qtree.get("arrows", ())),
-        )
-    except (ValueError, IndexError, TypeError) as exc:
+        quiver = Quiver(tuple(vertices), tuple((a[0], a[1]) for a in arrows))
+    except ValueError as exc:
         raise DocumentError(f"bad quiver: {exc}") from None
 
     reps: dict[str, QuiverRep] = {}

@@ -5,6 +5,14 @@ Matrices are immutable, row-major numpy int64 arrays with entries reduced to
 act as the unique linear maps between zero spaces.  Row reduction uses
 fraction-free Gauss-Jordan with deterministic first-nonzero pivoting, so
 every derived basis (kernels, images, quotient sections) is reproducible.
+
+Each public answer costs at most one elimination: rref, rank, kernel_basis,
+image_basis, solve, inverse and quotient each reduce one matrix once, and
+read everything they return (pivots, nullity, singularity, dependence, the
+inverse of a change of basis) off that one reduced form.  Coordinates in a
+basis made by kernel_basis need no elimination at all: kernel_coords reads
+them off the basis's free rows, which hold the identity, and confirms them
+with one product.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
+    "kernel_coords",
     "image_basis",
     "solve",
     "inverse",
@@ -228,16 +237,20 @@ def _eliminate(a: np.ndarray, p: int, limit: int) -> list[int]:
     return piv
 
 
+def _reduced(m: Mat) -> tuple[np.ndarray, list[int]]:
+    """A reduced copy of m's entries and its pivot columns: one elimination."""
+    a = m.a.copy()
+    return a, _eliminate(a, m.field.p, m.cols)
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    a = m.a.copy()
-    piv = _eliminate(a, m.field.p, m.cols)
+    a, piv = _reduced(m)
     return Mat(m.field, a), tuple(piv)
 
 
 def rank(m: Mat) -> int:
-    a = m.a.copy()
-    return len(_eliminate(a, m.field.p, m.cols))
+    return len(_reduced(m)[1])
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -245,29 +258,49 @@ def kernel_basis(m: Mat) -> Mat:
 
     The basis is the standard one read off the reduced form: one column per
     free column f, with a 1 in slot f and back-substituted pivot entries.
+    Its free rows therefore hold the identity (see kernel_coords).
     """
-    r, piv = rref(m)
-    p = m.field.p
-    free = [c for c in range(m.cols) if c not in set(piv)]
-    out = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        out[f, j] = 1
-        for i, c in enumerate(piv):
-            out[c, j] = (-int(r.a[i, f])) % p
-    return Mat(m.field, out)
+    a, piv = _reduced(m)
+    # I - (the reduced rows placed at their pivot indices): column f is the
+    # basis vector of free column f, and pivot columns (zero diagonal) vanish
+    out = np.eye(m.cols, dtype=np.int64)
+    out[piv] -= a[: len(piv)]
+    return Mat(m.field, out[:, out.diagonal() != 0])
+
+
+def kernel_coords(basis: Mat, b: Mat) -> Mat | None:
+    """Coordinates of the columns of b in a basis made by kernel_basis, or
+    None when a column lies outside its span.
+
+    Column j of such a basis is zero below its free row, where it holds 1,
+    and every other column is zero there; so the coordinates are b's free
+    rows, and one product confirms that they reproduce b.  The product
+    reproduces the free rows by construction, so only the other rows are
+    compared (none when the basis is the identity).
+    """
+    basis._check_field(b)
+    if basis.rows != b.rows:
+        raise ValueError(f"coordinate shape mismatch: {basis.shape} vs {b.shape}")
+    free = (np.arange(basis.rows)[:, None] * (basis.a != 0)).max(axis=0, initial=0)
+    rest = np.ones(basis.rows, dtype=bool)
+    rest[free] = False
+    x = b.a[free]
+    if not np.array_equal(basis.a[rest] @ x % basis.field.p, b.a[rest]):
+        return None
+    return Mat(basis.field, x)
 
 
 def image_basis(m: Mat) -> Mat:
     """Columns of m at the pivot positions; a basis of the column space."""
-    _, piv = rref(m)
-    return Mat(m.field, m.a[:, list(piv)].reshape(m.rows, len(piv)))
+    _, piv = _reduced(m)
+    return Mat(m.field, m.a[:, piv].reshape(m.rows, len(piv)))
 
 
-def solve(m: Mat, b: Mat) -> tuple[Mat, Mat] | None:
+def solve(m: Mat, b: Mat) -> tuple[Mat, int] | None:
     """Solve m x = b columnwise.
 
-    Returns (particular solution with free variables zero, kernel basis of m)
-    or None when any column of b is inconsistent.
+    Returns (particular solution with free variables zero, nullity of m) or
+    None when any column of b is inconsistent.
     """
     m._check_field(b)
     if m.rows != b.rows:
@@ -278,16 +311,15 @@ def solve(m: Mat, b: Mat) -> tuple[Mat, Mat] | None:
     if aug[r:, m.cols :].any():
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    for i, c in enumerate(piv):
-        x[c] = aug[i, m.cols :]
-    return Mat(m.field, x), kernel_basis(m)
+    x[piv] = aug[:r, m.cols :]
+    return Mat(m.field, x), m.cols - r
 
 
 def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError(f"inverse of non-square {m.shape}")
     sol = solve(m, Mat.identity(m.field, m.rows))
-    if sol is None or rank(m) != m.rows:
+    if sol is None or sol[1]:
         raise ValueError("matrix is singular")
     return sol[0]
 
@@ -303,19 +335,15 @@ def quotient(field: PrimeField, ambient_dim: int, basis: Mat) -> tuple[Mat, Mat]
         raise ValueError(
             f"subspace basis lives in dim {basis.rows}, ambient is {ambient_dim}"
         )
-    if rank(basis) != basis.cols:
-        raise ValueError("quotient by a dependent spanning set")
     k = basis.cols
     aug = np.concatenate([basis.a, np.eye(ambient_dim, dtype=np.int64)], axis=1)
     piv = _eliminate(aug, field.p, ambient_dim + k)
-    comp = [c - k for c in piv if c >= k]
-    # change of basis [basis | chosen coordinate vectors], then read the
-    # quotient coordinates off the bottom rows of its inverse
-    cob = np.zeros((ambient_dim, ambient_dim), dtype=np.int64)
-    cob[:, :k] = basis.a
-    for j, c in enumerate(comp):
-        cob[c, k + j] = 1
-    cob_inv = inverse(Mat(field, cob))
-    proj = Mat(field, cob_inv.a[k:, :])
-    sect = Mat(field, cob[:, k:])
+    if piv[:k] != list(range(k)):
+        raise ValueError("quotient by a dependent spanning set")
+    # the row operations E reduce [basis | I] to [E basis | E]; the pivot
+    # columns are cob = [basis | the chosen unit vectors] and E cob = I, so
+    # the right block E is cob^-1 and its bottom rows are quotient coordinates
+    comp = [c - k for c in piv[k:]]
+    proj = Mat(field, aug[k:, k:])
+    sect = Mat(field, np.eye(ambient_dim, dtype=np.int64)[:, comp])
     return proj, sect

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Mat, PrimeField, image_basis, kernel_basis, quotient, solve
+from .linalg import Mat, PrimeField, image_basis, kernel_basis, kernel_coords, quotient
 
 __all__ = [
     "Quiver",
@@ -356,10 +356,10 @@ def rep_kernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
         # arrow map sends kernel vectors to kernel vectors; rewrite in the
         # kernel basis at the target vertex
         img = a_map @ kmats[i]
-        sol = solve(kmats[j], img)
-        if sol is None:
+        coords = kernel_coords(kmats[j], img)
+        if coords is None:
             raise AssertionError("kernel is not arrow-stable; intertwiner law broken")
-        arrow_maps.append(sol[0])
+        arrow_maps.append(coords)
     ker = QuiverRep(quiver, field, dims, tuple(arrow_maps))
     inc = RepMap(ker, f.source, tuple(kmats))
     return ker, inc

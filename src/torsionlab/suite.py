@@ -9,7 +9,9 @@ the counterexample is always the lowest failing case.
 Truncation entry points are called through the tstruct module object
 rather than imported names, so a deliberately corrupted truncation
 (swapped in by a test) is picked up here and surfaces as a failing
-property with a replayable counterexample.
+property with a replayable counterexample.  A case that raises also names,
+as raised_at, the innermost torsionlab frame (module.py:function) that the
+exception passed through.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,16 +210,20 @@ def _result_line(name: str, passed: int, cases: int, suffix: str) -> str:
     return f"{verdict} {name:<22} {passed}/{cases}{suffix}"
 
 
+def _failure_line(ce: dict) -> str:
+    at = f" (raised at {ce['raised_at']})" if "raised_at" in ce else ""
+    return (
+        f"     first failure: case {ce['case']} "
+        f"(seed path {ce['seed_path']}): {ce['detail']}{at}"
+    )
+
+
 def report_text(report: Report) -> str:
     lines = []
     for r in report.results:
         lines.append(_result_line(r.name, r.passed, r.cases, f"  ({r.elapsed:.2f}s)"))
         if r.counterexample is not None:
-            ce = r.counterexample
-            lines.append(
-                f"     first failure: case {ce['case']} "
-                f"(seed path {ce['seed_path']}): {ce['detail']}"
-            )
+            lines.append(_failure_line(r.counterexample))
     total = sum(r.elapsed for r in report.results)
     lines.append(f"{'suite ok' if report.ok else 'suite FAILED'}  ({total:.2f}s)")
     return "\n".join(lines) + "\n"
@@ -234,11 +241,7 @@ def render_tree(tree: dict, fmt: str) -> str:
     for r in tree["properties"]:
         lines.append(_result_line(r["name"], r["passed"], r["cases"], ""))
         if r.get("counterexample"):
-            ce = r["counterexample"]
-            lines.append(
-                f"     first failure: case {ce['case']} "
-                f"(seed path {ce['seed_path']}): {ce['detail']}"
-            )
+            lines.append(_failure_line(r["counterexample"]))
     lines.append("suite ok" if tree["ok"] else "suite FAILED")
     return "\n".join(lines) + "\n"
 
@@ -648,6 +651,14 @@ def _case_count(name: str, config: SuiteConfig) -> int:
     return FIXED_CASES.get(name, config.cases)
 
 
+def _raised_at(exc: Exception) -> str:
+    """module.py:function of the innermost torsionlab frame that exc passed."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    frames = traceback.extract_tb(exc.__traceback__)
+    inner = [f for f in frames if os.path.dirname(os.path.abspath(f.filename)) == here]
+    return f"{os.path.basename(inner[-1].filename)}:{inner[-1].name}"
+
+
 def _run_case(config: SuiteConfig, prop_index: int, case: int) -> dict | None:
     name, runner = PROPERTIES[prop_index]
     combos = [(p, q) for p in config.primes for q in config.quivers]
@@ -664,7 +675,7 @@ def _run_case(config: SuiteConfig, prop_index: int, case: int) -> dict | None:
     try:
         failure = runner(rng, PrimeField(p), resolve_quiver(qname), cut, config, case)
     except Exception as exc:
-        failure = {"detail": f"{type(exc).__name__}: {exc}"}
+        failure = {"detail": f"{type(exc).__name__}: {exc}", "raised_at": _raised_at(exc)}
     if failure is None:
         return None
     merged = {**context, **failure}

@@ -33,7 +33,7 @@ from .complexes import (
     zero_complex,
     zero_map,
 )
-from .linalg import solve
+from .linalg import kernel_coords
 from .quiver import (
     RepMap,
     flat_dim,
@@ -122,10 +122,10 @@ def truncate_ge(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
     if x.hi > n:
         comps = []
         for v_idx in range(len(x.quiver.vertices)):
-            sol = solve(inc.components[v_idx], x.diff(n + 1).components[v_idx])
-            if sol is None:
+            coords = kernel_coords(inc.components[v_idx], x.diff(n + 1).components[v_idx])
+            if coords is None:
                 raise AssertionError("boundaries are not cycles; d-squared broken")
-            comps.append(sol[0])
+            comps.append(coords)
         diffs.append(RepMap(x.term(n + 1), ker, tuple(comps)))
         diffs.extend(x.diff(k) for k in range(n + 2, x.hi + 1))
     sub = Complex(x.quiver, x.field, n, tuple(terms), tuple(diffs))
@@ -173,10 +173,10 @@ def truncate_map_ge(f: ChainMap, t: TStructure) -> ChainMap:
         ky = rep_kernel(f.target.diff(n))[1]
         parts = []
         for v in range(len(f.source.quiver.vertices)):
-            sol = solve(ky.components[v], f.comp(n).components[v] @ kx.components[v])
-            if sol is None:
+            coords = kernel_coords(ky.components[v], f.comp(n).components[v] @ kx.components[v])
+            if coords is None:
                 raise AssertionError("chain map does not preserve cycles")
-            parts.append(sol[0])
+            parts.append(coords)
         comps[n] = RepMap(sub_x.term(n), sub_y.term(n), tuple(parts))
     return ChainMap(sub_x, sub_y, comps)
 

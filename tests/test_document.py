@@ -198,6 +198,8 @@ MALFORMED = {
     "bool-dims": {"reps": {"r": {"dims": [True, 0], "arrows": [[]]}}},
     "bool-lo": {"reps": {"r": _R}, "complexes": {"x": {**_X, "lo": False}}},
     "bool-entry": {"reps": {"s": {"dims": [1, 1], "arrows": [[[True]]]}}},
+    "quiver-strings": {"quiver": {"vertices": "ab", "arrows": ["ab"]}},
+    "quiver-int-vertices": {"quiver": {"vertices": [1, 2], "arrows": [[1, 2]]}},
 }
 
 

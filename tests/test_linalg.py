@@ -1,16 +1,22 @@
 import itertools
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from tests.strategies import matrices
+import torsionlab.linalg
+from tests.strategies import complexes, matrices
+from torsionlab.complexes import homology_dims
 from torsionlab.linalg import (
     Mat,
     PrimeField,
+    hstack,
     image_basis,
     inverse,
     kernel_basis,
+    kernel_coords,
     quotient,
     rank,
     rref,
@@ -71,9 +77,9 @@ def test_solve_reports_inconsistency():
 def test_solve_batched_rhs():
     m = Mat(F5, [[1, 2], [3, 4]])
     b = Mat(F5, [[1, 0], [0, 1]])
-    x, k = solve(m, b)
+    x, nullity = solve(m, b)
     assert (m @ x) == b
-    assert k.cols == 0
+    assert nullity == 0
 
 
 def test_inverse_round_trip():
@@ -137,10 +143,9 @@ def test_solve_substitutes(m):
     b = m @ x0
     got = solve(m, b)
     assert got is not None
-    x, k = got
+    x, nullity = got
     assert (m @ x) == b
-    if k.cols:
-        assert (m @ k).is_zero()
+    assert nullity == m.cols - rank(m)
 
 
 @given(matrices(max_dim=3))
@@ -150,3 +155,87 @@ def test_quotient_dimension(m):
     assert q.rows == m.rows - sub.cols
     assert (q @ sub).is_zero()
     assert (q @ s) == Mat.identity(m.field, q.rows)
+
+
+# -- one elimination per answer ------------------------------------------------
+
+
+@contextmanager
+def counted_eliminations():
+    """Records the shape of every row reduction linalg runs."""
+    calls = []
+    inner = torsionlab.linalg._eliminate
+
+    def counting(a, p, limit):
+        calls.append(a.shape)
+        return inner(a, p, limit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torsionlab.linalg, "_eliminate", counting)
+        yield calls
+
+
+def _eliminations(fn, *args) -> int:
+    with counted_eliminations() as calls:
+        try:
+            fn(*args)
+        except ValueError:  # singular or dependent input still costs one
+            pass
+    return len(calls)
+
+
+@given(matrices())
+def test_each_answer_costs_one_elimination(m):
+    b = Mat(m.field, np.ones((m.rows, 2), dtype=np.int64))
+    assert _eliminations(solve, m, b) == 1
+    assert _eliminations(quotient, m.field, m.rows, m) == 1
+    if m.rows == m.cols:
+        assert _eliminations(inverse, m) == 1
+    k = kernel_basis(m)
+    assert _eliminations(kernel_coords, k, k) == 0
+
+
+@given(complexes())
+def test_homology_dims_ranks_each_stored_component_once(x):
+    with counted_eliminations() as calls:
+        homology_dims(x)
+    assert len(calls) <= sum(len(d.components) for d in x.diffs)
+
+
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_kernel_coords_match_solving(m, seed):
+    """Coordinates read off the free rows equal the eliminated solution, and
+    vectors outside the span come back as None exactly when solve says so."""
+    rng = np.random.default_rng(seed)
+    k = kernel_basis(m)
+    p = m.field.p
+    inside = Mat(m.field, k.a @ rng.integers(0, p, size=(k.cols, 3)))
+    assert kernel_coords(k, inside) == solve(k, inside)[0]
+    anywhere = Mat(m.field, rng.integers(0, p, size=(m.cols, 1)))
+    got = kernel_coords(k, anywhere)
+    want = solve(k, anywhere)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == want[0]
+    # a pivot column of m is not killed by m, so its unit vector is outside
+    for c in rref(m)[1]:
+        unit = Mat(m.field, np.eye(m.cols, dtype=np.int64)[:, c : c + 1])
+        assert kernel_coords(k, unit) is None and solve(k, unit) is None
+
+
+@given(matrices(max_dim=5))
+def test_quotient_matches_inverse_of_change_of_basis(m):
+    """Reference: extend the basis by unit vectors in index order whenever
+    they raise the rank, invert [basis | units], keep its bottom rows."""
+    sub = image_basis(m)
+    n, k = m.rows, sub.cols
+    cob = sub
+    for i in range(n):
+        unit = Mat(m.field, np.eye(n, dtype=np.int64)[:, i : i + 1])
+        wider = hstack([cob, unit])
+        if rank(wider) > cob.cols:
+            cob = wider
+    assert cob.cols == n
+    q, s = quotient(m.field, n, sub)
+    assert q == Mat(m.field, inverse(cob).a[k:, :], (n - k, n))
+    assert s == Mat(m.field, cob.a[:, k:], (n, n - k))

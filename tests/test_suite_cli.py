@@ -100,6 +100,28 @@ def test_corrupted_truncation_surfaces_with_replay(monkeypatch):
     assert replay_case(SMALL, worst.name, ce["case"]) is None
 
 
+def test_failing_case_names_where_it_raised(monkeypatch):
+    """A case that raises records the innermost torsionlab frame it passed;
+    a passing report carries no location at all."""
+    assert "raised_at" not in report_json(run_suite(SMALL))
+
+    def broken(x, t):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(torsionlab.tstruct, "truncate_ge", broken)
+    ce = replay_case(SMALL, "t-axioms", 0)
+    assert ce["detail"] == "RuntimeError: injected"
+    assert ce["raised_at"] == "suite.py:_case_t_axioms"
+    # a corrupt truncation that breaks deeper inside the package
+    monkeypatch.setattr(torsionlab.tstruct, "truncate_ge", lambda x, t: ("junk", None))
+    ce = replay_case(SMALL, "t-axioms", 0)
+    assert ce["detail"].startswith("AttributeError")
+    assert ce["raised_at"] == "complexes.py:hom_complex"
+    text = report_text(run_suite(SuiteConfig(cases=1, max_dim=2, window=(-1, 1))))
+    assert "(seed path [0, 1, 0]): AttributeError" in text
+    assert "(raised at complexes.py:hom_complex)" in text
+
+
 def test_replay_unknown_property():
     with pytest.raises(ValueError, match="unknown property"):
         replay_case(SMALL, "no-such-thing", 0)
