@@ -11,11 +11,16 @@ nine tenths of the pairs and the medians differ by more than the parent's
 interquartile range.  Failed operations are summed per side, and every
 run's metrics go to standard error as it ends.
 
+With --layers, after the pairs of a workload each side also makes one
+`--trace 1` run on the first seed, and the per-layer metrics named in
+BENCHMARK.json are printed side by side with their relative change: the
+trace evidence that names the layer behind a gain.
+
 Both checkouts must hold byte-identical perfbench/ and BENCHMARK.json, so
 the two sides run the same benchmark code and settings.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...]
-           [--pairs 10] [--first-seed 0] [--seconds 20]
+           [--pairs 10] [--first-seed 0] [--seconds 20] [--layers]
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ def bench_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -77,6 +82,17 @@ def verdict(metric: dict, runs: dict[str, list[float]]) -> dict:
     return {"parent": par, "change": chg, "wins": wins, "median_change": change, "gain": gain}
 
 
+def layer_rows(per_layer: list[dict], traced: dict[str, dict]) -> list[tuple]:
+    """(name, unit, parent value, change value, relative change or None) for
+    each per-layer metric, from one traced result per side."""
+    rows = []
+    for metric in per_layer:
+        name = metric["name"]
+        par, chg = (traced[s]["metrics"][name]["value"] for s in SIDES)
+        rows.append((name, metric["unit"], par, chg, chg / par - 1 if par else None))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -85,6 +101,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=None)
+    parser.add_argument("--layers", action="store_true",
+                        help="one traced run per side on the first seed, per-layer table")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least 2 pairs")
@@ -128,6 +146,14 @@ def main(argv=None) -> int:
                   f" {row['wins']:>3}/{args.pairs:<2}  {'yes' if row['gain'] and no_worse else 'no'}")
         print(f"  failed operations: parent {failed['parent'][0]} of {failed['parent'][1]},"
               f" change {failed['change'][0]} of {failed['change'][1]}")
+        if args.layers:
+            traced = {side: run_once(roots[side], workload, args.first_seed, seconds, trace=1)
+                      for side in SIDES}
+            print(f"  per layer, one traced run per side, seed {args.first_seed}:")
+            print(f"  {'metric':<36} {'parent':>12} {'change':>12} {'change':>8}")
+            for name, unit, par, chg, rel in layer_rows(spec["per_layer"], traced):
+                cell = f"{rel:+8.1%}" if rel is not None else f"{'-':>8}"
+                print(f"  {name:<36} {par:>12.6g} {chg:>12.6g} {cell}  {unit}")
     return 0
 
 

@@ -289,6 +289,15 @@ def _after(outer: RepMap | None, inner: RepMap | None) -> RepMap | None:
     return outer.compose(inner)
 
 
+def _plus(lhs: RepMap | None, rhs: RepMap | None) -> RepMap | None:
+    """lhs + rhs, with None standing for a zero map."""
+    if lhs is None:
+        return rhs
+    if rhs is None:
+        return lhs
+    return lhs + rhs
+
+
 def _agree(lhs: RepMap | None, rhs: RepMap | None) -> bool:
     """Equality of two maps known to share their endpoints, None being zero."""
     if lhs is None:
@@ -345,9 +354,12 @@ class Homotopy:
                 or n in from_map.comps
             ):
                 continue  # both sides are zero
-            want = to_map.comp(n) - from_map.comp(n)
-            got = y.diff(n + 1).compose(self.comp(n)) + self.comp(n - 1).compose(x.diff(n))
-            if want != got:
+            # from + d h + h d = to, an absent map or differential being zero
+            got = _plus(
+                _plus(from_map.comps.get(n), _after(y._stored_diff(n + 1), kept.get(n))),
+                _after(kept.get(n - 1), x._stored_diff(n)),
+            )
+            if not _agree(got, to_map.comps.get(n)):
                 raise ValueError(f"homotopy law fails at degree {n}")
 
     def __setattr__(self, name, value):
@@ -890,29 +902,20 @@ def hom_complex(x: Complex, y: Complex) -> HomComplex:
             entries.append((i, basis))
         slots[n] = entries
     dims = {n: sum(b.cols for _, b in slots[n]) for n in range(lo, hi + 1)}
-    terms = {
-        n: QuiverRep(point, fld, (dims[n],), ()) for n in range(lo, hi + 1)
-    }
+    terms = {n: QuiverRep(point, fld, (dims[n],), ()) for n in range(lo, hi + 1)}
     diffs = []
     for n in range(lo + 1, hi + 1):
         sgn = 1 if n % 2 == 0 else -1
-        src_slots = slots[n]
-        tgt_slots = slots[n - 1]
-        tgt_offsets = {}
-        off = 0
-        for i, b in tgt_slots:
-            tgt_offsets[i] = (off, b)
-            off += b.cols
+        tgt_offsets = _slot_offsets(slots[n - 1])
         mat = np.zeros((dims[n - 1], dims[n]), dtype=np.int64)
         col = 0
-        for i, b in src_slots:
+        for i, b in slots[n]:
             # post part lands in slot i, pre part in slot i + 1
             images: list[tuple[int, np.ndarray]] = []
             if i in tgt_offsets:
-                post = post_op(y.diff(i + n), x.term(i)) @ b.a % fld.p
-                images.append((i, post))
+                images.append((i, post_op(y.diff(i + n), x.term(i), b.a)))
             if (i + 1) in tgt_offsets and not x.term(i + 1).is_zero():
-                pre = pre_op(x.diff(i + 1), y.term(i + n)) @ b.a % fld.p
+                pre = pre_op(x.diff(i + 1), y.term(i + n), b.a)
                 images.append((i + 1, (-sgn * pre) % fld.p))
             for j, img in images:
                 off_j, basis_j = tgt_offsets[j]
@@ -921,29 +924,28 @@ def hom_complex(x: Complex, y: Complex) -> HomComplex:
                     raise AssertionError("hom differential left the intertwiner space")
                 mat[off_j : off_j + basis_j.cols, col : col + b.cols] = coords.a
             col += b.cols
-        diffs.append(
-            RepMap(terms[n], terms[n - 1], (Mat(fld, mat),))
-        )
-    cx = Complex(
-        point, fld, lo, tuple(terms[n] for n in range(lo, hi + 1)), tuple(diffs)
-    )
+        diffs.append(RepMap(terms[n], terms[n - 1], (Mat(fld, mat),)))
+    cx = Complex(point, fld, lo, tuple(terms[n] for n in range(lo, hi + 1)), tuple(diffs))
     return HomComplex(x, y, cx, slots)
 
 
-def _hom_slot_transport(
-    src: HomComplex, dst: HomComplex, carry
-) -> ChainMap:
+def _slot_offsets(entries: list[tuple[int, Mat]]) -> dict[int, tuple[int, Mat]]:
+    """Slot i -> (its first coordinate, its flat basis) in a hom-complex term."""
+    out, off = {}, 0
+    for i, b in entries:
+        out[i] = (off, b)
+        off += b.cols
+    return out
+
+
+def _hom_slot_transport(src: HomComplex, dst: HomComplex, carry) -> ChainMap:
     """Slotwise linear map between mapping complexes; carry(n, i, basis) must
     return flat image columns inside the matching slot of dst."""
     fld = src.source.field
     comps = {}
     degs = set(src.slots) & set(dst.slots)
     for n in degs:
-        dst_offsets = {}
-        off = 0
-        for i, b in dst.slots[n]:
-            dst_offsets[i] = (off, b)
-            off += b.cols
+        dst_offsets = _slot_offsets(dst.slots[n])
         rows = dst.complex.term(n).dims[0] if not dst.complex.term(n).is_zero() else 0
         cols = src.complex.term(n).dims[0] if not src.complex.term(n).is_zero() else 0
         if rows == 0 or cols == 0:
@@ -959,9 +961,7 @@ def _hom_slot_transport(
                     raise AssertionError("transport left the intertwiner space")
                 mat[off_i : off_i + basis_i.cols, col : col + b.cols] = coords.a
             col += b.cols
-        comps[n] = RepMap(
-            src.complex.term(n), dst.complex.term(n), (Mat(fld, mat),)
-        )
+        comps[n] = RepMap(src.complex.term(n), dst.complex.term(n), (Mat(fld, mat),))
     return ChainMap(src.complex, dst.complex, comps)
 
 
@@ -973,7 +973,7 @@ def hom_postcompose(t: Complex, f: ChainMap) -> ChainMap:
     return _hom_slot_transport(
         src,
         dst,
-        lambda n, i, b: (post_op(f.comp(i + n), t.term(i)) @ b.a) % fld.p,
+        lambda n, i, b: post_op(f.comp(i + n), t.term(i), b.a),
     )
 
 
@@ -985,7 +985,7 @@ def hom_precompose(f: ChainMap, t: Complex) -> ChainMap:
     return _hom_slot_transport(
         src,
         dst,
-        lambda n, i, b: (pre_op(f.comp(i), t.term(i + n)) @ b.a) % fld.p,
+        lambda n, i, b: pre_op(f.comp(i), t.term(i + n), b.a),
     )
 
 
@@ -1055,6 +1055,25 @@ def _hom_bases_for_homotopy(x: Complex, y: Complex, step: int) -> dict[int, Mat]
     return out
 
 
+def _graded_maps(
+    x: Complex, y: Complex, step: int, bases: dict[int, Mat], coords: dict[int, np.ndarray]
+) -> dict[int, RepMap]:
+    """Checked maps X_n -> Y_{n+step} with coordinates coords[n] in the flat
+    hom basis bases[n]."""
+    out = {}
+    for n, b in bases.items():
+        src, tgt = x.term(n), y.term(n + step)
+        out[n] = RepMap(src, tgt, graded_from_flat(src, tgt, (b.a @ coords[n]) % x.field.p))
+    return out
+
+
+def _by_degree(
+    offsets: dict[tuple[str, int], tuple[int, int]], sol: np.ndarray
+) -> dict[int, np.ndarray]:
+    """The pieces of a solution vector of block_matrix keyed (tag, n), by n."""
+    return {n: sol[off : off + width] for (_, n), (off, width) in offsets.items()}
+
+
 def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
     """A homotopy from g to f, or None when the maps are not homotopic."""
     if f.source != g.source or f.target != g.target:
@@ -1071,22 +1090,14 @@ def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
             continue
         coefs = []
         if n in bases:
-            coefs.append((n, post_op(y.diff(n + 1), x.term(n)) @ bases[n].a % y.field.p))
+            coefs.append((n, post_op(y.diff(n + 1), x.term(n), bases[n].a)))
         if n - 1 in bases:
-            coefs.append(
-                (n - 1, pre_op(x.diff(n), y.term(n)) @ bases[n - 1].a % y.field.p)
-            )
+            coefs.append((n - 1, pre_op(x.diff(n), y.term(n), bases[n - 1].a)))
         equations.append((rowdim, coefs, delta.comp(n).flat()))
     got = solve_block_system(x.field, unknowns, equations)
     if got is None:
         return None
-    assign, _ = got
-    comps = {}
-    for n, b in bases.items():
-        vec = (b.a @ assign[n]) % x.field.p
-        src, tgt = x.term(n), y.term(n + 1)
-        comps[n] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
-    return Homotopy(g, f, comps)
+    return Homotopy(g, f, _graded_maps(x, y, 1, bases, got[0]))
 
 
 def chain_map_constraints(
@@ -1102,11 +1113,10 @@ def chain_map_constraints(
             continue
         coefs = []
         if n in bases:
-            coefs.append((("u", n), post_op(y.diff(n), x.term(n)) @ bases[n].a % y.field.p))
+            coefs.append((("u", n), post_op(y.diff(n), x.term(n), bases[n].a)))
         if n - 1 in bases:
-            coefs.append(
-                (("u", n - 1), (-(pre_op(x.diff(n), y.term(n - 1)) @ bases[n - 1].a)) % y.field.p)
-            )
+            pre = pre_op(x.diff(n), y.term(n - 1), bases[n - 1].a)
+            coefs.append((("u", n - 1), (-pre) % y.field.p))
         equations.append((rowdim, coefs))
     return bases, equations
 
@@ -1119,16 +1129,10 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
         return []
     m, offsets = block_matrix(x.field, unknowns, equations)
     ker = kernel_basis(m)
-    out = []
-    for j in range(ker.cols):
-        comps = {}
-        for n, b in bases.items():
-            off, width = offsets[("u", n)]
-            vec = (b.a @ ker.a[off : off + width, j]) % x.field.p
-            src, tgt = x.term(n), y.term(n)
-            comps[n] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
-        out.append(ChainMap(x, y, comps))
-    return out
+    return [
+        ChainMap(x, y, _graded_maps(x, y, 0, bases, _by_degree(offsets, ker.a[:, j])))
+        for j in range(ker.cols)
+    ]
 
 
 # -- random generation ---------------------------------------------------------
@@ -1157,7 +1161,7 @@ def random_complex(
             coeffs = rng.integers(0, field.p, size=basis.cols)
             vec = (basis.a @ coeffs) % field.p
         else:
-            constraint = Mat(field, post_op(prev, src) @ basis.a % field.p)
+            constraint = Mat(field, post_op(prev, src, basis.a))
             ker = kernel_basis(constraint)
             coeffs = rng.integers(0, field.p, size=ker.cols)
             vec = (basis.a @ ((ker.a @ coeffs) % field.p)) % field.p
@@ -1177,10 +1181,4 @@ def random_chain_map(x: Complex, y: Complex, rng: np.random.Generator) -> ChainM
     ker = kernel_basis(m)
     coeffs = rng.integers(0, x.field.p, size=ker.cols)
     sol = (ker.a @ coeffs) % x.field.p
-    comps = {}
-    for n, b in bases.items():
-        off, width = offsets[("u", n)]
-        vec = (b.a @ sol[off : off + width]) % x.field.p
-        src, tgt = x.term(n), y.term(n)
-        comps[n] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
-    return ChainMap(x, y, comps)
+    return ChainMap(x, y, _graded_maps(x, y, 0, bases, _by_degree(offsets, sol)))

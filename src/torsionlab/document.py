@@ -33,6 +33,7 @@ __all__ = [
     "DocumentError",
     "document_of",
     "parse_document",
+    "parse_quiver",
     "serialize_document",
 ]
 
@@ -125,6 +126,24 @@ def _vertex_matrices(fld, rows_list, target: QuiverRep, source: QuiverRep, where
     )
 
 
+def parse_quiver(tree) -> Quiver:
+    """A quiver from its JSON object {"vertices": [...], "arrows": [...]}."""
+    _object(tree, "quiver")
+    vertices = _list(tree.get("vertices"), "quiver vertices")
+    arrows = _list(tree.get("arrows"), "quiver arrows")
+    if any(not isinstance(v, str) for v in vertices):
+        raise DocumentError("quiver vertices must be strings")
+    if any(
+        not isinstance(a, list) or len(a) != 2 or not all(isinstance(e, str) for e in a)
+        for a in arrows
+    ):
+        raise DocumentError("quiver arrows must be [source, target] pairs of vertex names")
+    try:
+        return Quiver(tuple(vertices), tuple((a[0], a[1]) for a in arrows))
+    except ValueError as exc:
+        raise DocumentError(f"bad quiver: {exc}") from None
+
+
 def parse_document(text: str) -> Document:
     try:
         tree = json.loads(text)
@@ -150,19 +169,7 @@ def parse_document(text: str) -> Document:
     qtree = tree.get("quiver")
     if not isinstance(qtree, dict):
         raise DocumentError("quiver section missing")
-    vertices = _list(qtree.get("vertices", []), "quiver vertices")
-    arrows = _list(qtree.get("arrows", []), "quiver arrows")
-    if any(not isinstance(v, str) for v in vertices):
-        raise DocumentError("quiver vertices must be strings")
-    if any(
-        not isinstance(a, list) or len(a) != 2 or not all(isinstance(e, str) for e in a)
-        for a in arrows
-    ):
-        raise DocumentError("quiver arrows must be [source, target] pairs of vertex names")
-    try:
-        quiver = Quiver(tuple(vertices), tuple((a[0], a[1]) for a in arrows))
-    except ValueError as exc:
-        raise DocumentError(f"bad quiver: {exc}") from None
+    quiver = parse_quiver(qtree)
 
     reps: dict[str, QuiverRep] = {}
     for name, body in _object(tree.get("reps", {}), "reps").items():

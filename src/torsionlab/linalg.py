@@ -213,6 +213,8 @@ def _eliminate(a: np.ndarray, p: int, limit: int) -> list[int]:
     Pivot choice is the first row with a nonzero entry in the current
     column, scanning columns left to right; this makes every reduction
     deterministic.  Columns >= limit ride along as attached right sides.
+    Every row at or below r is zero left of the pivot column c, so the
+    swap, the scaling and the row updates touch only columns c onwards.
     """
     rows = a.shape[0]
     piv: list[int] = []
@@ -225,13 +227,13 @@ def _eliminate(a: np.ndarray, p: int, limit: int) -> list[int]:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
+            a[[r, i], c:] = a[[i, r], c:]
         inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
+        a[r, c:] = (a[r, c:] * inv) % p
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
         piv.append(c)
         r += 1
     return piv

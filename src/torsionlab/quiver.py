@@ -285,56 +285,66 @@ def graded_from_flat(
     return tuple(comps)
 
 
-def post_op(m: RepMap, source: QuiverRep) -> np.ndarray:
-    """Matrix of (phi -> m . phi) on flat graded maps source -> m.source."""
-    blocks = []
-    for v_idx, sdim in enumerate(source.dims):
-        blocks.append(np.kron(m.components[v_idx].a, np.eye(sdim, dtype=np.int64)))
-    return _block_diag(blocks)
+def post_op(m: RepMap, source: QuiverRep, b: np.ndarray) -> np.ndarray:
+    """The columns of b, flat graded maps phi : source -> m.source, sent to
+    m . phi : source -> m.target, reduced mod p.
+
+    A flat map (see RepMap.flat) holds at each vertex the t x s block of
+    phi_v row-major, so that block of the stack reshapes to (t, s * k) and
+    one product with m_v composes all k columns at once.
+    """
+    k = b.shape[1]
+    out = np.empty((flat_dim(source, m.target), k), dtype=np.int64)
+    at = to = 0
+    for c, s in zip(m.components, source.dims):
+        block = b[at : at + c.cols * s].reshape(c.cols, s * k)
+        out[to : to + c.rows * s] = (c.a @ block).reshape(c.rows * s, k)
+        at, to = at + c.cols * s, to + c.rows * s
+    _check_stack(b, at)
+    return np.remainder(out, m.source.field.p, out=out)
 
 
-def pre_op(m: RepMap, target: QuiverRep) -> np.ndarray:
-    """Matrix of (phi -> phi . m) on flat graded maps m.target -> target."""
-    blocks = []
-    for v_idx, tdim in enumerate(target.dims):
-        blocks.append(np.kron(np.eye(tdim, dtype=np.int64), m.components[v_idx].a.T))
-    return _block_diag(blocks)
+def pre_op(m: RepMap, target: QuiverRep, b: np.ndarray) -> np.ndarray:
+    """The columns of b, flat graded maps phi : m.target -> target, sent to
+    phi . m : m.source -> target, reduced mod p.
+
+    At each vertex the t x s row-major block of the stack reshapes to
+    (t, s, k), and m_v^T times each of its t slices gives the composites.
+    """
+    k = b.shape[1]
+    out = np.empty((flat_dim(m.source, target), k), dtype=np.int64)
+    at = to = 0
+    for c, t in zip(m.components, target.dims):
+        block = b[at : at + t * c.rows].reshape(t, c.rows, k)
+        out[to : to + t * c.cols] = np.matmul(c.a.T, block).reshape(t * c.cols, k)
+        at, to = at + t * c.rows, to + t * c.cols
+    _check_stack(b, at)
+    return np.remainder(out, m.source.field.p, out=out)
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+def _check_stack(b: np.ndarray, rows: int) -> None:
+    if b.shape[0] != rows:
+        raise ValueError(f"stack of {b.shape[0]} rows for flat maps of size {rows}")
 
 
 def hom_constraint_matrix(a: QuiverRep, b: QuiverRep) -> Mat:
     """Rows cut out the intertwiners inside the flat graded maps a -> b."""
     quiver = a.quiver
-    n = flat_dim(a, b)
-    offsets = []
-    off = 0
-    for t, s in zip(b.dims, a.dims):
-        offsets.append(off)
-        off += t * s
+    offsets = np.cumsum([0] + [t * s for t, s in zip(b.dims, a.dims)])
     rows = []
     for (src, tgt), a_map, b_map in zip(quiver.arrows, a.arrow_maps, b.arrow_maps):
         i, j = quiver.index(src), quiver.index(tgt)
-        # b_map . phi_src - phi_tgt . a_map = 0
-        r = b.dims[j] * a.dims[i]
-        block = np.zeros((r, n), dtype=np.int64)
-        left = np.kron(b_map.a, np.eye(a.dims[i], dtype=np.int64))
-        right = np.kron(np.eye(b.dims[j], dtype=np.int64), a_map.a.T)
-        block[:, offsets[i] : offsets[i] + left.shape[1]] += left
-        block[:, offsets[j] : offsets[j] + right.shape[1]] -= right
+        # b_map . phi_src - phi_tgt . a_map = 0; row (r, c) is entry (r, c)
+        # of the t_j x s_i result, and each term touches one block of columns
+        tj, ti, si, sj = b.dims[j], b.dims[i], a.dims[i], a.dims[j]
+        left = b_map.a[:, None, :, None] * np.eye(si, dtype=np.int64)[None, :, None, :]
+        right = np.eye(tj, dtype=np.int64)[:, None, :, None] * a_map.a.T[None, :, None, :]
+        block = np.zeros((tj * si, offsets[-1]), dtype=np.int64)
+        block[:, offsets[i] : offsets[i + 1]] += left.reshape(tj * si, ti * si)
+        block[:, offsets[j] : offsets[j + 1]] -= right.reshape(tj * si, tj * sj)
         rows.append(block)
     if not rows:
-        return Mat.zeros(a.field, 0, n)
+        return Mat.zeros(a.field, 0, int(offsets[-1]))
     return Mat(a.field, np.concatenate(rows, axis=0))
 
 

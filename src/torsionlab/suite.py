@@ -47,7 +47,7 @@ from .complexes import (
     zero_complex,
     zero_map,
 )
-from .document import Document, document_of, serialize_document
+from .document import Document, document_of, parse_quiver, serialize_document
 from .factorization import (
     TorsionTheory,
     antitone_check,
@@ -91,10 +91,7 @@ def resolve_quiver(name: str) -> Quiver:
         return Quiver.a2()
     if os.path.exists(name):
         with open(name, encoding="utf-8") as fh:
-            tree = json.load(fh)
-        return Quiver(
-            tuple(tree["vertices"]), tuple((a[0], a[1]) for a in tree["arrows"])
-        )
+            return parse_quiver(json.load(fh))
     raise ValueError(f"unknown quiver {name!r} (try point, a2, or a file path)")
 
 

@@ -32,16 +32,16 @@ from .complexes import (
     solve_block_system,
     zero_complex,
     zero_map,
+    _graded_maps,
+    _hom_bases_for_homotopy,
 )
 from .linalg import kernel_coords
 from .quiver import (
     RepMap,
     flat_dim,
-    graded_from_flat,
     post_op,
     pre_op,
     quotient_rep,
-    rep_hom_basis_flat,
     rep_kernel,
 )
 
@@ -293,10 +293,7 @@ def heart_comparison(f: HeartMorphism) -> tuple[ChainMap, Homotopy]:
     img = mono.source
     fld = x.field
     u_bases, u_equations = chain_map_constraints(coim, img)
-    h_bases = {}
-    for k in x.support:
-        if not y.term(k + 1).is_zero():
-            h_bases[k] = rep_hom_basis_flat(x.term(k), y.term(k + 1))
+    h_bases = _hom_bases_for_homotopy(x, y, 1)
     unknowns = [(("u", k), b.cols) for k, b in sorted(u_bases.items())] + [
         (("h", k), b.cols) for k, b in sorted(h_bases.items())
     ]
@@ -307,36 +304,25 @@ def heart_comparison(f: HeartMorphism) -> tuple[ChainMap, Homotopy]:
             continue
         coefs = []
         if k in u_bases:
-            through = (
-                post_op(mono.map.comp(k), x.term(k))
-                @ pre_op(epi.map.comp(k), img.term(k))
-                @ u_bases[k].a
-            ) % fld.p
+            through = post_op(
+                mono.map.comp(k), x.term(k), pre_op(epi.map.comp(k), img.term(k), u_bases[k].a)
+            )
             coefs.append((("u", k), through))
         if k in h_bases:
-            coefs.append(
-                (("h", k), (-(post_op(y.diff(k + 1), x.term(k)) @ h_bases[k].a)) % fld.p)
-            )
+            post = post_op(y.diff(k + 1), x.term(k), h_bases[k].a)
+            coefs.append((("h", k), (-post) % fld.p))
         if k - 1 in h_bases:
-            coefs.append(
-                (("h", k - 1), (-(pre_op(x.diff(k), y.term(k)) @ h_bases[k - 1].a)) % fld.p)
-            )
+            pre = pre_op(x.diff(k), y.term(k), h_bases[k - 1].a)
+            coefs.append((("h", k - 1), (-pre) % fld.p))
         equations.append((rowdim, coefs, f.map.comp(k).flat()))
     got = solve_block_system(fld, unknowns, equations)
     if got is None:
         raise AssertionError("first-isomorphism comparison has no solution")
     assign, _ = got
-    u_comps = {}
-    for k, b in u_bases.items():
-        vec = (b.a @ assign[("u", k)]) % fld.p
-        src, tgt = coim.term(k), img.term(k)
-        u_comps[k] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
-    u = ChainMap(coim, img, u_comps)
-    h_comps = {}
-    for k, b in h_bases.items():
-        vec = (b.a @ assign[("h", k)]) % fld.p
-        src, tgt = x.term(k), y.term(k + 1)
-        h_comps[k] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
+    u_coords = {k: assign[("u", k)] for k in u_bases}
+    h_coords = {k: assign[("h", k)] for k in h_bases}
+    u = ChainMap(coim, img, _graded_maps(coim, img, 0, u_bases, u_coords))
+    h_comps = _graded_maps(x, y, 1, h_bases, h_coords)
     wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), h_comps)
     return u, wit
 

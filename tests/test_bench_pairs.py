@@ -1,4 +1,5 @@
-"""The claim rule of scripts/bench_pairs.py: wins, ties and the quartile gap."""
+"""The claim rule of scripts/bench_pairs.py (wins, ties and the quartile gap)
+and its per-layer table."""
 
 import importlib.util
 from pathlib import Path
@@ -34,3 +35,27 @@ def test_higher_is_better_flips_the_sign():
     runs = {"parent": [0.5] * 4 + [0.6] * 6, "change": [0.9] * 10}
     assert bench_pairs.verdict({"better": "higher"}, runs)["gain"]
     assert not bench_pairs.verdict(LOWER, runs)["gain"]
+
+
+def test_layer_rows_pair_each_metric_with_its_relative_change():
+    per_layer = [
+        {"name": "linalg.reduce.self_s", "unit": "s", "better": "lower"},
+        {"name": "linalg.reduce.calls", "unit": "count", "better": "lower"},
+        {"name": "quiver.repmap.zero", "unit": "count", "better": "lower"},
+    ]
+
+    def traced(values):
+        return {"metrics": {m["name"]: {"value": v, "unit": m["unit"]}
+                            for m, v in zip(per_layer, values)}}
+
+    rows = bench_pairs.layer_rows(
+        per_layer, {"parent": traced([0.2, 831, 0]), "change": traced([0.15, 831, 4])}
+    )
+    assert [r[:4] for r in rows] == [
+        ("linalg.reduce.self_s", "s", 0.2, 0.15),
+        ("linalg.reduce.calls", "count", 831, 831),
+        ("quiver.repmap.zero", "count", 0, 4),
+    ]
+    assert abs(rows[0][4] + 0.25) < 1e-12 and rows[1][4] == 0.0
+    # no relative change from a parent value of zero
+    assert rows[2][4] is None

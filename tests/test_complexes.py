@@ -334,6 +334,19 @@ def _random_graded(x, y, rng):
     return comps
 
 
+def _boundary(x, y, h):
+    """The null-homotopic chain map d h + h d for graded h_n : X_n -> Y_{n+1}."""
+    comps = {}
+    for n in x.support:
+        acc = RepMap.zero(x.term(n), y.term(n))
+        if n in h:
+            acc = acc + y.diff(n + 1).compose(h[n])
+        if n - 1 in h:
+            acc = acc + h[n - 1].compose(x.diff(n))
+        comps[n] = acc
+    return ChainMap(x, y, comps)
+
+
 def _pt_map(field, x, y, entries):
     """Point-quiver chain map from {degree: matrix entries}; checked."""
     comps = {
@@ -371,21 +384,34 @@ def test_homotopy_law_enforced():
             Homotopy(from_map, to_map, comps)
 
 
+def test_homotopy_law_check_builds_no_zero_maps(monkeypatch):
+    # absent components and differentials count as zero without being built
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(10):
+        f = _rand_map(int(rng.integers(0, 2**31)), quiver=Quiver.a2())
+        x, y = f.source, f.target
+        h = {n: c for n, c in _random_graded(x, y, rng).items() if not c.is_zero()}
+        cases.append((f, f + _boundary(x, y, h), h))
+    built = []
+    zero = RepMap.zero.__func__
+
+    def counted_zero(cls, source, target):
+        built.append((source, target))
+        return zero(cls, source, target)
+
+    monkeypatch.setattr(RepMap, "zero", classmethod(counted_zero))
+    for f, g, h in cases:
+        assert Homotopy(f, g, h).comps.keys() == h.keys()
+    assert built == []
+
+
 def test_homotopic_detects_boundary_perturbation():
     rng = np.random.default_rng(40)
     for _ in range(10):
         f = _rand_map(int(rng.integers(0, 2**31)), quiver=Quiver.a2())
         x, y = f.source, f.target
-        h = _random_graded(x, y, rng)
-        comps = {}
-        for n in x.support:
-            acc = RepMap.zero(x.term(n), y.term(n))
-            if n in h:
-                acc = acc + y.diff(n + 1).compose(h[n])
-            if n - 1 in h:
-                acc = acc + h[n - 1].compose(x.diff(n))
-            comps[n] = acc
-        g = f + ChainMap(x, y, comps)
+        g = f + _boundary(x, y, _random_graded(x, y, rng))
         wit = homotopic(f, g)
         assert wit is not None
         assert wit.from_map == g and wit.to_map == f

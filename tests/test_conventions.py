@@ -10,13 +10,18 @@ Postnikov tower changes a digest.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from torsionlab.complexes import (
+    ChainMap,
+    chain_map_basis,
     cone,
     fib,
+    hom_complex,
+    homotopic,
     homotopy_pullback,
     homotopy_pushout,
     random_chain_map,
@@ -26,7 +31,13 @@ from torsionlab.document import document_of, serialize_document
 from torsionlab.factorization import TorsionTheory, factor
 from torsionlab.linalg import PrimeField
 from torsionlab.postnikov import postnikov_tower
-from torsionlab.quiver import Quiver
+from torsionlab.quiver import Quiver, random_rep_map
+from torsionlab.tstruct import (
+    HeartMorphism,
+    TStructure,
+    heart_comparison,
+    random_heart_object,
+)
 
 A2 = Quiver.a2()
 
@@ -120,3 +131,133 @@ def test_constructions_match_recorded_digests(p, seed):
         for name, text in _constructions(p, seed).items()
     }
     assert got == DIGESTS[(p, seed)]
+
+
+# -- mapping complexes and the solvers built on them ---------------------------
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _matrices_digest(mats) -> str:
+    """sha256 over the shapes and entries of labelled matrices, in order."""
+    return _sha(json.dumps([[label, list(m.shape), m.tolist()] for label, m in mats]))
+
+
+def _graded_mats(label: str, comps: dict) -> list:
+    return [(f"{label}{n}.{v}", c) for n in sorted(comps) for v, c in enumerate(comps[n].components)]
+
+
+def _null_homotopic(x, y, rng) -> dict:
+    """Components of d h + h d for a random graded h : X -> Y[1]."""
+    h = {
+        n: random_rep_map(x.term(n), y.term(n + 1), rng)
+        for n in x.support
+        if not y.term(n + 1).is_zero()
+    }
+    out = {}
+    for n in set(x.support) & set(y.support):
+        parts = [y.diff(n + 1).compose(h[n])] if n in h else []
+        if n - 1 in h:
+            parts.append(h[n - 1].compose(x.diff(n)))
+        if parts:
+            out[n] = sum(parts[1:], parts[0])
+    return out
+
+
+def _moved(f: ChainMap, comps: dict) -> ChainMap:
+    """f plus the graded map comps, checked as a chain map."""
+    degs = set(f.comps) | set(comps)
+    return ChainMap(
+        f.source,
+        f.target,
+        {n: comps[n] + f.comp(n) if n in comps else f.comp(n) for n in degs},
+    )
+
+
+def _three_terms(fld, rng):
+    """The first seeded draw supported on all of degrees -1, 0, 1."""
+    while True:
+        x = random_complex(A2, fld, rng, max_dim=3, lo=-1, hi=1)
+        if len(x.support) == 3:
+            return x
+
+
+def _heart_morphism(fld, t, rng) -> HeartMorphism:
+    """The first seeded nonzero map between nonzero heart objects, moved by
+    a null-homotopic map so that the comparison needs a homotopy."""
+    while True:
+        a, b = random_heart_object(A2, fld, t, rng), random_heart_object(A2, fld, t, rng)
+        if a.is_zero() or b.is_zero():
+            continue
+        f = random_chain_map(a, b, rng)
+        if not f.is_zero():
+            return HeartMorphism(_moved(f, _null_homotopic(a, b, rng)), t)
+
+
+def _solver_outputs(p: int, seed: int) -> dict[str, str]:
+    """Digests of the hom_complex differentials, chain_map_basis, a
+    homotopic witness and heart_comparison's u and witness on seeded a2
+    data."""
+    fld = PrimeField(p)
+    rng = np.random.default_rng([p, seed, 7])
+    x, y = _three_terms(fld, rng), _three_terms(fld, rng)
+    hom = hom_complex(x, y).complex
+    basis = chain_map_basis(x, y)
+    f = random_chain_map(x, y, rng)
+    wit = homotopic(f, _moved(f, _null_homotopic(x, y, rng)))
+    hf = _heart_morphism(fld, TStructure(seed % 3 - 1), rng)
+    u, hwit = heart_comparison(hf)
+    return {
+        "hom_complex": _matrices_digest(
+            (f"d{n}", d.components[0]) for n, d in enumerate(hom.diffs)
+        ),
+        "chain_map_basis": _sha(
+            serialize_document(
+                document_of(A2, fld, maps={f"b{j}": b for j, b in enumerate(basis)})
+            )
+        ),
+        "homotopic": _matrices_digest(_graded_mats("h", wit.comps)),
+        "heart_u": _sha(serialize_document(document_of(A2, fld, maps={"u": u}))),
+        "heart_witness": _matrices_digest(
+            _graded_mats("h", hwit.comps) + _graded_mats("to", hwit.to_map.comps)
+        ),
+    }
+
+
+SOLVER_DIGESTS = {
+    (2, 0): {
+        "hom_complex": "9d6cea4b924a81ba38673f077da5078fc8c325f53c075dd204a35ece6246f420",
+        "chain_map_basis": "6d6531776edd80d55579aebc75b8ccf956affb5991c8ad2f5ba633031fb604f5",
+        "homotopic": "5cc7c39e7b20e9227297a2fd5d290897c3457624ffc77af64b82fd9fdf0f4756",
+        "heart_u": "c75f1e0a8b9c95c11297df55b2f86c8ceeebab62cc14905777e0a289d34114b6",
+        "heart_witness": "dca22822f6ab58dc64e9630ac80935045c5fcf06432c58ba86b1c5ba4932b220",
+    },
+    (2, 1): {
+        "hom_complex": "188d1d48540c0abc0d5733869ab2b360c4f2a0f332fc5159fd72f3ab2c005741",
+        "chain_map_basis": "194e241e8c3e98b23e6a64f76a3a66bdead88cf33f77c73a4a498762b76730e7",
+        "homotopic": "605e894b0263eb3601d8048895413196bd57cea1a1937cda8e29db4ea667c64a",
+        "heart_u": "9a3915ad30b926efffb7c15c4755975d16e0b80c388f4c1dcee40d73a3048d28",
+        "heart_witness": "677e69a97f710e631f22abc5f9d5ae3de5ab3ed9dfa5572607c7d4aafd3c5c62",
+    },
+    (3, 0): {
+        "hom_complex": "9680164a4c5ed4ade7bf55628906f576d8a5fb87c7cd4e68c5ceace199a49c8a",
+        "chain_map_basis": "650ae6aa4992207b467b242b223b62aae76a3653ee27b1242c7f147b0892fe43",
+        "homotopic": "93862c0b5fd01bf3ad6ef5e926212a9a7af9e212608e9f492f764bb676f0bfb3",
+        "heart_u": "143f48e1f8f3a86254163f9360e1f09a5e0dc927db474b891d19e898b9b28a7a",
+        "heart_witness": "0cbbf09dffbfc7c5f807f59502e3b1d27dbaf2e0144a74c9a3094ab72db17a36",
+    },
+    (3, 1): {
+        "hom_complex": "142f9552a94940b74cf6d2dfac72b999b98aa85d56baf314da9384bb1be80fc2",
+        "chain_map_basis": "70d686611f54c1f91860c717e1c3f445c19f3d1d90e6f231c1da6f9c7aece513",
+        "homotopic": "9b967d31cdd9db52878343d18c8ca8541690f50404a7b812cc76f70de391f681",
+        "heart_u": "99a7ac8d52d9fe082dbd84188dd0d8bc39ddab93f8dea89bc79c2290fac235e7",
+        "heart_witness": "a9b99a9964e8a30384d063013ff58e6aee7127843c529ad2cca2524384216240",
+    },
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(SOLVER_DIGESTS))
+def test_mapping_complex_solvers_match_recorded_digests(p, seed):
+    assert _solver_outputs(p, seed) == SOLVER_DIGESTS[(p, seed)]

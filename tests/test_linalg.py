@@ -239,3 +239,64 @@ def test_quotient_matches_inverse_of_change_of_basis(m):
     q, s = quotient(m.field, n, sub)
     assert q == Mat(m.field, inverse(cob).a[k:, :], (n - k, n))
     assert s == Mat(m.field, cob.a[:, k:], (n, n - k))
+
+
+# -- elimination against a plain-Python Gauss-Jordan ------------------------------
+
+
+def _gauss_jordan(rows: list[list[int]], p: int, limit: int) -> tuple[list[list[int]], list[int]]:
+    """Reduce rows over F_p, pivoting on the first row with a nonzero entry in
+    each column < limit, left to right; returns the rows and the pivots."""
+    a = [list(r) for r in rows]
+    piv, r = [], 0
+    for c in range(limit):
+        i = next((i for i in range(r, len(a)) if a[i][c] % p), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [e * inv % p for e in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][c]:
+                f = a[k][c]
+                a[k] = [(e - f * g) % p for e, g in zip(a[k], a[r])]
+        piv.append(c)
+        r += 1
+    return a, piv
+
+
+def _low_rank(rng, p, rows, cols):
+    inner = int(rng.integers(0, min(rows, cols) + 1))
+    a = rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols))
+    return a % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_elimination_matches_plain_gauss_jordan(p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for _ in range(150):
+        rows, cols, k = (int(v) for v in rng.integers(0, 8, size=3))
+        if rng.random() < 0.5:
+            m = Mat(fld, _low_rank(rng, p, rows, cols))
+        else:
+            m = Mat(fld, rng.integers(0, p, size=(rows, cols)))
+        want, want_piv = _gauss_jordan(m.tolist(), p, cols)
+        got, got_piv = rref(m)
+        assert got_piv == tuple(want_piv)
+        assert got == Mat(fld, np.array(want, dtype=np.int64).reshape(rows, cols))
+        # attached right sides: half consistent (m times a vector), half random
+        if rng.random() < 0.5:
+            b = m @ Mat(fld, rng.integers(0, p, size=(cols, k)))
+        else:
+            b = Mat(fld, rng.integers(0, p, size=(rows, k)))
+        aug, piv = _gauss_jordan([r + s for r, s in zip(m.tolist(), b.tolist())], p, cols)
+        sol = solve(m, b)
+        if any(e for r in aug[len(piv):] for e in r[cols:]):
+            assert sol is None
+            continue
+        x = np.zeros((cols, k), dtype=np.int64)
+        for r, c in enumerate(piv):
+            x[c] = aug[r][cols:]
+        assert sol is not None
+        assert sol[0] == Mat(fld, x) and sol[1] == cols - len(piv)

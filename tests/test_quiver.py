@@ -11,6 +11,10 @@ from torsionlab.quiver import (
     QuiverRep,
     RepMap,
     direct_sum,
+    flat_dim,
+    hom_constraint_matrix,
+    post_op,
+    pre_op,
     random_rep,
     random_rep_map,
     rep_cokernel,
@@ -179,3 +183,89 @@ def test_random_rep_map_is_intertwiner():
         a = random_rep(quiver, F2, 3, rng)
         b = random_rep(quiver, F2, 3, rng)
         random_rep_map(a, b, rng)  # constructor enforces the law
+
+
+# -- composition on flat graded maps, against the Kronecker operators ------------
+
+# three vertices, two parallel arrows u -> v and one arrow v -> w
+KRONECKER3 = Quiver(("u", "v", "w"), (("u", "v"), ("u", "v"), ("v", "w")))
+
+
+def _rep_with_dims(quiver, fld, dims, rng):
+    maps = []
+    for src, tgt in quiver.arrows:
+        shape = (dims[quiver.index(tgt)], dims[quiver.index(src)])
+        maps.append(Mat(fld, rng.integers(0, fld.p, size=shape)))
+    return QuiverRep(quiver, fld, tuple(dims), tuple(maps))
+
+
+def _block_diag(blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), np.int64)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _draws(quiver, fld, rng):
+    """Triples of reps: dims in {0, 2}, so that zero-dimensional vertices
+    occur in every position, then dims in [0, 3]."""
+    n = len(quiver.vertices)
+    patterns = [rng.choice((0, 2), size=(3, n)) for _ in range(16)]
+    patterns += [rng.integers(0, 4, size=(3, n)) for _ in range(12)]
+    for dims in patterns:
+        yield tuple(_rep_with_dims(quiver, fld, d, rng) for d in dims)
+
+
+def _any_map(a, b, rng):
+    """A vertexwise map a -> b, not required to be an intertwiner."""
+    comps = tuple(
+        Mat(a.field, rng.integers(0, a.field.p, size=(t, s))) for t, s in zip(b.dims, a.dims)
+    )
+    return RepMap._unchecked(a, b, comps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("quiver", [Quiver.point(), Quiver.a2(), KRONECKER3], ids=["point", "a2", "k3"])
+def test_post_and_pre_op_equal_their_kronecker_operators(quiver, p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng([p, len(quiver.arrows)])
+    for a, b, c in _draws(quiver, fld, rng):
+        m = _any_map(b, c, rng)
+        for k in (0, 1, 3):
+            # post: stacks of flat maps a -> b, sent to m . phi : a -> c
+            stack = rng.integers(0, p, size=(flat_dim(a, b), k))
+            kron = _block_diag(
+                [np.kron(mv.a, np.eye(s, dtype=np.int64)) for mv, s in zip(m.components, a.dims)]
+            )
+            got = post_op(m, a, stack)
+            assert got.shape == (flat_dim(a, c), k)
+            assert np.array_equal(got, kron @ stack % p)
+            # pre: stacks of flat maps c -> a, sent to phi . m : b -> a
+            stack = rng.integers(0, p, size=(flat_dim(c, a), k))
+            kron = _block_diag(
+                [np.kron(np.eye(t, dtype=np.int64), mv.a.T) for mv, t in zip(m.components, a.dims)]
+            )
+            got = pre_op(m, a, stack)
+            assert got.shape == (flat_dim(b, a), k)
+            assert np.array_equal(got, kron @ stack % p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("quiver", [Quiver.point(), Quiver.a2(), KRONECKER3], ids=["point", "a2", "k3"])
+def test_hom_constraint_matrix_equals_its_kronecker_form(quiver, p):
+    fld = PrimeField(p)
+    rng = np.random.default_rng([p, len(quiver.arrows), 1])
+    for a, b, _ in _draws(quiver, fld, rng):
+        offsets = np.cumsum([0] + [t * s for t, s in zip(b.dims, a.dims)])
+        rows = []
+        for (src, tgt), a_map, b_map in zip(quiver.arrows, a.arrow_maps, b.arrow_maps):
+            i, j = quiver.index(src), quiver.index(tgt)
+            # b_map . phi_i - phi_j . a_map, on row-major flat components
+            block = np.zeros((b.dims[j] * a.dims[i], offsets[-1]), dtype=np.int64)
+            block[:, offsets[i] : offsets[i + 1]] += np.kron(b_map.a, np.eye(a.dims[i], dtype=np.int64))
+            block[:, offsets[j] : offsets[j + 1]] -= np.kron(np.eye(b.dims[j], dtype=np.int64), a_map.a.T)
+            rows.append(block)
+        want = np.concatenate(rows) if rows else np.zeros((0, offsets[-1]), np.int64)
+        assert hom_constraint_matrix(a, b) == Mat(fld, want)

@@ -158,6 +158,24 @@ def test_resolve_quiver_names_and_files(tmp_path):
         resolve_quiver("heptagon")
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"vertices": "ab", "arrows": ["ab"]},
+        {"vertices": ["a", "b"]},
+    ],
+    ids=["strings", "no-arrows"],
+)
+def test_malformed_quiver_file_exits_with_one_error_line(tmp_path, capsys, tree):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(tree))
+    code = main(["verify", "--quiver", str(path), "--cases", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_render_tree_formats():
     report = run_suite(SuiteConfig(cases=1, max_dim=2, window=(-1, 1)))
     tree = json.loads(report_json(report))
