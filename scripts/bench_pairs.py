@@ -16,11 +16,17 @@ With --layers, after the pairs of a workload each side also makes one
 BENCHMARK.json are printed side by side with their relative change: the
 trace evidence that names the layer behind a gain.
 
+With --out FILE (by convention BENCH_<name>.json at the root of the change)
+the same figures are also written as JSON: per workload the settings, each
+metric's medians, quartiles, win count and gain, the failed operations and
+the per-layer rows, plus each side's machine record (CPU model, nproc,
+platform, Python, numpy and torsionlab versions) as perfbench/run.py wrote it.
+
 Both checkouts must hold byte-identical perfbench/ and BENCHMARK.json, so
 the two sides run the same benchmark code and settings.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...]
-           [--pairs 10] [--first-seed 0] [--seconds 20] [--layers]
+           [--pairs 10] [--first-seed 0] [--seconds 20] [--layers] [--out FILE]
 """
 
 from __future__ import annotations
@@ -62,6 +68,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 
         raise RuntimeError(
             f"{root}: {workload} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}"
         )
+    record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+    result["machine"] = json.loads(record.read_text(encoding="utf-8"))["machine"]
     return result
 
 
@@ -93,6 +101,24 @@ def layer_rows(per_layer: list[dict], traced: dict[str, dict]) -> list[tuple]:
     return rows
 
 
+def workload_summary(spec: dict, runs: dict[str, list[dict]]) -> dict:
+    """Each end-to-end metric's verdict and each side's failed and attempted
+    operations, from the runs of one workload.  A gain does not count when a
+    larger share of operations fails."""
+    failed = {s: [sum(r["failed"] for r in runs[s]), sum(r["attempted"] for r in runs[s])]
+              for s in SIDES}
+    no_worse = failed["change"][0] * failed["parent"][1] <= (
+        failed["parent"][0] * failed["change"][1]
+    )
+    metrics = {}
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        row = verdict(metric, {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES})
+        row["gain"] = row["gain"] and no_worse
+        metrics[name] = row
+    return {"metrics": metrics, "failed": failed}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -103,6 +129,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--layers", action="store_true",
                         help="one traced run per side on the first seed, per-layer table")
+    parser.add_argument("--out", type=Path,
+                        help="also write the figures as JSON, e.g. BENCH_<name>.json")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least 2 pairs")
@@ -114,6 +142,7 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    bench = {"machine": {}, "workloads": {}}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
@@ -121,39 +150,39 @@ def main(argv=None) -> int:
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 result = run_once(roots[side], workload, seed, seconds)
                 runs[side].append(result)
+                bench["machine"].setdefault(side, result["machine"])
                 values = " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items())
                 print(f"{workload} pair {i + 1} seed {seed} {side}: {values}",
                       file=sys.stderr, flush=True)
-        rows = {}
-        for metric in spec["end_to_end"]:
-            name = metric["name"]
-            values = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
-            rows[name] = verdict(metric, values)
-        failed = {s: [sum(r["failed"] for r in runs[s]), sum(r["attempted"] for r in runs[s])]
-                  for s in SIDES}
-        # a gain does not count when a larger share of operations fails
-        no_worse = failed["change"][0] * failed["parent"][1] <= (
-            failed["parent"][0] * failed["change"][1]
-        )
+        summary = workload_summary(spec, runs)
+        failed = summary["failed"]
         print(f"\n{workload}: {args.pairs} pairs, seeds {args.first_seed}.."
               f"{args.first_seed + args.pairs - 1}, {seconds:g} s runs")
         print(f"  {'metric':<12} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28}"
               f" {'change':>8} {'won':>6}  gain")
-        for name, row in rows.items():
+        for name, row in summary["metrics"].items():
             cells = [f"{row[s]['median']:.4g} [{row[s]['q1']:.4g}, {row[s]['q3']:.4g}]"
                      for s in SIDES]
             print(f"  {name:<12} {cells[0]:>28} {cells[1]:>28} {row['median_change']:>+8.1%}"
-                  f" {row['wins']:>3}/{args.pairs:<2}  {'yes' if row['gain'] and no_worse else 'no'}")
+                  f" {row['wins']:>3}/{args.pairs:<2}  {'yes' if row['gain'] else 'no'}")
         print(f"  failed operations: parent {failed['parent'][0]} of {failed['parent'][1]},"
               f" change {failed['change'][0]} of {failed['change'][1]}")
+        summary = {"pairs": args.pairs, "first_seed": args.first_seed, "seconds": seconds,
+                   **summary}
         if args.layers:
             traced = {side: run_once(roots[side], workload, args.first_seed, seconds, trace=1)
                       for side in SIDES}
+            rows = layer_rows(spec["per_layer"], traced)
             print(f"  per layer, one traced run per side, seed {args.first_seed}:")
             print(f"  {'metric':<36} {'parent':>12} {'change':>12} {'change':>8}")
-            for name, unit, par, chg, rel in layer_rows(spec["per_layer"], traced):
+            for name, unit, par, chg, rel in rows:
                 cell = f"{rel:+8.1%}" if rel is not None else f"{'-':>8}"
                 print(f"  {name:<36} {par:>12.6g} {chg:>12.6g} {cell}  {unit}")
+            keys = ("name", "unit", "parent", "change", "relative_change")
+            summary["layers"] = [dict(zip(keys, row)) for row in rows]
+        bench["workloads"][workload] = summary
+    if args.out:
+        args.out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

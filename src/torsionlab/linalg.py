@@ -100,17 +100,6 @@ class Mat:
     def identity(cls, field: PrimeField, n: int) -> "Mat":
         return cls(field, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows: list, cols: int | None = None) -> "Mat":
-        if not rows:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            return cls.zeros(field, 0, cols)
-        width = len(rows[0])
-        if cols is not None and cols != width:
-            raise ValueError(f"row width {width} does not match cols={cols}")
-        return cls(field, np.asarray(rows, dtype=np.int64).reshape(len(rows), width))
-
     # -- shape ----------------------------------------------------------------
 
     @property
@@ -175,9 +164,6 @@ class Mat:
     def tolist(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.a]
 
-    def column(self, j: int) -> "Mat":
-        return Mat(self.field, self.a[:, j : j + 1])
-
     def flat(self) -> np.ndarray:
         return self.a.reshape(-1)
 
@@ -240,7 +226,9 @@ def _eliminate(a: np.ndarray, p: int, limit: int) -> list[int]:
 
 
 def _reduced(m: Mat) -> tuple[np.ndarray, list[int]]:
-    """A reduced copy of m's entries and its pivot columns: one elimination."""
+    """m's entries reduced (a copy) and its pivot columns: at most one elimination."""
+    if not m.a.size:
+        return m.a, []
     a = m.a.copy()
     return a, _eliminate(a, m.field.p, m.cols)
 
@@ -262,6 +250,8 @@ def kernel_basis(m: Mat) -> Mat:
     free column f, with a 1 in slot f and back-substituted pivot entries.
     Its free rows therefore hold the identity (see kernel_coords).
     """
+    if not m.a.size:  # no equations leave every unknown free
+        return Mat.identity(m.field, m.cols)
     a, piv = _reduced(m)
     # I - (the reduced rows placed at their pivot indices): column f is the
     # basis vector of free column f, and pivot columns (zero diagonal) vanish

@@ -9,7 +9,10 @@ The one exception is RepMap._unchecked, which builds results that exact F_p
 arithmetic makes lawful from lawful inputs: composites, sums and differences
 of maps with equal endpoints, negatives, scalar multiples, zero and identity
 maps.  Raw components from outside (documents, solvers, kernels and
-quotients) always go through the checking constructor.
+quotients) always go through the checking constructor.  Likewise
+complexes.hom_complex checks the d² law of a mapping complex with post_op
+and pre_op on flat graded maps, which its docstring shows is equivalent to
+the dense product, and builds it with Complex._unchecked.
 """
 
 from __future__ import annotations

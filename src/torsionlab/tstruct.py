@@ -80,9 +80,6 @@ class TStructure:
     def shifted(self, k: int) -> "TStructure":
         return TStructure(self.n + k)
 
-    def leq(self, other: "TStructure") -> bool:
-        return self.n <= other.n
-
 
 def in_coaisle(x: Complex, t: TStructure) -> bool:
     """Homology vanishes strictly below the cut."""

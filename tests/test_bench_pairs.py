@@ -1,7 +1,8 @@
-"""The claim rule of scripts/bench_pairs.py (wins, ties and the quartile gap)
-and its per-layer table."""
+"""The claim rule of scripts/bench_pairs.py (wins, ties and the quartile gap),
+its per-layer table and the JSON file it writes with --out."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -59,3 +60,62 @@ def test_layer_rows_pair_each_metric_with_its_relative_change():
     assert abs(rows[0][4] + 0.25) < 1e-12 and rows[1][4] == 0.0
     # no relative change from a parent value of zero
     assert rows[2][4] is None
+
+
+def _result(value, failed=0, machine=None):
+    return {"attempted": 10, "failed": failed, "machine": machine or {"cpu": "x"},
+            "metrics": {"wall_s": {"value": value, "unit": "s"}}}
+
+
+SPEC = {
+    "run_seconds": 20,
+    "workloads": [{"name": "hom-large"}],
+    "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower"}],
+    "per_layer": [{"name": "linalg.matmul.calls", "unit": "count", "better": "lower"}],
+}
+
+
+def test_workload_summary_voids_a_gain_when_more_operations_fail():
+    runs = {"parent": [_result(1.0 + i / 100) for i in range(4)],
+            "change": [_result(0.5 + i / 100) for i in range(4)]}
+    clean = bench_pairs.workload_summary(SPEC, runs)
+    assert clean["metrics"]["wall_s"]["gain"] and clean["metrics"]["wall_s"]["wins"] == 4
+    assert clean["failed"] == {"parent": [0, 40], "change": [0, 40]}
+    runs["change"][0] = _result(0.5, failed=1)
+    assert not bench_pairs.workload_summary(SPEC, runs)["metrics"]["wall_s"]["gain"]
+
+
+def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeypatch, capsys):
+    roots = {}
+    for side in bench_pairs.SIDES:
+        roots[side] = tmp_path / side
+        (roots[side] / "perfbench").mkdir(parents=True)
+        (roots[side] / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def fake_run(root, workload, seed, seconds, trace=0):
+        side = root.name
+        if trace:
+            out = _result(0.0, machine={"cpu": side})
+            out["metrics"] = {"linalg.matmul.calls": {"value": 192 if side == "parent" else 0,
+                                                       "unit": "count"}}
+            return out
+        return _result((1.0 if side == "parent" else 0.7) + seed / 100, machine={"cpu": side})
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH_test.json"
+    argv = [str(roots["parent"]), str(roots["change"]), "--pairs", "4", "--first-seed", "3",
+            "--layers", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads(out.read_text())
+    assert bench["machine"] == {"parent": {"cpu": "parent"}, "change": {"cpu": "change"}}
+    hom = bench["workloads"]["hom-large"]
+    assert (hom["pairs"], hom["first_seed"], hom["seconds"]) == (4, 3, 20)
+    wall = hom["metrics"]["wall_s"]
+    assert wall["wins"] == 4 and wall["gain"]
+    assert abs(wall["parent"]["median"] - 1.045) < 1e-12
+    assert abs(wall["change"]["median"] - 0.745) < 1e-12
+    assert hom["failed"] == {"parent": [0, 40], "change": [0, 40]}
+    assert hom["layers"] == [{"name": "linalg.matmul.calls", "unit": "count", "parent": 192,
+                              "change": 0, "relative_change": -1.0}]
+    printed = capsys.readouterr().out
+    assert "hom-large: 4 pairs, seeds 3..6" in printed and "linalg.matmul.calls" in printed

@@ -313,6 +313,35 @@ def test_hom_zero_cycles_are_chain_maps():
         assert f.source == x and f.target == x
 
 
+def test_hom_complex_checks_the_d_squared_law():
+    """hom_complex builds its result without the dense d² product; its own
+    graded-map check must still reject inputs whose d² is not zero."""
+    ones = [[[1]], [[1]]]
+    with pytest.raises(ValueError, match="d-squared law fails"):
+        _pt_complex(F2, 0, [1, 1, 1], ones)
+    c = _pt_complex(F2, 0, [1, 1, 1], [[[1]], [[0]]])
+    bad = Complex._unchecked(PT, F2, 0, c.terms, (c.diffs[0], c.diffs[0]))
+    for x, y in ((bad, _simple(F2)), (_simple(F2), bad)):
+        with pytest.raises(ValueError, match="d-squared law fails"):
+            hom_complex(x, y)
+
+
+KRONECKER = Quiver(("a", "b"), (("a", "b"), ("a", "b")))
+
+
+@given(
+    st.sampled_from((PT, Quiver.a2(), KRONECKER)),
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 2**32 - 1),
+)
+def test_hom_complex_differentials_square_to_zero(quiver, p, seed):
+    rng = np.random.default_rng(seed)
+    x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=3, lo=-2, hi=2) for _ in "xy")
+    diffs = [d.components[0].a for d in hom_complex(x, y).complex.diffs]
+    for lower, upper in zip(diffs, diffs[1:]):
+        assert not (lower @ upper % p).any()
+
+
 @given(complexes(max_dim=2, lo=-1, hi=1))
 def test_hom_from_unit_recovers_the_complex(x):
     if x.quiver != PT:

@@ -68,6 +68,34 @@ def test_zero_sized_shapes():
     assert image_basis(zz).shape == (3, 0)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)])
+def test_zero_sized_answers(p, shape):
+    """Every public answer on a matrix without entries, as elimination gives
+    it; rref, rank, kernel_basis and image_basis give it without one."""
+    fld = PrimeField(p)
+    rows, cols = shape
+    m = Mat.zeros(fld, rows, cols)
+    with counted_eliminations() as calls:
+        assert rref(m) == (m, ())
+        assert rank(m) == 0
+        assert kernel_basis(m) == Mat.identity(fld, cols)
+        assert image_basis(m) == Mat.zeros(fld, rows, 0)
+    assert calls == []
+    b = Mat(fld, np.arange(2 * cols).reshape(cols, 2))
+    assert kernel_coords(kernel_basis(m), b) == b
+    free = (Mat.zeros(fld, cols, 2), cols)
+    assert solve(m, Mat.zeros(fld, rows, 2)) == free
+    assert solve(m, Mat(fld, np.ones((rows, 2), dtype=np.int64))) == (None if rows else free)
+    if rows == cols:
+        assert inverse(m) == m
+    if cols == 0:
+        assert quotient(fld, rows, m) == (Mat.identity(fld, rows),) * 2
+    else:
+        with pytest.raises(ValueError, match="dependent"):
+            quotient(fld, rows, m)
+
+
 def test_solve_reports_inconsistency():
     m = Mat(F2, [[1, 1], [1, 1]])
     b = Mat(F2, [[1], [0]])

@@ -13,6 +13,7 @@ import torsionlab.tstruct
 from torsionlab.cli import main
 from torsionlab.complexes import (
     ChainMap,
+    Complex,
     homology_dims,
     identity_map,
     random_chain_map,
@@ -55,24 +56,25 @@ def test_all_properties_pass_small():
 
 def test_trusted_constructions_pass_the_checks_they_skip(monkeypatch):
     """Composites, sums, negatives, zero and identity maps are built without
-    the law checks.  Sending every such construction back through the checking
-    constructors must leave the report byte-identical."""
+    the law checks, and mapping complexes without the dense d² product.
+    Sending every such construction back through the checking constructors
+    must leave the report byte-identical."""
     ordinary = report_json(run_suite(SMALL))
-    routed = {"RepMap": 0, "ChainMap": 0}
+    routed = {"RepMap": 0, "ChainMap": 0, "Complex": 0}
 
     def checking(cls):
-        def build(_, source, target, comps):
+        def build(_, *args):
             routed[cls.__name__] += 1
-            return cls(source, target, comps)
+            return cls(*args)
 
         return classmethod(build)
 
-    monkeypatch.setattr(RepMap, "_unchecked", checking(RepMap))
-    monkeypatch.setattr(ChainMap, "_unchecked", checking(ChainMap))
+    for cls in (RepMap, ChainMap, Complex):
+        monkeypatch.setattr(cls, "_unchecked", checking(cls))
     checked = run_suite(SMALL)
     assert checked.ok
     assert report_json(checked) == ordinary
-    assert routed["RepMap"] > 0 and routed["ChainMap"] > 0
+    assert all(count > 0 for count in routed.values())
 
 
 def test_corrupted_truncation_surfaces_with_replay(monkeypatch):
