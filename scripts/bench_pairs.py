@@ -11,10 +11,14 @@ nine tenths of the pairs and the medians differ by more than the parent's
 interquartile range.  Failed operations are summed per side, and every
 run's metrics go to standard error as it ends.
 
-With --layers, after the pairs of a workload each side also makes one
-`--trace 1` run on the first seed, and the per-layer metrics named in
-BENCHMARK.json are printed side by side with their relative change: the
-trace evidence that names the layer behind a gain.
+With --layers, after the pairs of a workload each side also makes three
+`--trace 1` runs, one on each of the first three seeds, in pairs whose
+first side alternates like the timed pairs.  The per-layer metrics named in
+BENCHMARK.json are printed as each side's median over its three traced
+runs, side by side with their relative change: the trace evidence that
+names the layer behind a gain.  Timed layers of a single traced run drift
+together with the load of the machine; the median of alternating runs
+does not follow one such drift.
 
 With --out FILE (by convention BENCH_<name>.json at the root of the change)
 the same figures are also written as JSON: per workload the settings, each
@@ -40,6 +44,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+LAYER_PAIRS = 3
 
 
 def bench_digest(root: Path) -> str:
@@ -90,13 +95,14 @@ def verdict(metric: dict, runs: dict[str, list[float]]) -> dict:
     return {"parent": par, "change": chg, "wins": wins, "median_change": change, "gain": gain}
 
 
-def layer_rows(per_layer: list[dict], traced: dict[str, dict]) -> list[tuple]:
-    """(name, unit, parent value, change value, relative change or None) for
-    each per-layer metric, from one traced result per side."""
+def layer_rows(per_layer: list[dict], traced: dict[str, list[dict]]) -> list[tuple]:
+    """(name, unit, parent median, change median, relative change or None)
+    for each per-layer metric, over the traced results of each side."""
     rows = []
     for metric in per_layer:
         name = metric["name"]
-        par, chg = (traced[s]["metrics"][name]["value"] for s in SIDES)
+        par, chg = (statistics.median(r["metrics"][name]["value"] for r in traced[s])
+                    for s in SIDES)
         rows.append((name, metric["unit"], par, chg, chg / par - 1 if par else None))
     return rows
 
@@ -128,7 +134,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--layers", action="store_true",
-                        help="one traced run per side on the first seed, per-layer table")
+                        help=f"{LAYER_PAIRS} traced runs per side on the first seeds, "
+                             "per-layer table of their medians")
     parser.add_argument("--out", type=Path,
                         help="also write the figures as JSON, e.g. BENCH_<name>.json")
     args = parser.parse_args(argv)
@@ -170,15 +177,21 @@ def main(argv=None) -> int:
         summary = {"pairs": args.pairs, "first_seed": args.first_seed, "seconds": seconds,
                    **summary}
         if args.layers:
-            traced = {side: run_once(roots[side], workload, args.first_seed, seconds, trace=1)
-                      for side in SIDES}
+            traced = {side: [] for side in SIDES}
+            for i in range(LAYER_PAIRS):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    traced[side].append(
+                        run_once(roots[side], workload, args.first_seed + i, seconds, trace=1)
+                    )
             rows = layer_rows(spec["per_layer"], traced)
-            print(f"  per layer, one traced run per side, seed {args.first_seed}:")
+            print(f"  per layer, median of {LAYER_PAIRS} traced runs per side, seeds "
+                  f"{args.first_seed}..{args.first_seed + LAYER_PAIRS - 1}:")
             print(f"  {'metric':<36} {'parent':>12} {'change':>12} {'change':>8}")
             for name, unit, par, chg, rel in rows:
                 cell = f"{rel:+8.1%}" if rel is not None else f"{'-':>8}"
                 print(f"  {name:<36} {par:>12.6g} {chg:>12.6g} {cell}  {unit}")
             keys = ("name", "unit", "parent", "change", "relative_change")
+            summary["layer_seeds"] = [args.first_seed + i for i in range(LAYER_PAIRS)]
             summary["layers"] = [dict(zip(keys, row)) for row in rows]
         bench["workloads"][workload] = summary
     if args.out:

@@ -96,7 +96,7 @@ __all__ = [
 class Complex:
     """A bounded complex.  Support is trimmed to the minimal window."""
 
-    __slots__ = ("quiver", "field", "lo", "terms", "diffs")
+    __slots__ = ("quiver", "field", "lo", "terms", "diffs", "_cuts")
 
     def __init__(
         self,
@@ -139,15 +139,23 @@ class Complex:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "diffs", diffs)
+        object.__setattr__(self, "_cuts", None)
 
     @classmethod
     def _unchecked(cls, quiver, field, lo, terms, diffs) -> "Complex":
         """Build with the term and endpoint checks but without the dense d²
         product: only for complexes whose d² = 0 the caller checked another
-        way, as hom_complex does on graded maps."""
+        way (hom_complex on graded maps, _graded_sum on its blocks) or that
+        exact arithmetic keeps lawful (shift)."""
         out = object.__new__(cls)
         out._fill(quiver, field, lo, terms, diffs)
         return out
+
+    def _cut_memo(self) -> dict:
+        """tstruct's cut data by degree, made on first use; not in equality."""
+        if self._cuts is None:
+            object.__setattr__(self, "_cuts", {})
+        return self._cuts
 
     def __setattr__(self, name, value):
         raise AttributeError("Complex is immutable")
@@ -423,12 +431,12 @@ class CommutingSquare:
 
 
 def shift(x: Complex, k: int) -> Complex:
-    """X[k]_n = X_{n-k}; odd shifts negate the differential."""
-    if x.is_zero() or k == 0:
-        return x if k == 0 else Complex(x.quiver, x.field, x.lo + k, x.terms, x.diffs)
-    sgn = -1 if k % 2 else 1
-    diffs = tuple(d.scale(sgn) for d in x.diffs)
-    return Complex(x.quiver, x.field, x.lo + k, x.terms, diffs)
+    """X[k]_n = X_{n-k}; odd shifts negate the differential, which keeps
+    d² = 0, so the shift is built without the dense d² product."""
+    if k == 0:
+        return x
+    diffs = tuple(-d for d in x.diffs) if k % 2 else x.diffs
+    return Complex._unchecked(x.quiver, x.field, x.lo + k, x.terms, diffs)
 
 
 # -- homology -----------------------------------------------------------------
@@ -530,36 +538,53 @@ class GradedSum:
     Every vertex stacks the parts in order; offsets[n][i][v] is the first
     coordinate of part i in degree n at vertex v.  The differential is
     block lower-triangular: each part's shifted differential on the
-    diagonal, plus the twists that glue the parts together.
+    diagonal, plus the twists (j, i) that glue part i into part j.
     """
 
     complex: Complex
     parts: tuple[tuple[Complex, int], ...]
     offsets: dict[int, tuple[tuple[int, ...], ...]]
+    twists: tuple[tuple[int, int], ...]
 
     def inclusion(self, i: int) -> ChainMap:
-        """C_i[k_i] -> the sum; a chain map when no twist leaves part i."""
-        c, k = self.parts[i]
-        part = shift(c, k)
-        comps = block_components(part, self, 0, {(i, 0): (1, identity_map(c).comps)})
-        return ChainMap(part, self.complex, comps)
+        """C_i[k_i] -> the sum, a chain map because no twist leaves part i."""
+        if any(src == i for _, src in self.twists):
+            raise ValueError(f"a twist leaves part {i}, so it has no inclusion")
+        part = shift(*self.parts[i])
+        comps = block_components(part, self, 0, {(i, 0): (1, identity_map(part).comps)})
+        return ChainMap._unchecked(part, self.complex, comps)
 
     def projection(self, i: int) -> ChainMap:
-        """The sum -> C_i[k_i]; a chain map when no twist enters part i."""
-        c, k = self.parts[i]
-        part = shift(c, k)
+        """The sum -> C_i[k_i], a chain map because no twist enters part i."""
+        if any(tgt == i for tgt, _ in self.twists):
+            raise ValueError(f"a twist enters part {i}, so it has no projection")
+        part, c = shift(*self.parts[i]), self.parts[i][0]
         comps = block_components(self, part, 0, {(0, i): (1, identity_map(c).comps)})
-        return ChainMap(self.complex, part, comps)
+        return ChainMap._unchecked(self.complex, part, comps)
 
 
 def _graded_sum(parts, twists=None) -> GradedSum:
     """The graded sum of parts [(C_i, k_i)], twisted by twists[(j, i)] =
-    (sign, chain-map components C_i -> C_j keyed by source degree); a twist
-    needs k_i = k_j + 1 to lower the degree."""
+    (sign, chain map C_i -> C_j), built without the dense d² product.
+
+    Each twist must run from part i to part j and lower the degree (k_i =
+    k_j + 1), and no two twists compose.  Then d² = 0 blockwise: diagonal
+    blocks square to d² = 0, and a twist's block is sign (s_j d f + s_i f d)
+    with s_i = (-1)^{k_i} = -s_j, zero because f is a chain map.
+    """
+    twists = twists or {}
+    for (j, i), (_, f) in twists.items():
+        if f.source != parts[i][0] or f.target != parts[j][0]:
+            raise ValueError(f"twist ({j}, {i}) does not run from part {i} to part {j}")
+        if parts[i][1] != parts[j][1] + 1:
+            raise ValueError(f"twist ({j}, {i}) does not lower the degree")
+    if {j for j, _ in twists} & {i for _, i in twists}:
+        raise ValueError("two twists compose")
     quiver, fld = parts[0][0].quiver, parts[0][0].field
+    keys = tuple(twists)
     live = [(c, k) for c, k in parts if not c.is_zero()]
     if not live:
-        return GradedSum(zero_complex(quiver, fld), tuple(parts), {})
+        return GradedSum(zero_complex(quiver, fld), tuple(parts), {}, keys)
     lo = min(c.lo + k for c, k in live)
     hi = max(c.hi + k for c, k in live)
     terms, offsets = [], {}
@@ -570,14 +595,14 @@ def _graded_sum(parts, twists=None) -> GradedSum:
         (i, i): (-1 if k % 2 else 1, dict(zip(range(c.lo + 1, c.hi + 1), c.diffs)))
         for i, (c, k) in enumerate(parts)
     }
-    table.update(twists or {})
+    table.update({key: (sign, f.comps) for key, (sign, f) in twists.items()})
     diffs = []
     for n in range(lo + 1, hi + 1):
         src, tgt = terms[n - lo], terms[n - 1 - lo]
         mats = _blocks(parts, offsets[n], src, n, offsets[n - 1], tgt, table)
         diffs.append(RepMap._unchecked(src, tgt, mats) if mats else RepMap.zero(src, tgt))
-    cx = Complex(quiver, fld, lo, tuple(terms), tuple(diffs))
-    return GradedSum(cx, tuple(parts), offsets)
+    cx = Complex._unchecked(quiver, fld, lo, tuple(terms), tuple(diffs))
+    return GradedSum(cx, tuple(parts), offsets, keys)
 
 
 def _blocks(parts, src_at, src, n, tgt_at, tgt, table):
@@ -638,7 +663,7 @@ class Cone:
 
 
 def _cone_sum(f: ChainMap) -> GradedSum:
-    return _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f.comps)})
+    return _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)})
 
 
 def cone(f: ChainMap) -> Cone:
@@ -678,7 +703,7 @@ class Fiber:
 
 def fib(f: ChainMap) -> Fiber:
     x, y = f.source, f.target
-    s = _graded_sum([(x, 0), (y, -1)], {(1, 0): (-1, f.comps)})
+    s = _graded_sum([(x, 0), (y, -1)], {(1, 0): (-1, f)})
     to_source = s.projection(0)
     null_wit = Homotopy(
         zero_map(s.complex, y),
@@ -716,7 +741,7 @@ def homotopy_pullback(f: ChainMap, g: ChainMap) -> Pullback:
     z = f.target
     s = _graded_sum(
         [(f.source, 0), (g.source, 0), (z, -1)],
-        {(2, 0): (-1, f.comps), (2, 1): (1, g.comps)},
+        {(2, 0): (-1, f), (2, 1): (1, g)},
     )
     proj1, proj2 = s.projection(0), s.projection(1)
     wit = Homotopy(
@@ -769,7 +794,7 @@ def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
     w = f.source
     s = _graded_sum(
         [(w, 1), (f.target, 0), (g.target, 0)],
-        {(1, 0): (1, f.comps), (2, 0): (-1, g.comps)},
+        {(1, 0): (1, f), (2, 0): (-1, g)},
     )
     inj1, inj2 = s.inclusion(1), s.inclusion(2)
     wit = Homotopy(
@@ -785,7 +810,7 @@ def _square_glue_map(sq: CommutingSquare) -> ChainMap:
     z = sq.right.target
     s = _graded_sum(
         [(sq.top.source, 1), (sq.top.target, 0), (sq.left.target, 0)],
-        {(1, 0): (1, sq.top.comps), (2, 0): (1, sq.left.comps)},
+        {(1, 0): (1, sq.top), (2, 0): (1, sq.left)},
     )
     table = {
         (0, 0): (1, sq.witness.comps),
@@ -964,8 +989,7 @@ def _hom_slot_transport(src: HomComplex, dst: HomComplex, carry) -> ChainMap:
     degs = set(src.slots) & set(dst.slots)
     for n in degs:
         dst_offsets = _slot_offsets(dst.slots[n])
-        rows = dst.complex.term(n).dims[0] if not dst.complex.term(n).is_zero() else 0
-        cols = src.complex.term(n).dims[0] if not src.complex.term(n).is_zero() else 0
+        rows, cols = dst.complex.term(n).dims[0], src.complex.term(n).dims[0]
         if rows == 0 or cols == 0:
             continue
         mat = np.zeros((rows, cols), dtype=np.int64)
@@ -987,7 +1011,6 @@ def hom_postcompose(t: Complex, f: ChainMap) -> ChainMap:
     """hom(T, X) -> hom(T, Y) induced by f : X -> Y."""
     src = hom_complex(t, f.source)
     dst = hom_complex(t, f.target)
-    fld = t.field
     return _hom_slot_transport(
         src,
         dst,
@@ -999,7 +1022,6 @@ def hom_precompose(f: ChainMap, t: Complex) -> ChainMap:
     """hom(Y, T) -> hom(X, T) induced by f : X -> Y."""
     src = hom_complex(f.target, t)
     dst = hom_complex(f.source, t)
-    fld = t.field
     return _hom_slot_transport(
         src,
         dst,

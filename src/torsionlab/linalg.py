@@ -147,9 +147,6 @@ class Mat:
     def scale(self, c: int) -> "Mat":
         return Mat(self.field, self.a * (c % self.field.p))
 
-    def transpose(self) -> "Mat":
-        return Mat(self.field, self.a.T)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented

@@ -9,10 +9,12 @@ The one exception is RepMap._unchecked, which builds results that exact F_p
 arithmetic makes lawful from lawful inputs: composites, sums and differences
 of maps with equal endpoints, negatives, scalar multiples, zero and identity
 maps.  Raw components from outside (documents, solvers, kernels and
-quotients) always go through the checking constructor.  Likewise
-complexes.hom_complex checks the d² law of a mapping complex with post_op
-and pre_op on flat graded maps, which its docstring shows is equivalent to
-the dense product, and builds it with Complex._unchecked.
+quotients) always go through the checking constructor.  Complex._unchecked
+skips only the dense d² product: hom_complex checks that law on flat graded
+maps (see its docstring), graded sums (cones, fibers, direct sums, homotopy
+(co)limits) on their blocks, and shift negates a lawful differential.  The
+inclusions and projections of a graded sum use ChainMap._unchecked, and
+are refused where a twist would break them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "rep_cokernel",
     "direct_sum",
     "random_rep",
-    "random_rep_map",
 ]
 
 
@@ -444,10 +445,3 @@ def random_rep(
         arrow_maps.append(Mat(field, rng.integers(0, field.p, size=(dims[j], dims[i]))))
     return QuiverRep(quiver, field, dims, tuple(arrow_maps))
 
-
-def random_rep_map(a: QuiverRep, b: QuiverRep, rng: np.random.Generator) -> RepMap:
-    """Uniform draw from the intertwiner space Hom(a, b)."""
-    basis = rep_hom_basis_flat(a, b)
-    coeffs = rng.integers(0, a.field.p, size=(basis.cols, 1))
-    vec = (basis.a @ coeffs) % a.field.p
-    return RepMap(a, b, graded_from_flat(a, b, vec.reshape(-1)))

@@ -9,11 +9,16 @@ deterministic eliminations, these truncations are strictly functorial here:
 truncating a composite equals composing the truncated maps on the nose, and
 both constructions are literally idempotent.  Downstream code leans on that
 strictness for zero witnesses but never assumes it when checking laws.
+
+Each cut is computed once per complex: the cycles at the cut, the quotient
+by them and both truncations are kept on the Complex object (outside its
+equality), and every truncation of it or of a map at its ends reuses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .complexes import (
     cofib,
     fib,
     homology_dims,
+    identity_map,
     random_chain_map,
     random_complex,
     solve_block_system,
@@ -35,8 +41,9 @@ from .complexes import (
     _graded_maps,
     _hom_bases_for_homotopy,
 )
-from .linalg import kernel_coords
+from .linalg import Mat, kernel_coords
 from .quiver import (
+    QuiverRep,
     RepMap,
     flat_dim,
     post_op,
@@ -104,77 +111,97 @@ def heart_contains(x: Complex, t: TStructure) -> bool:
     )
 
 
+class _Cut:
+    """The cut of complex x at degree n, each piece computed on first use:
+    the cycles Z_n with their inclusion, X_n / Z_n with its projection and
+    sections, and both truncations, built by the checking constructors."""
+
+    def __init__(self, x: Complex, n: int):
+        self.x, self.n = x, n
+
+    @cached_property
+    def kernel(self) -> tuple[QuiverRep, RepMap]:
+        return rep_kernel(self.x.diff(self.n))
+
+    @cached_property
+    def quotient(self) -> tuple[QuiverRep, RepMap, tuple[Mat, ...]]:
+        return quotient_rep(self.x.term(self.n), self.kernel[1].components)
+
+    @cached_property
+    def ge(self) -> tuple[Complex, ChainMap]:
+        x, n = self.x, self.n
+        if x.is_zero() or x.hi < n:
+            z = zero_complex(x.quiver, x.field)
+            return z, zero_map(z, x)
+        ker, inc = self.kernel
+        terms = [ker] + [x.term(k) for k in range(n + 1, x.hi + 1)]
+        diffs = []
+        if x.hi > n:
+            broken = "boundaries are not cycles; d-squared broken"
+            comps = _cycle_coords(inc, x.diff(n + 1).components, broken)
+            diffs.append(RepMap(x.term(n + 1), ker, comps))
+            diffs.extend(x.diff(k) for k in range(n + 2, x.hi + 1))
+        sub = Complex(x.quiver, x.field, n, tuple(terms), tuple(diffs))
+        iota_comps = {k: RepMap.identity(x.term(k)) for k in range(n + 1, x.hi + 1)}
+        return sub, ChainMap(sub, x, {n: inc, **iota_comps})
+
+    @cached_property
+    def lt(self) -> tuple[Complex, ChainMap]:
+        x, n = self.x, self.n
+        if x.is_zero() or x.lo > n:
+            z = zero_complex(x.quiver, x.field)
+            return z, zero_map(x, z)
+        quo, proj, sects = self.quotient
+        terms = [x.term(k) for k in range(x.lo, n)] + [quo]
+        diffs = [x.diff(k) for k in range(x.lo + 1, n)]
+        if n > x.lo:
+            comps = tuple(d @ s for d, s in zip(x.diff(n).components, sects))
+            diffs.append(RepMap(quo, x.term(n - 1), comps))
+        quot = Complex(x.quiver, x.field, x.lo, tuple(terms), tuple(diffs))
+        pi_comps = {k: RepMap.identity(x.term(k)) for k in range(x.lo, n)}
+        return quot, ChainMap(x, quot, {n: proj, **pi_comps})
+
+
+def _cycle_coords(inc: RepMap, mats, broken: str) -> tuple[Mat, ...]:
+    """Vertexwise coordinates of the columns of mats in the cycle basis inc."""
+    coords = tuple(kernel_coords(k, m) for k, m in zip(inc.components, mats))
+    if any(c is None for c in coords):
+        raise AssertionError(broken)
+    return coords
+
+
+def _cut(x: Complex, n: int) -> _Cut:
+    """The cut of x at n, one record per complex object and degree."""
+    memo = x._cut_memo()
+    return memo[n] if n in memo else memo.setdefault(n, _Cut(x, n))
+
+
 def truncate_ge(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
     """The subcomplex: cycles at the cut degree, everything above, 0 below.
 
     Returns the truncation and its strict inclusion.
     """
-    n = t.n
-    if x.is_zero() or x.hi < n:
-        z = zero_complex(x.quiver, x.field)
-        return z, zero_map(z, x)
-    ker, inc = rep_kernel(x.diff(n))
-    terms = [ker] + [x.term(k) for k in range(n + 1, x.hi + 1)]
-    diffs = []
-    if x.hi > n:
-        comps = []
-        for v_idx in range(len(x.quiver.vertices)):
-            coords = kernel_coords(inc.components[v_idx], x.diff(n + 1).components[v_idx])
-            if coords is None:
-                raise AssertionError("boundaries are not cycles; d-squared broken")
-            comps.append(coords)
-        diffs.append(RepMap(x.term(n + 1), ker, tuple(comps)))
-        diffs.extend(x.diff(k) for k in range(n + 2, x.hi + 1))
-    sub = Complex(x.quiver, x.field, n, tuple(terms), tuple(diffs))
-    iota_comps = {n: inc}
-    for k in range(n + 1, x.hi + 1):
-        iota_comps[k] = RepMap.identity(x.term(k))
-    return sub, ChainMap(sub, x, iota_comps)
+    return _cut(x, t.n).ge
 
 
 def truncate_lt(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
     """The quotient by truncate_ge: degrees below the cut, the quotient by
     cycles at the cut, nothing above.  Returns it with its strict projection.
     """
-    n = t.n
-    if x.is_zero() or x.lo > n:
-        z = zero_complex(x.quiver, x.field)
-        return z, zero_map(x, z)
-    kmats = tuple(c for c in rep_kernel(x.diff(n))[1].components)
-    quo, proj, sects = quotient_rep(x.term(n), kmats)
-    terms = [x.term(k) for k in range(x.lo, n)] + [quo]
-    diffs = [x.diff(k) for k in range(x.lo + 1, n)]
-    if n > x.lo:
-        comps = tuple(
-            x.diff(n).components[v] @ sects[v]
-            for v in range(len(x.quiver.vertices))
-        )
-        diffs.append(RepMap(quo, x.term(n - 1), comps))
-    quot = Complex(x.quiver, x.field, x.lo, tuple(terms), tuple(diffs))
-    pi_comps = {n: proj}
-    for k in range(x.lo, n):
-        pi_comps[k] = RepMap.identity(x.term(k))
-    return quot, ChainMap(x, quot, pi_comps)
+    return _cut(x, t.n).lt
 
 
 def truncate_map_ge(f: ChainMap, t: TStructure) -> ChainMap:
     n = t.n
     sub_x, _ = truncate_ge(f.source, t)
     sub_y, _ = truncate_ge(f.target, t)
-    comps = {}
-    for k in sub_x.support:
-        if k > n:
-            comps[k] = f.comp(k)
+    comps = {k: f.comp(k) for k in sub_x.support if k > n}
     if n in sub_x.support and not sub_x.term(n).is_zero():
-        kx = rep_kernel(f.source.diff(n))[1]
-        ky = rep_kernel(f.target.diff(n))[1]
-        parts = []
-        for v in range(len(f.source.quiver.vertices)):
-            coords = kernel_coords(ky.components[v], f.comp(n).components[v] @ kx.components[v])
-            if coords is None:
-                raise AssertionError("chain map does not preserve cycles")
-            parts.append(coords)
-        comps[n] = RepMap(sub_x.term(n), sub_y.term(n), tuple(parts))
+        kx = _cut(f.source, n).kernel[1]
+        ky = _cut(f.target, n).kernel[1]
+        carried = [c @ k for c, k in zip(f.comp(n).components, kx.components)]
+        parts = _cycle_coords(ky, carried, "chain map does not preserve cycles")
+        comps[n] = RepMap(sub_x.term(n), sub_y.term(n), parts)
     return ChainMap(sub_x, sub_y, comps)
 
 
@@ -182,16 +209,10 @@ def truncate_map_lt(f: ChainMap, t: TStructure) -> ChainMap:
     n = t.n
     quo_x, _ = truncate_lt(f.source, t)
     quo_y, _ = truncate_lt(f.target, t)
-    comps = {}
-    for k in quo_x.support:
-        if k < n:
-            comps[k] = f.comp(k)
+    comps = {k: f.comp(k) for k in quo_x.support if k < n}
     if n in quo_x.support and not quo_x.term(n).is_zero():
-        kx = rep_kernel(f.source.diff(n))[1]
-        _, proj_y, _ = quotient_rep(
-            f.target.term(n), tuple(rep_kernel(f.target.diff(n))[1].components)
-        )
-        _, _, sects_x = quotient_rep(f.source.term(n), tuple(kx.components))
+        sects_x = _cut(f.source, n).quotient[2]
+        proj_y = _cut(f.target, n).quotient[1]
         parts = tuple(
             proj_y.components[v] @ f.comp(n).components[v] @ sects_x[v]
             for v in range(len(f.source.quiver.vertices))
@@ -206,15 +227,10 @@ def lt_restriction(x: Complex, t_lo: TStructure, t_hi: TStructure) -> ChainMap:
         raise ValueError("restriction runs from the higher cut to the lower")
     wide, _ = truncate_lt(x, t_hi)
     narrow, pi_n = truncate_lt(x, t_lo)
-    comps = {}
-    for k in narrow.support:
-        if k < t_lo.n:
-            comps[k] = RepMap.identity(x.term(k))
-        elif t_hi.n == t_lo.n:
-            comps[k] = RepMap.identity(narrow.term(k))
-        else:
-            comps[k] = pi_n.comp(k)
-    return ChainMap(wide, narrow, comps)
+    if t_hi.n == t_lo.n:
+        return identity_map(wide)
+    # the narrow support lies below the higher cut, where wide is x itself
+    return ChainMap(wide, narrow, pi_n.comps)
 
 
 def truncation_square(x: Complex, t: TStructure) -> CommutingSquare:

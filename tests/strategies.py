@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from torsionlab.complexes import random_chain_map, random_complex
 from torsionlab.linalg import Mat, PrimeField
-from torsionlab.quiver import Quiver, random_rep
+from torsionlab.quiver import (
+    Quiver,
+    QuiverRep,
+    RepMap,
+    graded_from_flat,
+    random_rep,
+    rep_hom_basis_flat,
+)
 
 PRIMES = (2, 3, 5)
 
@@ -63,3 +70,11 @@ def chain_maps(draw, max_dim=3, lo=-2, hi=2):
     x = random_complex(quiver, field, rng, max_dim=max_dim, lo=lo, hi=hi)
     y = random_complex(quiver, field, rng, max_dim=max_dim, lo=lo, hi=hi)
     return random_chain_map(x, y, rng)
+
+
+def random_rep_map(a: QuiverRep, b: QuiverRep, rng: np.random.Generator) -> RepMap:
+    """Uniform draw from the intertwiner space Hom(a, b)."""
+    basis = rep_hom_basis_flat(a, b)
+    coeffs = rng.integers(0, a.field.p, size=(basis.cols, 1))
+    vec = (basis.a @ coeffs) % a.field.p
+    return RepMap(a, b, graded_from_flat(a, b, vec.reshape(-1)))

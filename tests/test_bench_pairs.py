@@ -1,5 +1,5 @@
 """The claim rule of scripts/bench_pairs.py (wins, ties and the quartile gap),
-its per-layer table and the JSON file it writes with --out."""
+its per-layer table of traced medians and the JSON file it writes with --out."""
 
 import importlib.util
 import json
@@ -49,9 +49,11 @@ def test_layer_rows_pair_each_metric_with_its_relative_change():
         return {"metrics": {m["name"]: {"value": v, "unit": m["unit"]}
                             for m, v in zip(per_layer, values)}}
 
-    rows = bench_pairs.layer_rows(
-        per_layer, {"parent": traced([0.2, 831, 0]), "change": traced([0.15, 831, 4])}
-    )
+    # each side's median over its traced runs
+    rows = bench_pairs.layer_rows(per_layer, {
+        "parent": [traced([0.2, 831, 0]), traced([0.3, 831, 0]), traced([0.1, 831, 0])],
+        "change": [traced([0.15, 831, 4]), traced([0.1, 831, 4]), traced([0.4, 831, 4])],
+    })
     assert [r[:4] for r in rows] == [
         ("linalg.reduce.self_s", "s", 0.2, 0.15),
         ("linalg.reduce.calls", "count", 831, 831),
@@ -92,12 +94,15 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
         (roots[side] / "perfbench").mkdir(parents=True)
         (roots[side] / "BENCHMARK.json").write_text(json.dumps(SPEC))
 
+    traced = []
+
     def fake_run(root, workload, seed, seconds, trace=0):
         side = root.name
         if trace:
+            traced.append((side, seed))
             out = _result(0.0, machine={"cpu": side})
-            out["metrics"] = {"linalg.matmul.calls": {"value": 192 if side == "parent" else 0,
-                                                       "unit": "count"}}
+            calls = (192 if side == "parent" else 0) + {3: 10, 4: 0, 5: 1000}[seed]
+            out["metrics"] = {"linalg.matmul.calls": {"value": calls, "unit": "count"}}
             return out
         return _result((1.0 if side == "parent" else 0.7) + seed / 100, machine={"cpu": side})
 
@@ -115,7 +120,11 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
     assert abs(wall["parent"]["median"] - 1.045) < 1e-12
     assert abs(wall["change"]["median"] - 0.745) < 1e-12
     assert hom["failed"] == {"parent": [0, 40], "change": [0, 40]}
-    assert hom["layers"] == [{"name": "linalg.matmul.calls", "unit": "count", "parent": 192,
-                              "change": 0, "relative_change": -1.0}]
+    # three traced pairs on the first three seeds, alternating which side runs first
+    assert traced == [("parent", 3), ("change", 3), ("change", 4), ("parent", 4),
+                      ("parent", 5), ("change", 5)]
+    assert hom["layer_seeds"] == [3, 4, 5]
+    assert hom["layers"] == [{"name": "linalg.matmul.calls", "unit": "count", "parent": 202,
+                              "change": 10, "relative_change": 10 / 202 - 1}]
     printed = capsys.readouterr().out
     assert "hom-large: 4 pairs, seeds 3..6" in printed and "linalg.matmul.calls" in printed

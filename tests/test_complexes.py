@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tests.strategies import chain_maps, complexes
+from tests.strategies import chain_maps, complexes, random_rep_map
 from torsionlab.complexes import (
     ChainMap,
     CommutingSquare,
     Complex,
     Homotopy,
+    _graded_sum,
     block_components,
     chain_map_basis,
     compose,
@@ -47,7 +48,7 @@ from torsionlab.complexes import (
     zero_map,
 )
 from torsionlab.linalg import Mat, PrimeField, rank
-from torsionlab.quiver import Quiver, QuiverRep, RepMap, random_rep_map
+from torsionlab.quiver import Quiver, QuiverRep, RepMap
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -570,3 +571,67 @@ def test_direct_sum_projection_is_quasi_iso_off_acyclic():
     assert is_quasi_iso(s.projection(0))
     assert is_quasi_iso(s.inclusion(0))
     assert not is_quasi_iso(s.inclusion(1))
+
+
+# -- the trusted graded sum: its law is checked on the blocks ----------------------
+
+
+def test_graded_sum_rejects_a_twist_between_the_wrong_parts():
+    f = _rand_map(41, quiver=Quiver.a2(), field=F3)
+    x, y = f.source, f.target
+    other = cone(identity_map(_pt_complex(F3, 0, [1], []))).complex
+    with pytest.raises(ValueError, match="does not run from part 0 to part 1"):
+        _graded_sum([(y, 1), (x, 0)], {(1, 0): (1, f)})
+    with pytest.raises(ValueError, match="does not run from part 0 to part 1"):
+        _graded_sum([(x, 1), (other, 0)], {(1, 0): (1, f)})
+
+
+def test_graded_sum_rejects_a_twist_that_does_not_lower_the_degree():
+    f = _rand_map(42, quiver=Quiver.a2(), field=F3)
+    for k_x, k_y in ((0, 0), (2, 0), (0, 1)):
+        with pytest.raises(ValueError, match="does not lower the degree"):
+            _graded_sum([(f.source, k_x), (f.target, k_y)], {(1, 0): (1, f)})
+
+
+def test_graded_sum_rejects_twists_that_compose():
+    rng = np.random.default_rng(43)
+    x, y, z = (random_complex(Quiver.a2(), F3, rng, max_dim=2) for _ in "xyz")
+    f, g = random_chain_map(x, y, rng), random_chain_map(y, z, rng)
+    with pytest.raises(ValueError, match="two twists compose"):
+        _graded_sum([(x, 2), (y, 1), (z, 0)], {(1, 0): (1, f), (2, 1): (1, g)})
+    # two twists out of one part, or into one part, do not compose
+    _graded_sum([(x, 1), (y, 0), (y, 0)], {(1, 0): (1, f), (2, 0): (-1, f)})
+    _graded_sum([(x, 1), (x, 1), (y, 0)], {(2, 0): (1, f), (2, 1): (1, f)})
+
+
+def test_inclusion_and_projection_refuse_to_cross_a_twist():
+    c = cone(_rand_map(44, quiver=Quiver.a2(), field=F3)).blocks
+    with pytest.raises(ValueError, match="a twist leaves part 0"):
+        c.inclusion(0)
+    with pytest.raises(ValueError, match="a twist enters part 1"):
+        c.projection(1)
+
+
+@given(chain_maps(max_dim=2), st.integers(-2, 2))
+def test_trusted_sums_pass_the_checks_they_skip(f, k):
+    """Every graded sum, shift and biproduct inclusion or projection, built
+    without the d² or chain-law check, passes it when rebuilt checked."""
+    x, y = f.source, f.target
+    sums = [
+        _graded_sum([(x, k), (y, 0)]),
+        _graded_sum([(x, k + 1), (y, k)], {(1, 0): (1, f)}),
+        _graded_sum([(x, k), (y, k - 1)], {(1, 0): (-1, f)}),
+        _graded_sum([(x, 1), (y, 0), (y, 0)], {(1, 0): (1, f), (2, 0): (-1, f)}),
+    ]
+    for s in sums:
+        c = s.complex
+        assert Complex(c.quiver, c.field, c.lo, c.terms, c.diffs) == c
+        for i in range(len(s.parts)):
+            if all(src != i for _, src in s.twists):
+                g = s.inclusion(i)
+                assert ChainMap(g.source, g.target, g.comps) == g
+            if all(tgt != i for tgt, _ in s.twists):
+                g = s.projection(i)
+                assert ChainMap(g.source, g.target, g.comps) == g
+    moved = shift(x, k)
+    assert Complex(x.quiver, x.field, moved.lo, moved.terms, moved.diffs) == moved

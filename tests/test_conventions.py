@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+from tests.strategies import random_rep_map
 from torsionlab.complexes import (
     ChainMap,
     chain_map_basis,
@@ -31,7 +32,7 @@ from torsionlab.document import document_of, serialize_document
 from torsionlab.factorization import TorsionTheory, factor
 from torsionlab.linalg import PrimeField
 from torsionlab.postnikov import postnikov_tower
-from torsionlab.quiver import Quiver, random_rep_map
+from torsionlab.quiver import Quiver
 from torsionlab.tstruct import (
     HeartMorphism,
     TStructure,

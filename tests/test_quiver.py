@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from tests.strategies import reps
+from tests.strategies import random_rep_map, reps
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import (
     Quiver,
@@ -16,7 +16,6 @@ from torsionlab.quiver import (
     post_op,
     pre_op,
     random_rep,
-    random_rep_map,
     rep_cokernel,
     rep_hom_basis_flat,
     rep_kernel,
@@ -157,7 +156,7 @@ def test_direct_sum_biproduct_laws(a):
         return RepMap(rep, s, tuple(comps))
 
     def proj(rep, at):
-        return RepMap(s, rep, tuple(c.transpose() for c in inj(rep, at).components))
+        return RepMap(s, rep, tuple(Mat(a.field, c.a.T) for c in inj(rep, at).components))
 
     summands = list(zip((a, b, a), offsets))
     for i, (r, at) in enumerate(summands):

@@ -55,10 +55,12 @@ def test_all_properties_pass_small():
 
 
 def test_trusted_constructions_pass_the_checks_they_skip(monkeypatch):
-    """Composites, sums, negatives, zero and identity maps are built without
-    the law checks, and mapping complexes without the dense d² product.
-    Sending every such construction back through the checking constructors
-    must leave the report byte-identical."""
+    """Composites, sums, negatives, zero and identity maps, and the
+    inclusions and projections of graded sums, are built without the law
+    checks; mapping complexes, graded sums (cones, fibers, direct sums,
+    homotopy (co)limits) and shifts without the dense d² product.  Sending
+    every such construction back through the checking constructors must
+    leave the report byte-identical."""
     ordinary = report_json(run_suite(SMALL))
     routed = {"RepMap": 0, "ChainMap": 0, "Complex": 0}
 

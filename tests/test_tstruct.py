@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tests.strategies import complexes
 from torsionlab.complexes import (
+    ChainMap,
     Complex,
     cone,
     compose,
@@ -219,6 +220,80 @@ def test_lt_restriction_tower_coheres():
 @given(complexes(max_dim=2, lo=-2, hi=2), st.integers(-1, 1))
 def test_truncation_square_is_pullout(x, n):
     assert is_pullout(truncation_square(x, TStructure(n)))
+
+
+# -- one cut per complex ---------------------------------------------------------
+
+KRONECKER = Quiver(("a", "b"), (("a", "b"), ("a", "b")))
+
+
+def _fresh(x):
+    """An equal complex with nothing cut yet."""
+    return Complex(x.quiver, x.field, x.lo, x.terms, x.diffs)
+
+
+def _cuts_of(f, t):
+    """Every truncation of f and its ends, and their lower restrictions, as
+    calls to make in any order."""
+    x, y = f.source, f.target
+    return [
+        lambda: truncate_map_ge(f, t),
+        lambda: truncate_map_lt(f, t),
+        lambda: lt_restriction(x, t, t.shifted(1)),
+        lambda: lt_restriction(y, t.shifted(-1), t),
+        lambda: truncate_ge(x, t),
+        lambda: truncate_lt(x, t),
+        lambda: truncate_ge(y, t.shifted(1)),
+        lambda: truncate_lt(y, t.shifted(-1)),
+    ]
+
+
+@given(
+    st.sampled_from((PT, Quiver.a2(), KRONECKER)),
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 2**32 - 1),
+    st.integers(-2, 2),
+)
+def test_kept_cuts_equal_cuts_of_a_fresh_complex(quiver, p, seed, n):
+    rng = np.random.default_rng(seed)
+    x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=2) for _ in "xy")
+    f = random_chain_map(x, y, rng)
+    t = TStructure(n)
+    kept = [cut() for cut in _cuts_of(f, t)]
+    assert [cut() for cut in _cuts_of(f, t)] == kept
+    fx, fy = _fresh(x), _fresh(y)
+    assert fx._cuts is None and fy._cuts is None
+    # the fresh complexes are cut in the other order: objects before maps
+    fresh = [cut() for cut in _cuts_of(ChainMap(fx, fy, f.comps), t)[::-1]][::-1]
+    assert fresh == kept
+
+
+def test_repeated_cuts_are_the_identical_objects():
+    x = _rand(21, quiver=Quiver.a2(), field=PrimeField(3))
+    y = _rand(22, quiver=Quiver.a2(), field=PrimeField(3))
+    f = random_chain_map(x, y, np.random.default_rng(23))
+    for n in (-1, 0, 1):
+        t = TStructure(n)
+        for cut in (truncate_ge, truncate_lt):
+            first, again = cut(x, t), cut(x, t)
+            assert first[0] is again[0] and first[1] is again[1]
+        # the truncated maps run between the kept truncations
+        assert truncate_map_ge(f, t).source is truncate_ge(x, t)[0]
+        assert truncate_map_lt(f, t).target is truncate_lt(y, t)[0]
+        assert lt_restriction(x, t, t.shifted(1)).target is truncate_lt(x, t)[0]
+    assert sorted(x._cuts) == [-1, 0, 1, 2]
+
+
+def test_mapping_complexes_never_keep_cuts():
+    x = _rand(31, quiver=Quiver.a2(), field=PrimeField(3))
+    y = _rand(32, quiver=Quiver.a2(), field=PrimeField(3))
+    f = random_chain_map(x, y, np.random.default_rng(33))
+    assert x._cuts is None
+    homs = [hom_complex(x, y), hom_complex(truncate_ge(x, T0)[0], truncate_lt(y, T0)[0])]
+    homs += [hom_postcompose(x, f).source, hom_precompose(f, y).target]
+    assert x._cuts is not None and y._cuts is not None
+    assert all(h.complex._cuts is None for h in homs[:2])
+    assert all(c._cuts is None for c in homs[2:])
 
 
 # -- heart ------------------------------------------------------------------------
