@@ -20,11 +20,17 @@ to homotopy; in particular H_0 is chain maps modulo chain homotopy.
 Equivalences are never inverted: a map is a quasi-isomorphism exactly when
 its cone is acyclic, and all "X equals Y in the homotopy category" claims
 are expressed through an explicit comparison map plus that test.
+
+cone, fib, cofib, homotopy_pullback and homotopy_pushout build only their
+graded sum up front.  Their structure maps, null-homotopies and witness
+squares are made on first read (functools.cached_property), through the
+same checking constructors, and kept; most callers read only the complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -653,13 +659,23 @@ def block_components(
 
 @dataclass(frozen=True)
 class Cone:
+    """cone(f) as a graded sum; its structure maps are made on first read."""
+
     blocks: GradedSum  # parts (X, 1), (Y, 0)
-    into: ChainMap  # Y -> cone
-    outof: ChainMap  # cone -> X[1]
 
     @property
     def complex(self) -> Complex:
         return self.blocks.complex
+
+    @cached_property
+    def into(self) -> ChainMap:
+        """Y -> cone."""
+        return self.blocks.inclusion(1)
+
+    @cached_property
+    def outof(self) -> ChainMap:
+        """cone -> X[1]."""
+        return self.blocks.projection(0)
 
 
 def _cone_sum(f: ChainMap) -> GradedSum:
@@ -667,50 +683,71 @@ def _cone_sum(f: ChainMap) -> GradedSum:
 
 
 def cone(f: ChainMap) -> Cone:
-    s = _cone_sum(f)
-    return Cone(s, s.inclusion(1), s.projection(0))
+    return Cone(_cone_sum(f))
 
 
 @dataclass(frozen=True)
 class Cofiber:
-    complex: Complex
-    from_target: ChainMap  # Y -> cofib(f)
-    null_wit: Homotopy  # from 0 to from_target . f
+    """cofib(f) = cone(f).  from_target is the cone's into, and the
+    null-homotopy is made and checked on first read."""
+
+    f: ChainMap
     cone: Cone
+
+    @property
+    def complex(self) -> Complex:
+        return self.cone.complex
+
+    @property
+    def from_target(self) -> ChainMap:
+        """Y -> cofib(f)."""
+        return self.cone.into
+
+    @cached_property
+    def null_wit(self) -> Homotopy:
+        """From 0 to from_target . f."""
+        x = self.f.source
+        return Homotopy(
+            zero_map(x, self.complex),
+            compose(self.from_target, self.f),
+            block_components(x, self.cone.blocks, 1, {(0, 0): (1, identity_map(x).comps)}),
+        )
 
 
 def cofib(f: ChainMap) -> Cofiber:
-    c = cone(f)
-    x = f.source
-    wit = Homotopy(
-        zero_map(x, c.complex),
-        compose(c.into, f),
-        block_components(x, c.blocks, 1, {(0, 0): (1, identity_map(x).comps)}),
-    )
-    return Cofiber(c.complex, c.into, wit, c)
+    return Cofiber(f, cone(f))
 
 
 @dataclass(frozen=True)
 class Fiber:
+    """fib(f) as a graded sum; the projection to X and the null-homotopy
+    are made on first read, the null-homotopy checked."""
+
+    f: ChainMap
     blocks: GradedSum  # parts (X, 0), (Y, -1)
-    to_source: ChainMap  # fib(f) -> X
-    null_wit: Homotopy  # from 0 to f . to_source
 
     @property
     def complex(self) -> Complex:
         return self.blocks.complex
 
+    @cached_property
+    def to_source(self) -> ChainMap:
+        """fib(f) -> X."""
+        return self.blocks.projection(0)
+
+    @cached_property
+    def null_wit(self) -> Homotopy:
+        """From 0 to f . to_source."""
+        y = self.f.target
+        return Homotopy(
+            zero_map(self.complex, y),
+            compose(self.f, self.to_source),
+            block_components(self.blocks, y, 1, {(0, 1): (-1, identity_map(y).comps)}),
+        )
+
 
 def fib(f: ChainMap) -> Fiber:
-    x, y = f.source, f.target
-    s = _graded_sum([(x, 0), (y, -1)], {(1, 0): (-1, f)})
-    to_source = s.projection(0)
-    null_wit = Homotopy(
-        zero_map(s.complex, y),
-        compose(f, to_source),
-        block_components(s, y, 1, {(0, 1): (-1, identity_map(y).comps)}),
-    )
-    return Fiber(s, to_source, null_wit)
+    return Fiber(f, _graded_sum([(f.source, 0), (f.target, -1)], {(1, 0): (-1, f)}))
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -724,32 +761,47 @@ def direct_sum_complex(x: Complex, y: Complex) -> GradedSum:
 
 @dataclass(frozen=True)
 class Pullback:
+    """The homotopy pullback of f, g : * -> Z as a graded sum; the
+    projections and the witness square are made, and checked, on first
+    read."""
+
+    f: ChainMap
+    g: ChainMap
     blocks: GradedSum  # fib(X (+) Y -> Z): parts (X, 0), (Y, 0), (Z, -1)
-    proj_first: ChainMap
-    proj_second: ChainMap
-    square: CommutingSquare
 
     @property
     def complex(self) -> Complex:
         return self.blocks.complex
+
+    @cached_property
+    def proj_first(self) -> ChainMap:
+        return self.blocks.projection(0)
+
+    @cached_property
+    def proj_second(self) -> ChainMap:
+        return self.blocks.projection(1)
+
+    @cached_property
+    def square(self) -> CommutingSquare:
+        f, g, z = self.f, self.g, self.f.target
+        p1, p2 = self.proj_first, self.proj_second
+        wit = Homotopy(
+            compose(g, p2),
+            compose(f, p1),
+            block_components(self.blocks, z, 1, {(0, 2): (-1, identity_map(z).comps)}),
+        )
+        return CommutingSquare(p1, p2, f, g, wit)
 
 
 def homotopy_pullback(f: ChainMap, g: ChainMap) -> Pullback:
     """W with projections to the sources of f, g : * -> Z and the witness square."""
     if f.target != g.target:
         raise ValueError("pullback legs must share a target")
-    z = f.target
     s = _graded_sum(
-        [(f.source, 0), (g.source, 0), (z, -1)],
+        [(f.source, 0), (g.source, 0), (f.target, -1)],
         {(2, 0): (-1, f), (2, 1): (1, g)},
     )
-    proj1, proj2 = s.projection(0), s.projection(1)
-    wit = Homotopy(
-        compose(g, proj2),
-        compose(f, proj1),
-        block_components(s, z, 1, {(0, 2): (-1, identity_map(z).comps)}),
-    )
-    return Pullback(s, proj1, proj2, CommutingSquare(proj1, proj2, f, g, wit))
+    return Pullback(f, g, s)
 
 
 def pullback_induced(
@@ -777,32 +829,47 @@ def pullback_induced(
 
 @dataclass(frozen=True)
 class Pushout:
+    """The homotopy pushout of f, g : W -> * as a graded sum; the
+    injections and the witness square are made, and checked, on first
+    read."""
+
+    f: ChainMap
+    g: ChainMap
     blocks: GradedSum  # cone(W -> X (+) Y): parts (W, 1), (X, 0), (Y, 0)
-    inj_first: ChainMap
-    inj_second: ChainMap
-    square: CommutingSquare
 
     @property
     def complex(self) -> Complex:
         return self.blocks.complex
+
+    @cached_property
+    def inj_first(self) -> ChainMap:
+        return self.blocks.inclusion(1)
+
+    @cached_property
+    def inj_second(self) -> ChainMap:
+        return self.blocks.inclusion(2)
+
+    @cached_property
+    def square(self) -> CommutingSquare:
+        f, g, w = self.f, self.g, self.f.source
+        i1, i2 = self.inj_first, self.inj_second
+        wit = Homotopy(
+            compose(i2, g),
+            compose(i1, f),
+            block_components(w, self.blocks, 1, {(0, 0): (1, identity_map(w).comps)}),
+        )
+        return CommutingSquare(f, g, i1, i2, wit)
 
 
 def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
     """The double mapping cylinder of X <- W -> Y with its witness square."""
     if f.source != g.source:
         raise ValueError("pushout legs must share a source")
-    w = f.source
     s = _graded_sum(
-        [(w, 1), (f.target, 0), (g.target, 0)],
+        [(f.source, 1), (f.target, 0), (g.target, 0)],
         {(1, 0): (1, f), (2, 0): (-1, g)},
     )
-    inj1, inj2 = s.inclusion(1), s.inclusion(2)
-    wit = Homotopy(
-        compose(inj2, g),
-        compose(inj1, f),
-        block_components(w, s, 1, {(0, 0): (1, identity_map(w).comps)}),
-    )
-    return Pushout(s, inj1, inj2, CommutingSquare(f, g, inj1, inj2, wit))
+    return Pushout(f, g, s)
 
 
 def _square_glue_map(sq: CommutingSquare) -> ChainMap:
@@ -1007,10 +1074,12 @@ def _hom_slot_transport(src: HomComplex, dst: HomComplex, carry) -> ChainMap:
     return ChainMap(src.complex, dst.complex, comps)
 
 
-def hom_postcompose(t: Complex, f: ChainMap) -> ChainMap:
-    """hom(T, X) -> hom(T, Y) induced by f : X -> Y."""
-    src = hom_complex(t, f.source)
-    dst = hom_complex(t, f.target)
+def hom_postcompose(src: HomComplex, dst: HomComplex, f: ChainMap) -> ChainMap:
+    """hom(T, X) -> hom(T, Y) induced by f : X -> Y, between the given
+    mapping complexes src = hom(T, X) and dst = hom(T, Y)."""
+    t = src.source
+    if dst.source != t or src.target != f.source or dst.target != f.target:
+        raise ValueError("postcomposition between the wrong mapping complexes")
     return _hom_slot_transport(
         src,
         dst,
@@ -1018,10 +1087,12 @@ def hom_postcompose(t: Complex, f: ChainMap) -> ChainMap:
     )
 
 
-def hom_precompose(f: ChainMap, t: Complex) -> ChainMap:
-    """hom(Y, T) -> hom(X, T) induced by f : X -> Y."""
-    src = hom_complex(f.target, t)
-    dst = hom_complex(f.source, t)
+def hom_precompose(src: HomComplex, dst: HomComplex, f: ChainMap) -> ChainMap:
+    """hom(Y, T) -> hom(X, T) induced by f : X -> Y, between the given
+    mapping complexes src = hom(Y, T) and dst = hom(X, T)."""
+    t = src.target
+    if dst.target != t or src.source != f.target or dst.source != f.source:
+        raise ValueError("precomposition between the wrong mapping complexes")
     return _hom_slot_transport(
         src,
         dst,

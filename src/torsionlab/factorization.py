@@ -306,10 +306,10 @@ def solve_lifting(
     hwx = hom_complex(w_, x_)
     hyz = hom_complex(y_, z_)
     hwz = hom_complex(w_, z_)
-    pre_e_x = hom_precompose(sq.left, x_)  # hom(Y,X) -> hom(W,X)
-    pre_e_z = hom_precompose(sq.left, z_)
-    post_m_y = hom_postcompose(y_, sq.right)  # hom(Y,X) -> hom(Y,Z)
-    post_m_w = hom_postcompose(w_, sq.right)
+    pre_e_x = hom_precompose(hyx, hwx, sq.left)
+    pre_e_z = hom_precompose(hyz, hwz, sq.left)
+    post_m_y = hom_postcompose(hyx, hyz, sq.right)
+    post_m_w = hom_postcompose(hwx, hwz, sq.right)
     u = hwx.encode(0, {i: sq.top.comp(i) for i in w_.support})
     w = hyz.encode(0, {i: sq.bottom.comp(i) for i in y_.support})
     hwit = hwz.encode(1, dict(sq.witness.comps))

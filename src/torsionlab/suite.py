@@ -63,7 +63,7 @@ from .factorization import (
     three_for_two_check,
 )
 from .linalg import Mat, PrimeField, rank
-from .postnikov import boundedness_window, postnikov_tower, verify_tower
+from .postnikov import postnikov_tower, verify_tower
 from .quiver import Quiver, QuiverRep, rep_cokernel, rep_kernel
 
 __all__ = [
@@ -522,7 +522,7 @@ def _case_postnikov(rng, fld, quiver, cut, config, case):
     tower = postnikov_tower(f)
     if not verify_tower(f, tower):
         return fail("tower fails verification")
-    win = boundedness_window(f)
+    win = tower.window  # verify_tower checked it equals boundedness_window(f)
     if win is None:
         if len(tower.stages) != 1 or tower.stages[0].degree is not None:
             return fail("invertible map did not produce the one-stage tower")
@@ -657,7 +657,7 @@ def _raised_at(exc: Exception) -> str:
 
 
 def _run_case(config: SuiteConfig, prop_index: int, case: int) -> dict | None:
-    name, runner = PROPERTIES[prop_index]
+    _, runner = PROPERTIES[prop_index]
     combos = [(p, q) for p in config.primes for q in config.quivers]
     p, qname = combos[case % len(combos)]
     cut = config.shifts[case % len(config.shifts)]

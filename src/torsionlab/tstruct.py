@@ -270,7 +270,7 @@ class HeartMorphism:
 def heart_kernel(f: HeartMorphism) -> HeartMorphism:
     """The upper truncation of the fiber, as a mono into the source."""
     fibration = fib(f.map)
-    ker, iota = truncate_ge(fibration.complex, f.t)
+    _, iota = truncate_ge(fibration.complex, f.t)
     return HeartMorphism(compose(fibration.to_source, iota), f.t)
 
 

@@ -19,15 +19,19 @@ from torsionlab.complexes import (
     ChainMap,
     CommutingSquare,
     Complex,
+    GradedSum,
     Homotopy,
     _graded_sum,
     block_components,
     chain_map_basis,
+    cofib,
     compose,
     cone,
     direct_sum_complex,
     fib,
     hom_complex,
+    hom_postcompose,
+    hom_precompose,
     homology,
     homology_data,
     homology_dims,
@@ -47,7 +51,9 @@ from torsionlab.complexes import (
     zero_complex,
     zero_map,
 )
+from torsionlab.factorization import is_orthogonal
 from torsionlab.linalg import Mat, PrimeField, rank
+from torsionlab.postnikov import boundedness_window
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
 
 F2 = PrimeField(2)
@@ -635,3 +641,105 @@ def test_trusted_sums_pass_the_checks_they_skip(f, k):
                 assert ChainMap(g.source, g.target, g.comps) == g
     moved = shift(x, k)
     assert Complex(x.quiver, x.field, moved.lo, moved.terms, moved.diffs) == moved
+
+
+# -- structure maps made on first read ------------------------------------------
+
+
+def _rechecked_map(g):
+    """g rebuilt through the checking constructor."""
+    again = ChainMap(g.source, g.target, g.comps)
+    assert again == g
+    return again
+
+
+def _rechecked_homotopy(h):
+    """h rebuilt through the checking constructors, its ends included."""
+    again = Homotopy(_rechecked_map(h.from_map), _rechecked_map(h.to_map), h.comps)
+    assert again.comps == h.comps
+    return again
+
+
+def _rechecked_square(sq):
+    edges = (sq.top, sq.left, sq.right, sq.bottom)
+    return CommutingSquare(*map(_rechecked_map, edges), _rechecked_homotopy(sq.witness))
+
+
+@given(
+    st.sampled_from((PT, Quiver.a2(), KRONECKER)),
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 2**32 - 1),
+)
+def test_structure_maps_made_on_first_read_pass_the_checks_and_are_kept(quiver, p, seed):
+    """Every cached map, null-homotopy and witness square of cone, cofib,
+    fib and the homotopy (co)limits passes the checking constructors when
+    rebuilt, and a second read returns the identical object."""
+    rng = np.random.default_rng(seed)
+    x, y, w = (random_complex(quiver, PrimeField(p), rng, max_dim=2, lo=-1, hi=1) for _ in "xyw")
+    f, g, k = random_chain_map(x, y, rng), random_chain_map(w, y, rng), random_chain_map(x, w, rng)
+    c, cf, fb = cone(f), cofib(f), fib(f)
+    pb, po = homotopy_pullback(f, g), homotopy_pushout(f, k)
+    reads = [
+        (c, "into", y, c.complex),
+        (c, "outof", c.complex, shift(x, 1)),
+        (cf, "from_target", y, cf.complex),
+        (fb, "to_source", fb.complex, x),
+        (pb, "proj_first", pb.complex, x),
+        (pb, "proj_second", pb.complex, w),
+        (po, "inj_first", y, po.complex),
+        (po, "inj_second", w, po.complex),
+    ]
+    for obj, name, source, target in reads:
+        got = getattr(obj, name)
+        assert getattr(obj, name) is got
+        assert got.source == source and got.target == target
+        _rechecked_map(got)
+    for obj, composite in ((cf, compose(cf.from_target, f)), (fb, compose(f, fb.to_source))):
+        wit = obj.null_wit
+        assert obj.null_wit is wit
+        assert wit.from_map.is_zero() and wit.to_map == composite
+        _rechecked_homotopy(wit)
+    for obj, legs, edges in ((pb, (f, g), ("right", "bottom")), (po, (f, k), ("top", "left"))):
+        sq = obj.square
+        assert obj.square is sq
+        assert all(getattr(sq, edge) is leg for edge, leg in zip(edges, legs))
+        _rechecked_square(sq)
+
+
+def test_readers_of_the_complex_alone_build_no_structure_maps(monkeypatch):
+    """fib(f).complex, is_orthogonal and boundedness_window read only the
+    graded sums: no Homotopy is made and no inclusion or projection taken."""
+    rng = np.random.default_rng(45)
+    cases = []
+    for _ in range(6):
+        x, y, z = (random_complex(Quiver.a2(), F3, rng, max_dim=2, lo=-1, hi=1) for _ in "xyz")
+        cases.append((random_chain_map(x, y, rng), random_chain_map(y, z, rng)))
+    built = []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Homotopy, "__init__", counted("Homotopy", Homotopy.__init__))
+    for name in ("inclusion", "projection"):
+        monkeypatch.setattr(GradedSum, name, counted(name, getattr(GradedSum, name)))
+    for e, m in cases:
+        fib(e).complex
+        is_orthogonal(e, m)
+        boundedness_window(m)
+    assert built == []
+
+
+def test_hom_transports_refuse_the_wrong_mapping_complexes():
+    f = _rand_map(46, quiver=Quiver.a2(), field=F3)
+    x, y = f.source, f.target
+    with pytest.raises(ValueError, match="postcomposition between the wrong"):
+        hom_postcompose(hom_complex(x, y), hom_complex(x, y), f)
+    with pytest.raises(ValueError, match="precomposition between the wrong"):
+        hom_precompose(hom_complex(x, x), hom_complex(x, x), f)
+    post = hom_postcompose(hom_complex(x, x), hom_complex(x, y), f)
+    pre = hom_precompose(hom_complex(y, y), hom_complex(x, y), f)
+    assert post.target == pre.target == hom_complex(x, y).complex

@@ -290,7 +290,9 @@ def test_mapping_complexes_never_keep_cuts():
     f = random_chain_map(x, y, np.random.default_rng(33))
     assert x._cuts is None
     homs = [hom_complex(x, y), hom_complex(truncate_ge(x, T0)[0], truncate_lt(y, T0)[0])]
-    homs += [hom_postcompose(x, f).source, hom_precompose(f, y).target]
+    post = hom_postcompose(hom_complex(x, x), hom_complex(x, y), f)
+    pre = hom_precompose(hom_complex(y, y), hom_complex(x, y), f)
+    homs += [post.source, pre.target]
     assert x._cuts is not None and y._cuts is not None
     assert all(h.complex._cuts is None for h in homs[:2])
     assert all(c._cuts is None for c in homs[2:])
@@ -388,7 +390,9 @@ def test_kernel_universal_property_via_mapping_complexes():
     for f in _heart_cases(8, 13):
         k = heart_kernel(f)
         test_obj = random_heart_object(f.map.source.quiver, f.map.source.field, t, rng)
-        post = hom_postcompose(test_obj, f.map)
+        post = hom_postcompose(
+            hom_complex(test_obj, f.map.source), hom_complex(test_obj, f.map.target), f.map
+        )
         h0 = induced_homology_map(post, 0)
         ker_dim = h0.source.dims[0] - rank(h0.components[0])
         hk = hom_complex(test_obj, k.source)
@@ -402,7 +406,9 @@ def test_cokernel_universal_property_via_mapping_complexes():
     for f in _heart_cases(8, 15):
         c = heart_cokernel(f)
         test_obj = random_heart_object(f.map.source.quiver, f.map.source.field, t, rng)
-        pre = hom_precompose(f.map, test_obj)
+        pre = hom_precompose(
+            hom_complex(f.map.target, test_obj), hom_complex(f.map.source, test_obj), f.map
+        )
         h0 = induced_homology_map(pre, 0)
         ker_dim = h0.source.dims[0] - rank(h0.components[0])
         hc = hom_complex(c.target, test_obj)
