@@ -18,8 +18,10 @@ f - g = d h + h d.  H_n of the hom complex is the space of degree-n maps up
 to homotopy; in particular H_0 is chain maps modulo chain homotopy.
 
 Equivalences are never inverted: a map is a quasi-isomorphism exactly when
-its cone is acyclic, and all "X equals Y in the homotopy category" claims
-are expressed through an explicit comparison map plus that test.
+its cone is acyclic, which cone_homology_dims decides from the ranks of the
+cone's blocks without building the cone, and all "X equals Y in the homotopy
+category" claims are expressed through an explicit comparison map plus that
+test.
 
 cone, fib, cofib, homotopy_pullback and homotopy_pushout build only their
 graded sum up front.  Their structure maps, null-homotopies and witness
@@ -83,6 +85,7 @@ __all__ = [
     "cone",
     "fib",
     "cofib",
+    "cone_homology_dims",
     "is_quasi_iso",
     "direct_sum_complex",
     "block_components",
@@ -511,11 +514,19 @@ def homology_dims(x: Complex) -> dict[int, tuple[int, ...]]:
     Each stored differential is ranked once; the differentials out of and
     into the ends of the support are zero.
     """
-    edge = ((0,) * len(x.quiver.vertices),)
-    ranks = edge + tuple(tuple(rank(c) for c in d.components) for d in x.diffs) + edge
+    ranks = [tuple(rank(c) for c in d.components) for d in x.diffs]
+    return _dims_from_ranks(x.support, [t.dims for t in x.terms], ranks)
+
+
+def _dims_from_ranks(support, dims, ranks) -> dict[int, tuple[int, ...]]:
+    """Vertexwise dim H_n = dim X_n - rank d_n - rank d_{n+1} on the support,
+    from the term dims and the ranks of the differentials between them; the
+    differentials out of and into the ends of the support are zero."""
+    edge = ((0,) * len(dims[0]),) if dims else ()
+    ranks = edge + tuple(ranks) + edge
     return {
-        n: tuple(d - r_out - r_in for d, r_out, r_in in zip(term.dims, ranks[i], ranks[i + 1]))
-        for i, (n, term) in enumerate(zip(x.support, x.terms))
+        n: tuple(d - r_out - r_in for d, r_out, r_in in zip(dn, ranks[i], ranks[i + 1]))
+        for i, (n, dn) in enumerate(zip(support, dims))
     }
 
 
@@ -588,42 +599,60 @@ def _graded_sum(parts, twists=None) -> GradedSum:
         raise ValueError("two twists compose")
     quiver, fld = parts[0][0].quiver, parts[0][0].field
     keys = tuple(twists)
-    live = [(c, k) for c, k in parts if not c.is_zero()]
-    if not live:
+    span = _sum_span(parts)
+    if span is None:
         return GradedSum(zero_complex(quiver, fld), tuple(parts), {}, keys)
-    lo = min(c.lo + k for c, k in live)
-    hi = max(c.hi + k for c, k in live)
+    lo, hi = span
     terms, offsets = [], {}
     for n in range(lo, hi + 1):
         term, offsets[n] = direct_sum(*(c.term(n - k) for c, k in parts))
         terms.append(term)
-    table = {
-        (i, i): (-1 if k % 2 else 1, dict(zip(range(c.lo + 1, c.hi + 1), c.diffs)))
-        for i, (c, k) in enumerate(parts)
-    }
-    table.update({key: (sign, f.comps) for key, (sign, f) in twists.items()})
+    table = _sum_table(parts, twists)
     diffs = []
     for n in range(lo + 1, hi + 1):
         src, tgt = terms[n - lo], terms[n - 1 - lo]
-        mats = _blocks(parts, offsets[n], src, n, offsets[n - 1], tgt, table)
+        mats = _blocks(parts, fld, n, (offsets[n], src.dims), (offsets[n - 1], tgt.dims), table)
         diffs.append(RepMap._unchecked(src, tgt, mats) if mats else RepMap.zero(src, tgt))
     cx = Complex._unchecked(quiver, fld, lo, tuple(terms), tuple(diffs))
     return GradedSum(cx, tuple(parts), offsets, keys)
 
 
-def _blocks(parts, src_at, src, n, tgt_at, tgt, table):
-    """Vertex matrices src -> tgt holding the table's blocks, with the source
-    parts read in degree n; None when every block is absent."""
+def _sum_span(parts) -> tuple[int, int] | None:
+    """The first and last degree of the graded sum of parts, None when every
+    part is zero.  The ends are the ends of nonzero parts, so they need no
+    trimming."""
+    live = [(c, k) for c, k in parts if not c.is_zero()]
+    if not live:
+        return None
+    return min(c.lo + k for c, k in live), max(c.hi + k for c, k in live)
+
+
+def _sum_table(parts, twists):
+    """The differential's blocks: each part's shifted differential on the
+    diagonal, each twist below it, as (sign, maps keyed by source degree)."""
+    table = {
+        (i, i): (-1 if k % 2 else 1, dict(zip(range(c.lo + 1, c.hi + 1), c.diffs)))
+        for i, (c, k) in enumerate(parts)
+    }
+    table.update({key: (sign, f.comps) for key, (sign, f) in twists.items()})
+    return table
+
+
+def _blocks(parts, fld, n, src, tgt, table):
+    """Vertex matrices holding the table's blocks, with the source parts read
+    in degree n; src and tgt are (offsets by part, dims) of the two sides.
+    None when every block is absent."""
+    (src_at, src_dims), (tgt_at, tgt_dims) = src, tgt
     mats = None
     for (j, i), (sign, maps) in table.items():
         g = maps.get(n - parts[i][1])
         if g is None:
             continue
         if mats is None:
-            mats = [np.zeros(shape, dtype=np.int64) for shape in zip(tgt.dims, src.dims)]
+            mats = [np.zeros(shape, dtype=np.int64) for shape in zip(tgt_dims, src_dims)]
         for a, b, row, col in zip(mats, g.components, tgt_at[j], src_at[i]):
             a[row : row + b.rows, col : col + b.cols] = b.a if sign == 1 else -b.a
-    return None if mats is None else tuple(Mat(src.field, a) for a in mats)
+    return None if mats is None else tuple(Mat(fld, a) for a in mats)
 
 
 def _layout(side: "GradedSum | Complex"):
@@ -651,7 +680,8 @@ def block_components(
         if t not in tgt_offsets:
             continue
         s_term, t_term = src.term(n), tgt.term(t)
-        mats = _blocks(parts, src_offsets[n], s_term, n, tgt_offsets[t], t_term, table)
+        s_side, t_side = (src_offsets[n], s_term.dims), (tgt_offsets[t], t_term.dims)
+        mats = _blocks(parts, src.field, n, s_side, t_side, table)
         if mats is not None:
             out[n] = RepMap._unchecked(s_term, t_term, mats)
     return out
@@ -678,12 +708,8 @@ class Cone:
         return self.blocks.projection(0)
 
 
-def _cone_sum(f: ChainMap) -> GradedSum:
-    return _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)})
-
-
 def cone(f: ChainMap) -> Cone:
-    return Cone(_cone_sum(f))
+    return Cone(_graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)}))
 
 
 @dataclass(frozen=True)
@@ -750,8 +776,38 @@ def fib(f: ChainMap) -> Fiber:
     return Fiber(f, _graded_sum([(f.source, 0), (f.target, -1)], {(1, 0): (-1, f)}))
 
 
+def cone_homology_dims(f: ChainMap) -> dict[int, tuple[int, ...]]:
+    """homology_dims(cone(f).complex), without building the cone.
+
+    The cone's differential cone_n -> cone_{n-1} has the blocks
+    [[-dX_{n-1}, 0], [f_{n-1}, dY_n]]; they are filled per vertex straight
+    from f and the stored differentials of its ends, in the layout cone(f)
+    uses, and ranked.  A differential whose blocks are all absent has rank
+    0 and is not eliminated.  No representation, map or complex is made.
+    """
+    parts = ((f.source, 1), (f.target, 0))
+    span = _sum_span(parts)
+    if span is None:
+        return {}
+    lo, hi = span
+    zero = (0,) * len(f.source.quiver.vertices)
+
+    def layout(n):  # offsets by part and dims of cone_n = X_{n-1} (+) Y_n
+        x_dims, y_dims = f.source.term(n - 1).dims, f.target.term(n).dims
+        return (zero, x_dims), tuple(a + b for a, b in zip(x_dims, y_dims))
+
+    layouts = [layout(n) for n in range(lo, hi + 1)]
+    table = _sum_table(parts, {(1, 0): (1, f)})
+    ranks = []
+    for n in range(lo + 1, hi + 1):
+        mats = _blocks(parts, f.source.field, n, layouts[n - lo], layouts[n - 1 - lo], table)
+        ranks.append(zero if mats is None else tuple(rank(m) for m in mats))
+    return _dims_from_ranks(range(lo, hi + 1), [dims for _, dims in layouts], ranks)
+
+
 def is_quasi_iso(f: ChainMap) -> bool:
-    return is_acyclic(_cone_sum(f).complex)
+    """f is a quasi-isomorphism exactly when its cone is acyclic."""
+    return all(not any(dims) for dims in cone_homology_dims(f).values())
 
 
 def direct_sum_complex(x: Complex, y: Complex) -> GradedSum:
@@ -893,7 +949,7 @@ def is_pullout(sq: CommutingSquare) -> bool:
     This is the bicartesian test; is_cartesian and is_cocartesian decide the
     two universal properties separately through their comparison maps.
     """
-    return is_acyclic(cone(_square_glue_map(sq)).complex)
+    return is_quasi_iso(_square_glue_map(sq))
 
 
 def is_cartesian(sq: CommutingSquare) -> bool:

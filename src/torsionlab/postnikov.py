@@ -27,15 +27,14 @@ from .complexes import (
     block_components,
     cofib,
     compose,
+    cone_homology_dims,
     fib,
-    homology_dims,
     homotopic,
     identity_map,
     is_quasi_iso,
-    shift,
 )
 from .quiver import RepMap
-from .tstruct import TStructure, heart_contains, lt_restriction, truncate_lt
+from .tstruct import TStructure, lt_restriction, truncate_lt
 
 __all__ = [
     "BoundWindow",
@@ -84,14 +83,18 @@ class Tower:
     window: BoundWindow | None
 
 
+def _fiber_support(f: ChainMap) -> list[int]:
+    """The degrees where fib(f) has homology, read from the cone's ranks:
+    fib(f) = cone(f)[-1], so H_k(fib f) = H_{k+1}(cone f)."""
+    return [k - 1 for k, dims in cone_homology_dims(f).items() if any(dims)]
+
+
 def boundedness_window(f: ChainMap) -> BoundWindow | None:
     """Minimal window containing the homology support of fib(f).
 
     Returns None when the fiber is acyclic, i.e. f is already invertible.
     """
-    supported = [
-        k for k, dims in homology_dims(fib(f).complex).items() if any(dims)
-    ]
+    supported = _fiber_support(f)
     if not supported:
         return None
     return BoundWindow(min(supported), max(supported) + 1)
@@ -115,8 +118,9 @@ def _fiber_descend(fb_hi: Fiber, fb_lo: Fiber, restrict: ChainMap) -> ChainMap:
 
 
 def _certify(stage_map: ChainMap, degree: int) -> TowerStage:
-    fber = fib(stage_map).complex
-    ok = heart_contains(shift(fber, -degree), TStructure(0))
+    """The stage with its certificate: fib(stage_map)[-degree] lies in the
+    heart, that is, the fiber has homology only in the given degree."""
+    ok = all(k == degree for k in _fiber_support(stage_map))
     return TowerStage(stage_map, degree, ok)
 
 
@@ -189,15 +193,8 @@ def verify_tower(f: ChainMap, tower: Tower) -> bool:
     if sorted(degrees) != list(range(window.lo, window.hi)):
         return False
     for stage in tower.stages:
-        fber = fib(stage.map).complex
-        if any(
-            k != stage.degree
-            for k, dims in homology_dims(fber).items()
-            if any(dims)
-        ):
-            return False
         if not stage.fiber_in_heart:
             return False
-        if not heart_contains(shift(fber, -stage.degree), TStructure(0)):
+        if any(k != stage.degree for k in _fiber_support(stage.map)):
             return False
     return True

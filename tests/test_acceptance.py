@@ -9,6 +9,7 @@ one line per criterion.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -17,12 +18,16 @@ from torsionlab.suite import (
     FIXED_CASES,
     SuiteConfig,
     replay_case,
+    report_json,
     run_suite,
 )
 from torsionlab.suite import _micro_pair
 
 CONFIG = SuiteConfig()
 PER_CUT_CASES = 100 * len(CONFIG.shifts)
+# sha256 of report_json for the default config; a change that means to move
+# the report's bytes updates it and says why
+DEFAULT_REPORT_SHA256 = "cd8cf9e7fbc65e7b24dc86b6ee6b8b960c4dd00275768fe45969a07a875c2c76"
 
 
 @pytest.fixture(scope="session")
@@ -184,3 +189,10 @@ def test_default_suite_is_green_and_fast(default_run):
     assert report.ok
     assert elapsed < 60, f"default suite took {elapsed:.1f}s"
     print(f"defaults PASS: full suite green in {elapsed:.1f}s")
+
+
+def test_default_report_bytes_are_pinned(default_run):
+    report, _ = default_run
+    digest = hashlib.sha256(report_json(report).encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256
+    print("defaults PASS: report bytes match the pinned digest")

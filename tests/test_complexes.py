@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import torsionlab.complexes as complexes_module
 from tests.strategies import chain_maps, complexes, random_rep_map
 from torsionlab.complexes import (
     ChainMap,
@@ -27,6 +28,7 @@ from torsionlab.complexes import (
     cofib,
     compose,
     cone,
+    cone_homology_dims,
     direct_sum_complex,
     fib,
     hom_complex,
@@ -53,7 +55,7 @@ from torsionlab.complexes import (
 )
 from torsionlab.factorization import is_orthogonal
 from torsionlab.linalg import Mat, PrimeField, rank
-from torsionlab.postnikov import boundedness_window
+from torsionlab.postnikov import BoundWindow, _certify, boundedness_window
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
 
 F2 = PrimeField(2)
@@ -706,6 +708,16 @@ def test_structure_maps_made_on_first_read_pass_the_checks_and_are_kept(quiver, 
         _rechecked_square(sq)
 
 
+def _counted(built, name, method):
+    """method, appending name to built on every call."""
+
+    def wrapper(*args, **kwargs):
+        built.append(name)
+        return method(*args, **kwargs)
+
+    return wrapper
+
+
 def test_readers_of_the_complex_alone_build_no_structure_maps(monkeypatch):
     """fib(f).complex, is_orthogonal and boundedness_window read only the
     graded sums: no Homotopy is made and no inclusion or projection taken."""
@@ -715,21 +727,59 @@ def test_readers_of_the_complex_alone_build_no_structure_maps(monkeypatch):
         x, y, z = (random_complex(Quiver.a2(), F3, rng, max_dim=2, lo=-1, hi=1) for _ in "xyz")
         cases.append((random_chain_map(x, y, rng), random_chain_map(y, z, rng)))
     built = []
-
-    def counted(name, method):
-        def wrapper(*args, **kwargs):
-            built.append(name)
-            return method(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(Homotopy, "__init__", counted("Homotopy", Homotopy.__init__))
+    monkeypatch.setattr(Homotopy, "__init__", _counted(built, "Homotopy", Homotopy.__init__))
     for name in ("inclusion", "projection"):
-        monkeypatch.setattr(GradedSum, name, counted(name, getattr(GradedSum, name)))
+        monkeypatch.setattr(GradedSum, name, _counted(built, name, getattr(GradedSum, name)))
     for e, m in cases:
         fib(e).complex
         is_orthogonal(e, m)
         boundedness_window(m)
+    assert built == []
+
+
+@given(
+    st.sampled_from((PT, Quiver.a2(), KRONECKER)),
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("random", "zero map", "out of zero", "into zero")),
+    st.integers(-2, 1),
+    st.integers(-2, 1),
+)
+def test_cone_homology_dims_matches_the_built_cone(quiver, p, seed, kind, x_lo, y_lo):
+    """The ranks of the cone's blocks give the built cone's homology, key
+    for key, and the fiber window read from them is the built fiber's.
+    Independent windows let either end of the cone come from either part,
+    and terms drawn zero at the ends trim the supports."""
+    rng = np.random.default_rng(seed)
+    fld = PrimeField(p)
+    x, y = (random_complex(quiver, fld, rng, max_dim=2, lo=lo, hi=lo + 2) for lo in (x_lo, y_lo))
+    if kind == "out of zero":
+        x = zero_complex(quiver, fld)
+    if kind == "into zero":
+        y = zero_complex(quiver, fld)
+    f = zero_map(x, y) if kind == "zero map" else random_chain_map(x, y, rng)
+    assert cone_homology_dims(f) == homology_dims(cone(f).complex)
+    fiber = [k for k, dims in homology_dims(fib(f).complex).items() if any(dims)]
+    window = BoundWindow(min(fiber), max(fiber) + 1) if fiber else None
+    assert boundedness_window(f) == window
+
+
+def test_quasi_iso_and_fiber_homology_build_no_graded_sum(monkeypatch):
+    """is_quasi_iso, boundedness_window and _certify read the cone's ranks
+    without assembling a graded sum or a direct-sum representation."""
+    rng = np.random.default_rng(47)
+    maps = []
+    for quiver in (PT, Quiver.a2(), KRONECKER):
+        x, y = (random_complex(quiver, F3, rng, max_dim=2, lo=-1, hi=1) for _ in "xy")
+        maps += [random_chain_map(x, y, rng), identity_map(x), zero_map(x, y)]
+    built = []
+    for name in ("_graded_sum", "direct_sum"):
+        original = getattr(complexes_module, name)
+        monkeypatch.setattr(complexes_module, name, _counted(built, name, original))
+    for f in maps:
+        is_quasi_iso(f)
+        boundedness_window(f)
+        _certify(f, 0)
     assert built == []
 
 
