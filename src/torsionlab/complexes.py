@@ -27,6 +27,16 @@ cone, fib, cofib, homotopy_pullback and homotopy_pushout build only their
 graded sum up front.  Their structure maps, null-homotopies and witness
 squares are made on first read (functools.cached_property), through the
 same checking constructors, and kept; most callers read only the complex.
+
+Every mapping-space question is linear algebra on one object, the hom
+complex: homotopic solves D_1 h = f - g, chain_map_basis and
+random_chain_map read the kernel of D_0, and the lifting and heart solvers
+pose their systems on D_n and the degree-n transports hom_postcompose and
+hom_precompose.  hom_complex builds nothing up front: the slots of a degree
+and each D_n are made on first read and kept, so a solver pays only for the
+degrees it reads, and each D_n checks its d² law, on flat graded maps, when
+it is built.  HomComplex.complex assembles every degree for readers of the
+whole complex.
 """
 
 from __future__ import annotations
@@ -56,7 +66,6 @@ from .quiver import (
     pre_op,
     random_rep,
     rep_hom_basis_flat,
-    flat_dim,
 )
 
 __all__ = [
@@ -81,7 +90,6 @@ __all__ = [
     "homology_data",
     "homology_dims",
     "induced_homology_map",
-    "is_acyclic",
     "cone",
     "fib",
     "cofib",
@@ -530,10 +538,6 @@ def _dims_from_ranks(support, dims, ranks) -> dict[int, tuple[int, ...]]:
     }
 
 
-def is_acyclic(x: Complex) -> bool:
-    return all(all(d == 0 for d in dims) for dims in homology_dims(x).values())
-
-
 def induced_homology_map(f: ChainMap, n: int) -> RepMap:
     hx = homology_data(f.source, n)
     hy = homology_data(f.target, n)
@@ -979,181 +983,176 @@ def is_cocartesian(sq: CommutingSquare) -> bool:
 # -- hom complexes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HomComplex:
-    """The mapping complex as a complex of plain vector spaces.
+    """The mapping complex Hom(X, Y) as a complex of plain vector spaces.
 
     The degree-n term is the intertwiner space (+)_i Hom(X_i, Y_{i+n}) over
-    the one-vertex quiver, with the chosen per-slot bases retained so that
-    coordinates can be decoded back into graded maps.
+    the one-vertex quiver.  Each slot i keeps its first coordinate and its
+    flat basis (rep_hom_basis_flat), so that coordinates decode back into
+    graded maps.  The slots of a degree and each differential D_n are built
+    on first read and kept; complex assembles every degree.
+
+    D_n checks its own d² law as it is built, on flat graded maps rather
+    than by dense products.  For each slot i of degree n, kernel_coords
+    confirms B_{n-1} D_n[:, i] == images(n, i, B_i) exactly, and the bases B
+    are injective; so D_{n-1} D_n = 0 exactly when images(n - 1, ...) of
+    those images sum to zero in every slot of degree n - 2.
     """
 
-    source: Complex
-    target: Complex
-    complex: Complex
-    slots: dict[int, list[tuple[int, Mat]]]  # degree -> [(i, flat basis)]
+    def __init__(self, source: Complex, target: Complex):
+        self.source = source
+        self.target = target
+        # the degrees of the nonzero terms: slot i of degree n exists exactly
+        # when X_i and Y_{i+n} are nonzero
+        self._xs = [i for i in source.support if not source.term(i).is_zero()]
+        self._ys = {i for i in target.support if not target.term(i).is_zero()}
+        self._slots: dict[int, dict[int, tuple[int, Mat]]] = {}
+        self._diffs: dict[int, Mat] = {}
 
-    def decode(self, n: int, coeffs: np.ndarray) -> dict[int, tuple[Mat, ...]]:
-        """Coordinates at degree n -> graded components X_i -> Y_{i+n}."""
-        out: dict[int, tuple[Mat, ...]] = {}
-        off = 0
-        for i, basis in self.slots.get(n, []):
-            width = basis.cols
-            vec = (basis.a @ np.asarray(coeffs[off : off + width], dtype=np.int64)) % (
-                self.source.field.p
-            )
-            out[i] = graded_from_flat(self.source.term(i), self.target.term(i + n), vec)
-            off += width
+    def _is_slot(self, n: int, i: int) -> bool:
+        return i + n in self._ys and i in self._xs
+
+    def slots(self, n: int) -> dict[int, tuple[int, Mat]]:
+        """Slot i of degree n -> (its first coordinate, its flat basis)."""
+        got = self._slots.get(n)
+        if got is None:
+            x, y = self.source, self.target
+            got, off = {}, 0
+            for i in self._xs:
+                if i + n in self._ys:
+                    b = rep_hom_basis_flat(x.term(i), y.term(i + n))
+                    got[i] = (off, b)
+                    off += b.cols
+            self._slots[n] = got
+        return got
+
+    def dim(self, n: int) -> int:
+        return sum(b.cols for _, b in self.slots(n).values())
+
+    def _images(self, n: int, i: int, b: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """d of the flat maps X_i -> Y_{i+n} in the columns of b: the post
+        part in slot i of degree n - 1, the pre part in slot i + 1."""
+        x, y, out = self.source, self.target, []
+        if self._is_slot(n - 1, i):
+            out.append((i, post_op(y.diff(i + n), x.term(i), b)))
+        if self._is_slot(n - 1, i + 1):
+            pre = pre_op(x.diff(i + 1), y.term(i + n), b)
+            out.append((i + 1, (pre if n % 2 else -pre) % x.field.p))
+        return out
+
+    def diff(self, n: int) -> Mat:
+        """D_n : Hom_n -> Hom_{n-1}, (D phi) = d_Y phi - (-1)^n phi d_X."""
+        got = self._diffs.get(n)
+        if got is not None:
+            return got
+        fld = self.source.field
+        tgt = self.slots(n - 1)
+        mat = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
+        for i, (col, b) in self.slots(n).items():
+            twice: dict[int, np.ndarray] = {}
+            for j, img in self._images(n, i, b.a):
+                off, basis = tgt[j]
+                coords = kernel_coords(basis, Mat(fld, img))
+                if coords is None:
+                    raise AssertionError("hom differential left the intertwiner space")
+                mat[off : off + basis.cols, col : col + b.cols] = coords.a
+                for k, dd in self._images(n - 1, j, img):
+                    twice[k] = twice.get(k, 0) + dd
+            if any((dd % fld.p).any() for dd in twice.values()):
+                raise ValueError("d-squared law fails")
+        got = self._diffs[n] = Mat(fld, mat)
+        return got
+
+    @cached_property
+    def complex(self) -> Complex:
+        """Every degree assembled, for readers of the whole complex."""
+        x, y, fld = self.source, self.target, self.source.field
+        point = Quiver.point()
+        if x.is_zero() or y.is_zero():
+            return zero_complex(point, fld)
+        degs = range(y.lo - x.hi, y.hi - x.lo + 1)
+        # lists, not tuple(generator): CPython resizes a tuple built from a
+        # generator, and the resized tuples pile up in its free lists (on
+        # hom-large that raised the peak RSS by about 1 %)
+        terms = [QuiverRep(point, fld, (self.dim(n),), ()) for n in degs]
+        diffs = [
+            RepMap(src, tgt, (self.diff(n),))
+            for n, src, tgt in zip(degs[1:], terms[1:], terms)
+        ]
+        return Complex._unchecked(point, fld, degs[0], tuple(terms), tuple(diffs))
+
+    def decode(self, n: int, coeffs: np.ndarray) -> dict[int, RepMap]:
+        """Coordinates at degree n -> the checked components X_i -> Y_{i+n}."""
+        x, y, p = self.source, self.target, self.source.field.p
+        out = {}
+        for i, (off, basis) in self.slots(n).items():
+            src, tgt = x.term(i), y.term(i + n)
+            vec = (basis.a @ np.asarray(coeffs[off : off + basis.cols], dtype=np.int64)) % p
+            out[i] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
         return out
 
     def cycle_to_chain_map(self, n: int, coeffs: np.ndarray) -> ChainMap:
-        """A degree-n cycle is exactly a chain map X[n] -> Y."""
-        graded = self.decode(n, coeffs)
-        src = shift(self.source, n)
-        comps = {}
-        for i, mats in graded.items():
-            comps[i + n] = RepMap(src.term(i + n), self.target.term(i + n), mats)
-        return ChainMap(src, self.target, comps)
+        """A degree-n cycle is exactly a chain map X[n] -> Y; at n = 0 its
+        source is X itself (shift by 0 returns its argument)."""
+        comps = {i + n: m for i, m in self.decode(n, coeffs).items()}
+        return ChainMap(shift(self.source, n), self.target, comps)
 
     def encode(self, n: int, graded: dict[int, RepMap]) -> np.ndarray:
         """Coordinates of a graded collection of maps X_i -> Y_{i+n}."""
-        entries = self.slots.get(n, [])
-        covered = {i for i, _ in entries}
+        slots = self.slots(n)
+        out = np.zeros(self.dim(n), dtype=np.int64)
         for i, g in graded.items():
-            if i not in covered and not g.is_zero():
+            if g.is_zero():
+                continue
+            if i not in slots:
                 raise ValueError("graded map has a component outside the hom complex")
-        out = np.zeros(sum(b.cols for _, b in entries), dtype=np.int64)
-        off = 0
-        for i, basis in entries:
-            g = graded.get(i)
-            if g is not None and not g.is_zero():
-                vec = Mat(self.source.field, g.flat().reshape(-1, 1))
-                coords = kernel_coords(basis, vec)
-                if coords is None:
-                    raise ValueError("graded map is not an intertwiner collection")
-                out[off : off + basis.cols] = coords.a[:, 0]
-            off += basis.cols
+            off, basis = slots[i]
+            coords = kernel_coords(basis, Mat(self.source.field, g.flat().reshape(-1, 1)))
+            if coords is None:
+                raise ValueError("graded map is not an intertwiner collection")
+            out[off : off + basis.cols] = coords.a[:, 0]
         return out
 
 
 def hom_complex(x: Complex, y: Complex) -> HomComplex:
-    """The mapping complex Hom(X, Y), built with Complex._unchecked: its d²
-    law is checked here on flat graded maps, not by dense products.  For each
-    slot i of degree n, kernel_coords confirms B_{n-1} D_n[:, i] == images(n,
-    i, B_i) exactly, and the bases B from kernel_basis are injective; so
-    D_{n-1} D_n = 0 exactly when images(n - 1, ...) of those images sum to
-    zero in every slot of degree n - 2.
-    """
-    fld = x.field
+    """The mapping complex Hom(X, Y); each degree is built when first read."""
     if x.quiver != y.quiver or x.field != y.field:
         raise ValueError("hom complex of incompatible complexes")
-    point = Quiver.point()
-    if x.is_zero() or y.is_zero():
-        return HomComplex(x, y, zero_complex(point, fld), {})
-    lo, hi = y.lo - x.hi, y.hi - x.lo
-    slots: dict[int, list[tuple[int, Mat]]] = {}
-    for n in range(lo, hi + 1):
-        entries = []
-        for i in x.support:
-            if x.term(i).is_zero() or y.term(i + n).is_zero():
-                continue
-            entries.append((i, rep_hom_basis_flat(x.term(i), y.term(i + n))))
-        slots[n] = entries
-    offsets = {n: _slot_offsets(slots[n]) for n in slots}
-    dims = {n: sum(b.cols for _, b in slots[n]) for n in range(lo, hi + 1)}
-    terms = {n: QuiverRep(point, fld, (dims[n],), ()) for n in range(lo, hi + 1)}
-
-    def images(n: int, i: int, b: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        # d of the maps X_i -> Y_{i+n} in b: post part in slot i, pre in i + 1
-        tgt, out = offsets.get(n - 1, {}), []
-        if i in tgt:
-            out.append((i, post_op(y.diff(i + n), x.term(i), b)))
-        if i + 1 in tgt:
-            pre = pre_op(x.diff(i + 1), y.term(i + n), b)
-            out.append((i + 1, (pre if n % 2 else -pre) % fld.p))
-        return out
-
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        mat = np.zeros((dims[n - 1], dims[n]), dtype=np.int64)
-        col = 0
-        for i, b in slots[n]:
-            twice: dict[int, np.ndarray] = {}
-            for j, img in images(n, i, b.a):
-                off_j, basis_j = offsets[n - 1][j]
-                coords = kernel_coords(basis_j, Mat(fld, img))
-                if coords is None:
-                    raise AssertionError("hom differential left the intertwiner space")
-                mat[off_j : off_j + basis_j.cols, col : col + b.cols] = coords.a
-                for k, dd in images(n - 1, j, img):
-                    twice[k] = twice.get(k, 0) + dd
-            if any((dd % fld.p).any() for dd in twice.values()):
-                raise ValueError("d-squared law fails")
-            col += b.cols
-        diffs.append(RepMap(terms[n], terms[n - 1], (Mat(fld, mat),)))
-    cx = Complex._unchecked(point, fld, lo, tuple(terms.values()), tuple(diffs))
-    return HomComplex(x, y, cx, slots)
+    return HomComplex(x, y)
 
 
-def _slot_offsets(entries: list[tuple[int, Mat]]) -> dict[int, tuple[int, Mat]]:
-    """Slot i -> (its first coordinate, its flat basis) in a hom-complex term."""
-    out, off = {}, 0
-    for i, b in entries:
-        out[i] = (off, b)
-        off += b.cols
-    return out
-
-
-def _hom_slot_transport(src: HomComplex, dst: HomComplex, carry) -> ChainMap:
-    """Slotwise linear map between mapping complexes; carry(n, i, basis) must
-    return flat image columns inside the matching slot of dst."""
+def _transport(src: HomComplex, dst: HomComplex, n: int, carry) -> Mat:
+    """Degree n of a slotwise map between mapping complexes; carry(i, b)
+    must return flat image columns of b inside slot i of dst."""
     fld = src.source.field
-    comps = {}
-    degs = set(src.slots) & set(dst.slots)
-    for n in degs:
-        dst_offsets = _slot_offsets(dst.slots[n])
-        rows, cols = dst.complex.term(n).dims[0], src.complex.term(n).dims[0]
-        if rows == 0 or cols == 0:
-            continue
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        col = 0
-        for i, b in src.slots[n]:
-            if i in dst_offsets:
-                off_i, basis_i = dst_offsets[i]
-                img = carry(n, i, b)
-                coords = kernel_coords(basis_i, Mat(fld, img))
-                if coords is None:
-                    raise AssertionError("transport left the intertwiner space")
-                mat[off_i : off_i + basis_i.cols, col : col + b.cols] = coords.a
-            col += b.cols
-        comps[n] = RepMap(src.complex.term(n), dst.complex.term(n), (Mat(fld, mat),))
-    return ChainMap(src.complex, dst.complex, comps)
+    dst_slots = dst.slots(n)
+    mat = np.zeros((dst.dim(n), src.dim(n)), dtype=np.int64)
+    for i, (col, b) in src.slots(n).items():
+        if i in dst_slots:
+            off, basis = dst_slots[i]
+            coords = kernel_coords(basis, Mat(fld, carry(i, b.a)))
+            if coords is None:
+                raise AssertionError("transport left the intertwiner space")
+            mat[off : off + basis.cols, col : col + b.cols] = coords.a
+    return Mat(fld, mat)
 
 
-def hom_postcompose(src: HomComplex, dst: HomComplex, f: ChainMap) -> ChainMap:
-    """hom(T, X) -> hom(T, Y) induced by f : X -> Y, between the given
-    mapping complexes src = hom(T, X) and dst = hom(T, Y)."""
+def hom_postcompose(src: HomComplex, dst: HomComplex, f: ChainMap, n: int) -> Mat:
+    """Degree n of hom(T, X) -> hom(T, Y), phi -> f phi, for f : X -> Y,
+    between the given mapping complexes src = hom(T, X) and dst = hom(T, Y)."""
     t = src.source
     if dst.source != t or src.target != f.source or dst.target != f.target:
         raise ValueError("postcomposition between the wrong mapping complexes")
-    return _hom_slot_transport(
-        src,
-        dst,
-        lambda n, i, b: post_op(f.comp(i + n), t.term(i), b.a),
-    )
+    return _transport(src, dst, n, lambda i, b: post_op(f.comp(i + n), t.term(i), b))
 
 
-def hom_precompose(src: HomComplex, dst: HomComplex, f: ChainMap) -> ChainMap:
-    """hom(Y, T) -> hom(X, T) induced by f : X -> Y, between the given
-    mapping complexes src = hom(Y, T) and dst = hom(X, T)."""
+def hom_precompose(src: HomComplex, dst: HomComplex, f: ChainMap, n: int) -> Mat:
+    """Degree n of hom(Y, T) -> hom(X, T), phi -> phi f, for f : X -> Y,
+    between the given mapping complexes src = hom(Y, T) and dst = hom(X, T)."""
     t = src.target
     if dst.target != t or src.source != f.target or dst.source != f.source:
         raise ValueError("precomposition between the wrong mapping complexes")
-    return _hom_slot_transport(
-        src,
-        dst,
-        lambda n, i, b: pre_op(f.comp(i), t.term(i + n), b.a),
-    )
+    return _transport(src, dst, n, lambda i, b: pre_op(f.comp(i), t.term(i + n), b))
 
 
 # -- block linear systems over chain data -------------------------------------
@@ -1207,99 +1206,28 @@ def solve_block_system(
     return {key: x.a[off : off + width, 0] for key, (off, width) in offsets.items()}, nullity
 
 
-# -- homotopies and lifts ------------------------------------------------------
-
-
-def _hom_bases_for_homotopy(x: Complex, y: Complex, step: int) -> dict[int, Mat]:
-    out = {}
-    degs = set()
-    if not x.is_zero() and not y.is_zero():
-        for n in x.support:
-            if not y.term(n + step).is_zero():
-                degs.add(n)
-    for n in degs:
-        out[n] = rep_hom_basis_flat(x.term(n), y.term(n + step))
-    return out
-
-
-def _graded_maps(
-    x: Complex, y: Complex, step: int, bases: dict[int, Mat], coords: dict[int, np.ndarray]
-) -> dict[int, RepMap]:
-    """Checked maps X_n -> Y_{n+step} with coordinates coords[n] in the flat
-    hom basis bases[n]."""
-    out = {}
-    for n, b in bases.items():
-        src, tgt = x.term(n), y.term(n + step)
-        out[n] = RepMap(src, tgt, graded_from_flat(src, tgt, (b.a @ coords[n]) % x.field.p))
-    return out
-
-
-def _by_degree(
-    offsets: dict[tuple[str, int], tuple[int, int]], sol: np.ndarray
-) -> dict[int, np.ndarray]:
-    """The pieces of a solution vector of block_matrix keyed (tag, n), by n."""
-    return {n: sol[off : off + width] for (_, n), (off, width) in offsets.items()}
+# -- homotopies and chain maps, on the mapping complex ----------------------------
 
 
 def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
-    """A homotopy from g to f, or None when the maps are not homotopic."""
+    """A homotopy from g to f, or None when the maps are not homotopic: the
+    solution of D_1 h = encode_0(f - g) with free variables zero."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("homotopy test needs shared endpoints")
-    x, y = f.source, f.target
-    delta = f - g
-    bases = _hom_bases_for_homotopy(x, y, 1)
-    unknowns = [(n, b.cols) for n, b in sorted(bases.items())]
-    equations = []
-    degs = set(x.support) | set(delta.comps)
-    for n in sorted(degs):
-        rowdim = flat_dim(x.term(n), y.term(n))
-        if rowdim == 0:
-            continue
-        coefs = []
-        if n in bases:
-            coefs.append((n, post_op(y.diff(n + 1), x.term(n), bases[n].a)))
-        if n - 1 in bases:
-            coefs.append((n - 1, pre_op(x.diff(n), y.term(n), bases[n - 1].a)))
-        equations.append((rowdim, coefs, delta.comp(n).flat()))
-    got = solve_block_system(x.field, unknowns, equations)
+    hom = hom_complex(f.source, f.target)
+    rhs = hom.encode(0, (f - g).comps)
+    got = solve(hom.diff(1), Mat(f.source.field, rhs.reshape(-1, 1)))
     if got is None:
         return None
-    return Homotopy(g, f, _graded_maps(x, y, 1, bases, got[0]))
-
-
-def chain_map_constraints(
-    x: Complex, y: Complex
-) -> tuple[dict[int, Mat], list[tuple[int, list[tuple[object, np.ndarray]]]]]:
-    """Degreewise hom bases plus the homogeneous chain-map law blocks."""
-    bases = _hom_bases_for_homotopy(x, y, 0)
-    equations = []
-    degs = set(x.support) | set(s + 1 for s in x.support)
-    for n in sorted(degs):
-        rowdim = flat_dim(x.term(n), y.term(n - 1))
-        if rowdim == 0:
-            continue
-        coefs = []
-        if n in bases:
-            coefs.append((("u", n), post_op(y.diff(n), x.term(n), bases[n].a)))
-        if n - 1 in bases:
-            pre = pre_op(x.diff(n), y.term(n - 1), bases[n - 1].a)
-            coefs.append((("u", n - 1), (-pre) % y.field.p))
-        equations.append((rowdim, coefs))
-    return bases, equations
+    return Homotopy(g, f, hom.decode(1, got[0].a[:, 0]))
 
 
 def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
-    """Deterministic basis of the space of chain maps X -> Y."""
-    bases, equations = chain_map_constraints(x, y)
-    unknowns = [(("u", n), b.cols) for n, b in sorted(bases.items())]
-    if not unknowns:
-        return []
-    m, offsets = block_matrix(x.field, unknowns, equations)
-    ker = kernel_basis(m)
-    return [
-        ChainMap(x, y, _graded_maps(x, y, 0, bases, _by_degree(offsets, ker.a[:, j])))
-        for j in range(ker.cols)
-    ]
+    """Deterministic basis of the space of chain maps X -> Y: the degree-0
+    cycles of the mapping complex, from the standard kernel basis of D_0."""
+    hom = hom_complex(x, y)
+    ker = kernel_basis(hom.diff(0))
+    return [hom.cycle_to_chain_map(0, ker.a[:, j]) for j in range(ker.cols)]
 
 
 # -- random generation ---------------------------------------------------------
@@ -1339,13 +1267,11 @@ def random_complex(
 
 
 def random_chain_map(x: Complex, y: Complex, rng: np.random.Generator) -> ChainMap:
-    """Uniform draw from the space of chain maps X -> Y."""
-    bases, equations = chain_map_constraints(x, y)
-    unknowns = [(("u", n), b.cols) for n, b in sorted(bases.items())]
-    if not unknowns:
+    """Uniform draw from the space of chain maps X -> Y: a random combination
+    of the kernel basis of D_0, drawing nothing when degree 0 is zero."""
+    hom = hom_complex(x, y)
+    if not hom.dim(0):
         return zero_map(x, y)
-    m, offsets = block_matrix(x.field, unknowns, equations)
-    ker = kernel_basis(m)
+    ker = kernel_basis(hom.diff(0))
     coeffs = rng.integers(0, x.field.p, size=ker.cols)
-    sol = (ker.a @ coeffs) % x.field.p
-    return ChainMap(x, y, _graded_maps(x, y, 0, bases, _by_degree(offsets, sol)))
+    return hom.cycle_to_chain_map(0, (ker.a @ coeffs) % x.field.p)

@@ -50,7 +50,6 @@ from .complexes import (
     zero_map,
 )
 from .linalg import rank
-from .quiver import RepMap
 from .tstruct import (
     TStructure,
     in_aisle,
@@ -270,18 +269,6 @@ def is_orthogonal(e: ChainMap, m: ChainMap) -> bool:
     )
 
 
-def _op(cm: ChainMap, n: int) -> np.ndarray:
-    return cm.comp(n).components[0].a
-
-
-def _diff(hc, n: int) -> np.ndarray:
-    return hc.complex.diff(n).components[0].a
-
-
-def _dim(hc, n: int) -> int:
-    return hc.complex.term(n).dims[0]
-
-
 def solve_lifting(
     sq: CommutingSquare,
 ) -> tuple[int, tuple[ChainMap, Homotopy, Homotopy] | None]:
@@ -302,34 +289,24 @@ def solve_lifting(
         sq.right.target,
     )
     fld = w_.field
-    hyx = hom_complex(y_, x_)
-    hwx = hom_complex(w_, x_)
-    hyz = hom_complex(y_, z_)
-    hwz = hom_complex(w_, z_)
-    pre_e_x = hom_precompose(hyx, hwx, sq.left)
-    pre_e_z = hom_precompose(hyz, hwz, sq.left)
-    post_m_y = hom_postcompose(hyx, hyz, sq.right)
-    post_m_w = hom_postcompose(hwx, hwz, sq.right)
-    u = hwx.encode(0, {i: sq.top.comp(i) for i in w_.support})
-    w = hyz.encode(0, {i: sq.bottom.comp(i) for i in y_.support})
-    hwit = hwz.encode(1, dict(sq.witness.comps))
+    hyx, hwx = hom_complex(y_, x_), hom_complex(w_, x_)
+    hyz, hwz = hom_complex(y_, z_), hom_complex(w_, z_)
+    e, m = sq.left, sq.right
+    u = hwx.encode(0, sq.top.comps)
+    w = hyz.encode(0, sq.bottom.comps)
+    hwit = hwz.encode(1, sq.witness.comps)
 
-    unknowns = [
-        ("a", _dim(hyx, 0)),
-        ("ht", _dim(hwx, 1)),
-        ("hb", _dim(hyz, 1)),
-        ("s", _dim(hwz, 2)),
-    ]
+    unknowns = [("a", hyx.dim(0)), ("ht", hwx.dim(1)), ("hb", hyz.dim(1)), ("s", hwz.dim(2))]
     equations = [
-        (_dim(hyx, -1), [("a", _diff(hyx, 0))], np.zeros(_dim(hyx, -1), dtype=np.int64)),
-        (_dim(hwx, 0), [("a", _op(pre_e_x, 0)), ("ht", -_diff(hwx, 1))], u),
-        (_dim(hyz, 0), [("a", _op(post_m_y, 0)), ("hb", -_diff(hyz, 1))], w),
+        (hyx.dim(-1), [("a", hyx.diff(0).a)], np.zeros(hyx.dim(-1), dtype=np.int64)),
+        (hwx.dim(0), [("a", hom_precompose(hyx, hwx, e, 0).a), ("ht", -hwx.diff(1).a)], u),
+        (hyz.dim(0), [("a", hom_postcompose(hyx, hyz, m, 0).a), ("hb", -hyz.diff(1).a)], w),
         (
-            _dim(hwz, 1),
+            hwz.dim(1),
             [
-                ("ht", _op(post_m_w, 1)),
-                ("hb", -_op(pre_e_z, 1)),
-                ("s", -_diff(hwz, 2)),
+                ("ht", hom_postcompose(hwx, hwz, m, 1).a),
+                ("hb", -hom_precompose(hyz, hwz, e, 1).a),
+                ("s", -hwz.diff(2).a),
             ],
             -hwit,
         ),
@@ -340,37 +317,30 @@ def solve_lifting(
     assign, ker_dim = sol
 
     gauge_unknowns = [
-        ("g", _dim(hyx, 1)),
-        ("lt", _dim(hwx, 2)),
-        ("lb", _dim(hyz, 2)),
-        ("mu", _dim(hwz, 3)),
+        ("g", hyx.dim(1)),
+        ("lt", hwx.dim(2)),
+        ("lb", hyz.dim(2)),
+        ("mu", hwz.dim(3)),
     ]
     gauge = [
-        (_dim(hyx, 0), [("g", _diff(hyx, 1))]),
-        (_dim(hwx, 1), [("g", _op(pre_e_x, 1)), ("lt", _diff(hwx, 2))]),
-        (_dim(hyz, 1), [("g", _op(post_m_y, 1)), ("lb", _diff(hyz, 2))]),
+        (hyx.dim(0), [("g", hyx.diff(1).a)]),
+        (hwx.dim(1), [("g", hom_precompose(hyx, hwx, e, 1).a), ("lt", hwx.diff(2).a)]),
+        (hyz.dim(1), [("g", hom_postcompose(hyx, hyz, m, 1).a), ("lb", hyz.diff(2).a)]),
         (
-            _dim(hwz, 2),
-            [("lt", _op(post_m_w, 2)), ("lb", -_op(pre_e_z, 2)), ("mu", _diff(hwz, 3))],
+            hwz.dim(2),
+            [
+                ("lt", hom_postcompose(hwx, hwz, m, 2).a),
+                ("lb", -hom_precompose(hyz, hwz, e, 2).a),
+                ("mu", hwz.diff(3).a),
+            ],
         ),
     ]
     gmat, _ = block_matrix(fld, gauge_unknowns, gauge)
     classes = fld.p ** (ker_dim - rank(gmat))
 
     a = hyx.cycle_to_chain_map(0, assign["a"])
-    a = ChainMap(y_, x_, a.comps)
-    ht_graded = hwx.decode(1, assign["ht"])
-    ht = Homotopy(
-        sq.top,
-        compose(a, sq.left),
-        {i: RepMap(w_.term(i), x_.term(i + 1), m) for i, m in ht_graded.items()},
-    )
-    hb_graded = hyz.decode(1, assign["hb"])
-    hb = Homotopy(
-        sq.bottom,
-        compose(sq.right, a),
-        {i: RepMap(y_.term(i), z_.term(i + 1), m) for i, m in hb_graded.items()},
-    )
+    ht = Homotopy(sq.top, compose(a, e), hwx.decode(1, assign["ht"]))
+    hb = Homotopy(sq.bottom, compose(m, a), hyz.decode(1, assign["hb"]))
     return classes, (a, ht, hb)
 
 

@@ -10,11 +10,12 @@ arithmetic makes lawful from lawful inputs: composites, sums and differences
 of maps with equal endpoints, negatives, scalar multiples, zero and identity
 maps.  Raw components from outside (documents, solvers, kernels and
 quotients) always go through the checking constructor.  Complex._unchecked
-skips only the dense d² product: hom_complex checks that law on flat graded
-maps (see its docstring), graded sums (cones, fibers, direct sums, homotopy
-(co)limits) on their blocks, and shift negates a lawful differential.  The
-inclusions and projections of a graded sum use ChainMap._unchecked, and
-are refused where a twist would break them.
+skips only the dense d² product: each hom-complex differential checks that
+law on flat graded maps as it is built (see HomComplex), graded sums
+(cones, fibers, direct sums, homotopy (co)limits) on their blocks, and
+shift negates a lawful differential.  The inclusions and projections of a
+graded sum use ChainMap._unchecked, and are refused where a twist would
+break them.
 """
 
 from __future__ import annotations

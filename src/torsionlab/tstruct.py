@@ -27,10 +27,12 @@ from .complexes import (
     CommutingSquare,
     Complex,
     Homotopy,
-    chain_map_constraints,
     compose,
     cofib,
     fib,
+    hom_complex,
+    hom_postcompose,
+    hom_precompose,
     homology_dims,
     identity_map,
     random_chain_map,
@@ -38,16 +40,11 @@ from .complexes import (
     solve_block_system,
     zero_complex,
     zero_map,
-    _graded_maps,
-    _hom_bases_for_homotopy,
 )
 from .linalg import Mat, kernel_coords
 from .quiver import (
     QuiverRep,
     RepMap,
-    flat_dim,
-    post_op,
-    pre_op,
     quotient_rep,
     rep_kernel,
 )
@@ -296,47 +293,27 @@ def heart_comparison(f: HeartMorphism) -> tuple[ChainMap, Homotopy]:
 
     u is the deterministic solution of: u a chain map with
     (image mono) . u . (coimage epi) homotopic to f.  Up to homotopy there is
-    exactly one such u, so the certificate is canonical.
+    exactly one such u, so the certificate is canonical.  The system is
+    posed on mapping complexes: u in Hom(coim, img)_0 with D_0 u = 0, and h
+    in Hom(X, Y)_1 with mono u epi - D_1 h = f in Hom(X, Y)_0.
     """
     epi = heart_coimage(f)
     mono = heart_image(f)
-    x = f.source
-    y = f.target
-    coim = epi.target
-    img = mono.source
-    fld = x.field
-    u_bases, u_equations = chain_map_constraints(coim, img)
-    h_bases = _hom_bases_for_homotopy(x, y, 1)
-    unknowns = [(("u", k), b.cols) for k, b in sorted(u_bases.items())] + [
-        (("h", k), b.cols) for k, b in sorted(h_bases.items())
+    x, y = f.source, f.target
+    coim, img = epi.target, mono.source
+    hu, hh, via = hom_complex(coim, img), hom_complex(x, y), hom_complex(x, img)
+    through = hom_postcompose(via, hh, mono.map, 0) @ hom_precompose(hu, via, epi.map, 0)
+    unknowns = [("u", hu.dim(0)), ("h", hh.dim(1))]
+    equations = [
+        (hu.dim(-1), [("u", hu.diff(0).a)], np.zeros(hu.dim(-1), dtype=np.int64)),
+        (hh.dim(0), [("u", through.a), ("h", -hh.diff(1).a)], hh.encode(0, f.map.comps)),
     ]
-    equations = [(r, c, np.zeros(r, dtype=np.int64)) for r, c in u_equations]
-    for k in sorted(set(x.support) | set(f.map.comps)):
-        rowdim = flat_dim(x.term(k), y.term(k))
-        if rowdim == 0:
-            continue
-        coefs = []
-        if k in u_bases:
-            through = post_op(
-                mono.map.comp(k), x.term(k), pre_op(epi.map.comp(k), img.term(k), u_bases[k].a)
-            )
-            coefs.append((("u", k), through))
-        if k in h_bases:
-            post = post_op(y.diff(k + 1), x.term(k), h_bases[k].a)
-            coefs.append((("h", k), (-post) % fld.p))
-        if k - 1 in h_bases:
-            pre = pre_op(x.diff(k), y.term(k), h_bases[k - 1].a)
-            coefs.append((("h", k - 1), (-pre) % fld.p))
-        equations.append((rowdim, coefs, f.map.comp(k).flat()))
-    got = solve_block_system(fld, unknowns, equations)
+    got = solve_block_system(x.field, unknowns, equations)
     if got is None:
         raise AssertionError("first-isomorphism comparison has no solution")
     assign, _ = got
-    u_coords = {k: assign[("u", k)] for k in u_bases}
-    h_coords = {k: assign[("h", k)] for k in h_bases}
-    u = ChainMap(coim, img, _graded_maps(coim, img, 0, u_bases, u_coords))
-    h_comps = _graded_maps(x, y, 1, h_bases, h_coords)
-    wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), h_comps)
+    u = hu.cycle_to_chain_map(0, assign["u"])
+    wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), hh.decode(1, assign["h"]))
     return u, wit
 
 

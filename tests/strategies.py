@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from torsionlab.complexes import random_chain_map, random_complex
+from torsionlab.complexes import ChainMap, HomComplex, random_chain_map, random_complex
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import (
     Quiver,
@@ -78,3 +78,15 @@ def random_rep_map(a: QuiverRep, b: QuiverRep, rng: np.random.Generator) -> RepM
     coeffs = rng.integers(0, a.field.p, size=(basis.cols, 1))
     vec = (basis.a @ coeffs) % a.field.p
     return RepMap(a, b, graded_from_flat(a, b, vec.reshape(-1)))
+
+
+def transport_map(transport, src: HomComplex, dst: HomComplex, f: ChainMap) -> ChainMap:
+    """The checked chain map src.complex -> dst.complex whose degree-n
+    component is transport(src, dst, f, n) (hom_postcompose or
+    hom_precompose)."""
+    a, b = src.complex, dst.complex
+    comps = {
+        n: RepMap(a.term(n), b.term(n), (transport(src, dst, f, n),))
+        for n in set(a.support) | set(b.support)
+    }
+    return ChainMap(a, b, comps)

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import torsionlab.complexes as complexes_module
-from tests.strategies import chain_maps, complexes, random_rep_map
+from tests.strategies import chain_maps, complexes, random_rep_map, transport_map
 from torsionlab.complexes import (
     ChainMap,
     CommutingSquare,
@@ -42,7 +42,6 @@ from torsionlab.complexes import (
     homotopy_pushout,
     identity_map,
     induced_homology_map,
-    is_acyclic,
     is_cartesian,
     is_cocartesian,
     is_pullout,
@@ -223,7 +222,7 @@ def test_shift_moves_homology(x, k):
 
 def test_cone_of_identity_is_acyclic():
     x = _pt_complex(F2, 0, [2, 1], [[[1], [0]]])
-    assert is_acyclic(cone(identity_map(x)).complex)
+    assert not any(any(d) for d in homology_dims(cone(identity_map(x)).complex).values())
 
 
 def test_cone_of_map_from_zero_is_target():
@@ -323,8 +322,9 @@ def test_hom_zero_cycles_are_chain_maps():
 
 
 def test_hom_complex_checks_the_d_squared_law():
-    """hom_complex builds its result without the dense d² product; its own
-    graded-map check must still reject inputs whose d² is not zero."""
+    """Each hom differential D_n is built without the dense d² product; its
+    own graded-map check must still reject inputs whose d² is not zero,
+    when the whole complex is assembled and when a solver reads D_1 alone."""
     ones = [[[1]], [[1]]]
     with pytest.raises(ValueError, match="d-squared law fails"):
         _pt_complex(F2, 0, [1, 1, 1], ones)
@@ -332,7 +332,11 @@ def test_hom_complex_checks_the_d_squared_law():
     bad = Complex._unchecked(PT, F2, 0, c.terms, (c.diffs[0], c.diffs[0]))
     for x, y in ((bad, _simple(F2)), (_simple(F2), bad)):
         with pytest.raises(ValueError, match="d-squared law fails"):
-            hom_complex(x, y)
+            hom_complex(x, y).complex
+    # D_1 of Hom(bad, S[1]) and Hom(S[1], bad) meets d² through degree -1
+    for x, y in ((bad, _simple(F2, 1)), (_simple(F2, 1), bad)):
+        with pytest.raises(ValueError, match="d-squared law fails"):
+            homotopic(zero_map(x, y), zero_map(x, y))
 
 
 KRONECKER = Quiver(("a", "b"), (("a", "b"), ("a", "b")))
@@ -787,9 +791,69 @@ def test_hom_transports_refuse_the_wrong_mapping_complexes():
     f = _rand_map(46, quiver=Quiver.a2(), field=F3)
     x, y = f.source, f.target
     with pytest.raises(ValueError, match="postcomposition between the wrong"):
-        hom_postcompose(hom_complex(x, y), hom_complex(x, y), f)
+        hom_postcompose(hom_complex(x, y), hom_complex(x, y), f, 0)
     with pytest.raises(ValueError, match="precomposition between the wrong"):
-        hom_precompose(hom_complex(x, x), hom_complex(x, x), f)
-    post = hom_postcompose(hom_complex(x, x), hom_complex(x, y), f)
-    pre = hom_precompose(hom_complex(y, y), hom_complex(x, y), f)
-    assert post.target == pre.target == hom_complex(x, y).complex
+        hom_precompose(hom_complex(x, x), hom_complex(x, x), f, 0)
+    hxy = hom_complex(x, y)
+    for n in (-1, 0, 1):
+        post = hom_postcompose(hom_complex(x, x), hxy, f, n)
+        pre = hom_precompose(hom_complex(y, y), hxy, f, n)
+        assert post.rows == pre.rows == hxy.dim(n)
+
+
+@given(
+    st.sampled_from((PT, Quiver.a2(), KRONECKER)),
+    st.sampled_from((2, 3, 5)),
+    st.integers(0, 2**32 - 1),
+)
+def test_hom_transports_commute_with_the_hom_differentials(quiver, p, seed):
+    """D_n T_n = T_{n-1} D_n in every degree for both transports, so the
+    chain-map check they no longer make would have passed."""
+    rng = np.random.default_rng(seed)
+    x, y, t = (random_complex(quiver, PrimeField(p), rng, max_dim=2, lo=-2, hi=2) for _ in "xyt")
+    f = random_chain_map(x, y, rng)
+    pairs = (
+        (hom_postcompose, hom_complex(t, x), hom_complex(t, y)),
+        (hom_precompose, hom_complex(y, t), hom_complex(x, t)),
+    )
+    for transport, src, dst in pairs:
+        for n in range(-5, 6):
+            lhs = dst.diff(n) @ transport(src, dst, f, n)
+            assert lhs == transport(src, dst, f, n - 1) @ src.diff(n)
+        transport_map(transport, src, dst, f)  # the checking constructor agrees
+
+
+def test_solvers_build_only_the_degrees_they_read(monkeypatch):
+    """homotopic reads D_1 (degrees 1 and 0); chain_map_basis and
+    random_chain_map read D_0 (degrees 0 and -1; random_chain_map reads only
+    degree 0 when it is zero).  rep_hom_basis_flat runs once per slot of
+    those degrees and for no other degree."""
+    rng = np.random.default_rng(48)
+    pairs = []
+    for quiver in (PT, Quiver.a2(), KRONECKER):
+        for _ in range(4):
+            x, y = (random_complex(quiver, F3, rng, max_dim=2, lo=-2, hi=2) for _ in "xy")
+            drawn = (-1,) if hom_complex(x, y).dim(0) else ()
+            pairs.append((x, y, random_chain_map(x, y, rng), drawn))
+
+    def slot_count(x, y, degrees):
+        return sum(
+            not (x.term(i).is_zero() or y.term(i + n).is_zero())
+            for n in degrees
+            for i in x.support
+        )
+
+    built = []
+    original = complexes_module.rep_hom_basis_flat
+    monkeypatch.setattr(
+        complexes_module, "rep_hom_basis_flat", _counted(built, "basis", original)
+    )
+    for x, y, f, drawn in pairs:
+        for run, degrees in (
+            (lambda: homotopic(f, f), (1, 0)),
+            (lambda: chain_map_basis(x, y), (0, -1)),
+            (lambda: random_chain_map(x, y, rng), (0, *drawn)),
+        ):
+            built.clear()
+            run()
+            assert len(built) == slot_count(x, y, degrees)

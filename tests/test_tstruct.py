@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tests.strategies import complexes
+from tests.strategies import complexes, transport_map
 from torsionlab.complexes import (
     ChainMap,
     Complex,
@@ -22,7 +22,6 @@ from torsionlab.complexes import (
     homology_dims,
     identity_map,
     induced_homology_map,
-    is_acyclic,
     is_pullout,
     is_quasi_iso,
     random_chain_map,
@@ -290,12 +289,11 @@ def test_mapping_complexes_never_keep_cuts():
     f = random_chain_map(x, y, np.random.default_rng(33))
     assert x._cuts is None
     homs = [hom_complex(x, y), hom_complex(truncate_ge(x, T0)[0], truncate_lt(y, T0)[0])]
-    post = hom_postcompose(hom_complex(x, x), hom_complex(x, y), f)
-    pre = hom_precompose(hom_complex(y, y), hom_complex(x, y), f)
-    homs += [post.source, pre.target]
+    homs += [hom_complex(x, x), hom_complex(y, y)]
+    transport_map(hom_postcompose, homs[2], homs[0], f)
+    transport_map(hom_precompose, homs[3], homs[0], f)
     assert x._cuts is not None and y._cuts is not None
-    assert all(h.complex._cuts is None for h in homs[:2])
-    assert all(c._cuts is None for c in homs[2:])
+    assert all(h.complex._cuts is None for h in homs)
 
 
 # -- heart ------------------------------------------------------------------------
@@ -316,8 +314,8 @@ def test_heart_kernel_of_identity_and_zero():
     t = TStructure(0)
     a = random_heart_object(PT, F2, t, rng)
     ident = HeartMorphism(identity_map(a), t)
-    assert is_acyclic(heart_kernel(ident).source)
-    assert is_acyclic(heart_cokernel(ident).target)
+    for c in (heart_kernel(ident).source, heart_cokernel(ident).target):
+        assert not any(any(d) for d in homology_dims(c).values())
     b = random_heart_object(PT, F2, t, rng)
     z = HeartMorphism(zero_map(a, b), t)
     assert is_quasi_iso(heart_kernel(z).map)  # kernel of 0 is all of the source
@@ -390,8 +388,11 @@ def test_kernel_universal_property_via_mapping_complexes():
     for f in _heart_cases(8, 13):
         k = heart_kernel(f)
         test_obj = random_heart_object(f.map.source.quiver, f.map.source.field, t, rng)
-        post = hom_postcompose(
-            hom_complex(test_obj, f.map.source), hom_complex(test_obj, f.map.target), f.map
+        post = transport_map(
+            hom_postcompose,
+            hom_complex(test_obj, f.map.source),
+            hom_complex(test_obj, f.map.target),
+            f.map,
         )
         h0 = induced_homology_map(post, 0)
         ker_dim = h0.source.dims[0] - rank(h0.components[0])
@@ -406,8 +407,11 @@ def test_cokernel_universal_property_via_mapping_complexes():
     for f in _heart_cases(8, 15):
         c = heart_cokernel(f)
         test_obj = random_heart_object(f.map.source.quiver, f.map.source.field, t, rng)
-        pre = hom_precompose(
-            hom_complex(f.map.target, test_obj), hom_complex(f.map.source, test_obj), f.map
+        pre = transport_map(
+            hom_precompose,
+            hom_complex(f.map.target, test_obj),
+            hom_complex(f.map.source, test_obj),
+            f.map,
         )
         h0 = induced_homology_map(pre, 0)
         ker_dim = h0.source.dims[0] - rank(h0.components[0])
