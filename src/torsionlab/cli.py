@@ -129,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--cases", type=int)
     p.add_argument("--prime", type=int, help="restrict to a single prime")
-    p.add_argument("--quiver", help="restrict to a single quiver")
+    p.add_argument(
+        "--quiver", help="restrict to one quiver: point, a2, a3, kronecker, d4 or a JSON file"
+    )
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(run=_cmd_verify)
 

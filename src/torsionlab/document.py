@@ -113,7 +113,10 @@ def _as_matrix(fld: PrimeField, rows, rows_want: int, cols_want: int, where: str
             f"{where}: expected a {rows_want}x{cols_want} matrix, got "
             f"{len(rows)}x{len(rows[0]) if rows else 0}"
         )
-    a = np.array(rows, dtype=np.int64).reshape(rows_want, cols_want)
+    try:
+        a = np.array(rows, dtype=np.int64).reshape(rows_want, cols_want)
+    except ValueError as exc:  # an empty matrix with a dimension numpy cannot hold
+        raise DocumentError(f"{where}: {exc}") from None
     return Mat(fld, a)
 
 
@@ -165,7 +168,7 @@ def parse_document(text: str) -> Document:
     try:
         fld = PrimeField(p)
     except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+        raise DocumentError(f"prime: {exc}") from None
     qtree = tree.get("quiver")
     if not isinstance(qtree, dict):
         raise DocumentError("quiver section missing")

@@ -82,17 +82,30 @@ __all__ = [
 REPORT_VERSION = 1
 
 
+# Named shapes: besides point and a2, the path a -> b -> c, the Kronecker
+# quiver (two parallel arrows a -> b) and D4 with its three arms pointing at d.
+_NAMED_QUIVERS = {
+    "point": Quiver.point(),
+    "one-vertex": Quiver.point(),
+    "1": Quiver.point(),
+    "a2": Quiver.a2(),
+    "a3": Quiver(("a", "b", "c"), (("a", "b"), ("b", "c"))),
+    "kronecker": Quiver(("a", "b"), (("a", "b"), ("a", "b"))),
+    "d4": Quiver(("a", "b", "c", "d"), (("a", "d"), ("b", "d"), ("c", "d"))),
+}
+
+
 def resolve_quiver(name: str) -> Quiver:
     """A named shape, or a path to a JSON file with vertices and arrows."""
     key = name.strip().lower()
-    if key in ("point", "one-vertex", "1"):
-        return Quiver.point()
-    if key == "a2":
-        return Quiver.a2()
+    if key in _NAMED_QUIVERS:
+        return _NAMED_QUIVERS[key]
     if os.path.exists(name):
         with open(name, encoding="utf-8") as fh:
             return parse_quiver(json.load(fh))
-    raise ValueError(f"unknown quiver {name!r} (try point, a2, or a file path)")
+    raise ValueError(
+        f"unknown quiver {name!r} (try point, a2, a3, kronecker, d4, or a file path)"
+    )
 
 
 @dataclass(frozen=True)

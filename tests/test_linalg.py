@@ -299,12 +299,25 @@ def _low_rank(rng, p, rows, cols):
     return a % p
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+# Both sides of _SMALL_CELLS: squares up to 24 x 24, tall 40 x 8 and wide
+# 8 x 40, and arrays without rows or columns, as (rows, cols, attached
+# right-side columns); the random draws below add more squares and rectangles.
+# The 0 x 6 array with 3 attached columns is the empty augmented system that a
+# kernel must not write its (empty) row list back into.
+KERNEL_SHAPES = [(0, 0, 2), (0, 6, 3), (6, 0, 2), (40, 8, 3), (8, 40, 2), (24, 24, 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1_048_573])
 def test_elimination_matches_plain_gauss_jordan(p):
+    """Each elimination kernel, called directly on the same arrays, and the
+    answers rref and solve build on _eliminate, equal a plain-Python
+    Gauss-Jordan; with attached right sides (limit < cols) too.  1,048,573
+    is the largest prime PrimeField accepts."""
     fld = PrimeField(p)
+    kernels = (torsionlab.linalg._eliminate_ints, torsionlab.linalg._eliminate_numpy)
     rng = np.random.default_rng(p)
-    for _ in range(150):
-        rows, cols, k = (int(v) for v in rng.integers(0, 8, size=3))
+    shapes = KERNEL_SHAPES + [tuple(int(v) for v in rng.integers(0, 25, size=3)) for _ in range(60)]
+    for rows, cols, k in shapes:
         if rng.random() < 0.5:
             m = Mat(fld, _low_rank(rng, p, rows, cols))
         else:
@@ -319,6 +332,10 @@ def test_elimination_matches_plain_gauss_jordan(p):
         else:
             b = Mat(fld, rng.integers(0, p, size=(rows, k)))
         aug, piv = _gauss_jordan([r + s for r, s in zip(m.tolist(), b.tolist())], p, cols)
+        for kernel in kernels:
+            a = np.concatenate([m.a, b.a], axis=1)
+            assert kernel(a, p, cols) == piv
+            assert a.tolist() == aug
         sol = solve(m, b)
         if any(e for r in aug[len(piv):] for e in r[cols:]):
             assert sol is None

@@ -27,6 +27,7 @@ from torsionlab.linalg import PrimeField
 from torsionlab.quiver import Quiver, RepMap
 from torsionlab.suite import (
     SuiteConfig,
+    property_names,
     render_tree,
     replay_case,
     report_json,
@@ -52,6 +53,17 @@ def test_all_properties_pass_small():
     assert {r.name for r in report.results} >= {"t-axioms", "factorization", "postnikov"}
     text = report_text(report)
     assert "suite ok" in text and "PASS" in text
+
+
+@pytest.mark.parametrize("quiver", ["a3", "kronecker", "d4"])
+def test_all_properties_pass_on_named_quivers(quiver):
+    """Every property on the named quivers past point and a2, outside the
+    timed default config: longer paths, parallel arrows and a branch point
+    put wider flat hom matrices through both elimination kernels."""
+    report = run_suite(SuiteConfig(quivers=(quiver,), cases=20))
+    assert [r.name for r in report.results] == list(property_names())
+    assert all(r.cases >= 20 for r in report.results)
+    assert report.ok, [r.counterexample for r in report.results if r.failed]
 
 
 def test_trusted_constructions_pass_the_checks_they_skip(monkeypatch):
@@ -157,7 +169,9 @@ def test_resolve_quiver_names_and_files(tmp_path):
     assert resolve_quiver("A2") == Quiver.a2()
     path = tmp_path / "kronecker.json"
     path.write_text(json.dumps({"vertices": ["a", "b"], "arrows": [["a", "b"], ["a", "b"]]}))
-    assert len(resolve_quiver(str(path)).arrows) == 2
+    assert resolve_quiver(str(path)) == resolve_quiver("Kronecker")
+    assert resolve_quiver("a3").arrows == (("a", "b"), ("b", "c"))
+    assert len(resolve_quiver("d4").vertices) == 4
     with pytest.raises(ValueError, match="unknown quiver"):
         resolve_quiver("heptagon")
 
