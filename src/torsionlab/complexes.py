@@ -380,15 +380,10 @@ class Homotopy:
         object.__setattr__(self, "from_map", from_map)
         object.__setattr__(self, "to_map", to_map)
         object.__setattr__(self, "comps", kept)
-        degs = [x.lo, x.hi, y.lo, y.hi]
-        for n in range(min(degs) - 1, max(degs) + 2):
-            if not (
-                n in kept
-                or n - 1 in kept
-                or n in to_map.comps
-                or n in from_map.comps
-            ):
-                continue  # both sides are zero
+        # both sides of the law at n vanish unless a component of h sits at
+        # n or n - 1, or one of the two maps has one at n
+        degs = {m for k in kept for m in (k, k + 1)} | set(from_map.comps) | set(to_map.comps)
+        for n in sorted(degs):
             # from + d h + h d = to, an absent map or differential being zero
             got = _plus(
                 _plus(from_map.comps.get(n), _after(y._stored_diff(n + 1), kept.get(n))),

@@ -84,8 +84,6 @@ __all__ = [
     "semiexact_check",
     "in_E_via_reconstruction",
     "roundtrip_check",
-    "cobase_change",
-    "base_change",
     "antitone_check",
 ]
 
@@ -369,16 +367,6 @@ def sator_check(a: Complex, tt: TorsionTheory) -> bool:
     return in_E(initial, tt) == in_E(terminal, tt) and in_M(initial, tt) == in_M(
         terminal, tt
     )
-
-
-def cobase_change(f: ChainMap, along: ChainMap) -> ChainMap:
-    """The pushout of f against along (shared source); E is closed under these."""
-    return homotopy_pushout(f, along).inj_second
-
-
-def base_change(f: ChainMap, along: ChainMap) -> ChainMap:
-    """The pullback of f against along (shared target); M is closed under these."""
-    return homotopy_pullback(f, along).proj_second
 
 
 def antitone_check(f: ChainMap, lower: TorsionTheory, higher: TorsionTheory) -> bool:

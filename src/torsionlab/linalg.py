@@ -40,8 +40,6 @@ __all__ = [
     "solve",
     "inverse",
     "quotient",
-    "hstack",
-    "vstack",
 ]
 
 
@@ -69,12 +67,6 @@ class PrimeField:
             raise ValueError(f"modulus {self.p} too large for exact arithmetic")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
 
     def __repr__(self) -> str:
         return f"F{self.p}"
@@ -153,9 +145,6 @@ class Mat:
     def __neg__(self) -> "Mat":
         return Mat(self.field, -self.a)
 
-    def scale(self, c: int) -> "Mat":
-        return Mat(self.field, self.a * (c % self.field.p))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
@@ -167,36 +156,8 @@ class Mat:
 
     __hash__ = None
 
-    def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.a]
-
-    def flat(self) -> np.ndarray:
-        return self.a.reshape(-1)
-
     def __repr__(self) -> str:
         return f"Mat({self.field}, {self.rows}x{self.cols})"
-
-
-def hstack(mats: list[Mat]) -> Mat:
-    if not mats:
-        raise ValueError("hstack of nothing")
-    field = mats[0].field
-    rows = mats[0].rows
-    for m in mats:
-        if m.field != field or m.rows != rows:
-            raise ValueError("hstack pieces disagree")
-    return Mat(field, np.concatenate([m.a for m in mats], axis=1))
-
-
-def vstack(mats: list[Mat]) -> Mat:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    field = mats[0].field
-    cols = mats[0].cols
-    for m in mats:
-        if m.field != field or m.cols != cols:
-            raise ValueError("vstack pieces disagree")
-    return Mat(field, np.concatenate([m.a for m in mats], axis=0))
 
 
 # The cut-off between the two elimination kernels, in cells.  Measured on a

@@ -213,9 +213,6 @@ class RepMap:
         comps = tuple(Mat.identity(rep.field, d) for d in rep.dims)
         return cls._unchecked(rep, rep, comps)
 
-    def component(self, vertex: str) -> Mat:
-        return self.components[self.source.quiver.index(vertex)]
-
     def compose(self, other: "RepMap") -> "RepMap":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
@@ -242,11 +239,6 @@ class RepMap:
 
     def __neg__(self) -> "RepMap":
         return RepMap._unchecked(self.source, self.target, tuple(-c for c in self.components))
-
-    def scale(self, c: int) -> "RepMap":
-        return RepMap._unchecked(
-            self.source, self.target, tuple(m.scale(c) for m in self.components)
-        )
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)

@@ -6,6 +6,10 @@ property i under seed s uses the generator seeded with [s, i, k], and the
 therefore byte-identical for identical configs.  Cases run in order, and
 the counterexample is always the lowest failing case.
 
+A case returns nothing when it passes, and raises _Fail with a detail and
+the objects that show it when it fails.  _run_case builds each
+counterexample once, reading its document and prime off those objects.
+
 Truncation entry points are called through the tstruct module object
 rather than imported names, so a deliberately corrupted truncation
 (swapped in by a test) is picked up here and surfaces as a failing
@@ -47,7 +51,7 @@ from .complexes import (
     zero_complex,
     zero_map,
 )
-from .document import Document, document_of, parse_quiver, serialize_document
+from .document import document_of, parse_quiver, serialize_document
 from .factorization import (
     TorsionTheory,
     antitone_check,
@@ -285,8 +289,13 @@ def _sphere(quiver: Quiver, fld: PrimeField, n: int) -> Complex:
     return Complex(quiver, fld, n, (QuiverRep(quiver, fld, dims, mats),), ())
 
 
-def _doc(quiver, fld, complexes=None, maps=None) -> Document:
-    return document_of(quiver, fld, complexes=complexes, maps=maps)
+class _Fail(Exception):
+    """A failing case: what broke, and the complexes and maps that show it.
+    _run_case turns it into the counterexample's detail and document."""
+
+    def __init__(self, detail: str, complexes=None, maps=None):
+        super().__init__(detail)
+        self.detail, self.complexes, self.maps = detail, complexes, maps
 
 
 # -- the properties -------------------------------------------------------------
@@ -310,22 +319,16 @@ def _case_pullout(rng, fld, quiver, cut, config, case):
         zero_map(x, z0), zero_map(x, z0), zero_map(z0, x), zero_map(z0, x)
     )
     for tag, sq in (("cone", sq_cone), ("pullback", sq_pb), ("zero", sq_zero)):
-        cart, cocart = is_cartesian(sq), is_cocartesian(sq)
-        if cart != cocart:
-            return {
-                "detail": f"cartesian/cocartesian disagree on the {tag} square",
-                "document": _doc(quiver, fld, maps={"f": f, "g": g}),
-            }
+        if is_cartesian(sq) != is_cocartesian(sq):
+            raise _Fail(
+                f"cartesian/cocartesian disagree on the {tag} square", maps={"f": f, "g": g}
+            )
     fb = fib(f)
     sq_fib = CommutingSquare(
         fb.to_source, zero_map(fb.complex, z0), f, zero_map(z0, y), fb.null_wit
     )
     if not is_pullout(sq_fib):
-        return {
-            "detail": "fiber square is not a pullout",
-            "document": _doc(quiver, fld, maps={"f": f}),
-        }
-    return None
+        raise _Fail("fiber square is not a pullout", maps={"f": f})
 
 
 def _case_t_axioms(rng, fld, quiver, cut, config, case):
@@ -334,48 +337,40 @@ def _case_t_axioms(rng, fld, quiver, cut, config, case):
     y = _draw_small(rng, fld, quiver, config)
     sx, _ = tstruct.truncate_ge(x, t)
     ry, _ = tstruct.truncate_lt(y, t)
-
-    def fail(detail):
-        return {"detail": detail, "document": _doc(quiver, fld, {"x": x, "y": y})}
-
+    shown = {"x": x, "y": y}
     hom = hom_complex(sx, ry)
     for n, dims in homology_dims(hom.complex).items():
         if n >= 0 and any(dims):
-            return fail(f"hom of upper part into lower part has homology at {n}")
+            raise _Fail(f"hom of upper part into lower part has homology at {n}", shown)
     if not (tstruct.in_coaisle(sx, t) and tstruct.in_coaisle(shift(sx, 1), t)):
-        return fail("upper truncation not shift-stable")
+        raise _Fail("upper truncation not shift-stable", shown)
     if not (tstruct.in_aisle(ry, t) and tstruct.in_aisle(shift(ry, -1), t)):
-        return fail("lower truncation not shift-stable")
+        raise _Fail("lower truncation not shift-stable", shown)
     if not is_pullout(tstruct.truncation_square(x, t)):
-        return fail("truncation square is not a pullout")
-    return None
+        raise _Fail("truncation square is not a pullout", shown)
 
 
 def _case_factorization(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory(tstruct.TStructure(cut))
+    tt = TorsionTheory.at(cut)
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
-
-    def fail(detail):
-        return {"detail": detail, "document": _doc(quiver, fld, maps={"f": f})}
-
+    shown = {"f": f}
     fac = factor(f, tt)
     if not in_E(fac.e, tt):
-        return fail("left factor is not inverted by the lower truncation")
+        raise _Fail("left factor is not inverted by the lower truncation", maps=shown)
     if not in_M(fac.m, tt):
-        return fail("right factor is not inverted by the upper truncation")
+        raise _Fail("right factor is not inverted by the upper truncation", maps=shown)
     if compose(fac.m, fac.e) != f:
-        return fail("factorization composite differs from the map")
+        raise _Fail("factorization composite differs from the map", maps=shown)
     if not is_quasi_iso(factor(fac.m, tt).e):
-        return fail("re-factoring the right factor gives a non-invertible left part")
+        raise _Fail("re-factoring the right factor gives a non-invertible left part", maps=shown)
     if not is_quasi_iso(factor(fac.e, tt).m):
-        return fail("re-factoring the left factor gives a non-invertible right part")
-    return None
+        raise _Fail("re-factoring the left factor gives a non-invertible right part", maps=shown)
 
 
 def _case_lifting(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory(tstruct.TStructure(cut))
+    tt = TorsionTheory.at(cut)
     if case % 7 < 5:
         x = _draw_small(rng, fld, quiver, config)
         y = _draw_small(rng, fld, quiver, config)
@@ -388,16 +383,12 @@ def _case_lifting(rng, fld, quiver, cut, config, case):
             compose(glue, e), e, m, compose(m, glue)
         )
         count, witness = solve_lifting(sq)
+        shown = {"e": e, "m": m, "glue": glue}
         if not is_orthogonal(e, m):
-            detail = "orthogonality fails on a factored pair"
-        elif count != 1 or witness is None:
-            detail = f"expected a unique filler class, solver found {count}"
-        else:
-            return None
-        return {
-            "detail": detail,
-            "document": _doc(quiver, fld, maps={"e": e, "m": m, "glue": glue}),
-        }
+            raise _Fail("orthogonality fails on a factored pair", maps=shown)
+        if count != 1 or witness is None:
+            raise _Fail(f"expected a unique filler class, solver found {count}", maps=shown)
+        return
     # constructed non-orthogonal pair: a stalk at the cut receives from the
     # initial object in E, but its collapse is not in M
     s = _sphere(quiver, fld, cut)
@@ -407,145 +398,107 @@ def _case_lifting(rng, fld, quiver, cut, config, case):
     sq = CommutingSquare.strict(zero_map(z0, s), e, m, zero_map(s, z0))
     count, _ = solve_lifting(sq)
     if is_orthogonal(e, m) or count == 1:
-        return {
-            "detail": f"non-orthogonal stalk pair not detected (count {count})",
-            "document": _doc(quiver, fld, {"s": s}),
-        }
-    return None
+        raise _Fail(f"non-orthogonal stalk pair not detected (count {count})", {"s": s})
 
 
 def _case_normality(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory(tstruct.TStructure(cut))
     x = _draw(rng, fld, quiver, config)
-    report = normality_report(x, tt)
+    report = normality_report(x, TorsionTheory.at(cut))
     if not (report.all_hold() and report.agree()):
-        return {
-            "detail": f"normality conditions disagree: {report.as_tuple()}",
-            "document": _doc(quiver, fld, {"x": x}),
-        }
-    return None
+        raise _Fail(f"normality conditions disagree: {report.as_tuple()}", {"x": x})
 
 
 def _case_semiexact(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory(tstruct.TStructure(cut))
+    tt = TorsionTheory.at(cut)
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
     if not semiexact_check(f, tt):
-        return {
-            "detail": "pushout-to-pullback comparison is not a quasi-iso",
-            "document": _doc(quiver, fld, maps={"f": f}),
-        }
-    return None
+        raise _Fail("pushout-to-pullback comparison is not a quasi-iso", maps={"f": f})
 
 
 def _case_em_intersection(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory(tstruct.TStructure(cut))
+    tt = TorsionTheory.at(cut)
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
     both = in_E(f, tt) and in_M(f, tt)
     if both != is_quasi_iso(f):
-        return {
-            "detail": "intersection of the two classes differs from quasi-isos",
-            "document": _doc(quiver, fld, maps={"f": f}),
-        }
+        raise _Fail("intersection of the two classes differs from quasi-isos", maps={"f": f})
     # constructed quasi-iso: pad the source with a contractible summand
     a = _draw(rng, fld, quiver, config)
     ca = cofib(identity_map(a)).complex
     inj = direct_sum_complex(x, ca).inclusion(0)
     if not (is_quasi_iso(inj) and in_E(inj, tt) and in_M(inj, tt)):
-        return {
-            "detail": "constructed quasi-iso missing from one of the classes",
-            "document": _doc(quiver, fld, maps={"inj": inj}),
-        }
-    return None
+        raise _Fail("constructed quasi-iso missing from one of the classes", maps={"inj": inj})
 
 
 def _case_three_for_two(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory(tstruct.TStructure(cut))
+    tt = TorsionTheory.at(cut)
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     z = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
     g = random_chain_map(y, z, rng)
-
-    def fail(detail):
-        return {"detail": detail, "document": _doc(quiver, fld, maps={"f": f, "g": g})}
-
+    shown = {"f": f, "g": g}
     if not three_for_two_check("E", tt, [(f, g)]):
-        return fail("three-for-two fails for the inverted-below class")
+        raise _Fail("three-for-two fails for the inverted-below class", maps=shown)
     if not three_for_two_check("M", tt, [(f, g)]):
-        return fail("three-for-two fails for the inverted-above class")
+        raise _Fail("three-for-two fails for the inverted-above class", maps=shown)
     if not sator_check(x, tt):
-        return fail("initial and terminal arrows of an object disagree on class")
-    return None
+        raise _Fail("initial and terminal arrows of an object disagree on class", maps=shown)
 
 
 def _case_roundtrips(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory(tstruct.TStructure(cut))
+    tt = TorsionTheory.at(cut)
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
-
-    def fail(detail):
-        return {"detail": detail, "document": _doc(quiver, fld, maps={"f": f})}
-
     if not roundtrip_check(tt, morphisms=[f], objects=[x]):
-        return fail("membership roundtrip broke")
+        raise _Fail("membership roundtrip broke", maps={"f": f})
     other = config.shifts[(case + 1) % len(config.shifts)]
     lo, hi = sorted((cut, other))
-    lower, higher = TorsionTheory(tstruct.TStructure(lo)), TorsionTheory(
-        tstruct.TStructure(hi)
-    )
-    if not antitone_check(f, lower, higher):
-        return fail(f"class containment not antitone between cutoffs {lo} and {hi}")
-    return None
+    if not antitone_check(f, TorsionTheory.at(lo), TorsionTheory.at(hi)):
+        raise _Fail(
+            f"class containment not antitone between cutoffs {lo} and {hi}", maps={"f": f}
+        )
 
 
 def _case_heart(rng, fld, quiver, cut, config, case):
     t = tstruct.TStructure(cut)
     hm = tstruct.random_heart_morphism(quiver, fld, t, rng)
-
-    def fail(detail):
-        return {"detail": detail, "document": _doc(quiver, fld, maps={"f": hm.map})}
-
+    shown = {"f": hm.map}
     comparison, _ = tstruct.heart_comparison(hm)
     if not is_quasi_iso(comparison):
-        return fail("coimage-to-image comparison is not a quasi-iso")
+        raise _Fail("coimage-to-image comparison is not a quasi-iso", maps=shown)
     h_map = induced_homology_map(hm.map, cut)
     zero_dims = tuple(0 for _ in quiver.vertices)
     ker = tstruct.heart_kernel(hm).source
     if homology_dims(ker).get(cut, zero_dims) != rep_kernel(h_map)[0].dims:
-        return fail("kernel dimensions disagree with the homology-level kernel")
+        raise _Fail("kernel dimensions disagree with the homology-level kernel", maps=shown)
     cok = tstruct.heart_cokernel(hm).target
     if homology_dims(cok).get(cut, zero_dims) != rep_cokernel(h_map)[0].dims:
-        return fail("cokernel dimensions disagree with the homology-level cokernel")
-    return None
+        raise _Fail("cokernel dimensions disagree with the homology-level cokernel", maps=shown)
 
 
 def _case_postnikov(rng, fld, quiver, cut, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
-
-    def fail(detail):
-        return {"detail": detail, "document": _doc(quiver, fld, maps={"f": f})}
-
+    shown = {"f": f}
     tower = postnikov_tower(f)
     if not verify_tower(f, tower):
-        return fail("tower fails verification")
+        raise _Fail("tower fails verification", maps=shown)
     win = tower.window  # verify_tower checked it equals boundedness_window(f)
     if win is None:
         if len(tower.stages) != 1 or tower.stages[0].degree is not None:
-            return fail("invertible map did not produce the one-stage tower")
-        return None
+            raise _Fail("invertible map did not produce the one-stage tower", maps=shown)
+        return
     if len(tower.stages) != win.width:
-        return fail(f"tower length {len(tower.stages)} != window width {win.width}")
+        raise _Fail(f"tower length {len(tower.stages)} != window width {win.width}", maps=shown)
     degrees = sorted(s.degree for s in tower.stages)
     if degrees != list(range(win.lo, win.hi)):
-        return fail(f"stage degrees {degrees} do not enumerate the window")
-    return None
+        raise _Fail(f"stage degrees {degrees} do not enumerate the window", maps=shown)
 
 
 # -- degree-wise mapping-space counter, assembled from scratch ------------------
@@ -615,23 +568,16 @@ def _micro_pair(case: int) -> tuple[Complex, Complex, PrimeField]:
 
 def _case_hom_oracle(rng, fld, quiver, cut, config, case):
     x, y, fld = _micro_pair(case)
-    p = fld.p
-    quiver = x.quiver
-    hc = hom_complex(x, y)
-    hdims = homology_dims(hc.complex)
+    hdims = homology_dims(hom_complex(x, y).complex)
     for n in range(y.lo - x.hi - 1, y.hi - x.lo + 2):
         route_a = hdims.get(n, (0,))[0]
         route_b = _class_dim_direct(x, y, n, fld)
         if route_a != route_b:
-            return {
-                "detail": (
-                    f"degree {n}: mapping-complex homology {p}^{route_a} vs "
-                    f"{p}^{route_b} homotopy classes by direct count"
-                ),
-                "prime": p,
-                "document": _doc(quiver, fld, {"x": x, "y": y}),
-            }
-    return None
+            raise _Fail(
+                f"degree {n}: mapping-complex homology {fld.p}^{route_a} vs "
+                f"{fld.p}^{route_b} homotopy classes by direct count",
+                {"x": x, "y": y},
+            )
 
 
 PROPERTIES: tuple[tuple[str, object], ...] = (
@@ -683,16 +629,18 @@ def _run_case(config: SuiteConfig, prop_index: int, case: int) -> dict | None:
         "seed_path": [config.seed, prop_index, case],
     }
     try:
-        failure = runner(rng, PrimeField(p), resolve_quiver(qname), cut, config, case)
+        runner(rng, PrimeField(p), resolve_quiver(qname), cut, config, case)
+        return None
+    except _Fail as fail:
+        # the document (and its prime) come from the shown objects: hom-oracle
+        # draws its own field
+        shown = next(iter((fail.complexes or fail.maps).values()))
+        x = shown if isinstance(shown, Complex) else shown.source
+        doc = document_of(x.quiver, x.field, complexes=fail.complexes, maps=fail.maps)
+        failure = {"detail": fail.detail, "prime": x.field.p, "document": serialize_document(doc)}
     except Exception as exc:
         failure = {"detail": f"{type(exc).__name__}: {exc}", "raised_at": _raised_at(exc)}
-    if failure is None:
-        return None
-    merged = {**context, **failure}
-    doc = merged.get("document")
-    if isinstance(doc, Document):
-        merged["document"] = serialize_document(doc)
-    return merged
+    return {**context, **failure}
 
 
 def replay_case(config: SuiteConfig, name: str, case: int) -> dict | None:

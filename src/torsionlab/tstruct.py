@@ -13,6 +13,8 @@ strictness for zero witnesses but never assumes it when checking laws.
 Each cut is computed once per complex: the cycles at the cut, the quotient
 by them and both truncations are kept on the Complex object (outside its
 equality), and every truncation of it or of a map at its ends reuses them.
+A cut outside the support returns the complex itself (or zero), so no
+degree between the cut and the support is ever visited.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class _Cut:
         if x.is_zero() or x.hi < n:
             z = zero_complex(x.quiver, x.field)
             return z, zero_map(z, x)
+        if n < x.lo:
+            return x, identity_map(x)
         ker, inc = self.kernel
         terms = [ker] + [x.term(k) for k in range(n + 1, x.hi + 1)]
         diffs = []
@@ -148,6 +152,8 @@ class _Cut:
         if x.is_zero() or x.lo > n:
             z = zero_complex(x.quiver, x.field)
             return z, zero_map(x, z)
+        if n > x.hi:
+            return x, identity_map(x)
         quo, proj, sects = self.quotient
         terms = [x.term(k) for k in range(x.lo, n)] + [quo]
         diffs = [x.diff(k) for k in range(x.lo + 1, n)]

@@ -143,7 +143,7 @@ def _sha(text: str) -> str:
 
 def _matrices_digest(mats) -> str:
     """sha256 over the shapes and entries of labelled matrices, in order."""
-    return _sha(json.dumps([[label, list(m.shape), m.tolist()] for label, m in mats]))
+    return _sha(json.dumps([[label, list(m.shape), m.a.tolist()] for label, m in mats]))
 
 
 def _graded_mats(label: str, comps: dict) -> list:

@@ -14,6 +14,7 @@ from torsionlab.cli import main
 from torsionlab.complexes import (
     ChainMap,
     Complex,
+    compose,
     homology_dims,
     identity_map,
     random_chain_map,
@@ -23,8 +24,8 @@ from torsionlab.complexes import (
 )
 from torsionlab.document import document_of, parse_document, serialize_document
 from torsionlab.factorization import TorsionTheory, in_E, in_M
-from torsionlab.linalg import PrimeField
-from torsionlab.quiver import Quiver, RepMap
+from torsionlab.linalg import Mat, PrimeField
+from torsionlab.quiver import Quiver, QuiverRep, RepMap
 from torsionlab.suite import (
     SuiteConfig,
     property_names,
@@ -251,9 +252,6 @@ def test_factor_initial_arrow_gives_upper_truncation(doc_path, capsys):
 
 def test_truncate_lt_leaves_lower_stalk_alone(tmp_path, capsys):
     # a stalk in degree -1 is already entirely below the cutoff at 0
-    from torsionlab.complexes import Complex
-    from torsionlab.quiver import QuiverRep
-
     quiver, fld = Quiver.point(), PrimeField(2)
     stalk = Complex(quiver, fld, -1, (QuiverRep(quiver, fld, (1,), ()),), ())
     doc = document_of(quiver, fld, complexes={"s": stalk})
@@ -349,3 +347,57 @@ def test_console_entry_point(doc_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_hold"] is True
+
+
+FAR = 10**30
+FAR_COMMANDS = [
+    ["truncate", "--object", "x", "--side", "ge", "--at", "0"],
+    ["truncate", "--object", "x", "--side", "lt", "--at", str(FAR + 5)],
+    ["normality", "--object", "x"],
+    ["factor", "--map", "f"],
+    ["postnikov", "--map", "f"],
+]
+# runs each command through cli.main and prints its exit code and output
+_FAR_SCRIPT = """
+import contextlib, io, json, sys
+from torsionlab.cli import main
+path, commands = sys.argv[1], json.loads(sys.argv[2])
+results = []
+for argv in commands:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([argv[0], path, *argv[1:]])
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_on_a_complex_far_from_degree_zero_finish(tmp_path):
+    """A one-term complex at degree 10^30: a cut outside its support, and
+    homotopies between its maps, never walk the degrees in between.  Run in
+    a subprocess so that a regression fails on the timeout instead of
+    hanging the suite (each command takes milliseconds)."""
+    quiver, fld = Quiver.a2(), PrimeField(2)
+    x = Complex(quiver, fld, FAR, (QuiverRep(quiver, fld, (1, 0), (Mat.zeros(fld, 0, 1),)),), ())
+    path = tmp_path / "far.json"
+    path.write_text(serialize_document(document_of(quiver, fld, {"x": x}, {"f": zero_map(x, x)})))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAR_SCRIPT, str(path), json.dumps(FAR_COMMANDS)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (ge, ge_out), (lt, lt_out), (normal, _), (fac, fac_out), (tower, tower_out) = json.loads(
+        proc.stdout
+    )
+    assert (ge, lt, normal, fac, tower) == (0, 0, 0, 0, 0)
+    for out in (ge_out, lt_out):
+        emitted = parse_document(out)
+        assert emitted.complexes["truncation"] == x
+        assert next(iter(emitted.maps.values())) == identity_map(x)
+    emitted = parse_document(fac_out)
+    assert compose(emitted.maps["m"], emitted.maps["e"]).is_zero()
+    wrapper = json.loads(tower_out)
+    assert wrapper["verified"] is True
+    assert sorted(wrapper["degrees"]) == [FAR - 1, FAR]

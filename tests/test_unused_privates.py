@@ -1,9 +1,12 @@
-"""Every module-level private function or class in src/torsionlab is used.
+"""Every module-level private function or class, and every method, in
+src/torsionlab is used.
 
-An AST scan: a top-level `def _name` or `class _name` must be referenced
+Two AST scans.  A top-level `def _name` or `class _name` must be referenced
 somewhere in the package, as a loaded name or an attribute, outside its own
-definition.  A helper that only its own body (or nothing) mentions is dead
-and gets deleted rather than kept around.  Dunder names are skipped.
+definition.  A method defined on a class must be read as an attribute
+somewhere in src/, tests/ or scripts/, outside its own definition.  A helper
+or method that only its own body (or nothing) mentions is dead and gets
+deleted rather than kept around.  Dunder names are skipped.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "torsionlab"
 
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (*FUNCS, ast.ClassDef)
 
 
 def _references(node: ast.AST) -> Counter:
@@ -65,3 +70,67 @@ def test_scan_finds_private_helpers_only_their_own_body_uses():
 def test_no_private_helper_in_the_package_is_unreferenced():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unused_privates(sources) == []
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute below node."""
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unused_methods(sources: dict[str, str], readers: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, Class.method, line) for each non-dunder method of a class in
+    sources that no file in readers reads as an attribute outside the
+    method's own definition."""
+    reads = sum((_attribute_reads(ast.parse(text)) for text in readers.values()), Counter())
+    found = []
+    for module, text in sources.items():
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, FUNCS) or node.name.startswith("__"):
+                    continue
+                if reads[node.name] - _attribute_reads(node)[node.name] == 0:
+                    found.append((module, f"{cls.name}.{node.name}", node.lineno))
+    return sorted(found)
+
+
+def test_scan_finds_methods_nothing_reads():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    def read(self):\n"
+            "        return self._private()\n"
+            "    def _private(self):\n"
+            "        return 1\n"
+            "    def dead(self):\n"
+            "        return self.dead()\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+            "    @property\n"
+            "    def shown(self):\n"
+            "        return 2\n"
+            "    def only_assigned(self):\n"
+            "        pass\n"
+            "A.only_assigned = None\n"
+        ),
+    }
+    readers = {**sources, "test_a.py": "from a import A\nA().read()\nprint(A().shown)\n"}
+    assert unused_methods(sources, readers) == [
+        ("a.py", "A.dead", 6),
+        ("a.py", "A.only_assigned", 13),
+    ]
+
+
+def test_no_method_in_the_package_is_unread():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("src", "tests", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    assert unused_methods(sources, readers) == []
