@@ -20,7 +20,6 @@ from torsionlab.complexes import (
     random_complex,
 )
 from torsionlab.factorization import (
-    TorsionTheory,
     factor,
     in_E,
     in_M,
@@ -53,7 +52,6 @@ def main() -> None:
     quiver = Quiver.a2()
     fld = PrimeField(args.prime)
     t = TStructure(args.cut)
-    tt = TorsionTheory(t)
 
     x = random_complex(quiver, fld, rng, max_dim=3, lo=-3, hi=3)
     y = random_complex(quiver, fld, rng, max_dim=3, lo=-3, hi=3)
@@ -62,12 +60,12 @@ def main() -> None:
     print(f"quiver a->b over F_{args.prime}, cutoff {args.cut}")
     print(homology_table("X", x))
     print(homology_table("Y", y))
-    print(f"  f in E: {in_E(f, tt)}   f in M: {in_M(f, tt)}")
+    print(f"  f in E: {in_E(f, t)}   f in M: {in_M(f, t)}")
 
-    fac = factor(f, tt)
+    fac = factor(f, t)
     print("\nfactor(f) = m . e through the middle object:")
     print(homology_table("mid", fac.e.target))
-    print(f"  e in E: {in_E(fac.e, tt)}   m in M: {in_M(fac.m, tt)}")
+    print(f"  e in E: {in_E(fac.e, t)}   m in M: {in_M(fac.m, t)}")
     print(f"  m.e == f on the nose: {compose(fac.m, fac.e) == f}")
 
     print("\nnormality of X:")
@@ -80,7 +78,7 @@ def main() -> None:
             "kernel_comparison_iso",
             "fiber_sequence_pullout",
         ),
-        normality_report(x, tt).as_tuple(),
+        normality_report(x, t).as_tuple(),
     ):
         print(f"  {field_name:26} {value}")
 

@@ -5,8 +5,8 @@ from .complexes import (
     ChainMap,
     CommutingSquare,
     Complex,
-    cofib,
     compose,
+    cone,
     fib,
     hom_complex,
     homology_dims,
@@ -26,7 +26,6 @@ from .document import Document, DocumentError, document_of, parse_document, seri
 from .factorization import (
     Factorization,
     NormalityReport,
-    TorsionTheory,
     factor,
     in_E,
     in_M,

@@ -9,7 +9,7 @@ import json
 import sys
 
 from .document import DocumentError, document_of, parse_document, serialize_document
-from .factorization import TorsionTheory, factor, normality_report
+from .factorization import factor, normality_report
 from .postnikov import postnikov_tower, verify_tower
 from .suite import (
     SuiteConfig,
@@ -58,8 +58,7 @@ def _cmd_verify(args) -> int:
 def _cmd_factor(args) -> int:
     doc = _load_document(args.document)
     f = _pick(doc.maps, args.map, "map")
-    tt = TorsionTheory(TStructure(args.shift))
-    fac = factor(f, tt)
+    fac = factor(f, TStructure(args.shift))
     out = document_of(doc.quiver, doc.field, maps={"e": fac.e, "m": fac.m})
     sys.stdout.write(serialize_document(out))
     return 0
@@ -102,8 +101,7 @@ def _cmd_postnikov(args) -> int:
 def _cmd_normality(args) -> int:
     doc = _load_document(args.document)
     x = _pick(doc.complexes, args.object, "complex")
-    tt = TorsionTheory(TStructure(args.shift))
-    report = normality_report(x, tt)
+    report = normality_report(x, TStructure(args.shift))
     tree = dataclasses.asdict(report)
     tree["all_hold"] = report.all_hold()
     sys.stdout.write(json.dumps(tree, indent=2, sort_keys=True) + "\n")

@@ -10,7 +10,7 @@ summands in the order written, at every vertex.
   cone(f)_n   = X_{n-1} (+) Y_n          d(x, y) = (-dx, fx + dy)
   fib(f)      = cone(f)[-1], so fib(f)_n = X_n (+) Y_{n+1} with
                                           d(x, y) = (dx, -fx - dy)
-  cofib(f)    = cone(f)
+  cofib(f)    = cone(f), with into . f null-homotopic by Cone.null_wit
   hom(X, Y)_n = (+)_i Hom(X_i, Y_{i+n})   (d phi) = d_Y phi - (-1)^n phi d_X
 
 A homotopy h from g to f has components h_n : X_n -> Y_{n+1} and satisfies
@@ -23,7 +23,7 @@ cone's blocks without building the cone, and all "X equals Y in the homotopy
 category" claims are expressed through an explicit comparison map plus that
 test.
 
-cone, fib, cofib, homotopy_pullback and homotopy_pushout build only their
+cone, fib, homotopy_pullback and homotopy_pushout build only their
 graded sum up front.  Their structure maps, null-homotopies and witness
 squares are made on first read (functools.cached_property), through the
 same checking constructors, and kept; most callers read only the complex.
@@ -75,7 +75,6 @@ __all__ = [
     "CommutingSquare",
     "Cone",
     "Fiber",
-    "Cofiber",
     "Pullback",
     "Pushout",
     "GradedSum",
@@ -92,7 +91,6 @@ __all__ = [
     "induced_homology_map",
     "cone",
     "fib",
-    "cofib",
     "cone_homology_dims",
     "is_quasi_iso",
     "direct_sum_complex",
@@ -687,8 +685,10 @@ def block_components(
 
 @dataclass(frozen=True)
 class Cone:
-    """cone(f) as a graded sum; its structure maps are made on first read."""
+    """cone(f) as a graded sum, which is also the cofiber of f; its
+    structure maps are made on first read, the null-homotopy checked."""
 
+    f: ChainMap
     blocks: GradedSum  # parts (X, 1), (Y, 0)
 
     @property
@@ -705,41 +705,19 @@ class Cone:
         """cone -> X[1]."""
         return self.blocks.projection(0)
 
-
-def cone(f: ChainMap) -> Cone:
-    return Cone(_graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)}))
-
-
-@dataclass(frozen=True)
-class Cofiber:
-    """cofib(f) = cone(f).  from_target is the cone's into, and the
-    null-homotopy is made and checked on first read."""
-
-    f: ChainMap
-    cone: Cone
-
-    @property
-    def complex(self) -> Complex:
-        return self.cone.complex
-
-    @property
-    def from_target(self) -> ChainMap:
-        """Y -> cofib(f)."""
-        return self.cone.into
-
     @cached_property
     def null_wit(self) -> Homotopy:
-        """From 0 to from_target . f."""
+        """From 0 to into . f."""
         x = self.f.source
         return Homotopy(
             zero_map(x, self.complex),
-            compose(self.from_target, self.f),
-            block_components(x, self.cone.blocks, 1, {(0, 0): (1, identity_map(x).comps)}),
+            compose(self.into, self.f),
+            block_components(x, self.blocks, 1, {(0, 0): (1, identity_map(x).comps)}),
         )
 
 
-def cofib(f: ChainMap) -> Cofiber:
-    return Cofiber(f, cone(f))
+def cone(f: ChainMap) -> Cone:
+    return Cone(f, _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)}))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,12 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+# The largest dim a rep may have at one vertex.  Hom spaces are solved on
+# flat coordinates, so at 64 the largest flat hom slot has 64 * 64 = 4,096
+# coordinates, and kernel_basis on an arrowless quiver builds a 4,096 x
+# 4,096 int64 identity (134 MB); a dim of 10^5 would ask for 80 GB.
+MAX_DIM = 64
+
 
 class DocumentError(ValueError):
     """Parse or validation failure; carries position or law name when known."""
@@ -182,6 +188,9 @@ def parse_document(text: str) -> Document:
             raise DocumentError(f"rep {name!r}: dims must be non-negative integers")
         if len(dims) != len(quiver.vertices):
             raise DocumentError(f"rep {name!r}: one dim per vertex required")
+        for v, d in zip(quiver.vertices, dims):
+            if d > MAX_DIM:
+                raise DocumentError(f"rep {name!r}: dim {d} at vertex {v!r} is above {MAX_DIM}")
         arrow_bodies = _list(body.get("arrows", []), f"rep {name!r}: arrows")
         if len(arrow_bodies) != len(quiver.arrows):
             raise DocumentError(f"rep {name!r}: one matrix per arrow required")

@@ -1,19 +1,23 @@
-"""Torsion theories carved out of a truncation cutoff.
+"""The normal torsion theory of a t-structure.
 
-A cutoff t determines two morphism classes:
+A t-structure t determines its torsion theory (E_t, M_t), so every function
+here takes the TStructure itself.  With the cut at n,
 
-    E = maps whose below-cutoff truncation is a quasi-iso,
-    M = maps whose at-or-above truncation is a quasi-iso,
+    E_t = maps whose below-cutoff truncation (truncate_lt) is a quasi-iso,
+    M_t = maps whose at-or-above truncation (truncate_ge) is a quasi-iso;
 
-and every map factors as an E-map into the homotopy pullback of its
-below-cutoff square followed by an M-map out of it.  This module decides
-membership, builds the factorization with its witnesses, and implements
-the certificate suite around it: orthogonality, a lifting-count oracle,
-the six normality conditions, 3-for-2, the initial/terminal symmetry,
-semiexactness, and the reconstruction roundtrips.
+both are predicates (in_E, in_M), never materialized.  truncate_lt is the
+reflection onto the torsion-free class and truncate_ge the coreflection
+onto the torsion class.  Every map factors as an E-map into the homotopy
+pullback of its below-cutoff square followed by an M-map out of it.  This
+module decides membership, builds the factorization with its witnesses,
+and implements the certificate suite around it: orthogonality, a
+lifting-count oracle, the six normality conditions, 3-for-2, the
+initial/terminal symmetry, semiexactness, and the reconstruction
+roundtrips.
 
 Orthogonality is decided exactly: the filler space for (e, m) is governed
-by hom(cofib e, fib m), and contractibility is equivalent to acyclicity of
+by hom(cone e, fib m), and contractibility is equivalent to acyclicity of
 that complex in non-negative degrees.  solve_lifting is an independent
 oracle at the level of maps-and-homotopies; it counts homotopy classes of
 fillers by linear algebra over F_p and must agree with the criterion.
@@ -32,8 +36,8 @@ from .complexes import (
     Homotopy,
     Pullback,
     block_components,
-    cofib,
     compose,
+    cone,
     fib,
     hom_complex,
     hom_postcompose,
@@ -62,15 +66,12 @@ from .tstruct import (
 )
 
 __all__ = [
-    "TorsionTheory",
     "Factorization",
     "NormalityReport",
     "in_E",
     "in_M",
     "torsion_contains",
     "free_contains",
-    "reflection",
-    "coreflection",
     "reflection_fiber",
     "coreflection_cofiber",
     "normality_report",
@@ -88,75 +89,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TorsionTheory:
-    """A torsion theory presented by its truncation cutoff.
-
-    The classes E and M are predicates (in_E / in_M), never materialized;
-    the torsion class is the objects whose initial arrow lies in E, the
-    torsion-free class the objects whose terminal arrow lies in M.
-    """
-
-    t: TStructure
-
-    @classmethod
-    def at(cls, n: int) -> "TorsionTheory":
-        return cls(TStructure(n))
-
-    def shifted(self, k: int) -> "TorsionTheory":
-        return TorsionTheory(self.t.shifted(k))
+def in_E(f: ChainMap, t: TStructure) -> bool:
+    return is_quasi_iso(truncate_map_lt(f, t))
 
 
-def in_E(f: ChainMap, tt: TorsionTheory) -> bool:
-    return is_quasi_iso(truncate_map_lt(f, tt.t))
+def in_M(f: ChainMap, t: TStructure) -> bool:
+    return is_quasi_iso(truncate_map_ge(f, t))
 
 
-def in_M(f: ChainMap, tt: TorsionTheory) -> bool:
-    return is_quasi_iso(truncate_map_ge(f, tt.t))
-
-
-def torsion_contains(x: Complex, tt: TorsionTheory) -> bool:
+def torsion_contains(x: Complex, t: TStructure) -> bool:
     """x lies in the torsion class: its initial arrow is in E."""
-    return in_E(zero_map(zero_complex(x.quiver, x.field), x), tt)
+    return in_E(zero_map(zero_complex(x.quiver, x.field), x), t)
 
 
-def free_contains(x: Complex, tt: TorsionTheory) -> bool:
+def free_contains(x: Complex, t: TStructure) -> bool:
     """x lies in the torsion-free class: its terminal arrow is in M."""
-    return in_M(zero_map(x, zero_complex(x.quiver, x.field)), tt)
+    return in_M(zero_map(x, zero_complex(x.quiver, x.field)), t)
 
 
-# -- (co)reflections ---------------------------------------------------------------
+# -- the comparisons of normality -------------------------------------------------
 
 
-def reflection(x: Complex, tt: TorsionTheory) -> tuple[Complex, ChainMap]:
-    """The torsion-free reflection: the below-cutoff quotient with its unit."""
-    return truncate_lt(x, tt.t)
-
-
-def coreflection(x: Complex, tt: TorsionTheory) -> tuple[Complex, ChainMap]:
-    """The torsion coreflection: the at-or-above subcomplex with its counit."""
-    return truncate_ge(x, tt.t)
-
-
-def reflection_fiber(x: Complex, tt: TorsionTheory) -> tuple[Complex, ChainMap]:
+def reflection_fiber(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
     """fib(unit) together with the canonical comparison from the coreflection.
 
     The comparison sends s to (counit s, 0); it is strict because the unit
     kills the coreflection on the nose.
     """
-    _, unit = reflection(x, tt)
+    _, unit = truncate_lt(x, t)
     fb = fib(unit)
-    sx, counit = coreflection(x, tt)
+    sx, counit = truncate_ge(x, t)
     comps = block_components(sx, fb.blocks, 0, {(0, 0): (1, counit.comps)})
     return fb.complex, ChainMap(sx, fb.complex, comps)
 
 
-def coreflection_cofiber(x: Complex, tt: TorsionTheory) -> tuple[Complex, ChainMap]:
-    """cofib(counit) together with the canonical comparison onto the reflection."""
-    _, counit = coreflection(x, tt)
-    cf = cofib(counit)
-    rx, unit = reflection(x, tt)
-    comps = block_components(cf.cone.blocks, rx, 0, {(0, 1): (1, unit.comps)})
+def coreflection_cofiber(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
+    """cone(counit) together with the canonical comparison onto the reflection."""
+    _, counit = truncate_ge(x, t)
+    cf = cone(counit)
+    rx, unit = truncate_lt(x, t)
+    comps = block_components(cf.blocks, rx, 0, {(0, 1): (1, unit.comps)})
     return cf.complex, ChainMap(cf.complex, rx, comps)
 
 
@@ -165,9 +137,9 @@ class NormalityReport:
     """The six equivalent conditions, evaluated independently."""
 
     kernel_is_torsion: bool  # fib(unit) -> 0 lies in E
-    cokernel_is_torsion_free: bool  # cofib(counit) -> 0 lies in M
+    cokernel_is_torsion_free: bool  # cone(counit) -> 0 lies in M
     two_sided: bool
-    cokernel_comparison_iso: bool  # cofib(counit) -> reflection is a quasi-iso
+    cokernel_comparison_iso: bool  # cone(counit) -> reflection is a quasi-iso
     kernel_comparison_iso: bool  # coreflection -> fib(unit) is a quasi-iso
     fiber_sequence_pullout: bool  # the truncation square is a pullout
 
@@ -188,21 +160,21 @@ class NormalityReport:
         return all(self.as_tuple())
 
 
-def normality_report(x: Complex, tt: TorsionTheory) -> NormalityReport:
+def normality_report(x: Complex, t: TStructure) -> NormalityReport:
     zc = zero_complex(x.quiver, x.field)
-    k, k_cmp = reflection_fiber(x, tt)
-    q, q_cmp = coreflection_cofiber(x, tt)
+    k, k_cmp = reflection_fiber(x, t)
+    q, q_cmp = coreflection_cofiber(x, t)
     # torsion membership via the terminal arrow: the initial/terminal
     # symmetry makes this equivalent to the usual initial-arrow test.
-    cond1 = in_E(zero_map(k, zc), tt)
-    cond2 = in_M(zero_map(q, zc), tt)
+    cond1 = in_E(zero_map(k, zc), t)
+    cond2 = in_M(zero_map(q, zc), t)
     return NormalityReport(
         kernel_is_torsion=cond1,
         cokernel_is_torsion_free=cond2,
         two_sided=cond1 and cond2,
         cokernel_comparison_iso=is_quasi_iso(q_cmp),
         kernel_comparison_iso=is_quasi_iso(k_cmp),
-        fiber_sequence_pullout=is_pullout(truncation_square(x, tt.t)),
+        fiber_sequence_pullout=is_pullout(truncation_square(x, t)),
     )
 
 
@@ -223,12 +195,12 @@ class Factorization:
     mid: Pullback
 
 
-def factor(f: ChainMap, tt: TorsionTheory) -> Factorization:
+def factor(f: ChainMap, t: TStructure) -> Factorization:
     x, y = f.source, f.target
-    below = truncate_map_lt(f, tt.t)
-    _, unit_y = reflection(y, tt)
+    below = truncate_map_lt(f, t)
+    _, unit_y = truncate_lt(y, t)
     pb = homotopy_pullback(below, unit_y)
-    _, unit_x = reflection(x, tt)
+    _, unit_x = truncate_lt(x, t)
     comps = block_components(x, pb.blocks, 0, {(0, 0): (1, unit_x.comps), (1, 0): (1, f.comps)})
     e = ChainMap(x, pb.complex, comps)
     m = pb.proj_second
@@ -237,7 +209,7 @@ def factor(f: ChainMap, tt: TorsionTheory) -> Factorization:
 
 
 def factorization_pullout_square(
-    f: ChainMap, tt: TorsionTheory, fac: Factorization | None = None
+    f: ChainMap, t: TStructure, fac: Factorization | None = None
 ) -> CommutingSquare:
     """The coreflected face of the factorization diagram; always a pullout.
 
@@ -245,11 +217,11 @@ def factorization_pullout_square(
     bottom leg embeds the target's coreflection into the middle object.
     """
     if fac is None:
-        fac = factor(f, tt)
+        fac = factor(f, t)
     x, y = f.source, f.target
-    _, counit_x = coreflection(x, tt)
-    sy, counit_y = coreflection(y, tt)
-    above = truncate_map_ge(f, tt.t)
+    _, counit_x = truncate_ge(x, t)
+    sy, counit_y = truncate_ge(y, t)
+    above = truncate_map_ge(f, t)
     comps = block_components(sy, fac.mid.blocks, 0, {(1, 0): (1, counit_y.comps)})
     bottom = ChainMap(sy, fac.mid.complex, comps)
     return CommutingSquare.strict(counit_x, above, fac.e, bottom)
@@ -259,9 +231,9 @@ def factorization_pullout_square(
 
 
 def is_orthogonal(e: ChainMap, m: ChainMap) -> bool:
-    """Fillers for (e, m) form a contractible space iff hom(cofib e, fib m)
+    """Fillers for (e, m) form a contractible space iff hom(cone e, fib m)
     is acyclic in all non-negative degrees."""
-    h = hom_complex(cofib(e).complex, fib(m).complex)
+    h = hom_complex(cone(e).complex, fib(m).complex)
     return not any(
         any(dims) for n, dims in homology_dims(h.complex).items() if n >= 0
     )
@@ -345,33 +317,32 @@ def solve_lifting(
 # -- class algebra -----------------------------------------------------------------
 
 
-def three_for_two_check(which: str, tt: TorsionTheory, pairs) -> bool:
+def three_for_two_check(which: str, t: TStructure, pairs) -> bool:
     """Composition closure plus both cancellation laws, over composable pairs."""
     if which not in ("E", "M"):
         raise ValueError("class selector must be 'E' or 'M'")
     member = in_E if which == "E" else in_M
     for f, g in pairs:
-        a = member(f, tt)
-        b = member(g, tt)
-        c = member(compose(g, f), tt)
+        a = member(f, t)
+        b = member(g, t)
+        c = member(compose(g, f), t)
         if (a and b and not c) or (a and c and not b) or (b and c and not a):
             return False
     return True
 
 
-def sator_check(a: Complex, tt: TorsionTheory) -> bool:
+def sator_check(a: Complex, t: TStructure) -> bool:
     """The initial arrow of a lies in a class iff the terminal arrow does."""
     zc = zero_complex(a.quiver, a.field)
     initial = zero_map(zc, a)
     terminal = zero_map(a, zc)
-    return in_E(initial, tt) == in_E(terminal, tt) and in_M(initial, tt) == in_M(
-        terminal, tt
-    )
+    same_e = in_E(initial, t) == in_E(terminal, t)
+    return same_e and in_M(initial, t) == in_M(terminal, t)
 
 
-def antitone_check(f: ChainMap, lower: TorsionTheory, higher: TorsionTheory) -> bool:
+def antitone_check(f: ChainMap, lower: TStructure, higher: TStructure) -> bool:
     """Raising the cutoff only grows M: membership below implies membership above."""
-    if lower.t.n > higher.t.n:
+    if lower.n > higher.n:
         raise ValueError("cutoffs out of order")
     return (not in_M(f, lower)) or in_M(f, higher)
 
@@ -379,52 +350,48 @@ def antitone_check(f: ChainMap, lower: TorsionTheory, higher: TorsionTheory) -> 
 # -- semiexactness ------------------------------------------------------------------
 
 
-def semiexact_data(
-    f: ChainMap, tt: TorsionTheory
-) -> tuple[ChainMap, ChainMap]:
+def semiexact_data(f: ChainMap, t: TStructure) -> tuple[ChainMap, ChainMap]:
     """The comparison from the coreflected pushout to the reflected pullback,
     plus the pulled-back unit.
 
     Strictness of the truncations makes the comparison a strict chain map:
-    it sends (s, t, x) to (unit x, counit t + f x, 0).
+    it sends (s, u, x) to (unit x, counit u + f x, 0).
     """
     x, y = f.source, f.target
-    _, unit_x = reflection(x, tt)
-    _, unit_y = reflection(y, tt)
-    _, counit_y = coreflection(y, tt)
-    below = truncate_map_lt(f, tt.t)
-    above = truncate_map_ge(f, tt.t)
+    _, unit_x = truncate_lt(x, t)
+    _, unit_y = truncate_lt(y, t)
+    _, counit_y = truncate_ge(y, t)
+    below = truncate_map_lt(f, t)
+    above = truncate_map_ge(f, t)
     pb = homotopy_pullback(below, unit_y)
-    po = homotopy_pushout(above, coreflection(x, tt)[1])
+    po = homotopy_pushout(above, truncate_ge(x, t)[1])
     # pushout parts (sx, 1), (sy, 0), (x, 0); pullback parts (rx, 0), (y, 0), (ry, -1)
     table = {(0, 2): (1, unit_x.comps), (1, 1): (1, counit_y.comps), (1, 2): (1, f.comps)}
     w = ChainMap(po.complex, pb.complex, block_components(po.blocks, pb.blocks, 0, table))
     return w, pb.proj_first
 
 
-def semiexact_check(f: ChainMap, tt: TorsionTheory) -> bool:
-    w, pulled_unit = semiexact_data(f, tt)
-    return is_quasi_iso(w) and in_E(pulled_unit, tt)
+def semiexact_check(f: ChainMap, t: TStructure) -> bool:
+    w, pulled_unit = semiexact_data(f, t)
+    return is_quasi_iso(w) and in_E(pulled_unit, t)
 
 
 # -- roundtrips ---------------------------------------------------------------------
 
 
-def in_E_via_reconstruction(f: ChainMap, tt: TorsionTheory) -> bool:
+def in_E_via_reconstruction(f: ChainMap, t: TStructure) -> bool:
     """Decide E-membership through the reflection rebuilt from the
     factorization of terminal arrows, instead of truncating f directly."""
     x, y = f.source, f.target
     zc = zero_complex(x.quiver, x.field)
-    fx = factor(zero_map(x, zc), tt)
-    fy = factor(zero_map(y, zc), tt)
+    fx = factor(zero_map(x, zc), t)
+    fy = factor(zero_map(y, zc), t)
     zid = zero_map(zc, zc)
-    induced = pullback_induced(
-        fx.mid, fy.mid, truncate_map_lt(f, tt.t), zid, zid
-    )
+    induced = pullback_induced(fx.mid, fy.mid, truncate_map_lt(f, t), zid, zid)
     return is_quasi_iso(induced)
 
 
-def roundtrip_check(tt: TorsionTheory, morphisms=(), objects=()) -> bool:
+def roundtrip_check(t: TStructure, morphisms=(), objects=()) -> bool:
     """Both directions of the correspondence, on samples.
 
     Morphism side: direct truncation membership in E equals membership via
@@ -432,11 +399,11 @@ def roundtrip_check(tt: TorsionTheory, morphisms=(), objects=()) -> bool:
     torsion class of (E, M) and the lower class is the torsion-free class.
     """
     for f in morphisms:
-        if in_E(f, tt) != in_E_via_reconstruction(f, tt):
+        if in_E(f, t) != in_E_via_reconstruction(f, t):
             return False
     for x in objects:
-        if in_coaisle(x, tt.t) != torsion_contains(x, tt):
+        if in_coaisle(x, t) != torsion_contains(x, t):
             return False
-        if in_aisle(x, tt.t) != free_contains(x, tt):
+        if in_aisle(x, t) != free_contains(x, t):
             return False
     return True

@@ -4,7 +4,7 @@ A morphism is bounded when the homology of its fiber lives in a finite
 window [lo, hi).  Such a morphism factors into hi - lo stages whose fibers
 are concentrated in single, pairwise distinct degrees: descend the cutoff
 through the truncations of the cofiber and take the fiber of
-Y -> (below-cutoff part of cofib f) at each step.  The top stage lifts f
+Y -> (below-cutoff part of cone f) at each step.  The top stage lifts f
 through the deepest truncation using the cofiber's strict null-homotopy,
 the bottom stage is the fiber projection back onto Y, and every
 intermediate stage restricts truncations, so the tower composes to f on
@@ -25,8 +25,8 @@ from .complexes import (
     Fiber,
     Homotopy,
     block_components,
-    cofib,
     compose,
+    cone,
     cone_homology_dims,
     fib,
     homotopic,
@@ -133,13 +133,13 @@ def postnikov_tower(f: ChainMap) -> Tower:
     lo, hi = window.lo, window.hi
     if window.width == 1:
         return Tower((x, y), (_certify(f, lo),), Homotopy(f, f, {}), window)
-    cf = cofib(f)
+    cf = cone(f)
     cutoffs = list(range(hi, lo + 1, -1))  # hi, hi-1, ..., lo+2
     fibers = []
     projections = []
     for n in cutoffs:
         _, pi = truncate_lt(cf.complex, TStructure(n))
-        fibers.append(fib(compose(pi, cf.from_target)))
+        fibers.append(fib(compose(pi, cf.into)))
         projections.append(pi)
     # top: push the cofiber's null-homotopy through the deepest truncation
     pushed = {

@@ -7,8 +7,9 @@ therefore byte-identical for identical configs.  Cases run in order, and
 the counterexample is always the lowest failing case.
 
 A case returns nothing when it passes, and raises _Fail with a detail and
-the objects that show it when it fails.  _run_case builds each
-counterexample once, reading its document and prime off those objects.
+the objects that show it when it fails.  _run_case builds the case's
+TStructure once and hands it to the runner, and builds each counterexample
+once, reading its document and prime off those objects.
 
 Truncation entry points are called through the tstruct module object
 rather than imported names, so a deliberately corrupted truncation
@@ -32,8 +33,8 @@ from . import tstruct
 from .complexes import (
     CommutingSquare,
     Complex,
-    cofib,
     compose,
+    cone,
     direct_sum_complex,
     fib,
     hom_complex,
@@ -53,7 +54,6 @@ from .complexes import (
 )
 from .document import document_of, parse_quiver, serialize_document
 from .factorization import (
-    TorsionTheory,
     antitone_check,
     factor,
     in_E,
@@ -301,7 +301,7 @@ class _Fail(Exception):
 # -- the properties -------------------------------------------------------------
 
 
-def _case_pullout(rng, fld, quiver, cut, config, case):
+def _case_pullout(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
@@ -309,10 +309,8 @@ def _case_pullout(rng, fld, quiver, cut, config, case):
     g = random_chain_map(w, y, rng)
     z0 = zero_complex(quiver, fld)
 
-    cf = cofib(f)
-    sq_cone = CommutingSquare(
-        f, zero_map(x, z0), cf.from_target, zero_map(z0, cf.complex), cf.null_wit
-    )
+    cf = cone(f)
+    sq_cone = CommutingSquare(f, zero_map(x, z0), cf.into, zero_map(z0, cf.complex), cf.null_wit)
     sq_pb = homotopy_pullback(f, g).square
     # degenerate square on x: a pullout exactly when x is acyclic
     sq_zero = CommutingSquare.strict(
@@ -331,8 +329,7 @@ def _case_pullout(rng, fld, quiver, cut, config, case):
         raise _Fail("fiber square is not a pullout", maps={"f": f})
 
 
-def _case_t_axioms(rng, fld, quiver, cut, config, case):
-    t = tstruct.TStructure(cut)
+def _case_t_axioms(rng, fld, quiver, t, config, case):
     x = _draw_small(rng, fld, quiver, config)
     y = _draw_small(rng, fld, quiver, config)
     sx, _ = tstruct.truncate_ge(x, t)
@@ -350,38 +347,34 @@ def _case_t_axioms(rng, fld, quiver, cut, config, case):
         raise _Fail("truncation square is not a pullout", shown)
 
 
-def _case_factorization(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory.at(cut)
+def _case_factorization(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
     shown = {"f": f}
-    fac = factor(f, tt)
-    if not in_E(fac.e, tt):
+    fac = factor(f, t)
+    if not in_E(fac.e, t):
         raise _Fail("left factor is not inverted by the lower truncation", maps=shown)
-    if not in_M(fac.m, tt):
+    if not in_M(fac.m, t):
         raise _Fail("right factor is not inverted by the upper truncation", maps=shown)
     if compose(fac.m, fac.e) != f:
         raise _Fail("factorization composite differs from the map", maps=shown)
-    if not is_quasi_iso(factor(fac.m, tt).e):
+    if not is_quasi_iso(factor(fac.m, t).e):
         raise _Fail("re-factoring the right factor gives a non-invertible left part", maps=shown)
-    if not is_quasi_iso(factor(fac.e, tt).m):
+    if not is_quasi_iso(factor(fac.e, t).m):
         raise _Fail("re-factoring the left factor gives a non-invertible right part", maps=shown)
 
 
-def _case_lifting(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory.at(cut)
+def _case_lifting(rng, fld, quiver, t, config, case):
     if case % 7 < 5:
         x = _draw_small(rng, fld, quiver, config)
         y = _draw_small(rng, fld, quiver, config)
         w = _draw_small(rng, fld, quiver, config)
         z = _draw_small(rng, fld, quiver, config)
-        e = factor(random_chain_map(x, y, rng), tt).e
-        m = factor(random_chain_map(w, z, rng), tt).m
+        e = factor(random_chain_map(x, y, rng), t).e
+        m = factor(random_chain_map(w, z, rng), t).m
         glue = random_chain_map(e.target, m.source, rng)
-        sq = CommutingSquare.strict(
-            compose(glue, e), e, m, compose(m, glue)
-        )
+        sq = CommutingSquare.strict(compose(glue, e), e, m, compose(m, glue))
         count, witness = solve_lifting(sq)
         shown = {"e": e, "m": m, "glue": glue}
         if not is_orthogonal(e, m):
@@ -391,7 +384,7 @@ def _case_lifting(rng, fld, quiver, cut, config, case):
         return
     # constructed non-orthogonal pair: a stalk at the cut receives from the
     # initial object in E, but its collapse is not in M
-    s = _sphere(quiver, fld, cut)
+    s = _sphere(quiver, fld, t.n)
     z0 = zero_complex(quiver, fld)
     e = zero_map(z0, s)
     m = zero_map(s, z0)
@@ -401,87 +394,82 @@ def _case_lifting(rng, fld, quiver, cut, config, case):
         raise _Fail(f"non-orthogonal stalk pair not detected (count {count})", {"s": s})
 
 
-def _case_normality(rng, fld, quiver, cut, config, case):
+def _case_normality(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
-    report = normality_report(x, TorsionTheory.at(cut))
+    report = normality_report(x, t)
     if not (report.all_hold() and report.agree()):
         raise _Fail(f"normality conditions disagree: {report.as_tuple()}", {"x": x})
 
 
-def _case_semiexact(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory.at(cut)
+def _case_semiexact(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
-    if not semiexact_check(f, tt):
+    if not semiexact_check(f, t):
         raise _Fail("pushout-to-pullback comparison is not a quasi-iso", maps={"f": f})
 
 
-def _case_em_intersection(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory.at(cut)
+def _case_em_intersection(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
-    both = in_E(f, tt) and in_M(f, tt)
+    both = in_E(f, t) and in_M(f, t)
     if both != is_quasi_iso(f):
         raise _Fail("intersection of the two classes differs from quasi-isos", maps={"f": f})
     # constructed quasi-iso: pad the source with a contractible summand
     a = _draw(rng, fld, quiver, config)
-    ca = cofib(identity_map(a)).complex
+    ca = cone(identity_map(a)).complex
     inj = direct_sum_complex(x, ca).inclusion(0)
-    if not (is_quasi_iso(inj) and in_E(inj, tt) and in_M(inj, tt)):
+    if not (is_quasi_iso(inj) and in_E(inj, t) and in_M(inj, t)):
         raise _Fail("constructed quasi-iso missing from one of the classes", maps={"inj": inj})
 
 
-def _case_three_for_two(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory.at(cut)
+def _case_three_for_two(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     z = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
     g = random_chain_map(y, z, rng)
     shown = {"f": f, "g": g}
-    if not three_for_two_check("E", tt, [(f, g)]):
+    if not three_for_two_check("E", t, [(f, g)]):
         raise _Fail("three-for-two fails for the inverted-below class", maps=shown)
-    if not three_for_two_check("M", tt, [(f, g)]):
+    if not three_for_two_check("M", t, [(f, g)]):
         raise _Fail("three-for-two fails for the inverted-above class", maps=shown)
-    if not sator_check(x, tt):
+    if not sator_check(x, t):
         raise _Fail("initial and terminal arrows of an object disagree on class", maps=shown)
 
 
-def _case_roundtrips(rng, fld, quiver, cut, config, case):
-    tt = TorsionTheory.at(cut)
+def _case_roundtrips(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
-    if not roundtrip_check(tt, morphisms=[f], objects=[x]):
+    if not roundtrip_check(t, morphisms=[f], objects=[x]):
         raise _Fail("membership roundtrip broke", maps={"f": f})
     other = config.shifts[(case + 1) % len(config.shifts)]
-    lo, hi = sorted((cut, other))
-    if not antitone_check(f, TorsionTheory.at(lo), TorsionTheory.at(hi)):
+    lo, hi = sorted((t.n, other))
+    if not antitone_check(f, tstruct.TStructure(lo), tstruct.TStructure(hi)):
         raise _Fail(
             f"class containment not antitone between cutoffs {lo} and {hi}", maps={"f": f}
         )
 
 
-def _case_heart(rng, fld, quiver, cut, config, case):
-    t = tstruct.TStructure(cut)
+def _case_heart(rng, fld, quiver, t, config, case):
     hm = tstruct.random_heart_morphism(quiver, fld, t, rng)
     shown = {"f": hm.map}
     comparison, _ = tstruct.heart_comparison(hm)
     if not is_quasi_iso(comparison):
         raise _Fail("coimage-to-image comparison is not a quasi-iso", maps=shown)
-    h_map = induced_homology_map(hm.map, cut)
+    h_map = induced_homology_map(hm.map, t.n)
     zero_dims = tuple(0 for _ in quiver.vertices)
     ker = tstruct.heart_kernel(hm).source
-    if homology_dims(ker).get(cut, zero_dims) != rep_kernel(h_map)[0].dims:
+    if homology_dims(ker).get(t.n, zero_dims) != rep_kernel(h_map)[0].dims:
         raise _Fail("kernel dimensions disagree with the homology-level kernel", maps=shown)
     cok = tstruct.heart_cokernel(hm).target
-    if homology_dims(cok).get(cut, zero_dims) != rep_cokernel(h_map)[0].dims:
+    if homology_dims(cok).get(t.n, zero_dims) != rep_cokernel(h_map)[0].dims:
         raise _Fail("cokernel dimensions disagree with the homology-level cokernel", maps=shown)
 
 
-def _case_postnikov(rng, fld, quiver, cut, config, case):
+def _case_postnikov(rng, fld, quiver, t, config, case):
     x = _draw(rng, fld, quiver, config)
     y = _draw(rng, fld, quiver, config)
     f = random_chain_map(x, y, rng)
@@ -566,7 +554,7 @@ def _micro_pair(case: int) -> tuple[Complex, Complex, PrimeField]:
     return pair[0], pair[1], fld
 
 
-def _case_hom_oracle(rng, fld, quiver, cut, config, case):
+def _case_hom_oracle(rng, fld, quiver, t, config, case):
     x, y, fld = _micro_pair(case)
     hdims = homology_dims(hom_complex(x, y).complex)
     for n in range(y.lo - x.hi - 1, y.hi - x.lo + 2):
@@ -629,7 +617,7 @@ def _run_case(config: SuiteConfig, prop_index: int, case: int) -> dict | None:
         "seed_path": [config.seed, prop_index, case],
     }
     try:
-        runner(rng, PrimeField(p), resolve_quiver(qname), cut, config, case)
+        runner(rng, PrimeField(p), resolve_quiver(qname), tstruct.TStructure(cut), config, case)
         return None
     except _Fail as fail:
         # the document (and its prime) come from the shown objects: hom-oracle

@@ -30,7 +30,7 @@ from .complexes import (
     Complex,
     Homotopy,
     compose,
-    cofib,
+    cone,
     fib,
     hom_complex,
     hom_postcompose,
@@ -79,6 +79,9 @@ class TStructure:
 
     The upper class keeps H_k for k >= n, the lower class for k < n.
     Shifting the cut is the suspension action; cuts are totally ordered.
+    The cut is all the data of its normal torsion theory (E_t, M_t):
+    factorization takes it as is, with truncate_lt as the reflection and
+    truncate_ge as the coreflection.
     """
 
     n: int = 0
@@ -87,27 +90,23 @@ class TStructure:
         return TStructure(self.n + k)
 
 
+def _acyclic_where(x: Complex, where) -> bool:
+    """H_k(x) vanishes at every degree k for which where(k) holds."""
+    return not any(any(dims) for k, dims in homology_dims(x).items() if where(k))
+
+
 def in_coaisle(x: Complex, t: TStructure) -> bool:
     """Homology vanishes strictly below the cut."""
-    dims = homology_dims(x)
-    return all(
-        all(d == 0 for d in dims[k]) for k in dims if k < t.n
-    )
+    return _acyclic_where(x, lambda k: k < t.n)
 
 
 def in_aisle(x: Complex, t: TStructure) -> bool:
     """Homology vanishes at and above the cut."""
-    dims = homology_dims(x)
-    return all(
-        all(d == 0 for d in dims[k]) for k in dims if k >= t.n
-    )
+    return _acyclic_where(x, lambda k: k >= t.n)
 
 
 def heart_contains(x: Complex, t: TStructure) -> bool:
-    dims = homology_dims(x)
-    return all(
-        all(d == 0 for d in dims[k]) for k in dims if k != t.n
-    )
+    return _acyclic_where(x, lambda k: k != t.n)
 
 
 class _Cut:
@@ -278,10 +277,10 @@ def heart_kernel(f: HeartMorphism) -> HeartMorphism:
 
 
 def heart_cokernel(f: HeartMorphism) -> HeartMorphism:
-    """The lower truncation of the cofiber, as an epi out of the target."""
-    cofibration = cofib(f.map)
+    """The lower truncation of the cofiber (the cone), as an epi out of the target."""
+    cofibration = cone(f.map)
     _, pi = truncate_lt(cofibration.complex, f.t.shifted(1))
-    return HeartMorphism(compose(pi, cofibration.from_target), f.t)
+    return HeartMorphism(compose(pi, cofibration.into), f.t)
 
 
 def heart_image(f: HeartMorphism) -> HeartMorphism:

@@ -29,7 +29,7 @@ from torsionlab.complexes import (
     random_complex,
 )
 from torsionlab.document import document_of, serialize_document
-from torsionlab.factorization import TorsionTheory, factor
+from torsionlab.factorization import factor
 from torsionlab.linalg import PrimeField
 from torsionlab.postnikov import postnikov_tower
 from torsionlab.quiver import Quiver
@@ -57,7 +57,7 @@ def _constructions(p: int, seed: int) -> dict[str, str]:
     k = random_chain_map(w, y, rng)
     c, fb = cone(f), fib(f)
     pb, po = homotopy_pullback(f, g), homotopy_pushout(h, k)
-    fac = factor(f, TorsionTheory.at(seed % 3 - 1))
+    fac = factor(f, TStructure(seed % 3 - 1))
     tower = postnikov_tower(f)
     maps = {
         "cone": {"into": c.into, "outof": c.outof},

@@ -175,6 +175,16 @@ def test_document_of_registers_endpoints_once():
 _A2 = {"vertices": ["a", "b"], "arrows": [["a", "b"]]}
 _R = {"dims": [1, 0], "arrows": [[]]}
 _X = {"lo": 0, "terms": ["r"], "diffs": []}
+
+
+def _point_stalk(dim):
+    return {
+        "quiver": {"vertices": ["v"], "arrows": []},
+        "reps": {"r": {"dims": [dim], "arrows": []}},
+        "complexes": {"x": _X},
+    }
+
+
 MALFORMED = {
     "reps-not-object": {"reps": []},
     "complexes-not-object": {"complexes": 5},
@@ -206,7 +216,13 @@ MALFORMED = {
     # and numpy's own ValueError escaped for an empty 0 x 10^30 matrix
     "prime-too-large": {"prime": 2**61 - 1},
     "dims-too-large": {"reps": {"r": {"dims": [10**30, 0], "arrows": [[]]}}},
+    # a rep of the point quiver has no matrix to reject, so these parsed, and
+    # 10^5 would have made kernel_basis build an 80 GB identity
+    "point-dim-10^5": _point_stalk(10**5),
+    "point-dim-10^30": _point_stalk(10**30),
 }
+# what the message of a rejection must name
+NAMED = {kind: ("rep 'r'", "vertex 'v'") for kind in ("point-dim-10^5", "point-dim-10^30")}
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
@@ -215,8 +231,9 @@ def test_malformed_documents_are_rejected_with_one_error_line(kind, tmp_path, ca
 
     tree = {"format_version": 1, "prime": 2, "quiver": _A2, **MALFORMED[kind]}
     text = json.dumps(tree)
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as err:
         parse_document(text)
+    assert all(name in str(err.value) for name in NAMED.get(kind, ()))
     path = tmp_path / "doc.json"
     path.write_text(text)
     assert main(["factor", str(path), "--map", "f"]) == 1

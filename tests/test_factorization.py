@@ -23,9 +23,7 @@ from torsionlab.complexes import (
     zero_map,
 )
 from torsionlab.factorization import (
-    TorsionTheory,
     antitone_check,
-    coreflection,
     coreflection_cofiber,
     factor,
     factorization_pullout_square,
@@ -34,7 +32,6 @@ from torsionlab.factorization import (
     in_M,
     is_orthogonal,
     normality_report,
-    reflection,
     reflection_fiber,
     roundtrip_check,
     sator_check,
@@ -46,13 +43,13 @@ from torsionlab.factorization import (
 )
 from torsionlab.linalg import PrimeField
 from torsionlab.quiver import Quiver, QuiverRep
-from torsionlab.tstruct import random_heart_object, truncate_ge, truncate_lt
+from torsionlab.tstruct import TStructure, random_heart_object, truncate_ge, truncate_lt
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 PT = Quiver.point()
 A2 = Quiver.a2()
-TT = TorsionTheory.at(0)
+T = TStructure(0)
 
 
 def _sphere(deg=0, field=F2):
@@ -77,41 +74,41 @@ def _rand_map(seed, quiver=A2, field=F2, **kw):
 def test_membership_trivia():
     s = _sphere()
     zc = zero_complex(PT, F2)
-    assert in_E(identity_map(s), TT) and in_M(identity_map(s), TT)
+    assert in_E(identity_map(s), T) and in_M(identity_map(s), T)
     initial = zero_map(zc, s)
-    assert in_E(initial, TT) and not in_M(initial, TT)
+    assert in_E(initial, T) and not in_M(initial, T)
     terminal_low = zero_map(shift(s, -1), zc)
-    assert in_M(terminal_low, TT) and not in_E(terminal_low, TT)
+    assert in_M(terminal_low, T) and not in_E(terminal_low, T)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_quasi_isos_are_exactly_the_intersection(seed):
     f = _rand_map(seed, max_dim=2)
-    assert (in_E(f, TT) and in_M(f, TT)) == is_quasi_iso(f)
+    assert (in_E(f, T) and in_M(f, T)) == is_quasi_iso(f)
 
 
 def test_reflection_and_coreflection_endpoints():
     x = _rand(42)
-    rx, unit = reflection(x, TT)
-    assert in_E(unit, TT) and free_contains(rx, TT)
-    sx, counit = coreflection(x, TT)
-    assert in_M(counit, TT) and torsion_contains(sx, TT)
+    rx, unit = truncate_lt(x, T)
+    assert in_E(unit, T) and free_contains(rx, T)
+    sx, counit = truncate_ge(x, T)
+    assert in_M(counit, T) and torsion_contains(sx, T)
     # reflection of a torsion object vanishes on the nose here
-    assert reflection(sx, TT)[0].is_zero()
+    assert truncate_lt(sx, T)[0].is_zero()
     # unit is invertible on torsion-free objects
-    ax = truncate_lt(x, TT.t)[0]
-    assert is_quasi_iso(reflection(ax, TT)[1])
+    ax = truncate_lt(x, T)[0]
+    assert is_quasi_iso(truncate_lt(ax, T)[1])
 
 
 def test_torsion_parts_of_extreme_objects():
     x = _rand(7)
-    sx = truncate_ge(x, TT.t)[0]
-    k, k_cmp = reflection_fiber(sx, TT)
+    sx = truncate_ge(x, T)[0]
+    k, k_cmp = reflection_fiber(sx, T)
     assert is_quasi_iso(k_cmp)
     assert homology_dims(k) == homology_dims(sx)
-    fx = truncate_lt(x, TT.t)[0]
-    q, q_cmp = coreflection_cofiber(fx, TT)
+    fx = truncate_lt(x, T)[0]
+    q, q_cmp = coreflection_cofiber(fx, T)
     assert is_quasi_iso(q_cmp)
     assert homology_dims(q) == homology_dims(fx)
 
@@ -120,11 +117,11 @@ def test_torsion_parts_of_extreme_objects():
 
 
 def test_normality_zero_and_heart():
-    rep = normality_report(zero_complex(A2, F2), TT)
+    rep = normality_report(zero_complex(A2, F2), T)
     assert rep.all_hold() and rep.agree()
     rng = np.random.default_rng(3)
-    h = random_heart_object(A2, F2, TT.t, rng)
-    rep = normality_report(h, TT)
+    h = random_heart_object(A2, F2, T, rng)
+    rep = normality_report(h, T)
     assert rep.all_hold() and rep.agree()
 
 
@@ -132,7 +129,7 @@ def test_normality_zero_and_heart():
 @settings(max_examples=30)
 def test_normality_holds_everywhere(seed, n, p):
     x = random_complex(A2, PrimeField(p), np.random.default_rng(seed), max_dim=2)
-    rep = normality_report(x, TorsionTheory.at(n))
+    rep = normality_report(x, TStructure(n))
     assert rep.all_hold() and rep.agree()
 
 
@@ -143,29 +140,29 @@ def test_normality_holds_everywhere(seed, n, p):
 @settings(max_examples=25)
 def test_factor_is_strict_and_lands_in_the_classes(seed):
     f = _rand_map(seed, max_dim=2)
-    fac = factor(f, TT)
+    fac = factor(f, T)
     assert compose(fac.m, fac.e) == f
     assert not fac.witness.comps
-    assert in_E(fac.e, TT) and in_M(fac.m, TT)
+    assert in_E(fac.e, T) and in_M(fac.m, T)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15)
 def test_factor_is_idempotent_up_to_equivalence(seed):
     f = _rand_map(seed, max_dim=2, lo=-2, hi=2)
-    fac = factor(f, TT)
-    assert is_quasi_iso(factor(fac.e, TT).m)
-    assert is_quasi_iso(factor(fac.m, TT).e)
+    fac = factor(f, T)
+    assert is_quasi_iso(factor(fac.e, T).m)
+    assert is_quasi_iso(factor(fac.m, T).e)
 
 
 def test_factor_of_initial_and_terminal_arrows():
     y = _rand(19)
     zc = zero_complex(A2, F2)
-    fac = factor(zero_map(zc, y), TT)
-    assert homology_dims(fac.mid.complex) == homology_dims(truncate_ge(y, TT.t)[0])
+    fac = factor(zero_map(zc, y), T)
+    assert homology_dims(fac.mid.complex) == homology_dims(truncate_ge(y, T)[0])
     x = _rand(23)
-    fac = factor(zero_map(x, zc), TT)
-    assert homology_dims(fac.mid.complex) == homology_dims(truncate_lt(x, TT.t)[0])
+    fac = factor(zero_map(x, zc), T)
+    assert homology_dims(fac.mid.complex) == homology_dims(truncate_lt(x, T)[0])
     assert compose(fac.m, fac.e) == zero_map(x, zc)
 
 
@@ -173,8 +170,8 @@ def test_factor_of_initial_and_terminal_arrows():
 @settings(max_examples=20)
 def test_factorization_square_is_a_pullout(seed, n):
     f = _rand_map(seed, max_dim=2)
-    tt = TorsionTheory.at(n)
-    assert is_pullout(factorization_pullout_square(f, tt))
+    t = TStructure(n)
+    assert is_pullout(factorization_pullout_square(f, t))
 
 
 # -- orthogonality and lifting -------------------------------------------------------
@@ -203,7 +200,7 @@ def test_factor_classes_are_orthogonal(seed):
         random_complex(PT, F2, rng, max_dim=2, lo=-2, hi=2),
         rng,
     )
-    assert is_orthogonal(factor(f, TT).e, factor(g, TT).m)
+    assert is_orthogonal(factor(f, T).e, factor(g, T).m)
 
 
 def test_lifting_identity_square():
@@ -250,7 +247,7 @@ def test_lifting_agrees_with_orthogonality(seed):
         random_complex(PT, F2, rng, max_dim=2, lo=-1, hi=1),
         rng,
     )
-    e, m = factor(f, TT).e, factor(g, TT).m
+    e, m = factor(f, T).e, factor(g, T).m
     assert is_orthogonal(e, m)
     count, wit = solve_lifting(_square_between(e, m, rng))
     assert count == 1 and wit is not None
@@ -276,23 +273,23 @@ def test_three_for_two_on_constructed_pairs():
     pairs = []
     for seed in range(8):
         f = _rand_map(seed, max_dim=2)
-        fac = factor(f, TT)
+        fac = factor(f, T)
         onward = random_chain_map(
             fac.mid.complex, random_complex(A2, F2, rng, max_dim=2), rng
         )
         pairs.append((fac.e, onward))
-        pairs.append((fac.e, factor(onward, TT).e))
+        pairs.append((fac.e, factor(onward, T).e))
         pairs.append((fac.e, fac.m))
-    assert three_for_two_check("E", TT, pairs)
-    assert three_for_two_check("M", TT, pairs)
+    assert three_for_two_check("E", T, pairs)
+    assert three_for_two_check("M", T, pairs)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20)
 def test_sator_identity(seed):
     a = _rand(seed, max_dim=2)
-    assert sator_check(a, TT)
-    assert sator_check(a, TorsionTheory.at(-2))
+    assert sator_check(a, T)
+    assert sator_check(a, TStructure(-2))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -304,18 +301,18 @@ def test_class_closure_under_co_base_change(seed):
         random_complex(A2, F2, rng, max_dim=2),
         rng,
     )
-    fac = factor(f, TT)
+    fac = factor(f, T)
     along_out = random_chain_map(f.source, random_complex(A2, F2, rng, max_dim=2), rng)
-    assert in_E(homotopy_pushout(fac.e, along_out).inj_second, TT)
+    assert in_E(homotopy_pushout(fac.e, along_out).inj_second, T)
     along_in = random_chain_map(random_complex(A2, F2, rng, max_dim=2), f.target, rng)
-    assert in_M(homotopy_pullback(fac.m, along_in).proj_second, TT)
+    assert in_M(homotopy_pullback(fac.m, along_in).proj_second, T)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(-2, 1), st.integers(0, 2))
 @settings(max_examples=20)
 def test_antitone_membership(seed, n, gap):
     f = _rand_map(seed, max_dim=2)
-    assert antitone_check(f, TorsionTheory.at(n), TorsionTheory.at(n + gap))
+    assert antitone_check(f, TStructure(n), TStructure(n + gap))
 
 
 # -- semiexactness and roundtrips ------------------------------------------------------
@@ -323,24 +320,24 @@ def test_antitone_membership(seed, n, gap):
 
 def test_semiexact_identity_and_initial():
     x = _rand(31)
-    assert semiexact_check(identity_map(x), TT)
+    assert semiexact_check(identity_map(x), T)
     zc = zero_complex(A2, F2)
-    assert semiexact_check(zero_map(zc, x), TT)
+    assert semiexact_check(zero_map(zc, x), T)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(-1, 1))
 @settings(max_examples=20)
 def test_semiexact_everywhere(seed, n):
     f = _rand_map(seed, max_dim=2)
-    tt = TorsionTheory.at(n)
-    w, pulled_unit = semiexact_data(f, tt)
+    t = TStructure(n)
+    w, pulled_unit = semiexact_data(f, t)
     assert is_quasi_iso(w)
-    assert in_E(pulled_unit, tt)
+    assert in_E(pulled_unit, t)
 
 
 def test_roundtrip_on_spheres_and_randoms():
     spheres = [shift(_sphere(), k) for k in range(-3, 4)]
     morphisms = [_rand_map(seed, max_dim=2) for seed in range(6)]
     objects = spheres + [_rand(seed, max_dim=2) for seed in range(6)]
-    assert roundtrip_check(TT, morphisms, objects)
-    assert roundtrip_check(TorsionTheory.at(1), morphisms, objects)
+    assert roundtrip_check(T, morphisms, objects)
+    assert roundtrip_check(TStructure(1), morphisms, objects)

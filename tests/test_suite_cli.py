@@ -23,7 +23,7 @@ from torsionlab.complexes import (
     zero_map,
 )
 from torsionlab.document import document_of, parse_document, serialize_document
-from torsionlab.factorization import TorsionTheory, in_E, in_M
+from torsionlab.factorization import in_E, in_M
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
 from torsionlab.suite import (
@@ -238,10 +238,10 @@ def test_factor_initial_arrow_gives_upper_truncation(doc_path, capsys):
     emitted = parse_document(out)
     e, m = emitted.maps["e"], emitted.maps["m"]
     assert e.source.is_zero()
-    tt = TorsionTheory(TStructure(0))
-    assert in_E(e, tt) and in_M(m, tt)
+    t = TStructure(0)
+    assert in_E(e, t) and in_M(m, t)
     y = parse_document(doc_path.read_text()).complexes["y"]
-    upper, _ = truncate_ge(y, TStructure(0))
+    upper, _ = truncate_ge(y, t)
 
     def nonzero_h(x):
         return {n: dims for n, dims in homology_dims(x).items() if any(dims)}
