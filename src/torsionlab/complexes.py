@@ -10,7 +10,6 @@ summands in the order written, at every vertex.
   cone(f)_n   = X_{n-1} (+) Y_n          d(x, y) = (-dx, fx + dy)
   fib(f)      = cone(f)[-1], so fib(f)_n = X_n (+) Y_{n+1} with
                                           d(x, y) = (dx, -fx - dy)
-  cofib(f)    = cone(f), with into . f null-homotopic by Cone.null_wit
   hom(X, Y)_n = (+)_i Hom(X_i, Y_{i+n})   (d phi) = d_Y phi - (-1)^n phi d_X
 
 A homotopy h from g to f has components h_n : X_n -> Y_{n+1} and satisfies
@@ -23,10 +22,11 @@ cone's blocks without building the cone, and all "X equals Y in the homotopy
 category" claims are expressed through an explicit comparison map plus that
 test.
 
-cone, fib, homotopy_pullback and homotopy_pushout build only their
-graded sum up front.  Their structure maps, null-homotopies and witness
-squares are made on first read (functools.cached_property), through the
-same checking constructors, and kept; most callers read only the complex.
+cone, fib, homotopy_pullback and homotopy_pushout return a GradedSum, which
+is the complex it builds; the cone is also the cofiber, with into . f
+null-homotopic by Cone.null_wit.  Their structure maps, null-homotopies and
+witness squares are made on first read (functools.cached_property), through
+the same checking constructors, and kept; most callers never read them.
 
 Every mapping-space question is linear algebra on one object, the hom
 complex: homotopic solves D_1 h = f - g, chain_map_basis and
@@ -52,7 +52,6 @@ from .linalg import (
     image_basis,
     kernel_basis,
     kernel_coords,
-    quotient,
     rank,
     solve,
 )
@@ -60,12 +59,15 @@ from .quiver import (
     Quiver,
     QuiverRep,
     RepMap,
+    cycle_coords,
     direct_sum,
     graded_from_flat,
     post_op,
     pre_op,
+    quotient_rep,
     random_rep,
     rep_hom_basis_flat,
+    rep_kernel,
 )
 
 __all__ = [
@@ -158,10 +160,10 @@ class Complex:
 
     @classmethod
     def _unchecked(cls, quiver, field, lo, terms, diffs) -> "Complex":
-        """Build with the term and endpoint checks but without the dense d²
-        product: only for complexes whose d² = 0 the caller checked another
-        way (hom_complex on graded maps, _graded_sum on its blocks) or that
-        exact arithmetic keeps lawful (shift)."""
+        """Build a cls with the term and endpoint checks but without the dense
+        d² product: only for complexes whose d² = 0 the caller checked another
+        way (hom_complex on graded maps; _graded_sum, for each kind of graded
+        sum, on its blocks) or that exact arithmetic keeps lawful (shift)."""
         out = object.__new__(cls)
         out._fill(quiver, field, lo, terms, diffs)
         return out
@@ -459,8 +461,6 @@ class HomologyData:
     class_of inverts it on cycles.
     """
 
-    complex: Complex
-    degree: int
     rep: QuiverRep
     kernels: tuple[Mat, ...]
     projections: tuple[Mat, ...]
@@ -475,33 +475,14 @@ class HomologyData:
 
 
 def homology_data(x: Complex, n: int) -> HomologyData:
-    quiver, field = x.quiver, x.field
-    d_in = x.diff(n + 1)
-    d_out = x.diff(n)
-    kernels, projs, sects, dims = [], [], [], []
-    for v_idx in range(len(quiver.vertices)):
-        k = kernel_basis(d_out.components[v_idx])
-        bd = image_basis(d_in.components[v_idx])
-        coords = kernel_coords(k, bd)
-        if coords is None:
-            raise AssertionError("boundaries are not cycles; d-squared broken")
-        q, s = quotient(field, k.cols, image_basis(coords))
-        kernels.append(k)
-        projs.append(q)
-        sects.append(s)
-        dims.append(q.rows)
-    reps = tuple(k @ s for k, s in zip(kernels, sects))
-    arrow_maps = []
-    term = x.term(n)
-    for a_idx, (src, tgt) in enumerate(quiver.arrows):
-        i, j = quiver.index(src), quiver.index(tgt)
-        carried = term.arrow_maps[a_idx] @ reps[i]
-        coords = kernel_coords(kernels[j], carried)
-        if coords is None:
-            raise AssertionError("arrow map does not preserve cycles")
-        arrow_maps.append(projs[j] @ coords)
-    h = QuiverRep(quiver, field, tuple(dims), tuple(arrow_maps))
-    return HomologyData(x, n, h, tuple(kernels), tuple(projs), reps)
+    """H_n(X) as a subquotient: the kernel of d_n, divided by the boundaries
+    written in its basis."""
+    _, inc = rep_kernel(x.diff(n))
+    broken = "boundaries are not cycles; d-squared broken"
+    bd = cycle_coords(inc, x.diff(n + 1).components, broken)
+    h, proj, sects = quotient_rep(inc.source, tuple(image_basis(c) for c in bd))
+    reps = tuple(k @ s for k, s in zip(inc.components, sects))
+    return HomologyData(h, inc.components, proj.components, reps)
 
 
 def homology(x: Complex, n: int) -> QuiverRep:
@@ -543,18 +524,19 @@ def induced_homology_map(f: ChainMap, n: int) -> RepMap:
 # -- graded sums: cones, fibers, direct sums, homotopy (co)limits ------------------
 
 
-@dataclass(frozen=True)
-class GradedSum:
+class GradedSum(Complex):
     """A complex whose degree-n term is the direct sum, over its parts
     (C_i, k_i), of (C_i)_{n - k_i}: the terms of the shifts C_i[k_i].
 
     Every vertex stacks the parts in order; offsets[n][i][v] is the first
     coordinate of part i in degree n at vertex v.  The differential is
     block lower-triangular: each part's shifted differential on the
-    diagonal, plus the twists (j, i) that glue part i into part j.
+    diagonal, plus the twists (j, i) that glue part i into part j.  The sum
+    is the complex it builds: it equals any Complex with the same terms and
+    differentials.
     """
 
-    complex: Complex
+    __slots__ = ("parts", "offsets", "twists")
     parts: tuple[tuple[Complex, int], ...]
     offsets: dict[int, tuple[tuple[int, ...], ...]]
     twists: tuple[tuple[int, int], ...]
@@ -564,21 +546,22 @@ class GradedSum:
         if any(src == i for _, src in self.twists):
             raise ValueError(f"a twist leaves part {i}, so it has no inclusion")
         part = shift(*self.parts[i])
-        comps = block_components(part, self, 0, {(i, 0): (1, identity_map(part).comps)})
-        return ChainMap._unchecked(part, self.complex, comps)
+        comps = block_components(part, self, 0, {(i, None): (1, identity_map(part).comps)})
+        return ChainMap._unchecked(part, self, comps)
 
     def projection(self, i: int) -> ChainMap:
         """The sum -> C_i[k_i], a chain map because no twist enters part i."""
         if any(tgt == i for tgt, _ in self.twists):
             raise ValueError(f"a twist enters part {i}, so it has no projection")
         part, c = shift(*self.parts[i]), self.parts[i][0]
-        comps = block_components(self, part, 0, {(0, i): (1, identity_map(c).comps)})
-        return ChainMap._unchecked(self.complex, part, comps)
+        comps = block_components(self, part, 0, {(None, i): (1, identity_map(c).comps)})
+        return ChainMap._unchecked(self, part, comps)
 
 
-def _graded_sum(parts, twists=None) -> GradedSum:
+def _graded_sum(parts, twists=None, cls=GradedSum, **named) -> GradedSum:
     """The graded sum of parts [(C_i, k_i)], twisted by twists[(j, i)] =
-    (sign, chain map C_i -> C_j), built without the dense d² product.
+    (sign, chain map C_i -> C_j), built as a cls without the dense d²
+    product and given the attributes named.
 
     Each twist must run from part i to part j and lower the degree (k_i =
     k_j + 1), and no two twists compose.  Then d² = 0 blockwise: diagonal
@@ -594,11 +577,7 @@ def _graded_sum(parts, twists=None) -> GradedSum:
     if {j for j, _ in twists} & {i for _, i in twists}:
         raise ValueError("two twists compose")
     quiver, fld = parts[0][0].quiver, parts[0][0].field
-    keys = tuple(twists)
-    span = _sum_span(parts)
-    if span is None:
-        return GradedSum(zero_complex(quiver, fld), tuple(parts), {}, keys)
-    lo, hi = span
+    lo, hi = _sum_span(parts) or (0, -1)
     terms, offsets = [], {}
     for n in range(lo, hi + 1):
         term, offsets[n] = direct_sum(*(c.term(n - k) for c, k in parts))
@@ -609,8 +588,11 @@ def _graded_sum(parts, twists=None) -> GradedSum:
         src, tgt = terms[n - lo], terms[n - 1 - lo]
         mats = _blocks(parts, fld, n, (offsets[n], src.dims), (offsets[n - 1], tgt.dims), table)
         diffs.append(RepMap._unchecked(src, tgt, mats) if mats else RepMap.zero(src, tgt))
-    cx = Complex._unchecked(quiver, fld, lo, tuple(terms), tuple(diffs))
-    return GradedSum(cx, tuple(parts), offsets, keys)
+    out = cls._unchecked(quiver, fld, lo, tuple(terms), tuple(diffs))
+    named.update(parts=tuple(parts), offsets=offsets, twists=tuple(twists))
+    for name, value in named.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _sum_span(parts) -> tuple[int, int] | None:
@@ -651,109 +633,98 @@ def _blocks(parts, fld, n, src, tgt, table):
     return None if mats is None else tuple(Mat(fld, a) for a in mats)
 
 
-def _layout(side: "GradedSum | Complex"):
-    if isinstance(side, GradedSum):
-        return side.complex, side.parts, side.offsets
-    at = ((0,) * len(side.quiver.vertices),)
-    return side, ((side, 0),), {n: at for n in side.support}
+def _layout(side: Complex, whole: bool):
+    """(parts, offsets by degree) of a graded sum read by its parts, or of
+    any complex read whole, as the one part (side, 0) under the key None."""
+    if not whole:
+        return side.parts, side.offsets
+    at = {None: (0,) * len(side.quiver.vertices)}
+    return {None: (side, 0)}, {n: at for n in side.support}
 
 
-def block_components(
-    source: "GradedSum | Complex", target: "GradedSum | Complex", degree: int, table
-) -> dict[int, RepMap]:
+def block_components(source: Complex, target: Complex, degree: int, table) -> dict[int, RepMap]:
     """Components source_n -> target_{n+degree} of a graded map given by blocks.
 
-    A plain complex is a graded sum with itself as its one part.  table maps
-    (target part j, source part i) to (sign, maps): maps holds the components
-    (C_i)_m -> (D_j)_{m + degree + k_i - l_j}, keyed by m.
-    The components are trusted; wrap them in a checking ChainMap or Homotopy.
+    table maps (target part j, source part i) to (sign, maps): maps holds the
+    components (C_i)_m -> (D_j)_{m + degree + k_i - l_j}, keyed by m.  A side
+    keyed by part numbers is a GradedSum read by its parts; a side keyed None
+    throughout is read whole, as its own one part, even when it is itself a
+    graded sum.  The components are trusted; wrap them in a checking ChainMap
+    or Homotopy.
     """
-    src, parts, src_offsets = _layout(source)
-    tgt, _, tgt_offsets = _layout(target)
+    j, i = next(iter(table))
+    parts, src_offsets = _layout(source, i is None)
+    _, tgt_offsets = _layout(target, j is None)
     out = {}
-    for n in src.support:
+    for n in source.support:
         t = n + degree
         if t not in tgt_offsets:
             continue
-        s_term, t_term = src.term(n), tgt.term(t)
+        s_term, t_term = source.term(n), target.term(t)
         s_side, t_side = (src_offsets[n], s_term.dims), (tgt_offsets[t], t_term.dims)
-        mats = _blocks(parts, src.field, n, s_side, t_side, table)
+        mats = _blocks(parts, source.field, n, s_side, t_side, table)
         if mats is not None:
             out[n] = RepMap._unchecked(s_term, t_term, mats)
     return out
 
 
-@dataclass(frozen=True)
-class Cone:
-    """cone(f) as a graded sum, which is also the cofiber of f; its
-    structure maps are made on first read, the null-homotopy checked."""
-
-    f: ChainMap
-    blocks: GradedSum  # parts (X, 1), (Y, 0)
-
-    @property
-    def complex(self) -> Complex:
-        return self.blocks.complex
+class Cone(GradedSum):
+    """cone(f), keeping f: the graded sum of the parts (X, 1) and (Y, 0),
+    which is also the cofiber of f; its structure maps are made on first
+    read, the null-homotopy checked."""
 
     @cached_property
     def into(self) -> ChainMap:
         """Y -> cone."""
-        return self.blocks.inclusion(1)
+        return self.inclusion(1)
 
     @cached_property
     def outof(self) -> ChainMap:
         """cone -> X[1]."""
-        return self.blocks.projection(0)
+        return self.projection(0)
 
     @cached_property
     def null_wit(self) -> Homotopy:
         """From 0 to into . f."""
         x = self.f.source
         return Homotopy(
-            zero_map(x, self.complex),
+            zero_map(x, self),
             compose(self.into, self.f),
-            block_components(x, self.blocks, 1, {(0, 0): (1, identity_map(x).comps)}),
+            block_components(x, self, 1, {(0, None): (1, identity_map(x).comps)}),
         )
 
 
 def cone(f: ChainMap) -> Cone:
-    return Cone(f, _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)}))
+    return _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)}, Cone, f=f)
 
 
-@dataclass(frozen=True)
-class Fiber:
-    """fib(f) as a graded sum; the projection to X and the null-homotopy
-    are made on first read, the null-homotopy checked."""
-
-    f: ChainMap
-    blocks: GradedSum  # parts (X, 0), (Y, -1)
-
-    @property
-    def complex(self) -> Complex:
-        return self.blocks.complex
+class Fiber(GradedSum):
+    """fib(f), keeping f: the graded sum of the parts (X, 0) and (Y, -1);
+    the projection to X and the null-homotopy are made on first read, the
+    null-homotopy checked."""
 
     @cached_property
     def to_source(self) -> ChainMap:
         """fib(f) -> X."""
-        return self.blocks.projection(0)
+        return self.projection(0)
 
     @cached_property
     def null_wit(self) -> Homotopy:
         """From 0 to f . to_source."""
         y = self.f.target
         return Homotopy(
-            zero_map(self.complex, y),
+            zero_map(self, y),
             compose(self.f, self.to_source),
-            block_components(self.blocks, y, 1, {(0, 1): (-1, identity_map(y).comps)}),
+            block_components(self, y, 1, {(None, 1): (-1, identity_map(y).comps)}),
         )
 
 
 def fib(f: ChainMap) -> Fiber:
-    return Fiber(f, _graded_sum([(f.source, 0), (f.target, -1)], {(1, 0): (-1, f)}))
+    return _graded_sum([(f.source, 0), (f.target, -1)], {(1, 0): (-1, f)}, Fiber, f=f)
 
 
 def cone_homology_dims(f: ChainMap) -> dict[int, tuple[int, ...]]:
-    """homology_dims(cone(f).complex), without building the cone.
+    """homology_dims(cone(f)), without building the cone.
 
     The cone's differential cone_n -> cone_{n-1} has the blocks
     [[-dX_{n-1}, 0], [f_{n-1}, dY_n]]; they are filled per vertex straight
@@ -791,27 +762,19 @@ def direct_sum_complex(x: Complex, y: Complex) -> GradedSum:
     return _graded_sum([(x, 0), (y, 0)])
 
 
-@dataclass(frozen=True)
-class Pullback:
-    """The homotopy pullback of f, g : * -> Z as a graded sum; the
+class Pullback(GradedSum):
+    """The homotopy pullback of f, g : * -> Z, keeping f and g: the graded
+    sum fib(X (+) Y -> Z) of the parts (X, 0), (Y, 0) and (Z, -1); the
     projections and the witness square are made, and checked, on first
     read."""
 
-    f: ChainMap
-    g: ChainMap
-    blocks: GradedSum  # fib(X (+) Y -> Z): parts (X, 0), (Y, 0), (Z, -1)
-
-    @property
-    def complex(self) -> Complex:
-        return self.blocks.complex
-
     @cached_property
     def proj_first(self) -> ChainMap:
-        return self.blocks.projection(0)
+        return self.projection(0)
 
     @cached_property
     def proj_second(self) -> ChainMap:
-        return self.blocks.projection(1)
+        return self.projection(1)
 
     @cached_property
     def square(self) -> CommutingSquare:
@@ -820,7 +783,7 @@ class Pullback:
         wit = Homotopy(
             compose(g, p2),
             compose(f, p1),
-            block_components(self.blocks, z, 1, {(0, 2): (-1, identity_map(z).comps)}),
+            block_components(self, z, 1, {(None, 2): (-1, identity_map(z).comps)}),
         )
         return CommutingSquare(p1, p2, f, g, wit)
 
@@ -829,11 +792,8 @@ def homotopy_pullback(f: ChainMap, g: ChainMap) -> Pullback:
     """W with projections to the sources of f, g : * -> Z and the witness square."""
     if f.target != g.target:
         raise ValueError("pullback legs must share a target")
-    s = _graded_sum(
-        [(f.source, 0), (g.source, 0), (f.target, -1)],
-        {(2, 0): (-1, f), (2, 1): (1, g)},
-    )
-    return Pullback(f, g, s)
+    parts = [(f.source, 0), (g.source, 0), (f.target, -1)]
+    return _graded_sum(parts, {(2, 0): (-1, f), (2, 1): (1, g)}, Pullback, f=f, g=g)
 
 
 def pullback_induced(
@@ -855,31 +815,22 @@ def pullback_induced(
         if compose(on_base, old) != compose(new, side):
             raise ValueError("cospan map does not commute strictly")
     table = {(i, i): (1, g.comps) for i, g in enumerate((on_first, on_second, on_base))}
-    comps = block_components(pb_from.blocks, pb_to.blocks, 0, table)
-    return ChainMap(pb_from.complex, pb_to.complex, comps)
+    return ChainMap(pb_from, pb_to, block_components(pb_from, pb_to, 0, table))
 
 
-@dataclass(frozen=True)
-class Pushout:
-    """The homotopy pushout of f, g : W -> * as a graded sum; the
+class Pushout(GradedSum):
+    """The homotopy pushout of f, g : W -> *, keeping f and g: the graded
+    sum cone(W -> X (+) Y) of the parts (W, 1), (X, 0) and (Y, 0); the
     injections and the witness square are made, and checked, on first
     read."""
 
-    f: ChainMap
-    g: ChainMap
-    blocks: GradedSum  # cone(W -> X (+) Y): parts (W, 1), (X, 0), (Y, 0)
-
-    @property
-    def complex(self) -> Complex:
-        return self.blocks.complex
-
     @cached_property
     def inj_first(self) -> ChainMap:
-        return self.blocks.inclusion(1)
+        return self.inclusion(1)
 
     @cached_property
     def inj_second(self) -> ChainMap:
-        return self.blocks.inclusion(2)
+        return self.inclusion(2)
 
     @cached_property
     def square(self) -> CommutingSquare:
@@ -888,7 +839,7 @@ class Pushout:
         wit = Homotopy(
             compose(i2, g),
             compose(i1, f),
-            block_components(w, self.blocks, 1, {(0, 0): (1, identity_map(w).comps)}),
+            block_components(w, self, 1, {(0, None): (1, identity_map(w).comps)}),
         )
         return CommutingSquare(f, g, i1, i2, wit)
 
@@ -897,11 +848,8 @@ def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
     """The double mapping cylinder of X <- W -> Y with its witness square."""
     if f.source != g.source:
         raise ValueError("pushout legs must share a source")
-    s = _graded_sum(
-        [(f.source, 1), (f.target, 0), (g.target, 0)],
-        {(1, 0): (1, f), (2, 0): (-1, g)},
-    )
-    return Pushout(f, g, s)
+    parts = [(f.source, 1), (f.target, 0), (g.target, 0)]
+    return _graded_sum(parts, {(1, 0): (1, f), (2, 0): (-1, g)}, Pushout, f=f, g=g)
 
 
 def _square_glue_map(sq: CommutingSquare) -> ChainMap:
@@ -912,11 +860,11 @@ def _square_glue_map(sq: CommutingSquare) -> ChainMap:
         {(1, 0): (1, sq.top), (2, 0): (1, sq.left)},
     )
     table = {
-        (0, 0): (1, sq.witness.comps),
-        (0, 1): (1, sq.right.comps),
-        (0, 2): (-1, sq.bottom.comps),
+        (None, 0): (1, sq.witness.comps),
+        (None, 1): (1, sq.right.comps),
+        (None, 2): (-1, sq.bottom.comps),
     }
-    return ChainMap(s.complex, z, block_components(s, z, 0, table))
+    return ChainMap(s, z, block_components(s, z, 0, table))
 
 
 def is_pullout(sq: CommutingSquare) -> bool:
@@ -932,24 +880,22 @@ def is_cartesian(sq: CommutingSquare) -> bool:
     pb = homotopy_pullback(sq.right, sq.bottom)
     w = sq.top.source
     table = {
-        (0, 0): (1, sq.top.comps),
-        (1, 0): (1, sq.left.comps),
-        (2, 0): (-1, sq.witness.comps),
+        (0, None): (1, sq.top.comps),
+        (1, None): (1, sq.left.comps),
+        (2, None): (-1, sq.witness.comps),
     }
-    chi = ChainMap(w, pb.complex, block_components(w, pb.blocks, 0, table))
-    return is_quasi_iso(chi)
+    return is_quasi_iso(ChainMap(w, pb, block_components(w, pb, 0, table)))
 
 
 def is_cocartesian(sq: CommutingSquare) -> bool:
     po = homotopy_pushout(sq.top, sq.left)
     z = sq.right.target
     table = {
-        (0, 0): (1, sq.witness.comps),
-        (0, 1): (1, sq.right.comps),
-        (0, 2): (1, sq.bottom.comps),
+        (None, 0): (1, sq.witness.comps),
+        (None, 1): (1, sq.right.comps),
+        (None, 2): (1, sq.bottom.comps),
     }
-    psi = ChainMap(po.complex, z, block_components(po.blocks, z, 0, table))
-    return is_quasi_iso(psi)
+    return is_quasi_iso(ChainMap(po, z, block_components(po, z, 0, table)))
 
 
 # -- hom complexes ------------------------------------------------------------

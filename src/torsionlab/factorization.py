@@ -119,8 +119,8 @@ def reflection_fiber(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
     _, unit = truncate_lt(x, t)
     fb = fib(unit)
     sx, counit = truncate_ge(x, t)
-    comps = block_components(sx, fb.blocks, 0, {(0, 0): (1, counit.comps)})
-    return fb.complex, ChainMap(sx, fb.complex, comps)
+    comps = block_components(sx, fb, 0, {(0, None): (1, counit.comps)})
+    return fb, ChainMap(sx, fb, comps)
 
 
 def coreflection_cofiber(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
@@ -128,8 +128,8 @@ def coreflection_cofiber(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
     _, counit = truncate_ge(x, t)
     cf = cone(counit)
     rx, unit = truncate_lt(x, t)
-    comps = block_components(cf.blocks, rx, 0, {(0, 1): (1, unit.comps)})
-    return cf.complex, ChainMap(cf.complex, rx, comps)
+    comps = block_components(cf, rx, 0, {(None, 1): (1, unit.comps)})
+    return cf, ChainMap(cf, rx, comps)
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ def factor(f: ChainMap, t: TStructure) -> Factorization:
     _, unit_y = truncate_lt(y, t)
     pb = homotopy_pullback(below, unit_y)
     _, unit_x = truncate_lt(x, t)
-    comps = block_components(x, pb.blocks, 0, {(0, 0): (1, unit_x.comps), (1, 0): (1, f.comps)})
-    e = ChainMap(x, pb.complex, comps)
+    comps = block_components(x, pb, 0, {(0, None): (1, unit_x.comps), (1, None): (1, f.comps)})
+    e = ChainMap(x, pb, comps)
     m = pb.proj_second
     witness = Homotopy(compose(m, e), f, {})
     return Factorization(e, m, witness, pb)
@@ -222,8 +222,8 @@ def factorization_pullout_square(
     _, counit_x = truncate_ge(x, t)
     sy, counit_y = truncate_ge(y, t)
     above = truncate_map_ge(f, t)
-    comps = block_components(sy, fac.mid.blocks, 0, {(1, 0): (1, counit_y.comps)})
-    bottom = ChainMap(sy, fac.mid.complex, comps)
+    comps = block_components(sy, fac.mid, 0, {(1, None): (1, counit_y.comps)})
+    bottom = ChainMap(sy, fac.mid, comps)
     return CommutingSquare.strict(counit_x, above, fac.e, bottom)
 
 
@@ -233,7 +233,7 @@ def factorization_pullout_square(
 def is_orthogonal(e: ChainMap, m: ChainMap) -> bool:
     """Fillers for (e, m) form a contractible space iff hom(cone e, fib m)
     is acyclic in all non-negative degrees."""
-    h = hom_complex(cone(e).complex, fib(m).complex)
+    h = hom_complex(cone(e), fib(m))
     return not any(
         any(dims) for n, dims in homology_dims(h.complex).items() if n >= 0
     )
@@ -367,7 +367,7 @@ def semiexact_data(f: ChainMap, t: TStructure) -> tuple[ChainMap, ChainMap]:
     po = homotopy_pushout(above, truncate_ge(x, t)[1])
     # pushout parts (sx, 1), (sy, 0), (x, 0); pullback parts (rx, 0), (y, 0), (ry, -1)
     table = {(0, 2): (1, unit_x.comps), (1, 1): (1, counit_y.comps), (1, 2): (1, f.comps)}
-    w = ChainMap(po.complex, pb.complex, block_components(po.blocks, pb.blocks, 0, table))
+    w = ChainMap(po, pb, block_components(po, pb, 0, table))
     return w, pb.proj_first
 
 

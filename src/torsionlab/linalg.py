@@ -61,6 +61,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise ValueError(f"modulus {self.p!r} is not an integer")
         # the size first: trial division of a huge modulus would never end
         if self.p >= 1 << 20:
             # keeps every intermediate product inside int64

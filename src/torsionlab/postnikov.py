@@ -105,16 +105,15 @@ def _lift_into_fiber(
 ) -> ChainMap:
     """The strict lift x -> (g x, -h x) of g through fib(q), given a strict
     null-homotopy h from 0 to q.g."""
-    table = {(0, 0): (1, g.comps), (1, 0): (-1, null_h)}
-    return ChainMap(g.source, fb.complex, block_components(g.source, fb.blocks, 0, table))
+    table = {(0, None): (1, g.comps), (1, None): (-1, null_h)}
+    return ChainMap(g.source, fb, block_components(g.source, fb, 0, table))
 
 
 def _fiber_descend(fb_hi: Fiber, fb_lo: Fiber, restrict: ChainMap) -> ChainMap:
     """fib(Y -> B) -> fib(Y -> B') over Y, along a strict B -> B' under Y."""
     y = fb_hi.to_source.target
     table = {(0, 0): (1, identity_map(y).comps), (1, 1): (1, restrict.comps)}
-    comps = block_components(fb_hi.blocks, fb_lo.blocks, 0, table)
-    return ChainMap(fb_hi.complex, fb_lo.complex, comps)
+    return ChainMap(fb_hi, fb_lo, block_components(fb_hi, fb_lo, 0, table))
 
 
 def _certify(stage_map: ChainMap, degree: int) -> TowerStage:
@@ -138,7 +137,7 @@ def postnikov_tower(f: ChainMap) -> Tower:
     fibers = []
     projections = []
     for n in cutoffs:
-        _, pi = truncate_lt(cf.complex, TStructure(n))
+        _, pi = truncate_lt(cf, TStructure(n))
         fibers.append(fib(compose(pi, cf.into)))
         projections.append(pi)
     # top: push the cofiber's null-homotopy through the deepest truncation
@@ -148,12 +147,10 @@ def postnikov_tower(f: ChainMap) -> Tower:
     }
     maps = [_lift_into_fiber(f, fibers[0], pushed)]
     for idx in range(len(cutoffs) - 1):
-        restrict = lt_restriction(
-            cf.complex, TStructure(cutoffs[idx + 1]), TStructure(cutoffs[idx])
-        )
+        restrict = lt_restriction(cf, TStructure(cutoffs[idx + 1]), TStructure(cutoffs[idx]))
         maps.append(_fiber_descend(fibers[idx], fibers[idx + 1], restrict))
     maps.append(fibers[-1].to_source)
-    objects = [x] + [fb.complex for fb in fibers] + [y]
+    objects = [x, *fibers, y]
     stages = tuple(
         _certify(m, hi - 1 - k) for k, m in enumerate(maps)
     )

@@ -11,11 +11,11 @@ of maps with equal endpoints, negatives, scalar multiples, zero and identity
 maps.  Raw components from outside (documents, solvers, kernels and
 quotients) always go through the checking constructor.  Complex._unchecked
 skips only the dense d² product: each hom-complex differential checks that
-law on flat graded maps as it is built (see HomComplex), graded sums
-(cones, fibers, direct sums, homotopy (co)limits) on their blocks, and
-shift negates a lawful differential.  The inclusions and projections of a
-graded sum use ChainMap._unchecked, and are refused where a twist would
-break them.
+law on flat graded maps as it is built (see HomComplex), a graded sum (a
+cone, fiber, direct sum or homotopy (co)limit, each built as its own
+Complex subclass) on its blocks, and shift negates a lawful differential.
+The inclusions and projections of a graded sum use ChainMap._unchecked, and
+are refused where a twist would break them.
 """
 
 from __future__ import annotations
@@ -370,6 +370,15 @@ def rep_kernel(f: RepMap) -> tuple[QuiverRep, RepMap]:
     ker = QuiverRep(quiver, field, dims, tuple(arrow_maps))
     inc = RepMap(ker, f.source, tuple(kmats))
     return ker, inc
+
+
+def cycle_coords(inc: RepMap, mats, broken: str) -> tuple[Mat, ...]:
+    """Vertexwise coordinates of the columns of mats in the kernel basis that
+    inc includes; AssertionError(broken) when a column lies outside it."""
+    coords = tuple(kernel_coords(k, m) for k, m in zip(inc.components, mats))
+    if any(c is None for c in coords):
+        raise AssertionError(broken)
+    return coords
 
 
 def rep_cokernel(f: RepMap) -> tuple[QuiverRep, RepMap]:

@@ -25,7 +25,7 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .complexes import (
     zero_complex,
     zero_map,
 )
-from .document import document_of, parse_quiver, serialize_document
+from .document import MAX_DIM, document_of, parse_quiver, serialize_document
 from .factorization import (
     antitone_check,
     factor,
@@ -112,6 +112,17 @@ def resolve_quiver(name: str) -> Quiver:
     )
 
 
+_JSON = {bool: "a boolean", int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def _need(value, kind: type, what: str):
+    """value, unless it is not a JSON value of kind (a boolean is no
+    integer): then a ValueError naming what."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_JSON[kind]}")
+    return value
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     primes: tuple[int, ...] = (2, 3)
@@ -131,10 +142,12 @@ class SuiteConfig:
             raise ValueError("at least one quiver required")
         for q in self.quivers:
             resolve_quiver(q)
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if self.cases < 1:
             raise ValueError("cases must be at least 1")
-        if self.max_dim < 1:
-            raise ValueError("max_dim must be at least 1")
+        if not 1 <= self.max_dim <= MAX_DIM:
+            raise ValueError(f"max_dim must be between 1 and {MAX_DIM}")
         if self.window[0] > self.window[1]:
             raise ValueError("degree window is empty")
         if not self.shifts:
@@ -153,20 +166,20 @@ class SuiteConfig:
 
     @classmethod
     def from_tree(cls, tree: dict) -> "SuiteConfig":
-        kwargs = {}
-        for key in ("primes", "quivers", "shifts"):
-            if key in tree:
-                kwargs[key] = tuple(tree[key])
-        for key in ("seed", "cases", "max_dim"):
-            if key in tree:
-                kwargs[key] = int(tree[key])
-        if "window" in tree:
-            kwargs["window"] = (int(tree["window"][0]), int(tree["window"][1]))
-        unknown = set(tree) - {
-            "primes", "quivers", "seed", "cases", "max_dim", "window", "shifts",
-        }
+        unknown = set(_need(tree, dict, "a config")) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        kwargs = {}
+        for key, value in tree.items():
+            what = f"config key {key!r}"
+            if key in ("seed", "cases", "max_dim"):
+                kwargs[key] = _need(value, int, what)
+                continue
+            kind = str if key == "quivers" else int
+            items = _need(value, list, what)
+            kwargs[key] = tuple(_need(v, kind, f"each entry of {what}") for v in items)
+        if len(kwargs.get("window", (0, 0))) != 2:
+            raise ValueError("config key 'window' must hold two integers")
         return cls(**kwargs)
 
 
@@ -244,9 +257,19 @@ def report_text(report: Report) -> str:
 
 
 def render_tree(tree: dict, fmt: str) -> str:
-    """Re-render a previously emitted JSON report."""
-    if tree.get("report_version") != REPORT_VERSION:
-        raise ValueError(f"unsupported report_version {tree.get('report_version')!r}")
+    """Re-render a previously emitted JSON report, refused unless every
+    field the text reads has the type report_json writes."""
+    version = _need(tree, dict, "a report").get("report_version")
+    if type(version) is not int or version != REPORT_VERSION:
+        raise ValueError(f"unsupported report_version {version!r}")
+    _need(tree.get("ok"), bool, "report key 'ok'")
+    for r in _need(tree.get("properties"), list, "report key 'properties'"):
+        what = "each entry of report key 'properties'"
+        for key, kind in (("name", str), ("passed", int), ("cases", int)):
+            _need(_need(r, dict, what).get(key), kind, f"key {key!r} of {what}")
+        ce = r.get("counterexample")
+        if ce and {"case", "seed_path", "detail"} - set(_need(ce, dict, "a counterexample")):
+            raise ValueError("a counterexample needs the keys 'case', 'seed_path' and 'detail'")
     if fmt == "json":
         return json.dumps(tree, indent=2, sort_keys=True) + "\n"
     if fmt != "text":
@@ -310,7 +333,7 @@ def _case_pullout(rng, fld, quiver, t, config, case):
     z0 = zero_complex(quiver, fld)
 
     cf = cone(f)
-    sq_cone = CommutingSquare(f, zero_map(x, z0), cf.into, zero_map(z0, cf.complex), cf.null_wit)
+    sq_cone = CommutingSquare(f, zero_map(x, z0), cf.into, zero_map(z0, cf), cf.null_wit)
     sq_pb = homotopy_pullback(f, g).square
     # degenerate square on x: a pullout exactly when x is acyclic
     sq_zero = CommutingSquare.strict(
@@ -322,9 +345,7 @@ def _case_pullout(rng, fld, quiver, t, config, case):
                 f"cartesian/cocartesian disagree on the {tag} square", maps={"f": f, "g": g}
             )
     fb = fib(f)
-    sq_fib = CommutingSquare(
-        fb.to_source, zero_map(fb.complex, z0), f, zero_map(z0, y), fb.null_wit
-    )
+    sq_fib = CommutingSquare(fb.to_source, zero_map(fb, z0), f, zero_map(z0, y), fb.null_wit)
     if not is_pullout(sq_fib):
         raise _Fail("fiber square is not a pullout", maps={"f": f})
 
@@ -418,7 +439,7 @@ def _case_em_intersection(rng, fld, quiver, t, config, case):
         raise _Fail("intersection of the two classes differs from quasi-isos", maps={"f": f})
     # constructed quasi-iso: pad the source with a contractible summand
     a = _draw(rng, fld, quiver, config)
-    ca = cone(identity_map(a)).complex
+    ca = cone(identity_map(a))
     inj = direct_sum_complex(x, ca).inclusion(0)
     if not (is_quasi_iso(inj) and in_E(inj, t) and in_M(inj, t)):
         raise _Fail("constructed quasi-iso missing from one of the classes", maps={"inj": inj})

@@ -43,10 +43,11 @@ from .complexes import (
     zero_complex,
     zero_map,
 )
-from .linalg import Mat, kernel_coords
+from .linalg import Mat
 from .quiver import (
     QuiverRep,
     RepMap,
+    cycle_coords,
     quotient_rep,
     rep_kernel,
 )
@@ -138,7 +139,7 @@ class _Cut:
         diffs = []
         if x.hi > n:
             broken = "boundaries are not cycles; d-squared broken"
-            comps = _cycle_coords(inc, x.diff(n + 1).components, broken)
+            comps = cycle_coords(inc, x.diff(n + 1).components, broken)
             diffs.append(RepMap(x.term(n + 1), ker, comps))
             diffs.extend(x.diff(k) for k in range(n + 2, x.hi + 1))
         sub = Complex(x.quiver, x.field, n, tuple(terms), tuple(diffs))
@@ -162,14 +163,6 @@ class _Cut:
         quot = Complex(x.quiver, x.field, x.lo, tuple(terms), tuple(diffs))
         pi_comps = {k: RepMap.identity(x.term(k)) for k in range(x.lo, n)}
         return quot, ChainMap(x, quot, {n: proj, **pi_comps})
-
-
-def _cycle_coords(inc: RepMap, mats, broken: str) -> tuple[Mat, ...]:
-    """Vertexwise coordinates of the columns of mats in the cycle basis inc."""
-    coords = tuple(kernel_coords(k, m) for k, m in zip(inc.components, mats))
-    if any(c is None for c in coords):
-        raise AssertionError(broken)
-    return coords
 
 
 def _cut(x: Complex, n: int) -> _Cut:
@@ -202,7 +195,7 @@ def truncate_map_ge(f: ChainMap, t: TStructure) -> ChainMap:
         kx = _cut(f.source, n).kernel[1]
         ky = _cut(f.target, n).kernel[1]
         carried = [c @ k for c, k in zip(f.comp(n).components, kx.components)]
-        parts = _cycle_coords(ky, carried, "chain map does not preserve cycles")
+        parts = cycle_coords(ky, carried, "chain map does not preserve cycles")
         comps[n] = RepMap(sub_x.term(n), sub_y.term(n), parts)
     return ChainMap(sub_x, sub_y, comps)
 
@@ -272,14 +265,14 @@ class HeartMorphism:
 def heart_kernel(f: HeartMorphism) -> HeartMorphism:
     """The upper truncation of the fiber, as a mono into the source."""
     fibration = fib(f.map)
-    _, iota = truncate_ge(fibration.complex, f.t)
+    _, iota = truncate_ge(fibration, f.t)
     return HeartMorphism(compose(fibration.to_source, iota), f.t)
 
 
 def heart_cokernel(f: HeartMorphism) -> HeartMorphism:
     """The lower truncation of the cofiber (the cone), as an epi out of the target."""
     cofibration = cone(f.map)
-    _, pi = truncate_lt(cofibration.complex, f.t.shifted(1))
+    _, pi = truncate_lt(cofibration, f.t.shifted(1))
     return HeartMorphism(compose(pi, cofibration.into), f.t)
 
 

@@ -22,17 +22,20 @@ from torsionlab.complexes import (
     cone,
     fib,
     hom_complex,
+    homology_data,
     homotopic,
     homotopy_pullback,
     homotopy_pushout,
+    induced_homology_map,
     random_chain_map,
     random_complex,
 )
 from torsionlab.document import document_of, serialize_document
 from torsionlab.factorization import factor
-from torsionlab.linalg import PrimeField
+from torsionlab.linalg import Mat, PrimeField
 from torsionlab.postnikov import postnikov_tower
 from torsionlab.quiver import Quiver
+from torsionlab.suite import resolve_quiver
 from torsionlab.tstruct import (
     HeartMorphism,
     TStructure,
@@ -262,3 +265,51 @@ SOLVER_DIGESTS = {
 @pytest.mark.parametrize("p, seed", sorted(SOLVER_DIGESTS))
 def test_mapping_complex_solvers_match_recorded_digests(p, seed):
     assert _solver_outputs(p, seed) == SOLVER_DIGESTS[(p, seed)]
+
+
+# -- homology ---------------------------------------------------------------------
+
+
+def _homology_digest(name: str, p: int) -> str:
+    """sha256 over homology_data (its rep, kernels, projections and cycle
+    representatives) and induced_homology_map of a seeded chain map, in every
+    degree of the draws' window [-1, 1] and one beyond each end, for ten
+    draws."""
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    mats = []
+    for seed in range(10):
+        rng = np.random.default_rng([p, seed, 11])
+        x = random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1)
+        y = random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1)
+        f = random_chain_map(x, y, rng)
+        for n in range(-2, 3):
+            for label, c in (("x", x), ("y", y)):
+                hd, at = homology_data(c, n), f"{seed}{label}{n}"
+                mats.append((f"{at}.dims", Mat(fld, [hd.rep.dims])))
+                for key in ("kernels", "projections", "reps"):
+                    mats += [(f"{at}.{key}{v}", m) for v, m in enumerate(getattr(hd, key))]
+                mats += [(f"{at}.arrow{a}", m) for a, m in enumerate(hd.rep.arrow_maps)]
+            h = induced_homology_map(f, n)
+            mats += [(f"{seed}f{n}.{v}", m) for v, m in enumerate(h.components)]
+    return _matrices_digest(mats)
+
+
+HOMOLOGY_DIGESTS = {
+    ("point", 2): "fb3cce2bc6f83e4e1dc5349032e6c61db437c35e1358f7e19e9206f627dfb1be",
+    ("point", 3): "2cea7f6cc0a8ac3627c7b4e3638b520a610b73654e03081bd26825ecb40e3693",
+    ("point", 5): "0538e6a8a4cac0298e9408e2c1ca169876546cc7e55d2ac4217b32c44c5e9abe",
+    ("a2", 2): "d019840f9520f99bce41f382deafab591bcf9d7adcb32d876b0f3f8cdb2c76ab",
+    ("a2", 3): "7e364bedb53850001c0d7403b6eaffc445808cdfd04e3b5d37aa1890be835264",
+    ("a2", 5): "6aeae59fd89cd658a353dc83762c867ab8e1c330989236f32b550f5650901189",
+    ("kronecker", 2): "952287c1c9a0f6ea4ec8a18851ef76d6e73cb59f5ee997aed2e95deb5d7de278",
+    ("kronecker", 3): "7200593d5a97306146e4386676b0635c4e018f153c696b986666811a9a2f0e24",
+    ("kronecker", 5): "b736650edf6b0ca26a9c5fdc8e5af5da40acf1e9c248b5ef801d26b2c187c1e2",
+    ("d4", 2): "471e88b42b7c69278c71344b05a1f16ccae66071dbf235f29b5684317cca08a9",
+    ("d4", 3): "fec7fde2d5787668cb3d9e71a2cc0edf89bf09a5a35f7be0f82530ded26f9ab0",
+    ("d4", 5): "eb72f0101b06a2cce558eaed3ae1f65196a39aa9069792972bb78dc69b4e4e27",
+}
+
+
+@pytest.mark.parametrize("name, p", sorted(HOMOLOGY_DIGESTS))
+def test_homology_matches_recorded_digests(name, p):
+    assert _homology_digest(name, p) == HOMOLOGY_DIGESTS[(name, p)]

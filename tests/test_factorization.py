@@ -159,10 +159,10 @@ def test_factor_of_initial_and_terminal_arrows():
     y = _rand(19)
     zc = zero_complex(A2, F2)
     fac = factor(zero_map(zc, y), T)
-    assert homology_dims(fac.mid.complex) == homology_dims(truncate_ge(y, T)[0])
+    assert homology_dims(fac.mid) == homology_dims(truncate_ge(y, T)[0])
     x = _rand(23)
     fac = factor(zero_map(x, zc), T)
-    assert homology_dims(fac.mid.complex) == homology_dims(truncate_lt(x, T)[0])
+    assert homology_dims(fac.mid) == homology_dims(truncate_lt(x, T)[0])
     assert compose(fac.m, fac.e) == zero_map(x, zc)
 
 
@@ -275,7 +275,7 @@ def test_three_for_two_on_constructed_pairs():
         f = _rand_map(seed, max_dim=2)
         fac = factor(f, T)
         onward = random_chain_map(
-            fac.mid.complex, random_complex(A2, F2, rng, max_dim=2), rng
+            fac.mid, random_complex(A2, F2, rng, max_dim=2), rng
         )
         pairs.append((fac.e, onward))
         pairs.append((fac.e, factor(onward, T).e))

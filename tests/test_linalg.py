@@ -31,6 +31,9 @@ def test_prime_validation():
         PrimeField(6)
     with pytest.raises(ValueError):
         PrimeField(1)
+    for modulus in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            PrimeField(modulus)
     PrimeField(251)
 
 

@@ -68,7 +68,7 @@ def _rand_map(seed, quiver=A2, field=F2, **kw):
 def test_window_of_quasi_iso_is_absent():
     x = _rand_map(0).source
     assert boundedness_window(identity_map(x)) is None
-    acyclic = cone(identity_map(x)).complex
+    acyclic = cone(identity_map(x))
     assert boundedness_window(zero_map(acyclic, zero_complex(A2, F2))) is None
 
 
@@ -124,7 +124,7 @@ def test_split_complex_two_stage_tower():
     assert len(tw.stages) == 2
     assert [st.degree for st in tw.stages] == [1, 0]
     for st in tw.stages:
-        fb = fib(st.map).complex
+        fb = fib(st.map)
         assert heart_contains(shift(fb, -st.degree), TStructure(0))
     assert verify_tower(f, tw)
 
@@ -159,10 +159,10 @@ def test_stage_fibers_reproduce_the_fiber_homology(seed):
     if w is None:
         return
     tw = postnikov_tower(f)
-    total = homology_dims(fib(f).complex)
+    total = homology_dims(fib(f))
     zero = tuple(0 for _ in f.source.quiver.vertices)
     for st_ in tw.stages:
-        fb = fib(st_.map).complex
+        fb = fib(st_.map)
         got = homology_dims(fb).get(st_.degree, zero)
         assert got == total.get(st_.degree, zero)
 

@@ -22,7 +22,7 @@ from torsionlab.complexes import (
     zero_complex,
     zero_map,
 )
-from torsionlab.document import document_of, parse_document, serialize_document
+from torsionlab.document import MAX_DIM, document_of, parse_document, serialize_document
 from torsionlab.factorization import in_E, in_M
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
@@ -78,9 +78,9 @@ def test_trusted_constructions_pass_the_checks_they_skip(monkeypatch):
     routed = {"RepMap": 0, "ChainMap": 0, "Complex": 0}
 
     def checking(cls):
-        def build(_, *args):
+        def build(klass, *args):
             routed[cls.__name__] += 1
-            return cls(*args)
+            return klass(*args)
 
         return classmethod(build)
 
@@ -160,6 +160,10 @@ def test_config_validation():
 def test_config_tree_round_trip():
     cfg = SuiteConfig(primes=(3,), quivers=("a2",), seed=9, cases=2)
     assert SuiteConfig.from_tree(cfg.to_tree()) == cfg
+    # the README's example config
+    assert SuiteConfig.from_tree({"max_dim": 3, "window": [-2, 2]}) == SuiteConfig(
+        max_dim=3, window=(-2, 2)
+    )
     with pytest.raises(ValueError, match="unknown config keys"):
         SuiteConfig.from_tree({"prime": 3})
 
@@ -193,6 +197,59 @@ def test_malformed_quiver_file_exits_with_one_error_line(tmp_path, capsys, tree)
     assert code == 1 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_config_bounds_max_dim_by_the_document_bound():
+    # only parsed: a suite at this bound would run for hours
+    assert SuiteConfig.from_tree({"max_dim": MAX_DIM}).max_dim == MAX_DIM
+    with pytest.raises(ValueError, match="max_dim must be between 1 and"):
+        SuiteConfig.from_tree({"max_dim": MAX_DIM + 1})
+
+
+REPORT = {"report_version": 1, "ok": True}
+ENTRY = {"name": "x", "passed": 1, "cases": 1}
+
+
+@pytest.mark.parametrize(
+    "command, tree, key",
+    [
+        ("verify", 5, "config"),
+        ("verify", [], "config"),
+        ("verify", {"window": 5}, "'window'"),
+        ("verify", {"window": [1]}, "'window'"),
+        ("verify", {"primes": 5}, "'primes'"),
+        ("verify", {"primes": [2.5]}, "'primes'"),
+        ("verify", {"seed": None}, "'seed'"),
+        ("verify", {"seed": -1}, "seed"),
+        ("verify", {"quivers": [5]}, "'quivers'"),
+        ("verify", {"shifts": ["a"]}, "'shifts'"),
+        ("verify", {"cases": True}, "'cases'"),
+        ("verify", {"max_dim": 2.0}, "'max_dim'"),
+        ("report", [1], "report"),
+        ("report", {**REPORT, "report_version": True, "properties": []}, "report_version"),
+        ("report", {"report_version": 1}, "'ok'"),
+        ("report", {**REPORT, "properties": [5]}, "'properties'"),
+        ("report", {**REPORT, "properties": [{"name": "x"}]}, "'passed'"),
+        ("report", {**REPORT, "properties": [{**ENTRY, "cases": False}]}, "'cases'"),
+        ("report", {**REPORT, "properties": [{**ENTRY, "counterexample": 5}]}, "counterexample"),
+        ("report", {**REPORT, "properties": [{**ENTRY, "counterexample": {"case": 0}}]}, "'detail'"),
+    ],
+)
+def test_malformed_config_or_report_exits_with_one_error_line(
+    tmp_path, capsys, command, tree, key
+):
+    """A config or saved report of the wrong shape or field type is refused
+    with one error line naming the key, before any case runs."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(tree))
+    if command == "verify":
+        code = main(["verify", "--config", str(path), "--cases", "1"])
+    else:
+        code = main(["report", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
 
 
 def test_render_tree_formats():

@@ -91,7 +91,7 @@ def test_membership_on_spheres():
 def test_membership_degenerate_objects():
     z = zero_complex(PT, F2)
     assert in_coaisle(z, T0) and in_aisle(z, T0) and heart_contains(z, T0)
-    acyclic = cone(identity_map(_simple())).complex
+    acyclic = cone(identity_map(_simple()))
     assert not acyclic.is_zero()
     assert in_coaisle(acyclic, T0) and in_aisle(acyclic, T0)
 
