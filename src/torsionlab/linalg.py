@@ -17,10 +17,13 @@ off that form, so it is reproducible whichever kernel ran.
 Each public answer costs at most one elimination: rref, rank, kernel_basis,
 image_basis, solve, inverse and quotient each reduce one matrix once, and
 read everything they return (pivots, nullity, singularity, dependence, the
-inverse of a change of basis) off that one reduced form.  Coordinates in a
-basis made by kernel_basis need no elimination at all: kernel_coords reads
-them off the basis's free rows, which hold the identity, and confirms them
-with one product.
+inverse of a change of basis) off that one reduced form.  Rank over F2 and
+F3 needs no reduced form: it runs forward elimination on rows packed into
+Python ints, one bit plane per nonzero value (see _rank_packed), and never
+calls _eliminate; every other answer, and rank over every larger prime,
+still costs one _eliminate.  Coordinates in a basis made by kernel_basis
+need no elimination at all: kernel_coords reads them off the basis's free
+rows, which hold the identity, and confirms them with one product.
 """
 
 from __future__ import annotations
@@ -262,8 +265,57 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(m.field, a), tuple(piv)
 
 
+def _packed_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean array as one int whose bit j is entry j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)]
+
+
+def _rank_packed(a: np.ndarray, p: int) -> int:
+    """The rank of a nonempty array over F2 or F3, by forward elimination on
+    bit-packed rows.
+
+    Each row is inserted into a basis keyed by its leading (highest) bit:
+    the basis row it meets there is subtracted until the row vanishes or
+    finds a free key, and the rank is the size of the basis.  Over F2 a row
+    is one int and subtraction is XOR.  Over F3 a row is two disjoint bit
+    planes (x1, x2), the entries equal to 1 and those equal to 2; negation
+    swaps them, a basis row is stored with its leading entry 1, and with
+    t = (x1 | y2) ^ (x2 | y1) the sum x + y has planes ((x2 | y2) ^ t,
+    (x1 | y1) ^ t).
+    """
+    basis: dict = {}
+    if p == 2:
+        for x in _packed_rows(a == 1):
+            while x:
+                lead = x.bit_length()
+                if lead not in basis:
+                    basis[lead] = x
+                    break
+                x ^= basis[lead]
+        return len(basis)
+    for x1, x2 in zip(_packed_rows(a == 1), _packed_rows(a == 2)):
+        while x1 or x2:
+            lead = (x1 | x2).bit_length()
+            one = x1.bit_length() == lead  # the leading entry is 1, not 2
+            if lead not in basis:
+                basis[lead] = (x1, x2) if one else (x2, x1)
+                break
+            y1, y2 = basis[lead]
+            if one:  # x - y = x + (-y), y's planes swapped; else x - 2y = x + y
+                y1, y2 = y2, y1
+            t = (x1 | y2) ^ (x2 | y1)
+            x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+    return len(basis)
+
+
 def rank(m: Mat) -> int:
-    return len(_reduced(m)[1])
+    """Over F2 and F3 read off bit-packed rows; over larger primes the number
+    of pivots of one elimination."""
+    if m.field.p > 3:
+        return len(_reduced(m)[1])
+    return _rank_packed(m.a, m.field.p) if m.a.size else 0
 
 
 def kernel_basis(m: Mat) -> Mat:

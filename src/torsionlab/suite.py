@@ -84,6 +84,8 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
+# the widest config window, hi - lo: supports are drawn anywhere inside it
+MAX_WINDOW = 64
 
 
 # Named shapes: besides point and a2, the path a -> b -> c, the Kronecker
@@ -148,8 +150,8 @@ class SuiteConfig:
             raise ValueError("cases must be at least 1")
         if not 1 <= self.max_dim <= MAX_DIM:
             raise ValueError(f"max_dim must be between 1 and {MAX_DIM}")
-        if self.window[0] > self.window[1]:
-            raise ValueError("degree window is empty")
+        if not 0 <= self.window[1] - self.window[0] <= MAX_WINDOW:
+            raise ValueError(f"config key 'window' needs 0 <= hi - lo <= {MAX_WINDOW}")
         if not self.shifts:
             raise ValueError("at least one cutoff shift required")
 

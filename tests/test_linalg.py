@@ -192,16 +192,20 @@ def test_quotient_dimension(m):
 
 @contextmanager
 def counted_eliminations():
-    """Records the shape of every row reduction linalg runs."""
+    """Records the shape of every row reduction linalg runs: each run of
+    _eliminate and of the packed rank kernel _rank_packed."""
     calls = []
-    inner = torsionlab.linalg._eliminate
 
-    def counting(a, p, limit):
-        calls.append(a.shape)
-        return inner(a, p, limit)
+    def counting(inner):
+        def run(a, *args):
+            calls.append(a.shape)
+            return inner(a, *args)
+
+        return run
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(torsionlab.linalg, "_eliminate", counting)
+        for name in ("_eliminate", "_rank_packed"):
+            patch.setattr(torsionlab.linalg, name, counting(getattr(torsionlab.linalg, name)))
         yield calls
 
 
@@ -305,16 +309,21 @@ def _low_rank(rng, p, rows, cols):
 # 8 x 40, and arrays without rows or columns, as (rows, cols, attached
 # right-side columns); the random draws below add more squares and rectangles.
 # The 0 x 6 array with 3 attached columns is the empty augmented system that a
-# kernel must not write its (empty) row list back into.
-KERNEL_SHAPES = [(0, 0, 2), (0, 6, 3), (6, 0, 2), (40, 8, 3), (8, 40, 2), (24, 24, 1)]
+# kernel must not write its (empty) row list back into.  70 x 130 and 130 x 70
+# have packed rows of more than one 64-bit word for the F2/F3 rank kernel.
+KERNEL_SHAPES = [
+    (0, 0, 2), (0, 6, 3), (6, 0, 2), (40, 8, 3), (8, 40, 2), (24, 24, 1),
+    (70, 130, 2), (130, 70, 2),
+]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1_048_573])
 def test_elimination_matches_plain_gauss_jordan(p):
     """Each elimination kernel, called directly on the same arrays, and the
     answers rref and solve build on _eliminate, equal a plain-Python
-    Gauss-Jordan; with attached right sides (limit < cols) too.  1,048,573
-    is the largest prime PrimeField accepts."""
+    Gauss-Jordan; with attached right sides (limit < cols) too.  rank, on
+    packed rows over F2 and F3, counts its pivots.  1,048,573 is the largest
+    prime PrimeField accepts."""
     fld = PrimeField(p)
     kernels = (torsionlab.linalg._eliminate_ints, torsionlab.linalg._eliminate_numpy)
     rng = np.random.default_rng(p)
@@ -327,6 +336,7 @@ def test_elimination_matches_plain_gauss_jordan(p):
         want, want_piv = _gauss_jordan(m.a.tolist(), p, cols)
         got, got_piv = rref(m)
         assert got_piv == tuple(want_piv)
+        assert rank(m) == len(want_piv)
         assert got == Mat(fld, np.array(want, dtype=np.int64).reshape(rows, cols))
         # attached right sides: half consistent (m times a vector), half random
         if rng.random() < 0.5:

@@ -27,6 +27,7 @@ from torsionlab.factorization import in_E, in_M
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
 from torsionlab.suite import (
+    MAX_WINDOW,
     SuiteConfig,
     property_names,
     render_tree,
@@ -56,12 +57,19 @@ def test_all_properties_pass_small():
     assert "suite ok" in text and "PASS" in text
 
 
-@pytest.mark.parametrize("quiver", ["a3", "kronecker", "d4"])
-def test_all_properties_pass_on_named_quivers(quiver):
+@pytest.mark.parametrize(
+    "config",
+    [SuiteConfig(quivers=(q,), cases=20) for q in ("a3", "kronecker", "d4")]
+    + [SuiteConfig(quivers=("a2",), primes=(5,), cases=20)],
+    ids=["a3", "kronecker", "d4", "a2-F5"],
+)
+def test_all_properties_pass_on_named_quivers(config):
     """Every property on the named quivers past point and a2, outside the
     timed default config: longer paths, parallel arrows and a branch point
-    put wider flat hom matrices through both elimination kernels."""
-    report = run_suite(SuiteConfig(quivers=(quiver,), cases=20))
+    put wider flat hom matrices through both elimination kernels.  Over F5
+    (a2) every rank is a Gauss-Jordan pivot count, the path that the
+    default primes 2 and 3 leave for the packed rank kernel."""
+    report = run_suite(config)
     assert [r.name for r in report.results] == list(property_names())
     assert all(r.cases >= 20 for r in report.results)
     assert report.ok, [r.counterexample for r in report.results if r.failed]
@@ -206,6 +214,16 @@ def test_config_bounds_max_dim_by_the_document_bound():
         SuiteConfig.from_tree({"max_dim": MAX_DIM + 1})
 
 
+def test_config_bounds_the_window_width():
+    # only parsed: one case per property ran past 60 s on a window of width 1,600
+    half = MAX_WINDOW // 2
+    assert SuiteConfig.from_tree({"window": [-half, half]}).window == (-half, half)
+    assert SuiteConfig.from_tree({"window": [3, 3]}).window == (3, 3)
+    for window in ([-half, half + 1], [1, 0]):
+        with pytest.raises(ValueError, match="config key 'window' needs"):
+            SuiteConfig.from_tree({"window": window})
+
+
 REPORT = {"report_version": 1, "ok": True}
 ENTRY = {"name": "x", "passed": 1, "cases": 1}
 
@@ -233,6 +251,7 @@ ENTRY = {"name": "x", "passed": 1, "cases": 1}
         ("report", {**REPORT, "properties": [{**ENTRY, "cases": False}]}, "'cases'"),
         ("report", {**REPORT, "properties": [{**ENTRY, "counterexample": 5}]}, "counterexample"),
         ("report", {**REPORT, "properties": [{**ENTRY, "counterexample": {"case": 0}}]}, "'detail'"),
+        ("verify", {"window": [-800, 800]}, "'window'"),
     ],
 )
 def test_malformed_config_or_report_exits_with_one_error_line(
