@@ -28,15 +28,16 @@ null-homotopic by Cone.null_wit.  Their structure maps, null-homotopies and
 witness squares are made on first read (functools.cached_property), through
 the same checking constructors, and kept; most callers never read them.
 
-Every mapping-space question is linear algebra on one object, the hom
-complex: homotopic solves D_1 h = f - g, chain_map_basis and
-random_chain_map read the kernel of D_0, and the lifting and heart solvers
-pose their systems on D_n and the degree-n transports hom_postcompose and
-hom_precompose.  hom_complex builds nothing up front: the slots of a degree
-and each D_n are made on first read and kept, so a solver pays only for the
-degrees it reads, and each D_n checks its d² law, on flat graded maps, when
-it is built.  HomComplex.complex assembles every degree for readers of the
-whole complex.
+Every mapping-space question is linear algebra on hom complexes:
+homotopic solves D_1 h = f - g, chain_map_basis and random_chain_map read
+the kernel of D_0, and the lifting and heart solvers solve in degree 0 of
+a total complex (total_diff): shifted hom complexes joined by the degree-n
+transports hom_postcompose and hom_precompose.  The lifting count also
+ranks its degree 1.  hom_complex builds nothing up front: the slots of a
+degree and each D_n are made on first read and kept, so a solver pays only
+for the degrees it reads, and each D_n checks its d² law, on flat graded
+maps, when it is built.  HomComplex.complex assembles every degree for
+readers of the whole complex.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ __all__ = [
     "direct_sum_complex",
     "block_components",
     "hom_complex",
+    "total_diff",
     "homotopy_pullback",
     "homotopy_pushout",
     "is_pullout",
@@ -1073,55 +1075,27 @@ def hom_precompose(src: HomComplex, dst: HomComplex, f: ChainMap, n: int) -> Mat
     return _transport(src, dst, n, lambda i, b: pre_op(f.comp(i), t.term(i + n), b))
 
 
-# -- block linear systems over chain data -------------------------------------
+# -- total complexes of mapping complexes ---------------------------------------
 
 
-def block_matrix(
-    fld: PrimeField,
-    unknowns: list[tuple[object, int]],
-    equations: list[tuple[int, list[tuple[object, np.ndarray]]]],
-) -> tuple[Mat, dict[object, tuple[int, int]]]:
-    """The homogeneous system matrix for the given blocks.
+def total_diff(nodes, edges, k: int) -> Mat:
+    """Degree k of the total complex of a diagram of mapping complexes.
 
-    unknowns: (key, width) pairs; equations: (rowdim, [(key, coefficient
-    matrix)]).  Returns the matrix and each unknown's (column offset, width).
+    nodes: (HomComplex, shift) pairs; node j contributes its degree
+    k + shift maps as unknowns and its degree k + shift - 1 maps as rows,
+    with its own D on the diagonal, signed (-1)^shift.  edges: (j, i, sign,
+    carry) tuples, where carry(n) is the degree-n transport from node i into
+    node j (hom_postcompose, hom_precompose); it sits at rows j, columns i.
+    Columns and rows are stacked in node order.
     """
-    offsets = {}
-    total = 0
-    for key, width in unknowns:
-        offsets[key] = (total, width)
-        total += width
-    rows = sum(r for r, _ in equations)
-    m = np.zeros((rows, total), dtype=np.int64)
-    r = 0
-    for rowdim, coefs in equations:
-        for key, mat in coefs:
-            off, width = offsets[key]
-            if mat.shape != (rowdim, width):
-                raise ValueError("block shape mismatch in linear system")
-            m[r : r + rowdim, off : off + width] += mat
-        r += rowdim
-    return Mat(fld, m), offsets
-
-
-def solve_block_system(
-    fld: PrimeField,
-    unknowns: list[tuple[object, int]],
-    equations: list[tuple[int, list[tuple[object, np.ndarray]], np.ndarray]],
-) -> tuple[dict[object, np.ndarray], int] | None:
-    """Solve block_matrix(unknowns, equations) x = (the stacked right sides).
-
-    equations: (rowdim, [(key, coefficient matrix)], rhs).  Returns
-    (assignment, kernel dimension) or None.
-    """
-    m, offsets = block_matrix(fld, unknowns, [(r, coefs) for r, coefs, _ in equations])
-    rhs = [np.asarray(b, dtype=np.int64).reshape(-1) for _, _, b in equations]
-    b = np.concatenate(rhs) if rhs else np.zeros(0, dtype=np.int64)
-    sol = solve(m, Mat(fld, b.reshape(-1, 1)))
-    if sol is None:
-        return None
-    x, nullity = sol
-    return {key: x.a[off : off + width, 0] for key, (off, width) in offsets.items()}, nullity
+    cols = np.cumsum([0] + [h.dim(k + s) for h, s in nodes])
+    rows = np.cumsum([0] + [h.dim(k + s - 1) for h, s in nodes])
+    mat = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for j, (h, s) in enumerate(nodes):
+        mat[rows[j] : rows[j + 1], cols[j] : cols[j + 1]] = (-1) ** s * h.diff(k + s).a
+    for j, i, sign, carry in edges:
+        mat[rows[j] : rows[j + 1], cols[i] : cols[i + 1]] += sign * carry(k + nodes[i][1]).a
+    return Mat(nodes[0][0].source.field, mat)
 
 
 # -- homotopies and chain maps, on the mapping complex ----------------------------

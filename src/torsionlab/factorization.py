@@ -48,12 +48,11 @@ from .complexes import (
     is_pullout,
     is_quasi_iso,
     pullback_induced,
-    solve_block_system,
-    block_matrix,
+    total_diff,
     zero_complex,
     zero_map,
 )
-from .linalg import rank
+from .linalg import Mat, rank, solve
 from .tstruct import (
     TStructure,
     in_aisle,
@@ -233,10 +232,27 @@ def factorization_pullout_square(
 def is_orthogonal(e: ChainMap, m: ChainMap) -> bool:
     """Fillers for (e, m) form a contractible space iff hom(cone e, fib m)
     is acyclic in all non-negative degrees."""
-    h = hom_complex(cone(e), fib(m))
-    return not any(
-        any(dims) for n, dims in homology_dims(h.complex).items() if n >= 0
-    )
+    dims = homology_dims(hom_complex(cone(e), fib(m)).complex)
+    return not any(any(d) for n, d in dims.items() if n >= 0)
+
+
+def _lifting_total(sq: CommutingSquare):
+    """The nodes and edges of the total complex whose degree-0 cycles are
+    the fillers of sq: Hom(Y, X) at shift 0, Hom(W, X) and Hom(Y, Z) at 1,
+    Hom(W, Z) at 2, joined by precomposition with the left edge e and
+    postcomposition with the right edge m."""
+    w, x, y, z = sq.top.source, sq.top.target, sq.left.target, sq.right.target
+    e, m = sq.left, sq.right
+    hyx, hwx = hom_complex(y, x), hom_complex(w, x)
+    hyz, hwz = hom_complex(y, z), hom_complex(w, z)
+    nodes = [(hyx, 0), (hwx, 1), (hyz, 1), (hwz, 2)]
+    edges = [
+        (1, 0, 1, lambda n: hom_precompose(hyx, hwx, e, n)),
+        (2, 0, 1, lambda n: hom_postcompose(hyx, hyz, m, n)),
+        (3, 1, -1, lambda n: hom_postcompose(hwx, hwz, m, n)),
+        (3, 2, 1, lambda n: hom_precompose(hyz, hwz, e, n)),
+    ]
+    return nodes, edges
 
 
 def solve_lifting(
@@ -248,69 +264,26 @@ def solve_lifting(
     is a map a from the left target to the right source, a homotopy from
     the top edge to a.left, a homotopy from the bottom edge to right.a,
     and a second-order cell tying the two to the square's own witness.
-    Fillers are counted modulo the gauge action by homotopies of a and
-    higher cells.  Returns (count, one representative) with the
-    representative omitted when no filler exists.
+    These are the degree-0 unknowns of one total complex (_lifting_total),
+    and a filler solves its D^0 against (0, top, bottom, witness).  Its
+    degree 1 is the gauge, homotopies of a and higher cells, so fillers
+    are counted as p^(nullity of D^0 - rank of D^1).  Returns (count, one
+    representative) with the representative omitted when no filler exists.
     """
-    w_, x_, y_, z_ = (
-        sq.top.source,
-        sq.top.target,
-        sq.left.target,
-        sq.right.target,
-    )
-    fld = w_.field
-    hyx, hwx = hom_complex(y_, x_), hom_complex(w_, x_)
-    hyz, hwz = hom_complex(y_, z_), hom_complex(w_, z_)
-    e, m = sq.left, sq.right
-    u = hwx.encode(0, sq.top.comps)
-    w = hyz.encode(0, sq.bottom.comps)
-    hwit = hwz.encode(1, sq.witness.comps)
-
-    unknowns = [("a", hyx.dim(0)), ("ht", hwx.dim(1)), ("hb", hyz.dim(1)), ("s", hwz.dim(2))]
-    equations = [
-        (hyx.dim(-1), [("a", hyx.diff(0).a)], np.zeros(hyx.dim(-1), dtype=np.int64)),
-        (hwx.dim(0), [("a", hom_precompose(hyx, hwx, e, 0).a), ("ht", -hwx.diff(1).a)], u),
-        (hyz.dim(0), [("a", hom_postcompose(hyx, hyz, m, 0).a), ("hb", -hyz.diff(1).a)], w),
-        (
-            hwz.dim(1),
-            [
-                ("ht", hom_postcompose(hwx, hwz, m, 1).a),
-                ("hb", -hom_precompose(hyz, hwz, e, 1).a),
-                ("s", -hwz.diff(2).a),
-            ],
-            -hwit,
-        ),
-    ]
-    sol = solve_block_system(fld, unknowns, equations)
+    nodes, edges = _lifting_total(sq)
+    (hyx, _), (hwx, _), (hyz, _), (hwz, _) = nodes
+    fld = sq.top.source.field
+    rhs = [np.zeros(hyx.dim(-1), dtype=np.int64), hwx.encode(0, sq.top.comps)]
+    rhs += [hyz.encode(0, sq.bottom.comps), hwz.encode(1, sq.witness.comps)]
+    sol = solve(total_diff(nodes, edges, 0), Mat(fld, np.concatenate(rhs).reshape(-1, 1)))
     if sol is None:
         return 0, None
-    assign, ker_dim = sol
-
-    gauge_unknowns = [
-        ("g", hyx.dim(1)),
-        ("lt", hwx.dim(2)),
-        ("lb", hyz.dim(2)),
-        ("mu", hwz.dim(3)),
-    ]
-    gauge = [
-        (hyx.dim(0), [("g", hyx.diff(1).a)]),
-        (hwx.dim(1), [("g", hom_precompose(hyx, hwx, e, 1).a), ("lt", hwx.diff(2).a)]),
-        (hyz.dim(1), [("g", hom_postcompose(hyx, hyz, m, 1).a), ("lb", hyz.diff(2).a)]),
-        (
-            hwz.dim(2),
-            [
-                ("lt", hom_postcompose(hwx, hwz, m, 2).a),
-                ("lb", -hom_precompose(hyz, hwz, e, 2).a),
-                ("mu", hwz.diff(3).a),
-            ],
-        ),
-    ]
-    gmat, _ = block_matrix(fld, gauge_unknowns, gauge)
-    classes = fld.p ** (ker_dim - rank(gmat))
-
-    a = hyx.cycle_to_chain_map(0, assign["a"])
-    ht = Homotopy(sq.top, compose(a, e), hwx.decode(1, assign["ht"]))
-    hb = Homotopy(sq.bottom, compose(m, a), hyz.decode(1, assign["hb"]))
+    x, nullity = sol
+    classes = fld.p ** (nullity - rank(total_diff(nodes, edges, 1)))
+    parts = np.split(x.a[:, 0], np.cumsum([h.dim(s) for h, s in nodes])[:-1])
+    a = hyx.cycle_to_chain_map(0, parts[0])
+    ht = Homotopy(sq.top, compose(a, sq.left), hwx.decode(1, parts[1]))
+    hb = Homotopy(sq.bottom, compose(sq.right, a), hyz.decode(1, parts[2]))
     return classes, (a, ht, hb)
 
 

@@ -45,6 +45,10 @@ __all__ = [
     "verify_tower",
 ]
 
+# the widest span of degrees that a map's source and target cover together;
+# a tower builds one stage per degree of its fiber's window
+MAX_SPAN = 64
+
 
 @dataclass(frozen=True)
 class BoundWindow:
@@ -93,7 +97,11 @@ def boundedness_window(f: ChainMap) -> BoundWindow | None:
     """Minimal window containing the homology support of fib(f).
 
     Returns None when the fiber is acyclic, i.e. f is already invertible.
+    Refuses, before any ranking, a map whose ends span more than MAX_SPAN.
     """
+    ends = [n for c in (f.source, f.target) if not c.is_zero() for n in (c.lo, c.hi)]
+    if ends and max(ends) - min(ends) > MAX_SPAN:
+        raise ValueError(f"map spans {max(ends) - min(ends)} degrees, more than {MAX_SPAN}")
     supported = _fiber_support(f)
     if not supported:
         return None
@@ -134,8 +142,7 @@ def postnikov_tower(f: ChainMap) -> Tower:
         return Tower((x, y), (_certify(f, lo),), Homotopy(f, f, {}), window)
     cf = cone(f)
     cutoffs = list(range(hi, lo + 1, -1))  # hi, hi-1, ..., lo+2
-    fibers = []
-    projections = []
+    fibers, projections = [], []
     for n in cutoffs:
         _, pi = truncate_lt(cf, TStructure(n))
         fibers.append(fib(compose(pi, cf.into)))
@@ -151,9 +158,7 @@ def postnikov_tower(f: ChainMap) -> Tower:
         maps.append(_fiber_descend(fibers[idx], fibers[idx + 1], restrict))
     maps.append(fibers[-1].to_source)
     objects = [x, *fibers, y]
-    stages = tuple(
-        _certify(m, hi - 1 - k) for k, m in enumerate(maps)
-    )
+    stages = tuple(_certify(m, hi - 1 - k) for k, m in enumerate(maps))
     composite = maps[0]
     for m in maps[1:]:
         composite = compose(m, composite)
@@ -181,11 +186,7 @@ def verify_tower(f: ChainMap, tower: Tower) -> bool:
         return False
     if window is None:
         only = tower.stages[0]
-        return (
-            len(tower.stages) == 1
-            and only.degree is None
-            and is_quasi_iso(only.map)
-        )
+        return len(tower.stages) == 1 and only.degree is None and is_quasi_iso(only.map)
     degrees = [stage.degree for stage in tower.stages]
     if sorted(degrees) != list(range(window.lo, window.hi)):
         return False

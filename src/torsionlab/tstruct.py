@@ -39,11 +39,11 @@ from .complexes import (
     identity_map,
     random_chain_map,
     random_complex,
-    solve_block_system,
+    total_diff,
     zero_complex,
     zero_map,
 )
-from .linalg import Mat
+from .linalg import Mat, solve
 from .quiver import (
     QuiverRep,
     RepMap,
@@ -291,27 +291,28 @@ def heart_comparison(f: HeartMorphism) -> tuple[ChainMap, Homotopy]:
 
     u is the deterministic solution of: u a chain map with
     (image mono) . u . (coimage epi) homotopic to f.  Up to homotopy there is
-    exactly one such u, so the certificate is canonical.  The system is
-    posed on mapping complexes: u in Hom(coim, img)_0 with D_0 u = 0, and h
-    in Hom(X, Y)_1 with mono u epi - D_1 h = f in Hom(X, Y)_0.
+    exactly one such u, so the certificate is canonical.  The pair (u, h)
+    is a degree-0 element of the total complex of Hom(coim, img) at shift 0
+    and Hom(X, Y) at shift 1, joined by phi -> mono phi epi; it solves
+    D_0 u = 0 and mono u epi - D_1 h = f in Hom(X, Y)_0.
     """
     epi = heart_coimage(f)
     mono = heart_image(f)
     x, y = f.source, f.target
     coim, img = epi.target, mono.source
     hu, hh, via = hom_complex(coim, img), hom_complex(x, y), hom_complex(x, img)
-    through = hom_postcompose(via, hh, mono.map, 0) @ hom_precompose(hu, via, epi.map, 0)
-    unknowns = [("u", hu.dim(0)), ("h", hh.dim(1))]
-    equations = [
-        (hu.dim(-1), [("u", hu.diff(0).a)], np.zeros(hu.dim(-1), dtype=np.int64)),
-        (hh.dim(0), [("u", through.a), ("h", -hh.diff(1).a)], hh.encode(0, f.map.comps)),
-    ]
-    got = solve_block_system(x.field, unknowns, equations)
+
+    def through(n):
+        return hom_postcompose(via, hh, mono.map, n) @ hom_precompose(hu, via, epi.map, n)
+
+    nodes = [(hu, 0), (hh, 1)]
+    rhs = np.concatenate([np.zeros(hu.dim(-1), dtype=np.int64), hh.encode(0, f.map.comps)])
+    got = solve(total_diff(nodes, [(1, 0, 1, through)], 0), Mat(x.field, rhs.reshape(-1, 1)))
     if got is None:
         raise AssertionError("first-isomorphism comparison has no solution")
-    assign, _ = got
-    u = hu.cycle_to_chain_map(0, assign["u"])
-    wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), hh.decode(1, assign["h"]))
+    sol = got[0].a[:, 0]
+    u = hu.cycle_to_chain_map(0, sol[: hu.dim(0)])
+    wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), hh.decode(1, sol[hu.dim(0) :]))
     return u, wit
 
 

@@ -3,6 +3,7 @@ its per-layer table of traced medians and the JSON file it writes with --out."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -128,3 +129,26 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
                               "change": 10, "relative_change": 10 / 202 - 1}]
     printed = capsys.readouterr().out
     assert "hom-large: 4 pairs, seeds 3..6" in printed and "linalg.matmul.calls" in printed
+
+
+def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
+    """perfbench/run.py runs with PYTHONDONTWRITEBYTECODE=1 and a fresh,
+    empty PYTHONPYCACHEPREFIX, so a __pycache__ in one checkout is not read."""
+    (tmp_path / "perfbench" / "out").mkdir(parents=True)
+    (tmp_path / "__pycache__").mkdir()
+    seen = []
+
+    def fake_subprocess_run(cmd, cwd, env, **kw):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], prefix, list(prefix.iterdir())))
+        record = cwd / "perfbench" / "out" / "hom-large-seed0-trace0.json"
+        record.write_text(json.dumps({"machine": {"cpu": "x"}}))
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    for _ in range(2):
+        assert bench_pairs.run_once(tmp_path, "hom-large", 0, 1.0)["machine"] == {"cpu": "x"}
+    assert [(flag, files) for flag, _, files in seen] == [("1", []), ("1", [])]
+    first, second = seen[0][1], seen[1][1]
+    assert first != second and tmp_path not in first.parents
+    assert not first.exists() and not second.exists()

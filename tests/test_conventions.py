@@ -18,7 +18,10 @@ import pytest
 from tests.strategies import random_rep_map
 from torsionlab.complexes import (
     ChainMap,
+    CommutingSquare,
+    Homotopy,
     chain_map_basis,
+    compose,
     cone,
     fib,
     hom_complex,
@@ -31,7 +34,7 @@ from torsionlab.complexes import (
     random_complex,
 )
 from torsionlab.document import document_of, serialize_document
-from torsionlab.factorization import factor
+from torsionlab.factorization import factor, solve_lifting
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.postnikov import postnikov_tower
 from torsionlab.quiver import Quiver
@@ -153,13 +156,19 @@ def _graded_mats(label: str, comps: dict) -> list:
     return [(f"{label}{n}.{v}", c) for n in sorted(comps) for v, c in enumerate(comps[n].components)]
 
 
-def _null_homotopic(x, y, rng) -> dict:
-    """Components of d h + h d for a random graded h : X -> Y[1]."""
-    h = {
+def _random_homotopy(x, y, rng) -> dict:
+    """A random graded map h : X -> Y[1], by degree."""
+    return {
         n: random_rep_map(x.term(n), y.term(n + 1), rng)
         for n in x.support
         if not y.term(n + 1).is_zero()
     }
+
+
+def _null_homotopic(x, y, rng, h=None) -> dict:
+    """Components of d h + h d for h, or for a random graded h : X -> Y[1]."""
+    if h is None:
+        h = _random_homotopy(x, y, rng)
     out = {}
     for n in set(x.support) & set(y.support):
         parts = [y.diff(n + 1).compose(h[n])] if n in h else []
@@ -202,8 +211,8 @@ def _heart_morphism(fld, t, rng) -> HeartMorphism:
 
 def _solver_outputs(p: int, seed: int) -> dict[str, str]:
     """Digests of the hom_complex differentials, chain_map_basis, a
-    homotopic witness and heart_comparison's u and witness on seeded a2
-    data."""
+    homotopic witness, heart_comparison's u and witness, and solve_lifting's
+    count and representative on seeded a2 data."""
     fld = PrimeField(p)
     rng = np.random.default_rng([p, seed, 7])
     x, y = _three_terms(fld, rng), _three_terms(fld, rng)
@@ -213,6 +222,7 @@ def _solver_outputs(p: int, seed: int) -> dict[str, str]:
     wit = homotopic(f, _moved(f, _null_homotopic(x, y, rng)))
     hf = _heart_morphism(fld, TStructure(seed % 3 - 1), rng)
     u, hwit = heart_comparison(hf)
+    squares = _lifting_squares(fld, TStructure(seed % 3 - 1), np.random.default_rng([p, seed, 13]))
     return {
         "hom_complex": _matrices_digest(
             (f"d{n}", d.components[0]) for n, d in enumerate(hom.diffs)
@@ -227,7 +237,47 @@ def _solver_outputs(p: int, seed: int) -> dict[str, str]:
         "heart_witness": _matrices_digest(
             _graded_mats("h", hwit.comps) + _graded_mats("to", hwit.to_map.comps)
         ),
+        "lifting": _matrices_digest(
+            item for j, sq in enumerate(squares) for item in _lifting_mats(str(j), sq)
+        ),
     }
+
+
+def _lifting_squares(fld, t, rng) -> list[CommutingSquare]:
+    """Two squares on seeded a2 data: the strict square of a factored pair
+    (e, m) glued by a random map, and a square of random maps whose bottom
+    edge is moved by d h + h d, so that its witness -h . left is nonzero."""
+    def draw():
+        return random_complex(A2, fld, rng, max_dim=2, lo=-1, hi=1)
+
+    e = factor(random_chain_map(draw(), draw(), rng), t).e
+    m = factor(random_chain_map(draw(), draw(), rng), t).m
+    glue = random_chain_map(e.target, m.source, rng)
+    squares = [CommutingSquare.strict(compose(glue, e), e, m, compose(m, glue))]
+    while len(squares) < 2:
+        w, x, y, z = draw(), draw(), draw(), draw()
+        e, m = random_chain_map(w, y, rng), random_chain_map(x, z, rng)
+        glue = random_chain_map(y, x, rng)
+        h = _random_homotopy(y, z, rng)
+        wit = {n: -hn.compose(e.comp(n)) for n, hn in h.items()}
+        if not any(not c.is_zero() for c in wit.values()):
+            continue
+        bottom = _moved(compose(m, glue), _null_homotopic(y, z, rng, h))
+        top = compose(glue, e)
+        witness = Homotopy(compose(bottom, e), compose(m, top), wit)
+        squares.append(CommutingSquare(top, e, m, bottom, witness))
+    return squares
+
+
+def _lifting_mats(label: str, sq: CommutingSquare) -> list:
+    """solve_lifting's count and representative (a, ht, hb), as labelled matrices."""
+    count, rep = solve_lifting(sq)
+    mats = [(f"{label}count", Mat(sq.top.source.field, [[count]]))]
+    if rep is not None:
+        a, ht, hb = rep
+        mats += _graded_mats(f"{label}a", a.comps)
+        mats += _graded_mats(f"{label}ht", ht.comps) + _graded_mats(f"{label}hb", hb.comps)
+    return mats
 
 
 SOLVER_DIGESTS = {
@@ -237,6 +287,7 @@ SOLVER_DIGESTS = {
         "homotopic": "5cc7c39e7b20e9227297a2fd5d290897c3457624ffc77af64b82fd9fdf0f4756",
         "heart_u": "c75f1e0a8b9c95c11297df55b2f86c8ceeebab62cc14905777e0a289d34114b6",
         "heart_witness": "dca22822f6ab58dc64e9630ac80935045c5fcf06432c58ba86b1c5ba4932b220",
+        "lifting": "1e48fc40c0ebc32d921da9ccf06fc25a23b1b362def60d63f4704209b0dc034d",
     },
     (2, 1): {
         "hom_complex": "188d1d48540c0abc0d5733869ab2b360c4f2a0f332fc5159fd72f3ab2c005741",
@@ -244,6 +295,7 @@ SOLVER_DIGESTS = {
         "homotopic": "605e894b0263eb3601d8048895413196bd57cea1a1937cda8e29db4ea667c64a",
         "heart_u": "9a3915ad30b926efffb7c15c4755975d16e0b80c388f4c1dcee40d73a3048d28",
         "heart_witness": "677e69a97f710e631f22abc5f9d5ae3de5ab3ed9dfa5572607c7d4aafd3c5c62",
+        "lifting": "e43d4985cdcfd849e39cddca341bfaf019e3c1ae61b86e53f03819307076578c",
     },
     (3, 0): {
         "hom_complex": "9680164a4c5ed4ade7bf55628906f576d8a5fb87c7cd4e68c5ceace199a49c8a",
@@ -251,6 +303,7 @@ SOLVER_DIGESTS = {
         "homotopic": "93862c0b5fd01bf3ad6ef5e926212a9a7af9e212608e9f492f764bb676f0bfb3",
         "heart_u": "143f48e1f8f3a86254163f9360e1f09a5e0dc927db474b891d19e898b9b28a7a",
         "heart_witness": "0cbbf09dffbfc7c5f807f59502e3b1d27dbaf2e0144a74c9a3094ab72db17a36",
+        "lifting": "2d153b2d861d7747b06546f6b2d31b86febd73a13d4795146b56bace614bb663",
     },
     (3, 1): {
         "hom_complex": "142f9552a94940b74cf6d2dfac72b999b98aa85d56baf314da9384bb1be80fc2",
@@ -258,6 +311,7 @@ SOLVER_DIGESTS = {
         "homotopic": "9b967d31cdd9db52878343d18c8ca8541690f50404a7b812cc76f70de391f681",
         "heart_u": "99a7ac8d52d9fe082dbd84188dd0d8bc39ddab93f8dea89bc79c2290fac235e7",
         "heart_witness": "a9b99a9964e8a30384d063013ff58e6aee7127843c529ad2cca2524384216240",
+        "lifting": "cb5d442eb68b69861f1b3c1717a4be3e1e0db8b002272247536e4f5cac2b22f1",
     },
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,9 @@ from torsionlab.complexes import (
     zero_complex,
     zero_map,
 )
+from torsionlab.complexes import total_diff
 from torsionlab.factorization import (
+    _lifting_total,
     antitone_check,
     coreflection_cofiber,
     factor,
@@ -43,6 +46,7 @@ from torsionlab.factorization import (
 )
 from torsionlab.linalg import PrimeField
 from torsionlab.quiver import Quiver, QuiverRep
+from torsionlab.suite import resolve_quiver
 from torsionlab.tstruct import TStructure, random_heart_object, truncate_ge, truncate_lt
 
 F2 = PrimeField(2)
@@ -225,6 +229,28 @@ def test_lifting_sphere_torsor():
         assert count == p
         assert wit is not None
         assert not is_orthogonal(e, m)
+
+
+@pytest.mark.parametrize("name", ["point", "a2", "kronecker"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_lifting_total_complex_squares_to_zero(name, p):
+    """D^{k-1} D^k = 0 on the lifting total complex, which the filler count
+    needs (im D^1 lies in ker D^0).  With identities for both edges, both
+    paths from Hom(Y, X) to Hom(W, Z) are nonzero, so one flipped edge sign
+    breaks the law; over F2 a sign cannot be seen, hence F3 and F5.  Each
+    complex has a nonzero differential, so the diagonal signs count too."""
+    fld, rng = PrimeField(p), np.random.default_rng([p, 17])
+    quiver, drawn = resolve_quiver(name), []
+    while len(drawn) < 3:
+        c = random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1)
+        if any(not d.is_zero() for d in c.diffs):
+            drawn.append(c)
+    for c in drawn:
+        one = identity_map(c)
+        nodes, edges = _lifting_total(CommutingSquare.strict(one, one, one, one))
+        for k in (0, 1, 2):
+            twice = total_diff(nodes, edges, k - 1) @ total_diff(nodes, edges, k)
+            assert not twice.a.any(), (name, p, k)
 
 
 def _square_between(e, m, rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,10 @@ from torsionlab.complexes import (
     zero_complex,
     zero_map,
 )
-from torsionlab.linalg import PrimeField
+import torsionlab.postnikov
+from torsionlab.linalg import Mat, PrimeField
 from torsionlab.postnikov import (
+    MAX_SPAN,
     BoundWindow,
     Tower,
     TowerStage,
@@ -81,6 +84,27 @@ def test_window_of_sphere_arrows():
     w = boundedness_window(zero_map(x, zc))
     assert w == BoundWindow(0, 3)
     assert w.width == 3
+
+
+def _stalks(span):
+    """The zero map from a one-term a2 complex at degree span to one at 0."""
+    rep = QuiverRep(A2, F2, (1, 0), (Mat.zeros(F2, 0, 1),))
+    return zero_map(Complex(A2, F2, span, (rep,), ()), Complex(A2, F2, 0, (rep,), ()))
+
+
+def test_window_refuses_a_map_spanning_more_than_max_span(monkeypatch):
+    """A tower has one stage per degree of the window, so a wider map is
+    refused, and refused before any homology is ranked."""
+    assert boundedness_window(_stalks(MAX_SPAN)) == BoundWindow(-1, MAX_SPAN + 1)
+    assert boundedness_window(_stalks(-MAX_SPAN)) == BoundWindow(-MAX_SPAN, 0)
+
+    def ranked(f):
+        raise AssertionError("ranked a map wider than MAX_SPAN")
+
+    monkeypatch.setattr(torsionlab.postnikov, "cone_homology_dims", ranked)
+    for span in (MAX_SPAN + 1, -MAX_SPAN - 1, 10**30):
+        with pytest.raises(ValueError, match=f"more than {MAX_SPAN}"):
+            boundedness_window(_stalks(span))
 
 
 def test_window_rejects_empty():

@@ -448,6 +448,25 @@ print(json.dumps(results))
 """
 
 
+def test_postnikov_of_a_map_spanning_far_exits_with_one_error_line(tmp_path):
+    """A tower over a map whose ends lie 10^30 degrees apart is refused at
+    once; a subprocess, so a regression fails on the timeout."""
+    quiver, fld = Quiver.a2(), PrimeField(2)
+    rep = QuiverRep(quiver, fld, (1, 0), (Mat.zeros(fld, 0, 1),))
+    x, y = Complex(quiver, fld, FAR, (rep,), ()), Complex(quiver, fld, 0, (rep,), ())
+    path = tmp_path / "span.json"
+    doc = document_of(quiver, fld, {"x": x, "y": y}, {"f": zero_map(x, y)})
+    path.write_text(serialize_document(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsionlab.cli", "postnikov", str(path), "--map", "f"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_commands_on_a_complex_far_from_degree_zero_finish(tmp_path):
     """A one-term complex at degree 10^30: a cut outside its support, and
     homotopies between its maps, never walk the degrees in between.  Run in
