@@ -27,9 +27,11 @@ the per-layer rows, plus each side's machine record (CPU model, nproc,
 platform, Python, numpy and torsionlab versions) as perfbench/run.py wrote it.
 
 Both checkouts must hold byte-identical perfbench/ and BENCHMARK.json, so
-the two sides run the same benchmark code and settings.  Every run starts
-with PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a fresh empty
-directory, so neither side reads a bytecode cache that the other lacks.
+the two sides run the same benchmark code and settings.  Before every run
+the checkout's own __pycache__ directories are removed, and the run starts
+with PYTHONDONTWRITEBYTECODE=1 and without PYTHONPYCACHEPREFIX, so neither
+side reads a cache of its own code that the other lacks; the installed
+libraries keep their caches on both sides.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...]
            [--pairs 10] [--first-seed 0] [--seconds 20] [--layers] [--out FILE]
@@ -41,10 +43,10 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -69,14 +71,15 @@ def bench_digest(root: Path) -> str:
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One run of perfbench/run.py in root.  It neither reads nor writes a
-    bytecode cache: a warm __pycache__ on one side only would show up as a
-    setup gain."""
+    bytecode cache of the checkout's code: a warm __pycache__ on one side
+    only would show up as a setup gain."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    with tempfile.TemporaryDirectory() as empty:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": empty}
-        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
-                              check=False)
+    for cache in list(root.rglob("__pycache__")):
+        shutil.rmtree(cache)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if proc.returncode != 0 or not result.get("correct"):

@@ -94,8 +94,7 @@ def main() -> None:
     for stage in tower.stages:
         src = stage.map.source
         tgt = stage.map.target
-        print(f"  degree {stage.degree}: total dims {src.total_dim} -> {tgt.total_dim}, "
-              f"fiber in heart: {stage.fiber_in_heart}")
+        print(f"  degree {stage.degree}: total dims {src.total_dim} -> {tgt.total_dim}")
     print(f"  verified: {verify_tower(f, tower)}")
 
 

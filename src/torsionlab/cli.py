@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
-from .document import DocumentError, document_of, parse_document, serialize_document
+from .document import DocumentError, document_of, document_tree, parse_document, serialize_document
 from .factorization import factor, normality_report
 from .postnikov import postnikov_tower, verify_tower
 from .suite import (
@@ -89,7 +90,7 @@ def _cmd_postnikov(args) -> int:
     out = document_of(doc.quiver, doc.field, maps=stages)
     win = tower.window
     wrapper = {
-        "document": json.loads(serialize_document(out)),
+        "document": document_tree(out),
         "window": None if win is None else [win.lo, win.hi],
         "degrees": [s.degree for s in tower.stages],
         "verified": verify_tower(f, tower),
@@ -165,8 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every call of main shares, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (DocumentError, ValueError, OSError, json.JSONDecodeError) as exc:

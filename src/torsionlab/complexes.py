@@ -28,22 +28,22 @@ null-homotopic by Cone.null_wit.  Their structure maps, null-homotopies and
 witness squares are made on first read (functools.cached_property), through
 the same checking constructors, and kept; most callers never read them.
 
-Every mapping-space question is linear algebra on hom complexes:
-homotopic solves D_1 h = f - g, chain_map_basis and random_chain_map read
-the kernel of D_0, and the lifting and heart solvers solve in degree 0 of
-a total complex (total_diff): shifted hom complexes joined by the degree-n
-transports hom_postcompose and hom_precompose.  The lifting count also
-ranks its degree 1.  hom_complex builds nothing up front: the slots of a
-degree and each D_n are made on first read and kept, so a solver pays only
-for the degrees it reads, and each D_n checks its d² law, on flat graded
-maps, when it is built.  HomComplex.complex assembles every degree for
-readers of the whole complex.
+Every mapping-space question is a degree-0 solve (total_solve) on a total
+complex (total_diff) of shifted hom complexes, joined by the transports
+phi -> post phi pre (hom_transport): homotopic is the one-node case,
+Hom(X, Y) at shift 1, and chain_map_basis and random_chain_map read the
+kernel of D_0.  hom_complex builds nothing up front: the slots of a degree
+and each D_n are made on first read and kept, and each D_n checks its d²
+law, on flat graded maps, when it is built.  One step (HomComplex._place)
+turns flat images into slot coordinates.  HomComplex.complex assembles
+every degree for readers of the whole complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,7 +99,9 @@ __all__ = [
     "direct_sum_complex",
     "block_components",
     "hom_complex",
+    "hom_transport",
     "total_diff",
+    "total_solve",
     "homotopy_pullback",
     "homotopy_pushout",
     "is_pullout",
@@ -960,22 +962,26 @@ class HomComplex:
             out.append((i + 1, (pre if n % 2 else -pre) % x.field.p))
         return out
 
+    def _place(self, n: int, j: int, img, mat: np.ndarray, col: int, what: str) -> None:
+        """Write the slot coordinates of the flat maps in the columns of img,
+        which lie in slot j of degree n, into mat from column col."""
+        off, basis = self.slots(n)[j]
+        coords = kernel_coords(basis, Mat(self.source.field, img))
+        if coords is None:
+            raise ValueError(f"{what} is not an intertwiner collection")
+        mat[off : off + basis.cols, col : col + coords.cols] = coords.a
+
     def diff(self, n: int) -> Mat:
         """D_n : Hom_n -> Hom_{n-1}, (D phi) = d_Y phi - (-1)^n phi d_X."""
         got = self._diffs.get(n)
         if got is not None:
             return got
         fld = self.source.field
-        tgt = self.slots(n - 1)
         mat = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
         for i, (col, b) in self.slots(n).items():
             twice: dict[int, np.ndarray] = {}
             for j, img in self._images(n, i, b.a):
-                off, basis = tgt[j]
-                coords = kernel_coords(basis, Mat(fld, img))
-                if coords is None:
-                    raise AssertionError("hom differential left the intertwiner space")
-                mat[off : off + basis.cols, col : col + b.cols] = coords.a
+                self._place(n - 1, j, img, mat, col, "hom differential image")
                 for k, dd in self._images(n - 1, j, img):
                     twice[k] = twice.get(k, 0) + dd
             if any((dd % fld.p).any() for dd in twice.values()):
@@ -1011,26 +1017,16 @@ class HomComplex:
             out[i] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
         return out
 
-    def cycle_to_chain_map(self, n: int, coeffs: np.ndarray) -> ChainMap:
-        """A degree-n cycle is exactly a chain map X[n] -> Y; at n = 0 its
-        source is X itself (shift by 0 returns its argument)."""
-        comps = {i + n: m for i, m in self.decode(n, coeffs).items()}
-        return ChainMap(shift(self.source, n), self.target, comps)
-
     def encode(self, n: int, graded: dict[int, RepMap]) -> np.ndarray:
-        """Coordinates of a graded collection of maps X_i -> Y_{i+n}."""
+        """Coordinates of a graded collection of maps X_i -> Y_{i+n}, as a column."""
         slots = self.slots(n)
-        out = np.zeros(self.dim(n), dtype=np.int64)
+        out = np.zeros((self.dim(n), 1), dtype=np.int64)
         for i, g in graded.items():
             if g.is_zero():
                 continue
             if i not in slots:
                 raise ValueError("graded map has a component outside the hom complex")
-            off, basis = slots[i]
-            coords = kernel_coords(basis, Mat(self.source.field, g.flat().reshape(-1, 1)))
-            if coords is None:
-                raise ValueError("graded map is not an intertwiner collection")
-            out[off : off + basis.cols] = coords.a[:, 0]
+            self._place(n, i, g.flat().reshape(-1, 1), out, 0, "graded map")
         return out
 
 
@@ -1041,41 +1037,36 @@ def hom_complex(x: Complex, y: Complex) -> HomComplex:
     return HomComplex(x, y)
 
 
-def _transport(src: HomComplex, dst: HomComplex, n: int, carry) -> Mat:
-    """Degree n of a slotwise map between mapping complexes; carry(i, b)
-    must return flat image columns of b inside slot i of dst."""
-    fld = src.source.field
+def hom_transport(src: HomComplex, dst: HomComplex, n: int, pre=None, post=None) -> Mat:
+    """Degree n of hom(A, B) -> hom(A', B'), phi -> post phi pre, between the
+    given mapping complexes src = hom(A, B) and dst = hom(A', B'), for
+    pre : A' -> A and post : B -> B'; an absent map is the identity."""
+    a, b = src.source, src.target
+    pre_ends = (a, a) if pre is None else (pre.target, pre.source)
+    post_ends = (b, b) if post is None else (post.source, post.target)
+    if pre_ends != (a, dst.source) or post_ends != (b, dst.target):
+        raise ValueError("transport between the wrong mapping complexes")
     dst_slots = dst.slots(n)
     mat = np.zeros((dst.dim(n), src.dim(n)), dtype=np.int64)
-    for i, (col, b) in src.slots(n).items():
-        if i in dst_slots:
-            off, basis = dst_slots[i]
-            coords = kernel_coords(basis, Mat(fld, carry(i, b.a)))
-            if coords is None:
-                raise AssertionError("transport left the intertwiner space")
-            mat[off : off + basis.cols, col : col + b.cols] = coords.a
-    return Mat(fld, mat)
-
-
-def hom_postcompose(src: HomComplex, dst: HomComplex, f: ChainMap, n: int) -> Mat:
-    """Degree n of hom(T, X) -> hom(T, Y), phi -> f phi, for f : X -> Y,
-    between the given mapping complexes src = hom(T, X) and dst = hom(T, Y)."""
-    t = src.source
-    if dst.source != t or src.target != f.source or dst.target != f.target:
-        raise ValueError("postcomposition between the wrong mapping complexes")
-    return _transport(src, dst, n, lambda i, b: post_op(f.comp(i + n), t.term(i), b))
-
-
-def hom_precompose(src: HomComplex, dst: HomComplex, f: ChainMap, n: int) -> Mat:
-    """Degree n of hom(Y, T) -> hom(X, T), phi -> phi f, for f : X -> Y,
-    between the given mapping complexes src = hom(Y, T) and dst = hom(X, T)."""
-    t = src.target
-    if dst.target != t or src.source != f.target or dst.source != f.source:
-        raise ValueError("precomposition between the wrong mapping complexes")
-    return _transport(src, dst, n, lambda i, b: pre_op(f.comp(i), t.term(i + n), b))
+    for i, (col, basis) in src.slots(n).items():
+        if i not in dst_slots:
+            continue
+        img = basis.a
+        if pre is not None:
+            img = pre_op(pre.comp(i), b.term(i + n), img)
+        if post is not None:
+            img = post_op(post.comp(i + n), dst.source.term(i), img)
+        dst._place(n, i, img, mat, col, "transported map")
+    return Mat(a.field, mat)
 
 
 # -- total complexes of mapping complexes ---------------------------------------
+
+
+def _node_offsets(nodes, k: int) -> list[int]:
+    """Where each node's degree-(k + shift) coordinates start in the stack,
+    then the stack's size."""
+    return list(accumulate((h.dim(k + s) for h, s in nodes), initial=0))
 
 
 def total_diff(nodes, edges, k: int) -> Mat:
@@ -1084,18 +1075,35 @@ def total_diff(nodes, edges, k: int) -> Mat:
     nodes: (HomComplex, shift) pairs; node j contributes its degree
     k + shift maps as unknowns and its degree k + shift - 1 maps as rows,
     with its own D on the diagonal, signed (-1)^shift.  edges: (j, i, sign,
-    carry) tuples, where carry(n) is the degree-n transport from node i into
-    node j (hom_postcompose, hom_precompose); it sits at rows j, columns i.
-    Columns and rows are stacked in node order.
+    pre, post) tuples, each the transport phi -> post phi pre from node i
+    into node j (hom_transport) times sign, at rows j, columns i.  Columns
+    and rows are stacked in node order.
     """
-    cols = np.cumsum([0] + [h.dim(k + s) for h, s in nodes])
-    rows = np.cumsum([0] + [h.dim(k + s - 1) for h, s in nodes])
+    cols, rows = _node_offsets(nodes, k), _node_offsets(nodes, k - 1)
     mat = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
     for j, (h, s) in enumerate(nodes):
         mat[rows[j] : rows[j + 1], cols[j] : cols[j + 1]] = (-1) ** s * h.diff(k + s).a
-    for j, i, sign, carry in edges:
-        mat[rows[j] : rows[j + 1], cols[i] : cols[i + 1]] += sign * carry(k + nodes[i][1]).a
+    for j, i, sign, pre, post in edges:
+        (h, s), dst = nodes[i], nodes[j][0]
+        carried = hom_transport(h, dst, k + s, pre, post)
+        mat[rows[j] : rows[j + 1], cols[i] : cols[i + 1]] += sign * carried.a
     return Mat(nodes[0][0].source.field, mat)
+
+
+def total_solve(nodes, edges, rhs) -> tuple[list[dict[int, RepMap]], int] | None:
+    """A degree-0 solution of the total complex: x with total_diff(nodes,
+    edges, 0) x = rhs and free variables zero, where rhs[j] holds node j's
+    graded maps of degree shift - 1.  Returns (each node's part of x,
+    decoded into graded maps of degree shift, the nullity), or None when
+    there is no solution."""
+    b = np.concatenate([h.encode(s - 1, graded) for (h, s), graded in zip(nodes, rhs)])
+    got = solve(total_diff(nodes, edges, 0), Mat(nodes[0][0].source.field, b))
+    if got is None:
+        return None
+    x, nullity = got
+    at = _node_offsets(nodes, 0)
+    parts = [h.decode(s, x.a[at[j] : at[j + 1], 0]) for j, (h, s) in enumerate(nodes)]
+    return parts, nullity
 
 
 # -- homotopies and chain maps, on the mapping complex ----------------------------
@@ -1103,15 +1111,13 @@ def total_diff(nodes, edges, k: int) -> Mat:
 
 def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
     """A homotopy from g to f, or None when the maps are not homotopic: the
-    solution of D_1 h = encode_0(f - g) with free variables zero."""
+    one-node total solve on Hom(X, Y) at shift 1, -D_1 h = g - f."""
     if f.source != g.source or f.target != g.target:
         raise ValueError("homotopy test needs shared endpoints")
-    hom = hom_complex(f.source, f.target)
-    rhs = hom.encode(0, (f - g).comps)
-    got = solve(hom.diff(1), Mat(f.source.field, rhs.reshape(-1, 1)))
+    got = total_solve([(hom_complex(f.source, f.target), 1)], [], [(g - f).comps])
     if got is None:
         return None
-    return Homotopy(g, f, hom.decode(1, got[0].a[:, 0]))
+    return Homotopy(g, f, got[0][0])
 
 
 def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
@@ -1119,7 +1125,7 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
     cycles of the mapping complex, from the standard kernel basis of D_0."""
     hom = hom_complex(x, y)
     ker = kernel_basis(hom.diff(0))
-    return [hom.cycle_to_chain_map(0, ker.a[:, j]) for j in range(ker.cols)]
+    return [ChainMap(x, y, hom.decode(0, ker.a[:, j])) for j in range(ker.cols)]
 
 
 # -- random generation ---------------------------------------------------------
@@ -1166,4 +1172,4 @@ def random_chain_map(x: Complex, y: Complex, rng: np.random.Generator) -> ChainM
         return zero_map(x, y)
     ker = kernel_basis(hom.diff(0))
     coeffs = rng.integers(0, x.field.p, size=ker.cols)
-    return hom.cycle_to_chain_map(0, (ker.a @ coeffs) % x.field.p)
+    return ChainMap(x, y, hom.decode(0, (ker.a @ coeffs) % x.field.p))

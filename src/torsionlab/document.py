@@ -32,6 +32,7 @@ __all__ = [
     "Document",
     "DocumentError",
     "document_of",
+    "document_tree",
     "parse_document",
     "parse_quiver",
     "serialize_document",
@@ -239,7 +240,8 @@ def parse_document(text: str) -> Document:
                     f"at degree {lo + j + 2}",
                     law="d-squared",
                 )
-        complexes[name] = Complex(quiver, fld, lo, tuple(terms), tuple(diffs))
+        # d² was checked just above, naming the law
+        complexes[name] = Complex._unchecked(quiver, fld, lo, tuple(terms), tuple(diffs))
 
     maps: dict[str, ChainMap] = {}
     for name, body in _object(tree.get("maps", {}), "maps").items():
@@ -280,8 +282,9 @@ def _matrix_tree(m: Mat) -> list:
     return [[int(e) for e in row] for row in m.a]
 
 
-def serialize_document(doc: Document) -> str:
-    tree = {
+def document_tree(doc: Document) -> dict:
+    """The JSON tree of a document, before it is dumped."""
+    return {
         "format_version": FORMAT_VERSION,
         "prime": doc.field.p,
         "quiver": {
@@ -318,7 +321,10 @@ def serialize_document(doc: Document) -> str:
             for name, f in doc.maps.items()
         },
     }
-    return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+def serialize_document(doc: Document) -> str:
+    return json.dumps(document_tree(doc), indent=2, sort_keys=True) + "\n"
 
 
 def document_of(

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complexes import (
     ChainMap,
     CommutingSquare,
@@ -40,8 +38,6 @@ from .complexes import (
     cone,
     fib,
     hom_complex,
-    hom_postcompose,
-    hom_precompose,
     homology_dims,
     homotopy_pullback,
     homotopy_pushout,
@@ -49,10 +45,11 @@ from .complexes import (
     is_quasi_iso,
     pullback_induced,
     total_diff,
+    total_solve,
     zero_complex,
     zero_map,
 )
-from .linalg import Mat, rank, solve
+from .linalg import rank
 from .tstruct import (
     TStructure,
     in_aisle,
@@ -243,15 +240,9 @@ def _lifting_total(sq: CommutingSquare):
     postcomposition with the right edge m."""
     w, x, y, z = sq.top.source, sq.top.target, sq.left.target, sq.right.target
     e, m = sq.left, sq.right
-    hyx, hwx = hom_complex(y, x), hom_complex(w, x)
-    hyz, hwz = hom_complex(y, z), hom_complex(w, z)
-    nodes = [(hyx, 0), (hwx, 1), (hyz, 1), (hwz, 2)]
-    edges = [
-        (1, 0, 1, lambda n: hom_precompose(hyx, hwx, e, n)),
-        (2, 0, 1, lambda n: hom_postcompose(hyx, hyz, m, n)),
-        (3, 1, -1, lambda n: hom_postcompose(hwx, hwz, m, n)),
-        (3, 2, 1, lambda n: hom_precompose(hyz, hwz, e, n)),
-    ]
+    nodes = [(hom_complex(y, x), 0), (hom_complex(w, x), 1)]
+    nodes += [(hom_complex(y, z), 1), (hom_complex(w, z), 2)]
+    edges = [(1, 0, 1, e, None), (2, 0, 1, None, m), (3, 1, -1, None, m), (3, 2, 1, e, None)]
     return nodes, edges
 
 
@@ -271,19 +262,14 @@ def solve_lifting(
     representative) with the representative omitted when no filler exists.
     """
     nodes, edges = _lifting_total(sq)
-    (hyx, _), (hwx, _), (hyz, _), (hwz, _) = nodes
-    fld = sq.top.source.field
-    rhs = [np.zeros(hyx.dim(-1), dtype=np.int64), hwx.encode(0, sq.top.comps)]
-    rhs += [hyz.encode(0, sq.bottom.comps), hwz.encode(1, sq.witness.comps)]
-    sol = solve(total_diff(nodes, edges, 0), Mat(fld, np.concatenate(rhs).reshape(-1, 1)))
-    if sol is None:
+    got = total_solve(nodes, edges, [{}, sq.top.comps, sq.bottom.comps, sq.witness.comps])
+    if got is None:
         return 0, None
-    x, nullity = sol
-    classes = fld.p ** (nullity - rank(total_diff(nodes, edges, 1)))
-    parts = np.split(x.a[:, 0], np.cumsum([h.dim(s) for h, s in nodes])[:-1])
-    a = hyx.cycle_to_chain_map(0, parts[0])
-    ht = Homotopy(sq.top, compose(a, sq.left), hwx.decode(1, parts[1]))
-    hb = Homotopy(sq.bottom, compose(sq.right, a), hyz.decode(1, parts[2]))
+    (a_comps, top_h, bottom_h, _), nullity = got
+    classes = sq.top.source.field.p ** (nullity - rank(total_diff(nodes, edges, 1)))
+    a = ChainMap(sq.left.target, sq.right.source, a_comps)
+    ht = Homotopy(sq.top, compose(a, sq.left), top_h)
+    hb = Homotopy(sq.bottom, compose(sq.right, a), bottom_h)
     return classes, (a, ht, hb)
 
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .complexes import (
     ChainMap,
     CommutingSquare,
@@ -33,17 +31,15 @@ from .complexes import (
     cone,
     fib,
     hom_complex,
-    hom_postcompose,
-    hom_precompose,
     homology_dims,
     identity_map,
     random_chain_map,
     random_complex,
-    total_diff,
+    total_solve,
     zero_complex,
     zero_map,
 )
-from .linalg import Mat, solve
+from .linalg import Mat
 from .quiver import (
     QuiverRep,
     RepMap,
@@ -298,21 +294,14 @@ def heart_comparison(f: HeartMorphism) -> tuple[ChainMap, Homotopy]:
     """
     epi = heart_coimage(f)
     mono = heart_image(f)
-    x, y = f.source, f.target
-    coim, img = epi.target, mono.source
-    hu, hh, via = hom_complex(coim, img), hom_complex(x, y), hom_complex(x, img)
-
-    def through(n):
-        return hom_postcompose(via, hh, mono.map, n) @ hom_precompose(hu, via, epi.map, n)
-
-    nodes = [(hu, 0), (hh, 1)]
-    rhs = np.concatenate([np.zeros(hu.dim(-1), dtype=np.int64), hh.encode(0, f.map.comps)])
-    got = solve(total_diff(nodes, [(1, 0, 1, through)], 0), Mat(x.field, rhs.reshape(-1, 1)))
+    hu = hom_complex(epi.target, mono.source)
+    nodes = [(hu, 0), (hom_complex(f.source, f.target), 1)]
+    got = total_solve(nodes, [(1, 0, 1, epi.map, mono.map)], [{}, f.map.comps])
     if got is None:
         raise AssertionError("first-isomorphism comparison has no solution")
-    sol = got[0].a[:, 0]
-    u = hu.cycle_to_chain_map(0, sol[: hu.dim(0)])
-    wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), hh.decode(1, sol[hu.dim(0) :]))
+    (u_comps, h_comps), _ = got
+    u = ChainMap(epi.target, mono.source, u_comps)
+    wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), h_comps)
     return u, wit
 
 

@@ -10,7 +10,13 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from torsionlab.complexes import ChainMap, HomComplex, random_chain_map, random_complex
+from torsionlab.complexes import (
+    ChainMap,
+    HomComplex,
+    hom_transport,
+    random_chain_map,
+    random_complex,
+)
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import (
     Quiver,
@@ -80,13 +86,12 @@ def random_rep_map(a: QuiverRep, b: QuiverRep, rng: np.random.Generator) -> RepM
     return RepMap(a, b, graded_from_flat(a, b, vec.reshape(-1)))
 
 
-def transport_map(transport, src: HomComplex, dst: HomComplex, f: ChainMap) -> ChainMap:
+def transport_map(src: HomComplex, dst: HomComplex, pre=None, post=None) -> ChainMap:
     """The checked chain map src.complex -> dst.complex whose degree-n
-    component is transport(src, dst, f, n) (hom_postcompose or
-    hom_precompose)."""
+    component is hom_transport(src, dst, n, pre, post)."""
     a, b = src.complex, dst.complex
     comps = {
-        n: RepMap(a.term(n), b.term(n), (transport(src, dst, f, n),))
+        n: RepMap(a.term(n), b.term(n), (hom_transport(src, dst, n, pre, post),))
         for n in set(a.support) | set(b.support)
     }
     return ChainMap(a, b, comps)

@@ -132,23 +132,27 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
 
 
 def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
-    """perfbench/run.py runs with PYTHONDONTWRITEBYTECODE=1 and a fresh,
-    empty PYTHONPYCACHEPREFIX, so a __pycache__ in one checkout is not read."""
+    """perfbench/run.py runs with PYTHONDONTWRITEBYTECODE=1, without
+    PYTHONPYCACHEPREFIX (even when the caller set one), and after every
+    __pycache__ in the checkout is removed, so a cache in one checkout is
+    not read."""
     (tmp_path / "perfbench" / "out").mkdir(parents=True)
-    (tmp_path / "__pycache__").mkdir()
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
     seen = []
 
     def fake_subprocess_run(cmd, cwd, env, **kw):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((env["PYTHONDONTWRITEBYTECODE"], prefix, list(prefix.iterdir())))
+        caches = sorted(p.relative_to(cwd) for p in cwd.rglob("__pycache__"))
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], "PYTHONPYCACHEPREFIX" in env, caches))
         record = cwd / "perfbench" / "out" / "hom-large-seed0-trace0.json"
         record.write_text(json.dumps({"machine": {"cpu": "x"}}))
         return subprocess.CompletedProcess(cmd, 0, stdout='{"correct": true}\n', stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
     for _ in range(2):
+        for where in ("__pycache__", "src/torsionlab/__pycache__", "perfbench/__pycache__"):
+            (tmp_path / where).mkdir(parents=True, exist_ok=True)
+            (tmp_path / where / "m.cpython-311.pyc").write_bytes(b"")
         assert bench_pairs.run_once(tmp_path, "hom-large", 0, 1.0)["machine"] == {"cpu": "x"}
-    assert [(flag, files) for flag, _, files in seen] == [("1", []), ("1", [])]
-    first, second = seen[0][1], seen[1][1]
-    assert first != second and tmp_path not in first.parents
-    assert not first.exists() and not second.exists()
+    assert seen == [("1", False, []), ("1", False, [])]
+    # the sources beside the caches stay
+    assert (tmp_path / "src" / "torsionlab").is_dir()

@@ -31,8 +31,7 @@ from torsionlab.complexes import (
     direct_sum_complex,
     fib,
     hom_complex,
-    hom_postcompose,
-    hom_precompose,
+    hom_transport,
     homology,
     homology_data,
     homology_dims,
@@ -48,12 +47,13 @@ from torsionlab.complexes import (
     random_chain_map,
     random_complex,
     shift,
+    total_solve,
     zero_complex,
     zero_map,
 )
 from torsionlab.factorization import is_orthogonal
 from torsionlab.linalg import Mat, PrimeField, rank
-from torsionlab.postnikov import BoundWindow, _certify, boundedness_window
+from torsionlab.postnikov import BoundWindow, _fiber_support, boundedness_window
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
 
 F2 = PrimeField(2)
@@ -316,8 +316,8 @@ def test_hom_zero_cycles_are_chain_maps():
     cyc = kernel_basis(h.complex.diff(0).components[0])
     assert cyc.cols == len(chain_map_basis(x, x))
     for j in range(cyc.cols):
-        f = h.cycle_to_chain_map(0, cyc.a[:, j])
-        assert f.source == x and f.target == x
+        # the checking constructor accepts every decoded cycle
+        ChainMap(x, x, h.decode(0, cyc.a[:, j]))
 
 
 def test_hom_complex_checks_the_d_squared_law():
@@ -775,7 +775,7 @@ def test_cone_homology_dims_matches_the_built_cone(quiver, p, seed, kind, x_lo, 
 
 
 def test_quasi_iso_and_fiber_homology_build_no_graded_sum(monkeypatch):
-    """is_quasi_iso, boundedness_window and _certify read the cone's ranks
+    """is_quasi_iso, boundedness_window and _fiber_support read the cone's ranks
     without assembling a graded sum or a direct-sum representation."""
     rng = np.random.default_rng(47)
     maps = []
@@ -789,22 +789,41 @@ def test_quasi_iso_and_fiber_homology_build_no_graded_sum(monkeypatch):
     for f in maps:
         is_quasi_iso(f)
         boundedness_window(f)
-        _certify(f, 0)
+        _fiber_support(f)
     assert built == []
 
 
 def test_hom_transports_refuse_the_wrong_mapping_complexes():
     f = _rand_map(46, quiver=Quiver.a2(), field=F3)
     x, y = f.source, f.target
-    with pytest.raises(ValueError, match="postcomposition between the wrong"):
-        hom_postcompose(hom_complex(x, y), hom_complex(x, y), f, 0)
-    with pytest.raises(ValueError, match="precomposition between the wrong"):
-        hom_precompose(hom_complex(x, x), hom_complex(x, x), f, 0)
-    hxy = hom_complex(x, y)
+    hxx, hxy, hyx, hyy = (hom_complex(a, b) for a, b in ((x, x), (x, y), (y, x), (y, y)))
+    for src, dst, maps in (
+        (hxy, hxy, {"post": f}),  # f does not start at the target of hom(x, y)
+        (hxx, hxx, {"pre": f}),  # f does not end at the source of hom(x, x)
+        (hxx, hxy, {}),  # the identity cannot change the target
+        (hyy, hxy, {"post": f}),  # nor the source
+        (hyx, hxy, {"pre": f, "post": identity_map(x)}),
+    ):
+        with pytest.raises(ValueError, match="transport between the wrong"):
+            hom_transport(src, dst, 0, **maps)
     for n in (-1, 0, 1):
-        post = hom_postcompose(hom_complex(x, x), hxy, f, n)
-        pre = hom_precompose(hom_complex(y, y), hxy, f, n)
-        assert post.rows == pre.rows == hxy.dim(n)
+        post = hom_transport(hxx, hxy, n, post=f)
+        pre = hom_transport(hyy, hxy, n, pre=f)
+        both = hom_transport(hyx, hxy, n, pre=f, post=f)
+        assert post.rows == pre.rows == both.rows == hxy.dim(n)
+
+
+def _transport_cases(quiver, p, seed):
+    """(src, dst, pre, post) for post alone, pre alone and both, on random
+    complexes x, y, t and a random chain map f : x -> y."""
+    rng = np.random.default_rng(seed)
+    x, y, t = (random_complex(quiver, PrimeField(p), rng, max_dim=2, lo=-2, hi=2) for _ in "xyt")
+    f = random_chain_map(x, y, rng)
+    return (
+        (hom_complex(t, x), hom_complex(t, y), None, f),
+        (hom_complex(y, t), hom_complex(x, t), f, None),
+        (hom_complex(y, x), hom_complex(x, y), f, f),
+    )
 
 
 @given(
@@ -813,20 +832,47 @@ def test_hom_transports_refuse_the_wrong_mapping_complexes():
     st.integers(0, 2**32 - 1),
 )
 def test_hom_transports_commute_with_the_hom_differentials(quiver, p, seed):
-    """D_n T_n = T_{n-1} D_n in every degree for both transports, so the
-    chain-map check they no longer make would have passed."""
-    rng = np.random.default_rng(seed)
-    x, y, t = (random_complex(quiver, PrimeField(p), rng, max_dim=2, lo=-2, hi=2) for _ in "xyt")
-    f = random_chain_map(x, y, rng)
-    pairs = (
-        (hom_postcompose, hom_complex(t, x), hom_complex(t, y)),
-        (hom_precompose, hom_complex(y, t), hom_complex(x, t)),
-    )
-    for transport, src, dst in pairs:
+    """D_n T_n = T_{n-1} D_n in every degree, for post alone, pre alone and
+    both, so the chain-map check the transport does not make would have
+    passed."""
+    for src, dst, pre, post in _transport_cases(quiver, p, seed):
         for n in range(-5, 6):
-            lhs = dst.diff(n) @ transport(src, dst, f, n)
-            assert lhs == transport(src, dst, f, n - 1) @ src.diff(n)
-        transport_map(transport, src, dst, f)  # the checking constructor agrees
+            lhs = dst.diff(n) @ hom_transport(src, dst, n, pre, post)
+            assert lhs == hom_transport(src, dst, n - 1, pre, post) @ src.diff(n)
+        transport_map(src, dst, pre, post)  # the checking constructor agrees
+
+
+@pytest.mark.parametrize("quiver", [Quiver.a2(), KRONECKER], ids=["a2", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom_transport_in_one_step_is_the_product_of_its_two_halves(quiver, p):
+    """phi -> q phi p carried at once equals precomposing with p, then
+    postcomposing with q, through the mapping complex between them.  p is
+    the inclusion Y -> cone(X -> Y) and q the projection fib(Y -> X) -> Y,
+    nonzero maps, so some transports are nonzero."""
+    rng, nonzero = np.random.default_rng([p, 49]), 0
+    for _ in range(3):
+        x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=2, lo=-1, hi=1) for _ in "xy")
+        pre = cone(random_chain_map(x, y, rng)).into
+        post = fib(random_chain_map(y, x, rng)).to_source
+        src, mid = hom_complex(pre.target, post.source), hom_complex(y, post.source)
+        dst = hom_complex(y, y)
+        for n in range(-3, 4):
+            halves = hom_transport(mid, dst, n, post=post) @ hom_transport(src, mid, n, pre=pre)
+            assert hom_transport(src, dst, n, pre=pre, post=post) == halves, n
+            nonzero += bool(halves.a.any())
+    assert nonzero
+
+
+def test_total_solve_returns_none_without_a_solution():
+    """The identity of a complex with homology is not null-homotopic, so the
+    one-node system -D_1 h = 0 - id has no solution; the zero map has the
+    zero solution, with the nullity of D_1."""
+    x = _simple(F2)
+    hom = hom_complex(x, x)
+    assert total_solve([(hom, 1)], [], [(zero_map(x, x) - identity_map(x)).comps]) is None
+    parts, nullity = total_solve([(hom, 1)], [], [{}])
+    assert all(c.is_zero() for c in parts[0].values())
+    assert nullity == hom.dim(1) - rank(hom.diff(1))
 
 
 def test_solvers_build_only_the_degrees_they_read(monkeypatch):

@@ -20,7 +20,7 @@ from torsionlab.document import (
     serialize_document,
 )
 from torsionlab.linalg import PrimeField
-from torsionlab.quiver import Quiver
+from torsionlab.quiver import Quiver, RepMap
 
 F2, F3 = PrimeField(2), PrimeField(3)
 
@@ -85,6 +85,29 @@ def test_d_squared_violation_named():
         parse_document(json.dumps(tree))
     assert err.value.law == "d-squared"
     assert "d-squared" in str(err.value)
+
+
+def test_d_squared_is_checked_once_per_parsed_complex(monkeypatch):
+    """A 3-term complex has one pair of adjacent differentials; the parser's
+    own check, which names the law, is the only product made."""
+    tree = _minimal_tree(p=2)
+    tree["reps"]["line"] = {"dims": [1], "arrows": []}
+    tree["complexes"]["good"] = {
+        "lo": 0,
+        "terms": ["line", "line", "line"],
+        "diffs": [[[[1]]], [[[0]]]],
+    }
+    calls = []
+    compose = RepMap.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(RepMap, "compose", counted)
+    doc = parse_document(json.dumps(tree))
+    assert len(calls) == 1
+    assert doc.complexes["good"].diffs[0].components[0].a.tolist() == [[1]]
 
 
 def test_intertwiner_violation_named():

@@ -28,6 +28,7 @@ from torsionlab.postnikov import (
     BoundWindow,
     Tower,
     TowerStage,
+    _fiber_support,
     boundedness_window,
     postnikov_tower,
     verify_tower,
@@ -127,7 +128,7 @@ def test_single_stage_tower_is_the_map_itself():
     assert len(tw.stages) == 1
     assert tw.stages[0].map == f
     assert tw.stages[0].degree == -1
-    assert tw.stages[0].fiber_in_heart
+    assert _fiber_support(tw.stages[0].map) == [-1]
     assert verify_tower(f, tw)
 
 
@@ -223,7 +224,6 @@ def test_checker_rejects_zeroed_stage():
     bad_stage = TowerStage(
         zero_map(tw.stages[0].map.source, tw.stages[0].map.target),
         tw.stages[0].degree,
-        tw.stages[0].fiber_in_heart,
     )
     bad = Tower((tw.objects), (bad_stage,) + tw.stages[1:], tw.witness, tw.window)
     assert not verify_tower(f, bad)
@@ -235,7 +235,7 @@ def test_checker_rejects_wrong_degree():
     tw = postnikov_tower(f)
     bad = Tower(
         tw.objects,
-        (TowerStage(tw.stages[0].map, 5, True),),
+        (TowerStage(tw.stages[0].map, 5),),
         tw.witness,
         BoundWindow(5, 6),
     )

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import torsionlab.cli
 import torsionlab.tstruct
 from torsionlab.cli import main
 from torsionlab.complexes import (
@@ -402,6 +403,28 @@ def test_report_subcommand_and_exit_codes(tmp_path, capsys):
     saved.write_text(json.dumps(tree))
     code, _ = _run(capsys, ["report", "--in", str(saved), "--format", "json"])
     assert code == 1
+
+
+def test_the_parser_is_built_once_across_calls(tmp_path, monkeypatch, capsys):
+    built = []
+    parser_class = torsionlab.cli.argparse.ArgumentParser
+    init = parser_class.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "torsionlab":
+            built.append(1)
+        init(self, *args, **kwargs)
+
+    torsionlab.cli._parser.cache_clear()
+    monkeypatch.setattr(parser_class, "__init__", counted)
+    try:
+        missing = str(tmp_path / "missing.json")
+        for _ in range(2):
+            assert main(["factor", missing, "--map", "f"]) == 1
+    finally:
+        torsionlab.cli._parser.cache_clear()
+    assert built == [1]
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_unknown_names_exit_nonzero(doc_path, capsys):

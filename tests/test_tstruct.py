@@ -17,8 +17,6 @@ from torsionlab.complexes import (
     cone,
     compose,
     hom_complex,
-    hom_postcompose,
-    hom_precompose,
     homology_dims,
     identity_map,
     induced_homology_map,
@@ -289,9 +287,10 @@ def test_mapping_complexes_never_keep_cuts():
     f = random_chain_map(x, y, np.random.default_rng(33))
     assert x._cuts is None
     homs = [hom_complex(x, y), hom_complex(truncate_ge(x, T0)[0], truncate_lt(y, T0)[0])]
-    homs += [hom_complex(x, x), hom_complex(y, y)]
-    transport_map(hom_postcompose, homs[2], homs[0], f)
-    transport_map(hom_precompose, homs[3], homs[0], f)
+    homs += [hom_complex(x, x), hom_complex(y, y), hom_complex(y, x)]
+    transport_map(homs[2], homs[0], post=f)
+    transport_map(homs[3], homs[0], pre=f)
+    transport_map(homs[4], homs[0], pre=f, post=f)
     assert x._cuts is not None and y._cuts is not None
     assert all(h.complex._cuts is None for h in homs)
 
@@ -389,10 +388,9 @@ def test_kernel_universal_property_via_mapping_complexes():
         k = heart_kernel(f)
         test_obj = random_heart_object(f.map.source.quiver, f.map.source.field, t, rng)
         post = transport_map(
-            hom_postcompose,
             hom_complex(test_obj, f.map.source),
             hom_complex(test_obj, f.map.target),
-            f.map,
+            post=f.map,
         )
         h0 = induced_homology_map(post, 0)
         ker_dim = h0.source.dims[0] - rank(h0.components[0])
@@ -408,10 +406,9 @@ def test_cokernel_universal_property_via_mapping_complexes():
         c = heart_cokernel(f)
         test_obj = random_heart_object(f.map.source.quiver, f.map.source.field, t, rng)
         pre = transport_map(
-            hom_precompose,
             hom_complex(f.map.target, test_obj),
             hom_complex(f.map.source, test_obj),
-            f.map,
+            pre=f.map,
         )
         h0 = induced_homology_map(pre, 0)
         ker_dim = h0.source.dims[0] - rank(h0.components[0])
