@@ -8,8 +8,11 @@ workload and end-to-end metric named in BENCHMARK.json it prints each
 side's median and quartiles, how many pairs the change won (ties count for
 neither side), and whether a gain can be claimed: the change wins at least
 nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range.  Failed operations are summed per side, and every
-run's metrics go to standard error as it ends.
+interquartile range.  It also prints whether the metric regressed: the
+change's median is worse than the parent's by more than the metric's bound
+in BENCHMARK.json, a relative change of the median in the direction that
+`better` names.  Failed operations are summed per side, and every run's
+metrics go to standard error as it ends.
 
 With --layers, after the pairs of a workload each side also makes three
 `--trace 1` runs, one on each of the first three seeds, in pairs whose
@@ -22,9 +25,10 @@ does not follow one such drift.
 
 With --out FILE (by convention BENCH_<name>.json at the root of the change)
 the same figures are also written as JSON: per workload the settings, each
-metric's medians, quartiles, win count and gain, the failed operations and
-the per-layer rows, plus each side's machine record (CPU model, nproc,
-platform, Python, numpy and torsionlab versions) as perfbench/run.py wrote it.
+metric's medians, quartiles, win count, gain and regression, the failed
+operations and the per-layer rows, plus each side's machine record (CPU
+model, nproc, platform, Python, numpy and torsionlab versions) as
+perfbench/run.py wrote it.
 
 Both checkouts must hold byte-identical perfbench/ and BENCHMARK.json, so
 the two sides run the same benchmark code and settings.  Before every run
@@ -105,7 +109,15 @@ def verdict(metric: dict, runs: dict[str, list[float]]) -> dict:
         and sign * (par["median"] - chg["median"]) > par["q3"] - par["q1"]
     )
     change = chg["median"] / par["median"] - 1 if par["median"] else 0.0
-    return {"parent": par, "change": chg, "wins": wins, "median_change": change, "gain": gain}
+    # worse by more than the bound, as a share of the parent's median; None
+    # for a metric without a bound
+    bound = metric.get("bound")
+    regressed = (
+        None if bound is None
+        else sign * (chg["median"] - par["median"]) > bound * abs(par["median"])
+    )
+    return {"parent": par, "change": chg, "wins": wins, "median_change": change, "gain": gain,
+            "regressed": regressed}
 
 
 def layer_rows(per_layer: list[dict], traced: dict[str, list[dict]]) -> list[tuple]:
@@ -179,12 +191,14 @@ def main(argv=None) -> int:
         print(f"\n{workload}: {args.pairs} pairs, seeds {args.first_seed}.."
               f"{args.first_seed + args.pairs - 1}, {seconds:g} s runs")
         print(f"  {'metric':<12} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28}"
-              f" {'change':>8} {'won':>6}  gain")
+              f" {'change':>8} {'won':>6}  gain  regressed")
         for name, row in summary["metrics"].items():
             cells = [f"{row[s]['median']:.4g} [{row[s]['q1']:.4g}, {row[s]['q3']:.4g}]"
                      for s in SIDES]
+            regressed = {None: "-", True: "yes", False: "no"}[row["regressed"]]
             print(f"  {name:<12} {cells[0]:>28} {cells[1]:>28} {row['median_change']:>+8.1%}"
-                  f" {row['wins']:>3}/{args.pairs:<2}  {'yes' if row['gain'] else 'no'}")
+                  f" {row['wins']:>3}/{args.pairs:<2}  {'yes' if row['gain'] else 'no':<4}"
+                  f"  {regressed}")
         print(f"  failed operations: parent {failed['parent'][0]} of {failed['parent'][1]},"
               f" change {failed['change'][0]} of {failed['change'][1]}")
         summary = {"pairs": args.pairs, "first_seed": args.first_seed, "seconds": seconds,

@@ -1,10 +1,12 @@
 """Bounded chain complexes of quiver representations.
 
 Grading is homological: the differential lowers degree, d_n : X_n -> X_{n-1},
-and d_{n} d_{n+1} = 0 is enforced at construction.  The conventions below are
-part of the API contract; all higher constructions are derived from them and
-tests/test_conventions.py pins them bit for bit.  Direct sums stack their
-summands in the order written, at every vertex.
+and d_{n} d_{n+1} = 0 is enforced at construction (Complex, ChainMap and
+Homotopy are quiver.Lawful values; Lawful says when a check is skipped).
+The conventions below are part of the API contract; all higher
+constructions are derived from them and tests/test_conventions.py pins them
+bit for bit.  Direct sums stack their summands in the order written, at
+every vertex.
 
   shift         X[k]_n = X_{n-k}, differential scaled by (-1)^k
   cone(f)_n   = X_{n-1} (+) Y_n          d(x, y) = (-dx, fx + dy)
@@ -57,6 +59,7 @@ from .linalg import (
     solve,
 )
 from .quiver import (
+    Lawful,
     Quiver,
     QuiverRep,
     RepMap,
@@ -114,7 +117,7 @@ __all__ = [
 ]
 
 
-class Complex:
+class Complex(Lawful):
     """A bounded complex.  Support is trimmed to the minimal window."""
 
     __slots__ = ("quiver", "field", "lo", "terms", "diffs", "_cuts")
@@ -162,24 +165,11 @@ class Complex:
         object.__setattr__(self, "diffs", diffs)
         object.__setattr__(self, "_cuts", None)
 
-    @classmethod
-    def _unchecked(cls, quiver, field, lo, terms, diffs) -> "Complex":
-        """Build a cls with the term and endpoint checks but without the dense
-        d² product: only for complexes whose d² = 0 the caller checked another
-        way (hom_complex on graded maps; _graded_sum, for each kind of graded
-        sum, on its blocks) or that exact arithmetic keeps lawful (shift)."""
-        out = object.__new__(cls)
-        out._fill(quiver, field, lo, terms, diffs)
-        return out
-
     def _cut_memo(self) -> dict:
         """tstruct's cut data by degree, made on first use; not in equality."""
         if self._cuts is None:
             object.__setattr__(self, "_cuts", {})
         return self._cuts
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Complex is immutable")
 
     @property
     def hi(self) -> int:
@@ -237,7 +227,7 @@ def zero_complex(quiver: Quiver, field: PrimeField) -> Complex:
     return Complex(quiver, field, 0, (), ())
 
 
-class ChainMap:
+class ChainMap(Lawful):
     """A degreewise intertwiner commuting with the differentials."""
 
     __slots__ = ("source", "target", "comps")
@@ -263,22 +253,6 @@ class ChainMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "comps", kept)
-
-    @classmethod
-    def _unchecked(
-        cls, source: Complex, target: Complex, comps: dict[int, RepMap]
-    ) -> "ChainMap":
-        """Build without the endpoint and chain-map checks.
-
-        Only for results that are lawful by construction from lawful maps:
-        composites, sums, negatives, zero and identity maps.
-        """
-        out = object.__new__(cls)
-        out._fill(source, target, comps)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainMap is immutable")
 
     def comp(self, n: int) -> RepMap:
         got = self.comps.get(n)
@@ -366,7 +340,7 @@ def compose(f: ChainMap, g: ChainMap) -> ChainMap:
     )
 
 
-class Homotopy:
+class Homotopy(Lawful):
     """Components h_n : X_n -> Y_{n+1} with  to - from = d h + h d."""
 
     __slots__ = ("from_map", "to_map", "comps")
@@ -381,9 +355,7 @@ class Homotopy:
                 raise ValueError(f"homotopy component at degree {n} has wrong endpoints")
             if not c.is_zero():
                 kept[n] = c
-        object.__setattr__(self, "from_map", from_map)
-        object.__setattr__(self, "to_map", to_map)
-        object.__setattr__(self, "comps", kept)
+        self._fill(from_map, to_map, kept)
         # both sides of the law at n vanish unless a component of h sits at
         # n or n - 1, or one of the two maps has one at n
         degs = {m for k in kept for m in (k, k + 1)} | set(from_map.comps) | set(to_map.comps)
@@ -395,15 +367,6 @@ class Homotopy:
             )
             if not _agree(got, to_map.comps.get(n)):
                 raise ValueError(f"homotopy law fails at degree {n}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Homotopy is immutable")
-
-    def comp(self, n: int) -> RepMap:
-        got = self.comps.get(n)
-        if got is not None:
-            return got
-        return RepMap.zero(self.from_map.source.term(n), self.from_map.target.term(n + 1))
 
     def __repr__(self) -> str:
         return f"Homotopy({self.from_map!r} => {self.to_map!r})"
@@ -681,11 +644,6 @@ class Cone(GradedSum):
     def into(self) -> ChainMap:
         """Y -> cone."""
         return self.inclusion(1)
-
-    @cached_property
-    def outof(self) -> ChainMap:
-        """cone -> X[1]."""
-        return self.projection(0)
 
     @cached_property
     def null_wit(self) -> Homotopy:

@@ -253,12 +253,13 @@ def parse_document(text: str) -> Document:
         comps = {}
         components = _object(body.get("components", {}), f"map {name!r}: components")
         for deg_str, rows_list in components.items():
+            # one spelling per degree: int() also reads "00", "+0" and "-0" as 0
             try:
                 deg = int(deg_str)
             except ValueError:
-                raise DocumentError(
-                    f"map {name!r}: bad degree key {deg_str!r}"
-                ) from None
+                deg = None
+            if deg is None or str(deg) != deg_str:
+                raise DocumentError(f"map {name!r}: bad degree key {deg_str!r}")
             where = f"map {name!r} at degree {deg}"
             mats = _vertex_matrices(fld, rows_list, tgt.term(deg), src.term(deg), where)
             try:

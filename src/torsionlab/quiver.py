@@ -2,20 +2,9 @@
 
 A representation assigns a vector space over a fixed prime field to each
 vertex and a matrix to each arrow.  Morphisms are vertexwise matrices that
-commute with every arrow map exactly (the intertwiner law).  Everything here
-is checked at construction time; a RepMap that typechecks is a morphism.
-
-The one exception is RepMap._unchecked, which builds results that exact F_p
-arithmetic makes lawful from lawful inputs: composites, sums and differences
-of maps with equal endpoints, negatives, scalar multiples, zero and identity
-maps.  Raw components from outside (documents, solvers, kernels and
-quotients) always go through the checking constructor.  Complex._unchecked
-skips only the dense d² product: each hom-complex differential checks that
-law on flat graded maps as it is built (see HomComplex), a graded sum (a
-cone, fiber, direct sum or homotopy (co)limit, each built as its own
-Complex subclass) on its blocks, and shift negates a lawful differential.
-The inclusions and projections of a graded sum use ChainMap._unchecked, and
-are refused where a twist would break them.
+commute with every arrow map exactly (the intertwiner law).  Both are Lawful
+values, as are complexes, chain maps and homotopies: their laws are checked
+at construction, and Lawful states when a check may be skipped.
 """
 
 from __future__ import annotations
@@ -86,7 +75,40 @@ class Quiver:
         return cls(("a", "b"), (("a", "b"),))
 
 
-class QuiverRep:
+class Lawful:
+    """An immutable value whose laws are checked where it is built.
+
+    __init__ checks the laws of its type, then stores the fields with _fill
+    (in __slots__ order; Complex and ChainMap normalise them there), and
+    cls._unchecked(*fields) runs _fill alone.  That is allowed only where
+    exact F_p arithmetic makes the result lawful from lawful inputs, or
+    where the caller checked the law another way; data from outside always
+    goes through __init__.  The trusted constructions: RepMap zero,
+    identity, compose, +, - and negation; ChainMap + and negation,
+    identity_map, zero_map and compose; shift, which negates a lawful
+    differential; a graded sum's differential, inclusions and projections
+    (_graded_sum, GradedSum.inclusion and .projection) and block maps
+    (block_components), lawful blockwise; and complexes whose d² was
+    checked on flat graded maps (HomComplex.complex) or by parse_document.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        out = object.__new__(cls)
+        out._fill(*fields)
+        return out
+
+    def _fill(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class QuiverRep(Lawful):
     """A representation: dims per vertex, one matrix per arrow."""
 
     __slots__ = ("quiver", "field", "dims", "arrow_maps")
@@ -110,13 +132,7 @@ class QuiverRep:
                 )
             if m.field != field:
                 raise ValueError("arrow map over the wrong field")
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        object.__setattr__(self, "arrow_maps", tuple(arrow_maps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuiverRep is immutable")
+        self._fill(quiver, field, tuple(int(d) for d in dims), tuple(arrow_maps))
 
     @classmethod
     def zero(cls, quiver: Quiver, field: PrimeField) -> "QuiverRep":
@@ -156,7 +172,7 @@ def _zero_rep(quiver: Quiver, field: PrimeField) -> QuiverRep:
     return QuiverRep(quiver, field, dims, maps)
 
 
-class RepMap:
+class RepMap(Lawful):
     """An intertwiner between two representations of the same quiver."""
 
     __slots__ = ("source", "target", "components")
@@ -177,26 +193,7 @@ class RepMap:
             i, j = quiver.index(src), quiver.index(tgt)
             if (a_t @ components[i]) != (components[j] @ a_s):
                 raise ValueError(f"intertwiner law fails on arrow ({src}, {tgt})")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", tuple(components))
-
-    @classmethod
-    def _unchecked(
-        cls, source: QuiverRep, target: QuiverRep, components: tuple[Mat, ...]
-    ) -> "RepMap":
-        """Build without the shape and intertwiner checks.
-
-        Only for results that are lawful by construction from lawful maps.
-        """
-        out = object.__new__(cls)
-        object.__setattr__(out, "source", source)
-        object.__setattr__(out, "target", target)
-        object.__setattr__(out, "components", tuple(components))
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepMap is immutable")
+        self._fill(source, target, tuple(components))
 
     @classmethod
     def zero(cls, source: QuiverRep, target: QuiverRep) -> "RepMap":

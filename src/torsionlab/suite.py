@@ -86,6 +86,8 @@ __all__ = [
 REPORT_VERSION = 1
 # the widest config window, hi - lo: supports are drawn anywhere inside it
 MAX_WINDOW = 64
+# the largest |degree| of a window end or a cut: degrees are drawn as int64
+MAX_DEGREE = 2**62
 
 
 # Named shapes: besides point and a2, the path a -> b -> c, the Kronecker
@@ -152,6 +154,9 @@ class SuiteConfig:
             raise ValueError(f"max_dim must be between 1 and {MAX_DIM}")
         if not 0 <= self.window[1] - self.window[0] <= MAX_WINDOW:
             raise ValueError(f"config key 'window' needs 0 <= hi - lo <= {MAX_WINDOW}")
+        for key in ("window", "shifts"):
+            if any(abs(n) > MAX_DEGREE for n in getattr(self, key)):
+                raise ValueError(f"config key {key!r} needs degrees within ±2^62")
         if not self.shifts:
             raise ValueError("at least one cutoff shift required")
 
@@ -296,13 +301,17 @@ def _draw(rng, fld, quiver, config: SuiteConfig) -> Complex:
 
 
 def _draw_small(rng, fld, quiver, config: SuiteConfig) -> Complex:
-    """Trimmed envelope for the hom-complex-heavy properties."""
-    return random_complex(
-        quiver, fld, rng,
-        max_dim=min(config.max_dim, 2),
-        lo=max(config.window[0], -2),
-        hi=min(config.window[1], 2),
-    )
+    """Trimmed envelope for the hom-complex-heavy properties: the window's
+    part in [-2, 2], or the (at most) 5 degrees of the window nearest 0 when
+    it misses [-2, 2]."""
+    lo, hi = config.window
+    if lo > 2:
+        hi = min(hi, lo + 4)
+    elif hi < -2:
+        lo = max(lo, hi - 4)
+    else:
+        lo, hi = max(lo, -2), min(hi, 2)
+    return random_complex(quiver, fld, rng, max_dim=min(config.max_dim, 2), lo=lo, hi=hi)
 
 
 def _sphere(quiver: Quiver, fld: PrimeField, n: int) -> Complex:

@@ -1,5 +1,6 @@
 """The claim rule of scripts/bench_pairs.py (wins, ties and the quartile gap),
-its per-layer table of traced medians and the JSON file it writes with --out."""
+its no-regression verdict, its per-layer table of traced medians and the
+JSON file it writes with --out."""
 
 import importlib.util
 import json
@@ -39,6 +40,28 @@ def test_higher_is_better_flips_the_sign():
     assert not bench_pairs.verdict(LOWER, runs)["gain"]
 
 
+def test_regressed_means_a_median_worse_than_the_parents_by_more_than_the_bound():
+    def regressed(better, bound, parent, change):
+        metric = {"better": better, "bound": bound}
+        return bench_pairs.verdict(metric, {"parent": [parent] * 4, "change": [change] * 4})[
+            "regressed"
+        ]
+
+    # lower is better: a median 20 % above the parent's is at the bound
+    assert regressed("lower", 0.2, 10.0, 12.5)
+    assert not regressed("lower", 0.2, 10.0, 12.0)
+    assert not regressed("lower", 0.2, 10.0, 2.0)
+    assert not regressed("lower", 0.05, 100.0, 105.0) and regressed("lower", 0.05, 100.0, 106.0)
+    # higher is better: a median 20 % below the parent's is at the bound
+    assert regressed("higher", 0.2, 10.0, 7.5)
+    assert not regressed("higher", 0.2, 10.0, 8.0)
+    assert not regressed("higher", 0.2, 10.0, 30.0)
+    # a metric without a bound has no verdict
+    assert bench_pairs.verdict(LOWER, {"parent": [1.0] * 4, "change": [9.0] * 4})[
+        "regressed"
+    ] is None
+
+
 def test_layer_rows_pair_each_metric_with_its_relative_change():
     per_layer = [
         {"name": "linalg.reduce.self_s", "unit": "s", "better": "lower"},
@@ -73,7 +96,7 @@ def _result(value, failed=0, machine=None):
 SPEC = {
     "run_seconds": 20,
     "workloads": [{"name": "hom-large"}],
-    "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower"}],
+    "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}],
     "per_layer": [{"name": "linalg.matmul.calls", "unit": "count", "better": "lower"}],
 }
 
@@ -117,7 +140,7 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
     hom = bench["workloads"]["hom-large"]
     assert (hom["pairs"], hom["first_seed"], hom["seconds"]) == (4, 3, 20)
     wall = hom["metrics"]["wall_s"]
-    assert wall["wins"] == 4 and wall["gain"]
+    assert wall["wins"] == 4 and wall["gain"] and wall["regressed"] is False
     assert abs(wall["parent"]["median"] - 1.045) < 1e-12
     assert abs(wall["change"]["median"] - 0.745) < 1e-12
     assert hom["failed"] == {"parent": [0, 40], "change": [0, 40]}
@@ -129,6 +152,7 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
                               "change": 10, "relative_change": 10 / 202 - 1}]
     printed = capsys.readouterr().out
     assert "hom-large: 4 pairs, seeds 3..6" in printed and "linalg.matmul.calls" in printed
+    assert "gain  regressed" in printed and "4/4   yes   no" in printed
 
 
 def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):

@@ -247,7 +247,7 @@ def test_cone_of_into_recovers_shifted_source():
     c = cone(f)
     c2 = cone(c.into)  # parts (Y, 1), (cone f, 0)
     target = shift(f.source, 1)
-    comps = block_components(c2, target, 0, {(None, 1): (1, c.outof.comps)})
+    comps = block_components(c2, target, 0, {(None, 1): (1, c.projection(0).comps)})
     collapse = ChainMap(c2, target, comps)
     assert is_quasi_iso(collapse)
 
@@ -416,7 +416,7 @@ def test_homotopy_law_enforced():
     y = _pt_complex(F3, 0, [1, 1], [[[1]]])
     zero, f = zero_map(x, y), _pt_map(F3, x, y, {0: [[1]]})
     wit = Homotopy(zero, f, {0: RepMap(x.term(0), y.term(1), (Mat(F3, [[1]]),))})
-    assert wit.comp(0).components[0] == Mat(F3, [[1]])
+    assert wit.comps[0].components[0] == Mat(F3, [[1]])
     for from_map, to_map, h in ((zero, f, [[2]]), (zero, f, None), (zero, zero, [[1]])):
         comps = {}
         if h is not None:
@@ -694,7 +694,6 @@ def test_structure_maps_made_on_first_read_pass_the_checks_and_are_kept(quiver, 
     pb, po = homotopy_pullback(f, g), homotopy_pushout(f, k)
     reads = [
         (c, "into", y, c),
-        (c, "outof", c, shift(x, 1)),
         (fb, "to_source", fb, x),
         (pb, "proj_first", pb, x),
         (pb, "proj_second", pb, w),
@@ -706,6 +705,10 @@ def test_structure_maps_made_on_first_read_pass_the_checks_and_are_kept(quiver, 
         assert getattr(obj, name) is got
         assert got.source == source and got.target == target
         _rechecked_map(got)
+    # the cone's projection to X[1] is made on each call, not kept
+    proj = c.projection(0)
+    assert proj.source == c and proj.target == shift(x, 1)
+    _rechecked_map(proj)
     for obj, composite in ((c, compose(c.into, f)), (fb, compose(f, fb.to_source))):
         wit = obj.null_wit
         assert obj.null_wit is wit

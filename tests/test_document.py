@@ -244,8 +244,18 @@ MALFORMED = {
     "point-dim-10^5": _point_stalk(10**5),
     "point-dim-10^30": _point_stalk(10**30),
 }
+# int() reads each of these keys as degree 0, so next to "0" one of the two
+# components was lost: the identity below parsed as the zero map
+SPELLINGS_OF_ZERO = {"00": "00", "space": " 0", "plus": "+0", "minus": "-0", "arabic": "\u0660"}
+for _tag, _key in SPELLINGS_OF_ZERO.items():
+    _components = {"0": [[[1]]], _key: [[[0]]]}
+    MALFORMED[f"degree-key-{_tag}"] = {
+        **_point_stalk(1),
+        "maps": {"f": {"source": "x", "target": "x", "components": _components}},
+    }
 # what the message of a rejection must name
 NAMED = {kind: ("rep 'r'", "vertex 'v'") for kind in ("point-dim-10^5", "point-dim-10^30")}
+NAMED.update({f"degree-key-{tag}": ("bad degree key",) for tag in SPELLINGS_OF_ZERO})
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))

@@ -1,12 +1,17 @@
+import ast
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from tests.strategies import random_rep_map, reps
+from torsionlab.complexes import Complex, Homotopy, identity_map
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import (
+    Lawful,
     Quiver,
     QuiverRep,
     RepMap,
@@ -268,3 +273,84 @@ def test_hom_constraint_matrix_equals_its_kronecker_form(quiver, p):
             rows.append(block)
         want = np.concatenate(rows) if rows else np.zeros((0, offsets[-1]), np.int64)
         assert hom_constraint_matrix(a, b) == Mat(fld, want)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
+
+# every function in src/ that builds through Lawful._unchecked, as (module,
+# qualified name); a new trusted construction is named here and in the
+# Lawful docstring together
+TRUSTED_CALLERS = {
+    *(("quiver", f"RepMap.{m}") for m in
+      ("zero", "identity", "compose", "__add__", "__sub__", "__neg__")),
+    ("complexes", "ChainMap.__add__"),
+    ("complexes", "ChainMap.__neg__"),
+    ("complexes", "identity_map"),
+    ("complexes", "zero_map"),
+    ("complexes", "compose"),
+    ("complexes", "shift"),
+    ("complexes", "GradedSum.inclusion"),
+    ("complexes", "GradedSum.projection"),
+    ("complexes", "_graded_sum"),
+    ("complexes", "block_components"),
+    ("complexes", "HomComplex.complex"),
+    ("document", "parse_document"),
+}
+
+
+def trusted_callers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, qualified name) of each top-level function or method whose
+    body calls something._unchecked(...)."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(d, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call)
+                    and isinstance(c.func, ast.Attribute)
+                    and c.func.attr == "_unchecked"
+                    for c in ast.walk(d)
+                ):
+                    found.add((module, d.name if d is node else f"{node.name}.{d.name}"))
+    return found
+
+
+def test_the_trusted_path_has_a_fixed_list_of_callers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert trusted_callers(sources) == TRUSTED_CALLERS
+    for _, name in TRUSTED_CALLERS:
+        method = name.rpartition(".")[2]
+        if not method.startswith("__"):
+            assert re.search(rf"\b{method}\b", Lawful.__doc__), name
+
+
+def test_the_caller_scan_sees_methods_and_nested_calls():
+    sources = {"m": (
+        "class A:\n"
+        "    def f(self):\n"
+        "        return [B._unchecked(x) for x in self]\n"
+        "    def g(self):\n"
+        "        return B(self)\n"
+        "def h():\n"
+        "    def inner():\n"
+        "        return A._unchecked()\n"
+        "    return inner\n"
+    )}
+    assert trusted_callers(sources) == {("m", "A.f"), ("m", "h")}
+
+
+def test_lawful_values_refuse_assignment():
+    """The five value types share one guard, and Lawful adds no __dict__."""
+    a = _a2_rep((1, 1), [1])
+    x = Complex(a.quiver, F2, 0, (a,), ())
+    ident = identity_map(x)
+    for value, field in (
+        (a, "dims"),
+        (RepMap.identity(a), "components"),
+        (x, "terms"),
+        (ident, "comps"),
+        (Homotopy(ident, ident, {}), "comps"),
+    ):
+        with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+            setattr(value, field, None)
+        assert not hasattr(value, "__dict__")

@@ -28,6 +28,7 @@ from torsionlab.factorization import in_E, in_M
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
 from torsionlab.suite import (
+    MAX_DEGREE,
     MAX_WINDOW,
     SuiteConfig,
     property_names,
@@ -225,6 +226,26 @@ def test_config_bounds_the_window_width():
             SuiteConfig.from_tree({"window": window})
 
 
+@pytest.mark.parametrize("window", [(5, 9), (3, 3), (-9, -5)])
+def test_windows_that_miss_the_small_envelope_run_green(window):
+    """The hom-complex-heavy properties draw from the window's part in
+    [-2, 2]; a window that misses it lends them its 5 degrees nearest 0
+    instead of an empty range."""
+    report = run_suite(SuiteConfig(cases=3, window=window))
+    assert report.ok, [r.counterexample for r in report.results if r.failed]
+
+
+def test_config_bounds_window_ends_and_cuts():
+    # only parsed: degrees are drawn as int64, which a cut of 10^19 overflowed
+    top = MAX_DEGREE
+    config = SuiteConfig.from_tree({"window": [top - 8, top], "shifts": [-top, top]})
+    assert config.window == (top - 8, top) and config.shifts == (-top, top)
+    for key, value in (("window", [top - 8, top + 1]), ("window", [-top - 1, -top]),
+                       ("shifts", [0, top + 1]), ("shifts", [-top - 1])):
+        with pytest.raises(ValueError, match=f"config key '{key}' needs degrees within"):
+            SuiteConfig.from_tree({key: value})
+
+
 REPORT = {"report_version": 1, "ok": True}
 ENTRY = {"name": "x", "passed": 1, "cases": 1}
 
@@ -253,6 +274,8 @@ ENTRY = {"name": "x", "passed": 1, "cases": 1}
         ("report", {**REPORT, "properties": [{**ENTRY, "counterexample": 5}]}, "counterexample"),
         ("report", {**REPORT, "properties": [{**ENTRY, "counterexample": {"case": 0}}]}, "'detail'"),
         ("verify", {"window": [-800, 800]}, "'window'"),
+        ("verify", {"window": [10**19, 10**19]}, "'window'"),
+        ("verify", {"shifts": [10**19]}, "'shifts'"),
     ],
 )
 def test_malformed_config_or_report_exits_with_one_error_line(
