@@ -9,7 +9,8 @@ import functools
 import json
 import sys
 
-from .document import DocumentError, document_of, document_tree, parse_document, serialize_document
+from .document import DocumentError, _dumps, document_of, document_tree, parse_document
+from .document import serialize_document
 from .factorization import factor, normality_report
 from .postnikov import postnikov_tower, verify_tower
 from .suite import (
@@ -95,7 +96,7 @@ def _cmd_postnikov(args) -> int:
         "degrees": [s.degree for s in tower.stages],
         "verified": verify_tower(f, tower),
     }
-    sys.stdout.write(json.dumps(wrapper, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(wrapper))
     return 0 if wrapper["verified"] else 1
 
 
@@ -105,7 +106,7 @@ def _cmd_normality(args) -> int:
     report = normality_report(x, TStructure(args.shift))
     tree = dataclasses.asdict(report)
     tree["all_hold"] = report.all_hold()
-    sys.stdout.write(json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(tree))
     return 0 if report.all_hold() else 1
 
 

@@ -13,7 +13,10 @@ Matrices are row arrays of integers in [0, p); shapes are implied by the
 dims of the objects they connect, so empty matrices carry no ambiguity.
 Every load re-validates the laws the in-memory types enforce and reports
 violations by law name ("d-squared", "intertwiner", "chain-map").
-Serialization is canonical (sorted keys, fixed indentation), so
+Terms and endpoints are named by value key (equal keys exactly when equal
+values), the first sorted name winning among equal objects; the tables are
+rebuilt on every pass, so an edited Document is named afresh.  _dumps(tree)
+is json.dumps(tree, indent=2, sort_keys=True) + "\n", in linear time, so
 serialize . parse is the identity on normalized text.
 """
 
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,27 +71,29 @@ class Document:
     maps: dict[str, ChainMap] = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        reps, complexes = _names(self.reps, _rep_key), _names(self.complexes, _complex_key)
         for name, x in self.complexes.items():
-            for n in x.support:
-                if self._rep_name(x.term(n)) is None:
-                    raise DocumentError(
-                        f"complex {name!r} has an unnamed term at degree {n}"
-                    )
+            for n, term in zip(x.support, x.terms):
+                if _rep_key(term) not in reps:
+                    raise DocumentError(f"complex {name!r} has an unnamed term at degree {n}")
         for name, f in self.maps.items():
-            if self._complex_name(f.source) is None or self._complex_name(f.target) is None:
+            if not {_complex_key(f.source), _complex_key(f.target)} <= complexes.keys():
                 raise DocumentError(f"map {name!r} has unnamed endpoints")
 
-    def _rep_name(self, rep: QuiverRep) -> str | None:
-        for name in sorted(self.reps):
-            if self.reps[name] == rep:
-                return name
-        return None
 
-    def _complex_name(self, x: Complex) -> str | None:
-        for name in sorted(self.complexes):
-            if self.complexes[name] == x:
-                return name
-        return None
+# Equal keys exactly for equal values: every Mat is int64 in [0, p), dims fix its shape
+def _rep_key(rep: QuiverRep) -> tuple:
+    return rep.quiver, rep.field, rep.dims, b"".join(m.a.tobytes() for m in rep.arrow_maps)
+
+
+def _complex_key(x: Complex) -> tuple:
+    diffs = b"".join(m.a.tobytes() for d in x.diffs for m in d.components)
+    return x.quiver, x.field, x.lo, tuple(map(_rep_key, x.terms)), diffs
+
+
+def _names(table: dict, key) -> dict:
+    """Value key -> the first sorted name of a value with that key, built per pass."""
+    return {key(table[name]): name for name in sorted(table, reverse=True)}
 
 
 def _is_int(value) -> bool:
@@ -94,15 +101,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentError(f"{what} must be a JSON object")
-    return value
-
-
-def _list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise DocumentError(f"{what} must be a JSON array")
+def _typed(value, kind: type, what: str):
+    """value, unless it is not a JSON value of kind (dict or list): then a
+    DocumentError naming what."""
+    if not isinstance(value, kind):
+        raise DocumentError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
     return value
 
 
@@ -138,9 +141,9 @@ def _vertex_matrices(fld, rows_list, target: QuiverRep, source: QuiverRep, where
 
 def parse_quiver(tree) -> Quiver:
     """A quiver from its JSON object {"vertices": [...], "arrows": [...]}."""
-    _object(tree, "quiver")
-    vertices = _list(tree.get("vertices"), "quiver vertices")
-    arrows = _list(tree.get("arrows"), "quiver arrows")
+    _typed(tree, dict, "quiver")
+    vertices = _typed(tree.get("vertices"), list, "quiver vertices")
+    arrows = _typed(tree.get("arrows"), list, "quiver arrows")
     if any(not isinstance(v, str) for v in vertices):
         raise DocumentError("quiver vertices must be strings")
     if any(
@@ -165,7 +168,7 @@ def parse_document(text: str) -> Document:
         ) from None
     except RecursionError:
         raise DocumentError("document nests too deeply") from None
-    _object(tree, "document")
+    _typed(tree, dict, "document")
     version = tree.get("format_version")
     if not _is_int(version) or version != FORMAT_VERSION:
         raise DocumentError(f"unsupported format_version {version!r}")
@@ -182,8 +185,8 @@ def parse_document(text: str) -> Document:
     quiver = parse_quiver(qtree)
 
     reps: dict[str, QuiverRep] = {}
-    for name, body in _object(tree.get("reps", {}), "reps").items():
-        body = _object(body, f"rep {name!r}")
+    for name, body in _typed(tree.get("reps", {}), dict, "reps").items():
+        body = _typed(body, dict, f"rep {name!r}")
         dims = body.get("dims")
         if not isinstance(dims, list) or any(not _is_int(d) or d < 0 for d in dims):
             raise DocumentError(f"rep {name!r}: dims must be non-negative integers")
@@ -192,25 +195,19 @@ def parse_document(text: str) -> Document:
         for v, d in zip(quiver.vertices, dims):
             if d > MAX_DIM:
                 raise DocumentError(f"rep {name!r}: dim {d} at vertex {v!r} is above {MAX_DIM}")
-        arrow_bodies = _list(body.get("arrows", []), f"rep {name!r}: arrows")
+        arrow_bodies = _typed(body.get("arrows", []), list, f"rep {name!r}: arrows")
         if len(arrow_bodies) != len(quiver.arrows):
             raise DocumentError(f"rep {name!r}: one matrix per arrow required")
-        mats = []
-        for (src, tgt), rows in zip(quiver.arrows, arrow_bodies):
-            mats.append(
-                _as_matrix(
-                    fld,
-                    rows,
-                    dims[quiver.index(tgt)],
-                    dims[quiver.index(src)],
-                    f"rep {name!r}, arrow {src}->{tgt}",
-                )
-            )
-        reps[name] = QuiverRep(quiver, fld, tuple(dims), tuple(mats))
+        mats = tuple(
+            _as_matrix(fld, rows, dims[quiver.index(t)], dims[quiver.index(s)],
+                       f"rep {name!r}, arrow {s}->{t}")
+            for (s, t), rows in zip(quiver.arrows, arrow_bodies)
+        )
+        reps[name] = QuiverRep(quiver, fld, tuple(dims), mats)
 
     complexes: dict[str, Complex] = {}
-    for name, body in _object(tree.get("complexes", {}), "complexes").items():
-        body = _object(body, f"complex {name!r}")
+    for name, body in _typed(tree.get("complexes", {}), dict, "complexes").items():
+        body = _typed(body, dict, f"complex {name!r}")
         lo = body.get("lo")
         term_names = body.get("terms")
         if not _is_int(lo) or not isinstance(term_names, list):
@@ -220,7 +217,7 @@ def parse_document(text: str) -> Document:
             if not isinstance(tn, str) or tn not in reps:
                 raise DocumentError(f"complex {name!r}: unresolved rep name {tn!r}")
             terms.append(reps[tn])
-        diff_bodies = _list(body.get("diffs", []), f"complex {name!r}: diffs")
+        diff_bodies = _typed(body.get("diffs", []), list, f"complex {name!r}: diffs")
         if len(diff_bodies) != max(len(terms) - 1, 0):
             raise DocumentError(f"complex {name!r}: needs one diff per adjacent pair")
         diffs = []
@@ -244,14 +241,14 @@ def parse_document(text: str) -> Document:
         complexes[name] = Complex._unchecked(quiver, fld, lo, tuple(terms), tuple(diffs))
 
     maps: dict[str, ChainMap] = {}
-    for name, body in _object(tree.get("maps", {}), "maps").items():
-        body = _object(body, f"map {name!r}")
+    for name, body in _typed(tree.get("maps", {}), dict, "maps").items():
+        body = _typed(body, dict, f"map {name!r}")
         src_name, tgt_name = body.get("source"), body.get("target")
         if not all(isinstance(n, str) and n in complexes for n in (src_name, tgt_name)):
             raise DocumentError(f"map {name!r}: unresolved complex name")
         src, tgt = complexes[src_name], complexes[tgt_name]
         comps = {}
-        components = _object(body.get("components", {}), f"map {name!r}: components")
+        components = _typed(body.get("components", {}), dict, f"map {name!r}: components")
         for deg_str, rows_list in components.items():
             # one spelling per degree: int() also reads "00", "+0" and "-0" as 0
             try:
@@ -279,12 +276,43 @@ def parse_document(text: str) -> Document:
     return Document(quiver, fld, reps, complexes, maps)
 
 
-def _matrix_tree(m: Mat) -> list:
-    return [[int(e) for e in row] for row in m.a]
+# json.dumps of the leaves met most; a list or dict reaches this only when empty
+_LEAF = {str: encode_basestring_ascii, int: int.__repr__, list: repr, dict: repr}
+
+
+def _dumps(tree) -> str:
+    """json.dumps(tree, indent=2, sort_keys=True) + "\n", in linear time."""
+    _write(tree, "\n", out := [])
+    return "".join(out) + "\n"
+
+
+def _write(value, nl: str, out: list[str]) -> None:
+    inner, kind = nl + "  ", type(value)
+    if kind not in (list, tuple, dict) or not value:  # a leaf or an empty container
+        out.append(_LEAF.get(kind, json.dumps)(value))
+    elif kind is list and all(type(r) is list and r for r in value) and (
+        set(map(type, chain(*value))) == {int}
+    ):  # a matrix with at least one column
+        rows = inner + "  "
+        body = str(value)[2:-2].replace("], [", f"{inner}],{inner}[{rows}")
+        out.append(f"[{inner}[{rows}{body.replace(', ', ',' + rows)}{inner}]{nl}]")
+    elif kind is not dict:
+        for i, e in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _write(e, inner, out)
+        out.append(nl + "]")
+    elif set(map(type, value)) == {str}:
+        for i, k in enumerate(sorted(value)):
+            out.append(f"{',' if i else '{'}{inner}{encode_basestring_ascii(k)}: ")
+            _write(value[k], inner, out)
+        out.append(nl + "}")
+    else:  # keys other than strings: nl re-indents the stdlib's dump
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
 
 
 def document_tree(doc: Document) -> dict:
     """The JSON tree of a document, before it is dumped."""
+    reps, complexes = _names(doc.reps, _rep_key), _names(doc.complexes, _complex_key)
     return {
         "format_version": FORMAT_VERSION,
         "prime": doc.field.p,
@@ -295,28 +323,25 @@ def document_tree(doc: Document) -> dict:
         "reps": {
             name: {
                 "dims": list(rep.dims),
-                "arrows": [_matrix_tree(m) for m in rep.arrow_maps],
+                "arrows": [m.a.tolist() for m in rep.arrow_maps],
             }
             for name, rep in doc.reps.items()
         },
         "complexes": {
             name: {
                 "lo": x.lo,
-                "terms": [doc._rep_name(x.term(n)) for n in range(x.lo, x.hi + 1)],
-                "diffs": [
-                    [_matrix_tree(m) for m in x.diff(n).components]
-                    for n in range(x.lo + 1, x.hi + 1)
-                ],
+                "terms": [reps.get(_rep_key(t)) for t in x.terms],
+                "diffs": [[m.a.tolist() for m in d.components] for d in x.diffs],
             }
             for name, x in doc.complexes.items()
         },
         "maps": {
             name: {
-                "source": doc._complex_name(f.source),
-                "target": doc._complex_name(f.target),
+                "source": complexes.get(_complex_key(f.source)),
+                "target": complexes.get(_complex_key(f.target)),
                 "components": {
-                    str(n): [_matrix_tree(m) for m in f.comp(n).components]
-                    for n in sorted(f.comps)
+                    str(n): [m.a.tolist() for m in c.components]
+                    for n, c in sorted(f.comps.items())
                 },
             }
             for name, f in doc.maps.items()
@@ -325,7 +350,7 @@ def document_tree(doc: Document) -> dict:
 
 
 def serialize_document(doc: Document) -> str:
-    return json.dumps(document_tree(doc), indent=2, sort_keys=True) + "\n"
+    return _dumps(document_tree(doc))
 
 
 def document_of(
@@ -338,14 +363,17 @@ def document_of(
     """Package in-memory objects, naming each complex term after its host."""
     complexes = dict(complexes or {})
     maps = dict(maps or {})
+    seen = set(map(_complex_key, complexes.values()))
     for name, f in maps.items():
         for side, x in (("src", f.source), ("dst", f.target)):
-            if not any(x == c for c in complexes.values()):
+            if (key := _complex_key(x)) not in seen:
+                seen.add(key)
                 complexes[f"{name}.{side}"] = x
     registry: dict[str, QuiverRep] = dict(reps or {})
+    seen = set(map(_rep_key, registry.values()))
     for cname, x in complexes.items():
-        for n in x.support:
-            term = x.term(n)
-            if not any(term == r for r in registry.values()):
+        for n, term in zip(x.support, x.terms):
+            if (key := _rep_key(term)) not in seen:
+                seen.add(key)
                 registry[f"{cname}@{n}"] = term
     return Document(quiver, fld, registry, complexes, maps)

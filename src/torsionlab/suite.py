@@ -52,7 +52,7 @@ from .complexes import (
     zero_complex,
     zero_map,
 )
-from .document import MAX_DIM, document_of, parse_quiver, serialize_document
+from .document import MAX_DIM, _dumps, document_of, parse_quiver, serialize_document
 from .factorization import (
     antitone_check,
     factor,
@@ -236,7 +236,7 @@ class Report:
 
 
 def report_json(report: Report) -> str:
-    return json.dumps(report.to_tree(), indent=2, sort_keys=True) + "\n"
+    return _dumps(report.to_tree())
 
 
 def _result_line(name: str, passed: int, cases: int, suffix: str) -> str:
@@ -278,7 +278,7 @@ def render_tree(tree: dict, fmt: str) -> str:
         if ce and {"case", "seed_path", "detail"} - set(_need(ce, dict, "a counterexample")):
             raise ValueError("a counterexample needs the keys 'case', 'seed_path' and 'detail'")
     if fmt == "json":
-        return json.dumps(tree, indent=2, sort_keys=True) + "\n"
+        return _dumps(tree)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = []
