@@ -21,14 +21,19 @@ BENCHMARK.json are printed as each side's median over its three traced
 runs, side by side with their relative change: the trace evidence that
 names the layer behind a gain.  Timed layers of a single traced run drift
 together with the load of the machine; the median of alternating runs
-does not follow one such drift.
+does not follow one such drift.  Each timed layer (unit s) is also given
+as a share of its own run's median traced round wall, as each side's
+median share and their relative change, so that a drift which slows a
+whole run cancels.  The round walls are on perfbench's calibrated clock
+and the layer times on the raw one, so a slowdown that the calibration
+loop also sees does not cancel in the share.
 
 With --out FILE (by convention BENCH_<name>.json at the root of the change)
 the same figures are also written as JSON: per workload the settings, each
 metric's medians, quartiles, win count, gain and regression, the failed
-operations and the per-layer rows, plus each side's machine record (CPU
-model, nproc, platform, Python, numpy and torsionlab versions) as
-perfbench/run.py wrote it.
+operations and the per-layer rows with their shares, plus each side's
+machine record (CPU model, nproc, platform, Python, numpy and torsionlab
+versions) as perfbench/run.py wrote it.
 
 Both checkouts must hold byte-identical perfbench/ and BENCHMARK.json, so
 the two sides run the same benchmark code and settings.  Before every run
@@ -90,8 +95,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 
         raise RuntimeError(
             f"{root}: {workload} seed {seed} exited {proc.returncode}: {proc.stderr.strip()}"
         )
-    record = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
-    result["machine"] = json.loads(record.read_text(encoding="utf-8"))["machine"]
+    path = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    result["machine"] = record["machine"]
+    if trace:
+        result["traced_wall_s"] = statistics.median(record["round_walls_s"]["traced"])
     return result
 
 
@@ -121,14 +129,29 @@ def verdict(metric: dict, runs: dict[str, list[float]]) -> dict:
 
 
 def layer_rows(per_layer: list[dict], traced: dict[str, list[dict]]) -> list[tuple]:
-    """(name, unit, parent median, change median, relative change or None)
-    for each per-layer metric, over the traced results of each side."""
+    """(name, unit, parent median, change median, relative change, parent
+    share, change share, relative change of the share) for each per-layer
+    metric, over the traced results of each side.  A share is the metric
+    over its own run's traced round wall, for timed layers (unit s) only;
+    the share columns are None for the others, and a relative change is
+    None from a parent value of zero."""
+    def rel(par, chg):
+        return chg / par - 1 if par else None
+
     rows = []
     for metric in per_layer:
-        name = metric["name"]
+        name, unit = metric["name"], metric["unit"]
         par, chg = (statistics.median(r["metrics"][name]["value"] for r in traced[s])
                     for s in SIDES)
-        rows.append((name, metric["unit"], par, chg, chg / par - 1 if par else None))
+        shares = (None, None, None)
+        if unit == "s":
+            p_share, c_share = (
+                statistics.median(r["metrics"][name]["value"] / r["traced_wall_s"]
+                                  for r in traced[s])
+                for s in SIDES
+            )
+            shares = (p_share, c_share, rel(p_share, c_share))
+        rows.append((name, unit, par, chg, rel(par, chg), *shares))
     return rows
 
 
@@ -212,12 +235,18 @@ def main(argv=None) -> int:
                     )
             rows = layer_rows(spec["per_layer"], traced)
             print(f"  per layer, median of {LAYER_PAIRS} traced runs per side, seeds "
-                  f"{args.first_seed}..{args.first_seed + LAYER_PAIRS - 1}:")
-            print(f"  {'metric':<36} {'parent':>12} {'change':>12} {'change':>8}")
-            for name, unit, par, chg, rel in rows:
-                cell = f"{rel:+8.1%}" if rel is not None else f"{'-':>8}"
-                print(f"  {name:<36} {par:>12.6g} {chg:>12.6g} {cell}  {unit}")
-            keys = ("name", "unit", "parent", "change", "relative_change")
+                  f"{args.first_seed}..{args.first_seed + LAYER_PAIRS - 1}; timed layers"
+                  " also as a share of their run's median traced round wall:")
+            print(f"  {'metric':<36} {'parent':>12} {'change':>12} {'change':>8}"
+                  f" {'parent share':>12} {'change share':>12} {'change':>8}")
+            for name, unit, par, chg, rel, p_share, c_share, share_rel in rows:
+                cells = [f"{v:>12.2%}" if v is not None else f"{'-':>12}"
+                         for v in (p_share, c_share)]
+                rels = [f"{v:+8.1%}" if v is not None else f"{'-':>8}" for v in (rel, share_rel)]
+                print(f"  {name:<36} {par:>12.6g} {chg:>12.6g} {rels[0]} {cells[0]} {cells[1]}"
+                      f" {rels[1]}  {unit}")
+            keys = ("name", "unit", "parent", "change", "relative_change",
+                    "parent_share", "change_share", "share_relative_change")
             summary["layer_seeds"] = [args.first_seed + i for i in range(LAYER_PAIRS)]
             summary["layers"] = [dict(zip(keys, row)) for row in rows]
         bench["workloads"][workload] = summary

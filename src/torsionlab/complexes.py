@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -121,6 +122,7 @@ class Complex(Lawful):
     """A bounded complex.  Support is trimmed to the minimal window."""
 
     __slots__ = ("quiver", "field", "lo", "terms", "diffs", "_cuts")
+    _key = attrgetter(*__slots__[:-1])  # not the _cuts memo
 
     def __init__(
         self,
@@ -203,19 +205,6 @@ class Complex(Lawful):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Complex):
-            return NotImplemented
-        return (
-            self.quiver == other.quiver
-            and self.field == other.field
-            and self.lo == other.lo
-            and self.terms == other.terms
-            and self.diffs == other.diffs
-        )
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         if self.is_zero():
             return f"Complex({self.field}, 0)"
@@ -231,6 +220,7 @@ class ChainMap(Lawful):
     """A degreewise intertwiner commuting with the differentials."""
 
     __slots__ = ("source", "target", "comps")
+    _key = attrgetter(*__slots__)
 
     def __init__(self, source: Complex, target: Complex, comps: dict[int, RepMap]):
         if source.quiver != target.quiver or source.field != target.field:
@@ -278,17 +268,6 @@ class ChainMap(Lawful):
         return ChainMap._unchecked(
             self.source, self.target, {n: -c for n, c in self.comps.items()}
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.comps == other.comps
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -344,6 +323,7 @@ class Homotopy(Lawful):
     """Components h_n : X_n -> Y_{n+1} with  to - from = d h + h d."""
 
     __slots__ = ("from_map", "to_map", "comps")
+    _key = attrgetter(*__slots__)
 
     def __init__(self, from_map: ChainMap, to_map: ChainMap, comps: dict[int, RepMap]):
         if from_map.source != to_map.source or from_map.target != to_map.target:
@@ -770,10 +750,7 @@ def pullback_induced(
     Requires on_base . (old legs) = (new legs) . on_first/on_second on the
     nose; the induced map carries each summand by the given maps.
     """
-    for old, new, side in (
-        (pb_from.square.right, pb_to.square.right, on_first),
-        (pb_from.square.bottom, pb_to.square.bottom, on_second),
-    ):
+    for old, new, side in ((pb_from.f, pb_to.f, on_first), (pb_from.g, pb_to.g, on_second)):
         if compose(on_base, old) != compose(new, side):
             raise ValueError("cospan map does not commute strictly")
     table = {(i, i): (1, g.comps) for i, g in enumerate((on_first, on_second, on_base))}

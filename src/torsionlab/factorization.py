@@ -25,7 +25,7 @@ fillers by linear algebra over F_p and must agree with the criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .complexes import (
     ChainMap,
@@ -140,14 +140,7 @@ class NormalityReport:
     fiber_sequence_pullout: bool  # the truncation square is a pullout
 
     def as_tuple(self) -> tuple[bool, ...]:
-        return (
-            self.kernel_is_torsion,
-            self.cokernel_is_torsion_free,
-            self.two_sided,
-            self.cokernel_comparison_iso,
-            self.kernel_comparison_iso,
-            self.fiber_sequence_pullout,
-        )
+        return astuple(self)
 
     def agree(self) -> bool:
         return len(set(self.as_tuple())) == 1

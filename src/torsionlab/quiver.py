@@ -4,13 +4,15 @@ A representation assigns a vector space over a fixed prime field to each
 vertex and a matrix to each arrow.  Morphisms are vertexwise matrices that
 commute with every arrow map exactly (the intertwiner law).  Both are Lawful
 values, as are complexes, chain maps and homotopies: their laws are checked
-at construction, and Lawful states when a check may be skipped.
+at construction, Lawful states when a check may be skipped, and Lawful
+alone decides equality and hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -90,9 +92,16 @@ class Lawful:
     (_graded_sum, GradedSum.inclusion and .projection) and block maps
     (block_components), lawful blockwise; and complexes whose d² was
     checked on flat graded maps (HomComplex.complex) or by parse_document.
+
+    Equality and hashing are decided here too.  Each type names the fields
+    it is compared on in one getter, _key; two values are equal when they
+    share that getter and its fields are equal, so a subclass that keeps
+    the getter (a GradedSum) equals any plain Complex with the same terms
+    and differentials.  No value is hashable.
     """
 
     __slots__ = ()
+    __hash__ = None
 
     @classmethod
     def _unchecked(cls, *fields):
@@ -104,6 +113,12 @@ class Lawful:
         for name, value in zip(self.__slots__, fields, strict=True):
             object.__setattr__(self, name, value)
 
+    def __eq__(self, other):
+        key = self._key
+        if getattr(other, "_key", None) is not key:
+            return NotImplemented
+        return key(self) == key(other)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -112,6 +127,7 @@ class QuiverRep(Lawful):
     """A representation: dims per vertex, one matrix per arrow."""
 
     __slots__ = ("quiver", "field", "dims", "arrow_maps")
+    _key = attrgetter(*__slots__)
 
     def __init__(
         self,
@@ -148,18 +164,6 @@ class QuiverRep(Lawful):
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuiverRep):
-            return NotImplemented
-        return (
-            self.quiver == other.quiver
-            and self.field == other.field
-            and self.dims == other.dims
-            and self.arrow_maps == other.arrow_maps
-        )
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"QuiverRep({self.field}, dims={self.dims})"
 
@@ -176,6 +180,7 @@ class RepMap(Lawful):
     """An intertwiner between two representations of the same quiver."""
 
     __slots__ = ("source", "target", "components")
+    _key = attrgetter(*__slots__)
 
     def __init__(self, source: QuiverRep, target: QuiverRep, components: tuple[Mat, ...]):
         if source.quiver != target.quiver:
@@ -239,17 +244,6 @@ class RepMap(Lawful):
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RepMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
-
-    __hash__ = None
 
     def flat(self) -> np.ndarray:
         """Row-major flattening of all components, vertex order."""

@@ -1,6 +1,7 @@
 """The claim rule of scripts/bench_pairs.py (wins, ties and the quartile gap),
-its no-regression verdict, its per-layer table of traced medians and the
-JSON file it writes with --out."""
+its no-regression verdict, its per-layer table of traced medians and of
+timed layers' shares of their run's traced round wall, and the JSON file it
+writes with --out."""
 
 import importlib.util
 import json
@@ -69,14 +70,16 @@ def test_layer_rows_pair_each_metric_with_its_relative_change():
         {"name": "quiver.repmap.zero", "unit": "count", "better": "lower"},
     ]
 
-    def traced(values):
-        return {"metrics": {m["name"]: {"value": v, "unit": m["unit"]}
+    def traced(values, wall=1.0):
+        return {"traced_wall_s": wall,
+                "metrics": {m["name"]: {"value": v, "unit": m["unit"]}
                             for m, v in zip(per_layer, values)}}
 
     # each side's median over its traced runs
     rows = bench_pairs.layer_rows(per_layer, {
-        "parent": [traced([0.2, 831, 0]), traced([0.3, 831, 0]), traced([0.1, 831, 0])],
-        "change": [traced([0.15, 831, 4]), traced([0.1, 831, 4]), traced([0.4, 831, 4])],
+        "parent": [traced([0.2, 831, 0]), traced([0.3, 831, 0]), traced([0.1, 831, 0], 0.5)],
+        "change": [traced([0.15, 831, 4], 1.5), traced([0.1, 831, 4], 0.5),
+                   traced([0.4, 831, 4], 2.0)],
     })
     assert [r[:4] for r in rows] == [
         ("linalg.reduce.self_s", "s", 0.2, 0.15),
@@ -86,6 +89,28 @@ def test_layer_rows_pair_each_metric_with_its_relative_change():
     assert abs(rows[0][4] + 0.25) < 1e-12 and rows[1][4] == 0.0
     # no relative change from a parent value of zero
     assert rows[2][4] is None
+    # a timed layer's share is the median of value / wall over each side's
+    # runs: 0.2, 0.3, 0.2 against 0.1, 0.2, 0.2; counts have no share
+    assert abs(rows[0][5] - 0.2) < 1e-12 and abs(rows[0][6] - 0.2) < 1e-12
+    assert abs(rows[0][7]) < 1e-12
+    assert rows[1][5:] == rows[2][5:] == (None, None, None)
+
+
+def test_layer_shares_cancel_a_drift_that_slows_whole_runs():
+    per_layer = [{"name": "tstruct.truncate.self_s", "unit": "s", "better": "lower"}]
+
+    def traced(value, wall):
+        return {"traced_wall_s": wall,
+                "metrics": {"tstruct.truncate.self_s": {"value": value, "unit": "s"}}}
+
+    # every change run is 30 % slower as a whole, the layer with it
+    rows = bench_pairs.layer_rows(per_layer, {
+        "parent": [traced(0.1, 1.0), traced(0.12, 1.2), traced(0.11, 1.1)],
+        "change": [traced(0.13, 1.3), traced(0.156, 1.56), traced(0.143, 1.43)],
+    })
+    (_, _, _, _, rel, p_share, c_share, share_rel), = rows
+    assert abs(rel - 0.3) < 1e-9
+    assert abs(p_share - 0.1) < 1e-12 and abs(c_share - 0.1) < 1e-12 and abs(share_rel) < 1e-9
 
 
 def _result(value, failed=0, machine=None):
@@ -97,7 +122,8 @@ SPEC = {
     "run_seconds": 20,
     "workloads": [{"name": "hom-large"}],
     "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}],
-    "per_layer": [{"name": "linalg.matmul.calls", "unit": "count", "better": "lower"}],
+    "per_layer": [{"name": "linalg.matmul.calls", "unit": "count", "better": "lower"},
+                  {"name": "linalg.reduce.self_s", "unit": "s", "better": "lower"}],
 }
 
 
@@ -126,7 +152,11 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
             traced.append((side, seed))
             out = _result(0.0, machine={"cpu": side})
             calls = (192 if side == "parent" else 0) + {3: 10, 4: 0, 5: 1000}[seed]
-            out["metrics"] = {"linalg.matmul.calls": {"value": calls, "unit": "count"}}
+            # the change side runs twice as long on its layer, and as a whole
+            wall = (1.0 if side == "parent" else 2.0) * {3: 1.0, 4: 0.8, 5: 1.25}[seed]
+            out["traced_wall_s"] = wall
+            out["metrics"] = {"linalg.matmul.calls": {"value": calls, "unit": "count"},
+                              "linalg.reduce.self_s": {"value": wall / 4, "unit": "s"}}
             return out
         return _result((1.0 if side == "parent" else 0.7) + seed / 100, machine={"cpu": side})
 
@@ -148,10 +178,20 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
     assert traced == [("parent", 3), ("change", 3), ("change", 4), ("parent", 4),
                       ("parent", 5), ("change", 5)]
     assert hom["layer_seeds"] == [3, 4, 5]
-    assert hom["layers"] == [{"name": "linalg.matmul.calls", "unit": "count", "parent": 202,
-                              "change": 10, "relative_change": 10 / 202 - 1}]
+    assert hom["layers"] == [
+        {"name": "linalg.matmul.calls", "unit": "count", "parent": 202, "change": 10,
+         "relative_change": 10 / 202 - 1, "parent_share": None, "change_share": None,
+         "share_relative_change": None},
+        {"name": "linalg.reduce.self_s", "unit": "s", "parent": 0.25, "change": 0.5,
+         "relative_change": 1.0, "parent_share": 0.25, "change_share": 0.25,
+         "share_relative_change": 0.0},
+    ]
     printed = capsys.readouterr().out
     assert "hom-large: 4 pairs, seeds 3..6" in printed and "linalg.matmul.calls" in printed
+    assert "parent share" in printed
+    row = next(line for line in printed.splitlines() if "linalg.reduce.self_s" in line)
+    assert row.split() == ["linalg.reduce.self_s", "0.25", "0.5", "+100.0%", "25.00%", "25.00%",
+                           "+0.0%", "s"]
     assert "gain  regressed" in printed and "4/4   yes   no" in printed
 
 
@@ -180,3 +220,18 @@ def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
     assert seen == [("1", False, []), ("1", False, [])]
     # the sources beside the caches stay
     assert (tmp_path / "src" / "torsionlab").is_dir()
+
+
+def test_a_traced_run_carries_the_median_of_its_traced_round_walls(tmp_path, monkeypatch):
+    (tmp_path / "perfbench" / "out").mkdir(parents=True)
+
+    def fake_subprocess_run(cmd, cwd, env, **kw):
+        trace = cmd[cmd.index("--trace") + 1]
+        record = cwd / "perfbench" / "out" / f"documents-seed2-trace{trace}.json"
+        walls = {"untraced": [0.5, 0.6], "traced": [0.9, 0.7, 0.8] if trace == "1" else []}
+        record.write_text(json.dumps({"machine": {"cpu": "x"}, "round_walls_s": walls}))
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.run_once(tmp_path, "documents", 2, 1.0, trace=1)["traced_wall_s"] == 0.8
+    assert "traced_wall_s" not in bench_pairs.run_once(tmp_path, "documents", 2, 1.0)

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given
 
 from tests.strategies import random_rep_map, reps
-from torsionlab.complexes import Complex, Homotopy, identity_map
+from torsionlab.complexes import (
+    ChainMap,
+    Complex,
+    Homotopy,
+    cone,
+    fib,
+    homotopy_pullback,
+    identity_map,
+    random_chain_map,
+    random_complex,
+    zero_map,
+)
 from torsionlab.linalg import Mat, PrimeField
 from torsionlab.quiver import (
     Lawful,
@@ -25,6 +36,7 @@ from torsionlab.quiver import (
     rep_hom_basis_flat,
     rep_kernel,
 )
+from torsionlab.tstruct import TStructure, truncate_ge
 
 F2 = PrimeField(2)
 
@@ -354,3 +366,131 @@ def test_lawful_values_refuse_assignment():
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
             setattr(value, field, None)
         assert not hasattr(value, "__dict__")
+
+
+# -- value equality: one rule on Lawful for all five value types -------------------
+
+F3 = PrimeField(3)
+# the fields each value type is compared on, in __slots__ order
+COMPARED = {
+    QuiverRep: ("quiver", "field", "dims", "arrow_maps"),
+    RepMap: ("source", "target", "components"),
+    Complex: ("quiver", "field", "lo", "terms", "diffs"),
+    ChainMap: ("source", "target", "comps"),
+    Homotopy: ("from_map", "to_map", "comps"),
+}
+
+
+def _values():
+    """One value of each type on a2 over F2, built from fresh objects on
+    every call."""
+    a = _a2_rep((1, 1), [1])
+    x = Complex(Quiver.a2(), PrimeField(2), 0, (a,), ())
+    ident = identity_map(x)
+    return [a, RepMap.identity(a), x, ident, Homotopy(ident, ident, {})]
+
+
+def _others():
+    """One value of each type, in the order of _values, that differs from
+    it in every compared field: another quiver, F3, degrees 1 and 2, a
+    nonzero homotopy."""
+    quiver = Quiver(("a", "c"), (("a", "c"),))
+    b = QuiverRep(quiver, F3, (2, 1), (Mat(F3, [[1, 2]]),))
+    y = Complex(quiver, F3, 1, (b, b), (RepMap.identity(b),))
+    h = Homotopy(zero_map(y, y), identity_map(y), {1: RepMap.identity(b)})
+    return [b, RepMap.zero(b, b), y, zero_map(y, y), h]
+
+
+def _with(value, name, new):
+    """A copy of value with one slot replaced, built past every check."""
+    out = object.__new__(type(value))
+    for slot in type(value).__slots__:
+        object.__setattr__(out, slot, new if slot == name else getattr(value, slot))
+    return out
+
+
+def test_lawful_equality_compares_the_named_fields_of_values_built_apart():
+    for first, second, other in zip(_values(), _values(), _others()):
+        fields = COMPARED[type(first)]
+        assert type(first)._key(first) == tuple(getattr(first, f) for f in fields)
+        assert first is not second and first == second and not first != second
+        for name in fields:
+            changed = _with(first, name, getattr(other, name))
+            assert changed != first and first != changed and not changed == first, name
+
+
+def test_values_of_different_kinds_are_unequal():
+    values = _values()
+    for a, b in itertools.permutations(values + [Mat.identity(F2, 1)], 2):
+        assert not a == b and a != b
+    for v in values:
+        assert v != type(v)._key(v) and not v == type(v)._key(v)
+
+
+def test_graded_sums_equal_the_plain_complex_they_build():
+    rng = np.random.default_rng(5)
+    x, y = (random_complex(Quiver.a2(), F2, rng, lo=0, hi=1, max_dim=2) for _ in range(2))
+    f, g = random_chain_map(x, y, rng), random_chain_map(y, y, rng)
+    for s in (cone(f), fib(f), homotopy_pullback(f, g)):
+        plain = Complex(s.quiver, s.field, s.lo, s.terms, s.diffs)
+        assert not s.is_zero() and type(s) is not Complex and s == plain and plain == s and not s != plain
+
+
+def test_a_filled_cut_memo_does_not_change_equality():
+    x, fresh = _values()[2], _values()[2]
+    truncate_ge(x, TStructure(1))
+    assert x._cuts and fresh._cuts is None
+    assert x == fresh and fresh == x
+
+
+def test_no_lawful_value_is_hashable():
+    for v in _values() + _others() + [cone(_values()[3])]:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(v)
+
+
+def equality_definers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, class) of each class, at any depth, whose body defines or
+    assigns __eq__ or __hash__."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                for d in node.body:
+                    if isinstance(d, ast.FunctionDef):
+                        names = [d.name]
+                    elif isinstance(d, (ast.Assign, ast.AnnAssign)):
+                        targets = d.targets if isinstance(d, ast.Assign) else [d.target]
+                        names = [t.id for t in targets if isinstance(t, ast.Name)]
+                    else:
+                        names = []
+                    if {"__eq__", "__hash__"} & set(names):
+                        found.add((module, node.name))
+    return found
+
+
+def test_equality_is_defined_on_lawful_and_mat_alone():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert equality_definers(sources) == {("quiver", "Lawful"), ("linalg", "Mat")}
+
+
+def test_the_equality_scan_sees_methods_assignments_and_nested_classes():
+    sources = {"m": (
+        "class A:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "class B:\n"
+        "    __hash__ = None\n"
+        "class C:\n"
+        "    __hash__: object = None\n"
+        "def f():\n"
+        "    class D:\n"
+        "        def __eq__(self, other):\n"
+        "            return False\n"
+        "    return D\n"
+        "class E:\n"
+        "    def eq(self, other):\n"
+        "        __eq__ = None\n"
+        "        return __eq__\n"
+    )}
+    assert equality_definers(sources) == {("m", "A"), ("m", "B"), ("m", "C"), ("m", "D")}
