@@ -22,11 +22,12 @@ runs, side by side with their relative change: the trace evidence that
 names the layer behind a gain.  Timed layers of a single traced run drift
 together with the load of the machine; the median of alternating runs
 does not follow one such drift.  Each timed layer (unit s) is also given
-as a share of its own run's median traced round wall, as each side's
+as a share of its own run's median raw untraced round wall
+(round_walls_s["untraced_raw"] in perfbench's record), as each side's
 median share and their relative change, so that a drift which slows a
-whole run cancels.  The round walls are on perfbench's calibrated clock
-and the layer times on the raw one, so a slowdown that the calibration
-loop also sees does not cancel in the share.
+whole run cancels.  Layer times and raw walls are both read off the
+tracer's uncalibrated clock, so the share does not follow perfbench's
+calibration of a run.
 
 With --out FILE (by convention BENCH_<name>.json at the root of the change)
 the same figures are also written as JSON: per workload the settings, each
@@ -99,7 +100,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 
     record = json.loads(path.read_text(encoding="utf-8"))
     result["machine"] = record["machine"]
     if trace:
-        result["traced_wall_s"] = statistics.median(record["round_walls_s"]["traced"])
+        result["raw_wall_s"] = statistics.median(record["round_walls_s"]["untraced_raw"])
     return result
 
 
@@ -132,7 +133,7 @@ def layer_rows(per_layer: list[dict], traced: dict[str, list[dict]]) -> list[tup
     """(name, unit, parent median, change median, relative change, parent
     share, change share, relative change of the share) for each per-layer
     metric, over the traced results of each side.  A share is the metric
-    over its own run's traced round wall, for timed layers (unit s) only;
+    over its own run's raw untraced round wall, for timed layers (unit s) only;
     the share columns are None for the others, and a relative change is
     None from a parent value of zero."""
     def rel(par, chg):
@@ -146,7 +147,7 @@ def layer_rows(per_layer: list[dict], traced: dict[str, list[dict]]) -> list[tup
         shares = (None, None, None)
         if unit == "s":
             p_share, c_share = (
-                statistics.median(r["metrics"][name]["value"] / r["traced_wall_s"]
+                statistics.median(r["metrics"][name]["value"] / r["raw_wall_s"]
                                   for r in traced[s])
                 for s in SIDES
             )
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
             rows = layer_rows(spec["per_layer"], traced)
             print(f"  per layer, median of {LAYER_PAIRS} traced runs per side, seeds "
                   f"{args.first_seed}..{args.first_seed + LAYER_PAIRS - 1}; timed layers"
-                  " also as a share of their run's median traced round wall:")
+                  " also as a share of their run's median raw untraced round wall:")
             print(f"  {'metric':<36} {'parent':>12} {'change':>12} {'change':>8}"
                   f" {'parent share':>12} {'change share':>12} {'change':>8}")
             for name, unit, par, chg, rel, p_share, c_share, share_rel in rows:

@@ -16,6 +16,13 @@ lifting-count oracle, the six normality conditions, 3-for-2, the
 initial/terminal symmetry, semiexactness, and the reconstruction
 roundtrips.
 
+Normality and semiexactness are pullout conditions on squares built
+elsewhere, read by the pullout tests of complexes.  Normality asks the
+truncation square (coreflection -> x -> reflection, over zero) to be
+cartesian, cocartesian and a pullout.  Semiexactness asks the
+factorization's coreflected face (factorization_pullout_square) to be
+cocartesian, and its pulled-back unit to lie in E.
+
 Orthogonality is decided exactly: the filler space for (e, m) is governed
 by hom(cone e, fib m), and contractibility is equivalent to acyclicity of
 that complex in non-negative degrees.  solve_lifting is an independent
@@ -40,7 +47,8 @@ from .complexes import (
     hom_complex,
     homology_dims,
     homotopy_pullback,
-    homotopy_pushout,
+    is_cartesian,
+    is_cocartesian,
     is_pullout,
     is_quasi_iso,
     pullback_induced,
@@ -68,8 +76,6 @@ __all__ = [
     "in_M",
     "torsion_contains",
     "free_contains",
-    "reflection_fiber",
-    "coreflection_cofiber",
     "normality_report",
     "factor",
     "factorization_pullout_square",
@@ -77,7 +83,6 @@ __all__ = [
     "solve_lifting",
     "three_for_two_check",
     "sator_check",
-    "semiexact_data",
     "semiexact_check",
     "in_E_via_reconstruction",
     "roundtrip_check",
@@ -103,34 +108,15 @@ def free_contains(x: Complex, t: TStructure) -> bool:
     return in_M(zero_map(x, zero_complex(x.quiver, x.field)), t)
 
 
-# -- the comparisons of normality -------------------------------------------------
-
-
-def reflection_fiber(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
-    """fib(unit) together with the canonical comparison from the coreflection.
-
-    The comparison sends s to (counit s, 0); it is strict because the unit
-    kills the coreflection on the nose.
-    """
-    _, unit = truncate_lt(x, t)
-    fb = fib(unit)
-    sx, counit = truncate_ge(x, t)
-    comps = block_components(sx, fb, 0, {(0, None): (1, counit.comps)})
-    return fb, ChainMap(sx, fb, comps)
-
-
-def coreflection_cofiber(x: Complex, t: TStructure) -> tuple[Complex, ChainMap]:
-    """cone(counit) together with the canonical comparison onto the reflection."""
-    _, counit = truncate_ge(x, t)
-    cf = cone(counit)
-    rx, unit = truncate_lt(x, t)
-    comps = block_components(cf, rx, 0, {(None, 1): (1, unit.comps)})
-    return cf, ChainMap(cf, rx, comps)
+# -- normality ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NormalityReport:
-    """The six equivalent conditions, evaluated independently."""
+    """The six equivalent conditions, evaluated independently on the
+    truncation square sq: conditions 1 and 2 on fib(sq.right) and
+    cone(sq.top), the comparisons as sq cartesian and cocartesian, and the
+    fiber sequence as sq a pullout."""
 
     kernel_is_torsion: bool  # fib(unit) -> 0 lies in E
     cokernel_is_torsion_free: bool  # cone(counit) -> 0 lies in M
@@ -150,20 +136,19 @@ class NormalityReport:
 
 
 def normality_report(x: Complex, t: TStructure) -> NormalityReport:
+    sq = truncation_square(x, t)
     zc = zero_complex(x.quiver, x.field)
-    k, k_cmp = reflection_fiber(x, t)
-    q, q_cmp = coreflection_cofiber(x, t)
     # torsion membership via the terminal arrow: the initial/terminal
     # symmetry makes this equivalent to the usual initial-arrow test.
-    cond1 = in_E(zero_map(k, zc), t)
-    cond2 = in_M(zero_map(q, zc), t)
+    cond1 = in_E(zero_map(fib(sq.right), zc), t)
+    cond2 = in_M(zero_map(cone(sq.top), zc), t)
     return NormalityReport(
         kernel_is_torsion=cond1,
         cokernel_is_torsion_free=cond2,
         two_sided=cond1 and cond2,
-        cokernel_comparison_iso=is_quasi_iso(q_cmp),
-        kernel_comparison_iso=is_quasi_iso(k_cmp),
-        fiber_sequence_pullout=is_pullout(truncation_square(x, t)),
+        cokernel_comparison_iso=is_cocartesian(sq),
+        kernel_comparison_iso=is_cartesian(sq),
+        fiber_sequence_pullout=is_pullout(sq),
     )
 
 
@@ -302,30 +287,9 @@ def antitone_check(f: ChainMap, lower: TStructure, higher: TStructure) -> bool:
 # -- semiexactness ------------------------------------------------------------------
 
 
-def semiexact_data(f: ChainMap, t: TStructure) -> tuple[ChainMap, ChainMap]:
-    """The comparison from the coreflected pushout to the reflected pullback,
-    plus the pulled-back unit.
-
-    Strictness of the truncations makes the comparison a strict chain map:
-    it sends (s, u, x) to (unit x, counit u + f x, 0).
-    """
-    x, y = f.source, f.target
-    _, unit_x = truncate_lt(x, t)
-    _, unit_y = truncate_lt(y, t)
-    _, counit_y = truncate_ge(y, t)
-    below = truncate_map_lt(f, t)
-    above = truncate_map_ge(f, t)
-    pb = homotopy_pullback(below, unit_y)
-    po = homotopy_pushout(above, truncate_ge(x, t)[1])
-    # pushout parts (sx, 1), (sy, 0), (x, 0); pullback parts (rx, 0), (y, 0), (ry, -1)
-    table = {(0, 2): (1, unit_x.comps), (1, 1): (1, counit_y.comps), (1, 2): (1, f.comps)}
-    w = ChainMap(po, pb, block_components(po, pb, 0, table))
-    return w, pb.proj_first
-
-
 def semiexact_check(f: ChainMap, t: TStructure) -> bool:
-    w, pulled_unit = semiexact_data(f, t)
-    return is_quasi_iso(w) and in_E(pulled_unit, t)
+    fac = factor(f, t)
+    return is_cocartesian(factorization_pullout_square(f, t, fac)) and in_E(fac.mid.proj_first, t)
 
 
 # -- roundtrips ---------------------------------------------------------------------

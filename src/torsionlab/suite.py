@@ -161,15 +161,8 @@ class SuiteConfig:
             raise ValueError("at least one cutoff shift required")
 
     def to_tree(self) -> dict:
-        return {
-            "primes": list(self.primes),
-            "quivers": list(self.quivers),
-            "seed": self.seed,
-            "cases": self.cases,
-            "max_dim": self.max_dim,
-            "window": list(self.window),
-            "shifts": list(self.shifts),
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
     @classmethod
     def from_tree(cls, tree: dict) -> "SuiteConfig":
@@ -239,27 +232,25 @@ def report_json(report: Report) -> str:
     return _dumps(report.to_tree())
 
 
-def _result_line(name: str, passed: int, cases: int, suffix: str) -> str:
-    verdict = "PASS" if passed == cases else "FAIL"
-    return f"{verdict} {name:<22} {passed}/{cases}{suffix}"
-
-
-def _failure_line(ce: dict) -> str:
-    at = f" (raised at {ce['raised_at']})" if "raised_at" in ce else ""
-    return (
-        f"     first failure: case {ce['case']} "
-        f"(seed path {ce['seed_path']}): {ce['detail']}{at}"
-    )
-
-
 def report_text(report: Report) -> str:
+    times = [r.elapsed for r in report.results]
+    return _text(report.to_tree(), [f"  ({s:.2f}s)" for s in times + [sum(times)]])
+
+
+def _text(tree: dict, suffixes: list[str]) -> str:
+    """The text of a report tree: a line per property, ended by its suffix,
+    and the verdict line, ended by the last suffix."""
     lines = []
-    for r in report.results:
-        lines.append(_result_line(r.name, r.passed, r.cases, f"  ({r.elapsed:.2f}s)"))
-        if r.counterexample is not None:
-            lines.append(_failure_line(r.counterexample))
-    total = sum(r.elapsed for r in report.results)
-    lines.append(f"{'suite ok' if report.ok else 'suite FAILED'}  ({total:.2f}s)")
+    for r, suffix in zip(tree["properties"], suffixes):
+        verdict = "PASS" if r["passed"] == r["cases"] else "FAIL"
+        lines.append(f"{verdict} {r['name']:<22} {r['passed']}/{r['cases']}{suffix}")
+        if ce := r.get("counterexample"):
+            at = f" (raised at {ce['raised_at']})" if "raised_at" in ce else ""
+            lines.append(
+                f"     first failure: case {ce['case']} "
+                f"(seed path {ce['seed_path']}): {ce['detail']}{at}"
+            )
+    lines.append(("suite ok" if tree["ok"] else "suite FAILED") + suffixes[-1])
     return "\n".join(lines) + "\n"
 
 
@@ -281,13 +272,7 @@ def render_tree(tree: dict, fmt: str) -> str:
         return _dumps(tree)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = []
-    for r in tree["properties"]:
-        lines.append(_result_line(r["name"], r["passed"], r["cases"], ""))
-        if r.get("counterexample"):
-            lines.append(_failure_line(r["counterexample"]))
-    lines.append("suite ok" if tree["ok"] else "suite FAILED")
-    return "\n".join(lines) + "\n"
+    return _text(tree, [""] * (len(tree["properties"]) + 1))
 
 
 # -- case generation helpers ---------------------------------------------------

@@ -1,6 +1,6 @@
 """The claim rule of scripts/bench_pairs.py (wins, ties and the quartile gap),
 its no-regression verdict, its per-layer table of traced medians and of
-timed layers' shares of their run's traced round wall, and the JSON file it
+timed layers' shares of their run's raw untraced round wall, and the JSON file it
 writes with --out."""
 
 import importlib.util
@@ -71,7 +71,7 @@ def test_layer_rows_pair_each_metric_with_its_relative_change():
     ]
 
     def traced(values, wall=1.0):
-        return {"traced_wall_s": wall,
+        return {"raw_wall_s": wall,
                 "metrics": {m["name"]: {"value": v, "unit": m["unit"]}
                             for m, v in zip(per_layer, values)}}
 
@@ -100,7 +100,7 @@ def test_layer_shares_cancel_a_drift_that_slows_whole_runs():
     per_layer = [{"name": "tstruct.truncate.self_s", "unit": "s", "better": "lower"}]
 
     def traced(value, wall):
-        return {"traced_wall_s": wall,
+        return {"raw_wall_s": wall,
                 "metrics": {"tstruct.truncate.self_s": {"value": value, "unit": "s"}}}
 
     # every change run is 30 % slower as a whole, the layer with it
@@ -154,7 +154,7 @@ def test_out_writes_the_printed_figures_and_each_sides_machine(tmp_path, monkeyp
             calls = (192 if side == "parent" else 0) + {3: 10, 4: 0, 5: 1000}[seed]
             # the change side runs twice as long on its layer, and as a whole
             wall = (1.0 if side == "parent" else 2.0) * {3: 1.0, 4: 0.8, 5: 1.25}[seed]
-            out["traced_wall_s"] = wall
+            out["raw_wall_s"] = wall
             out["metrics"] = {"linalg.matmul.calls": {"value": calls, "unit": "count"},
                               "linalg.reduce.self_s": {"value": wall / 4, "unit": "s"}}
             return out
@@ -222,16 +222,19 @@ def test_each_run_starts_without_a_bytecode_cache(tmp_path, monkeypatch):
     assert (tmp_path / "src" / "torsionlab").is_dir()
 
 
-def test_a_traced_run_carries_the_median_of_its_traced_round_walls(tmp_path, monkeypatch):
+def test_a_traced_run_carries_the_median_of_its_raw_untraced_round_walls(tmp_path, monkeypatch):
+    """The wall a share divides by is on the tracer's raw clock, not one of
+    the calibrated walls beside it in the record."""
     (tmp_path / "perfbench" / "out").mkdir(parents=True)
 
     def fake_subprocess_run(cmd, cwd, env, **kw):
         trace = cmd[cmd.index("--trace") + 1]
         record = cwd / "perfbench" / "out" / f"documents-seed2-trace{trace}.json"
-        walls = {"untraced": [0.5, 0.6], "traced": [0.9, 0.7, 0.8] if trace == "1" else []}
+        walls = {"untraced": [0.5, 0.6, 0.55], "untraced_raw": [0.4, 0.2, 0.3],
+                 "traced": [0.9, 0.7, 0.8] if trace == "1" else []}
         record.write_text(json.dumps({"machine": {"cpu": "x"}, "round_walls_s": walls}))
         return subprocess.CompletedProcess(cmd, 0, stdout='{"correct": true}\n', stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
-    assert bench_pairs.run_once(tmp_path, "documents", 2, 1.0, trace=1)["traced_wall_s"] == 0.8
-    assert "traced_wall_s" not in bench_pairs.run_once(tmp_path, "documents", 2, 1.0)
+    assert bench_pairs.run_once(tmp_path, "documents", 2, 1.0, trace=1)["raw_wall_s"] == 0.3
+    assert "raw_wall_s" not in bench_pairs.run_once(tmp_path, "documents", 2, 1.0)
