@@ -1,8 +1,9 @@
 """Bounded chain complexes of quiver representations.
 
 Grading is homological: the differential lowers degree, d_n : X_n -> X_{n-1},
-and d_{n} d_{n+1} = 0 is enforced at construction (Complex, ChainMap and
-Homotopy are quiver.Lawful values; Lawful says when a check is skipped).
+and d_{n} d_{n+1} = 0 is enforced at construction (Complex, ChainMap,
+Homotopy and CommutingSquare are quiver.Lawful values; Lawful says when a
+check is skipped).
 The conventions below are part of the API contract; all higher
 constructions are derived from them and tests/test_conventions.py pins them
 bit for bit.  Direct sums stack their summands in the order written, at
@@ -24,11 +25,14 @@ cone's blocks without building the cone, and all "X equals Y in the homotopy
 category" claims are expressed through an explicit comparison map plus that
 test.
 
-cone, fib, homotopy_pullback and homotopy_pushout return a GradedSum, which
-is the complex it builds; the cone is also the cofiber, with into . f
-null-homotopic by Cone.null_wit.  Their structure maps, null-homotopies and
-witness squares are made on first read (functools.cached_property), through
-the same checking constructors, and kept; most callers never read them.
+homotopy_pushout and homotopy_pullback return a GradedSum, which is the
+complex it builds.  cone(f) is the pushout of f and X -> 0, so it is the
+cofiber, with inj_first . f null-homotopic by its witness; fib(f) is the
+pullback of f and 0 -> Y, with f . proj_first null-homotopic by its
+witness.  The zero part adds no coordinates, so the layouts above hold.
+Structure maps, witnesses and squares are made on first read
+(functools.cached_property), through the same checking constructors, and
+kept; most callers never read them.
 
 Every mapping-space question is a degree-0 solve (total_solve) on a total
 complex (total_diff) of shifted hom complexes, joined by the transports
@@ -80,8 +84,6 @@ __all__ = [
     "ChainMap",
     "Homotopy",
     "CommutingSquare",
-    "Cone",
-    "Fiber",
     "Pullback",
     "Pushout",
     "GradedSum",
@@ -352,37 +354,37 @@ class Homotopy(Lawful):
         return f"Homotopy({self.from_map!r} => {self.to_map!r})"
 
 
-@dataclass(frozen=True)
-class CommutingSquare:
+class CommutingSquare(Lawful):
     """top: W->X, left: W->Y, right: X->Z, bottom: Y->Z, commuting up to
     the recorded homotopy from bottom.left to right.top."""
 
-    top: ChainMap
-    left: ChainMap
-    right: ChainMap
-    bottom: ChainMap
-    witness: Homotopy
+    __slots__ = ("top", "left", "right", "bottom", "witness")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        if self.top.source != self.left.source:
+    def __init__(
+        self, top: ChainMap, left: ChainMap, right: ChainMap, bottom: ChainMap, witness: Homotopy
+    ):
+        if top.source != left.source:
             raise ValueError("square corners disagree at the source")
-        if self.right.target != self.bottom.target:
+        if right.target != bottom.target:
             raise ValueError("square corners disagree at the sink")
-        if self.top.target != self.right.source or self.left.target != self.bottom.source:
+        if top.target != right.source or left.target != bottom.source:
             raise ValueError("square edges do not chain")
-        if self.witness.from_map != compose(self.bottom, self.left):
+        if witness.from_map != compose(bottom, left):
             raise ValueError("square witness starts at the wrong composite")
-        if self.witness.to_map != compose(self.right, self.top):
+        if witness.to_map != compose(right, top):
             raise ValueError("square witness ends at the wrong composite")
+        self._fill(top, left, right, bottom, witness)
 
     @classmethod
     def strict(cls, top, left, right, bottom) -> "CommutingSquare":
-        """For squares commuting on the nose; witness is the zero homotopy."""
+        """For squares commuting on the nose; witness is the zero homotopy,
+        lawful between the two equal composites."""
         lhs = compose(bottom, left)
         rhs = compose(right, top)
         if lhs != rhs:
             raise ValueError("square does not commute strictly")
-        return cls(top, left, right, bottom, Homotopy(lhs, rhs, {}))
+        return cls._unchecked(top, left, right, bottom, Homotopy._unchecked(lhs, rhs, {}))
 
 
 # -- shifting -----------------------------------------------------------------
@@ -615,64 +617,15 @@ def block_components(source: Complex, target: Complex, degree: int, table) -> di
     return out
 
 
-class Cone(GradedSum):
-    """cone(f), keeping f: the graded sum of the parts (X, 1) and (Y, 0),
-    which is also the cofiber of f; its structure maps are made on first
-    read, the null-homotopy checked."""
-
-    @cached_property
-    def into(self) -> ChainMap:
-        """Y -> cone."""
-        return self.inclusion(1)
-
-    @cached_property
-    def null_wit(self) -> Homotopy:
-        """From 0 to into . f."""
-        x = self.f.source
-        return Homotopy(
-            zero_map(x, self),
-            compose(self.into, self.f),
-            block_components(x, self, 1, {(0, None): (1, identity_map(x).comps)}),
-        )
-
-
-def cone(f: ChainMap) -> Cone:
-    return _graded_sum([(f.source, 1), (f.target, 0)], {(1, 0): (1, f)}, Cone, f=f)
-
-
-class Fiber(GradedSum):
-    """fib(f), keeping f: the graded sum of the parts (X, 0) and (Y, -1);
-    the projection to X and the null-homotopy are made on first read, the
-    null-homotopy checked."""
-
-    @cached_property
-    def to_source(self) -> ChainMap:
-        """fib(f) -> X."""
-        return self.projection(0)
-
-    @cached_property
-    def null_wit(self) -> Homotopy:
-        """From 0 to f . to_source."""
-        y = self.f.target
-        return Homotopy(
-            zero_map(self, y),
-            compose(self.f, self.to_source),
-            block_components(self, y, 1, {(None, 1): (-1, identity_map(y).comps)}),
-        )
-
-
-def fib(f: ChainMap) -> Fiber:
-    return _graded_sum([(f.source, 0), (f.target, -1)], {(1, 0): (-1, f)}, Fiber, f=f)
-
-
 def cone_homology_dims(f: ChainMap) -> dict[int, tuple[int, ...]]:
     """homology_dims(cone(f)), without building the cone.
 
     The cone's differential cone_n -> cone_{n-1} has the blocks
     [[-dX_{n-1}, 0], [f_{n-1}, dY_n]]; they are filled per vertex straight
-    from f and the stored differentials of its ends, in the layout cone(f)
-    uses, and ranked.  A differential whose blocks are all absent has rank
-    0 and is not eliminated.  No representation, map or complex is made.
+    from f and the stored differentials of its ends, in the layout of the
+    pushout cone(f), less its zero part, which holds no coordinates, and
+    ranked.  A differential whose blocks are all absent has rank 0 and is
+    not eliminated.  No representation, map or complex is made.
     """
     parts = ((f.source, 1), (f.target, 0))
     span = _sum_span(parts)
@@ -707,8 +660,8 @@ def direct_sum_complex(x: Complex, y: Complex) -> GradedSum:
 class Pullback(GradedSum):
     """The homotopy pullback of f, g : * -> Z, keeping f and g: the graded
     sum fib(X (+) Y -> Z) of the parts (X, 0), (Y, 0) and (Z, -1); the
-    projections and the witness square are made, and checked, on first
-    read."""
+    projections, the witness and the square are made, and checked, on
+    first read."""
 
     @cached_property
     def proj_first(self) -> ChainMap:
@@ -719,15 +672,18 @@ class Pullback(GradedSum):
         return self.projection(1)
 
     @cached_property
-    def square(self) -> CommutingSquare:
-        f, g, z = self.f, self.g, self.f.target
-        p1, p2 = self.proj_first, self.proj_second
-        wit = Homotopy(
-            compose(g, p2),
-            compose(f, p1),
+    def witness(self) -> Homotopy:
+        """From g . proj_second to f . proj_first."""
+        z = self.f.target
+        return Homotopy(
+            compose(self.g, self.proj_second),
+            compose(self.f, self.proj_first),
             block_components(self, z, 1, {(None, 2): (-1, identity_map(z).comps)}),
         )
-        return CommutingSquare(p1, p2, f, g, wit)
+
+    @cached_property
+    def square(self) -> CommutingSquare:
+        return CommutingSquare(self.proj_first, self.proj_second, self.f, self.g, self.witness)
 
 
 def homotopy_pullback(f: ChainMap, g: ChainMap) -> Pullback:
@@ -736,6 +692,11 @@ def homotopy_pullback(f: ChainMap, g: ChainMap) -> Pullback:
         raise ValueError("pullback legs must share a target")
     parts = [(f.source, 0), (g.source, 0), (f.target, -1)]
     return _graded_sum(parts, {(2, 0): (-1, f), (2, 1): (1, g)}, Pullback, f=f, g=g)
+
+
+def fib(f: ChainMap) -> Pullback:
+    """The fiber of f : X -> Y, the pullback of f and 0 -> Y."""
+    return homotopy_pullback(f, zero_map(zero_complex(f.source.quiver, f.source.field), f.target))
 
 
 def pullback_induced(
@@ -760,8 +721,8 @@ def pullback_induced(
 class Pushout(GradedSum):
     """The homotopy pushout of f, g : W -> *, keeping f and g: the graded
     sum cone(W -> X (+) Y) of the parts (W, 1), (X, 0) and (Y, 0); the
-    injections and the witness square are made, and checked, on first
-    read."""
+    injections, the witness and the square are made, and checked, on
+    first read."""
 
     @cached_property
     def inj_first(self) -> ChainMap:
@@ -772,15 +733,18 @@ class Pushout(GradedSum):
         return self.inclusion(2)
 
     @cached_property
-    def square(self) -> CommutingSquare:
-        f, g, w = self.f, self.g, self.f.source
-        i1, i2 = self.inj_first, self.inj_second
-        wit = Homotopy(
-            compose(i2, g),
-            compose(i1, f),
+    def witness(self) -> Homotopy:
+        """From inj_second . g to inj_first . f."""
+        w = self.f.source
+        return Homotopy(
+            compose(self.inj_second, self.g),
+            compose(self.inj_first, self.f),
             block_components(w, self, 1, {(0, None): (1, identity_map(w).comps)}),
         )
-        return CommutingSquare(f, g, i1, i2, wit)
+
+    @cached_property
+    def square(self) -> CommutingSquare:
+        return CommutingSquare(self.f, self.g, self.inj_first, self.inj_second, self.witness)
 
 
 def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
@@ -789,6 +753,11 @@ def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
         raise ValueError("pushout legs must share a source")
     parts = [(f.source, 1), (f.target, 0), (g.target, 0)]
     return _graded_sum(parts, {(1, 0): (1, f), (2, 0): (-1, g)}, Pushout, f=f, g=g)
+
+
+def cone(f: ChainMap) -> Pushout:
+    """The cofiber of f : X -> Y, the pushout of f and X -> 0."""
+    return homotopy_pushout(f, zero_map(f.source, zero_complex(f.source.quiver, f.source.field)))
 
 
 def _square_glue_map(sq: CommutingSquare) -> ChainMap:

@@ -4,11 +4,12 @@ A morphism is bounded when the homology of its fiber lives in a finite
 window [lo, hi).  Such a morphism factors into hi - lo stages whose fibers
 are concentrated in single, pairwise distinct degrees: descend the cutoff
 through the truncations of the cofiber and take the fiber of
-Y -> (below-cutoff part of cone f) at each step.  The top stage lifts f
-through the deepest truncation using the cofiber's strict null-homotopy,
-the bottom stage is the fiber projection back onto Y, and every
-intermediate stage restricts truncations, so the tower composes to f on
-the nose.
+Y -> (below-cutoff part of cone f), the pullback along 0 -> B, at each
+step.  The top stage lifts f through the deepest truncation using the
+cofiber's strict null-homotopy (the witness of the pushout cone f), the
+bottom stage is the fiber's projection back onto Y, and every
+intermediate stage is the map of pullbacks (pullback_induced) along a
+restriction of truncations, so the tower composes to f on the nose.
 
 Construction runs in descending fiber degree (hi-1 down to lo); each stage
 carries its degree label, and checkers treat the labels as a set, so the
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from .complexes import (
     ChainMap,
     Complex,
-    Fiber,
     Homotopy,
+    Pullback,
     block_components,
     compose,
     cone,
@@ -32,6 +33,7 @@ from .complexes import (
     homotopic,
     identity_map,
     is_quasi_iso,
+    pullback_induced,
 )
 from .quiver import RepMap
 from .tstruct import TStructure, lt_restriction, truncate_lt
@@ -109,19 +111,12 @@ def boundedness_window(f: ChainMap) -> BoundWindow | None:
 
 
 def _lift_into_fiber(
-    g: ChainMap, fb: Fiber, null_h: dict[int, RepMap]
+    g: ChainMap, fb: Pullback, null_h: dict[int, RepMap]
 ) -> ChainMap:
-    """The strict lift x -> (g x, -h x) of g through fib(q), given a strict
-    null-homotopy h from 0 to q.g."""
-    table = {(0, None): (1, g.comps), (1, None): (-1, null_h)}
+    """The strict lift x -> (g x, 0, -h x) of g through fib(q), given a
+    strict null-homotopy h from 0 to q.g."""
+    table = {(0, None): (1, g.comps), (2, None): (-1, null_h)}
     return ChainMap(g.source, fb, block_components(g.source, fb, 0, table))
-
-
-def _fiber_descend(fb_hi: Fiber, fb_lo: Fiber, restrict: ChainMap) -> ChainMap:
-    """fib(Y -> B) -> fib(Y -> B') over Y, along a strict B -> B' under Y."""
-    y = fb_hi.to_source.target
-    table = {(0, 0): (1, identity_map(y).comps), (1, 1): (1, restrict.comps)}
-    return ChainMap(fb_hi, fb_lo, block_components(fb_hi, fb_lo, 0, table))
 
 
 def postnikov_tower(f: ChainMap) -> Tower:
@@ -137,18 +132,19 @@ def postnikov_tower(f: ChainMap) -> Tower:
     fibers, projections = [], []
     for n in cutoffs:
         _, pi = truncate_lt(cf, TStructure(n))
-        fibers.append(fib(compose(pi, cf.into)))
+        fibers.append(fib(compose(pi, cf.inj_first)))
         projections.append(pi)
     # top: push the cofiber's null-homotopy through the deepest truncation
     pushed = {
         m: projections[0].comp(m + 1).compose(h)
-        for m, h in cf.null_wit.comps.items()
+        for m, h in cf.witness.comps.items()
     }
     maps = [_lift_into_fiber(f, fibers[0], pushed)]
+    same_y, same_zero = identity_map(y), identity_map(fibers[0].g.source)
     for idx in range(len(cutoffs) - 1):
         restrict = lt_restriction(cf, TStructure(cutoffs[idx + 1]), TStructure(cutoffs[idx]))
-        maps.append(_fiber_descend(fibers[idx], fibers[idx + 1], restrict))
-    maps.append(fibers[-1].to_source)
+        maps.append(pullback_induced(fibers[idx], fibers[idx + 1], same_y, same_zero, restrict))
+    maps.append(fibers[-1].proj_first)
     objects = [x, *fibers, y]
     stages = tuple(TowerStage(m, hi - 1 - k) for k, m in enumerate(maps))
     composite = maps[0]

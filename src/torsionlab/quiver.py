@@ -3,9 +3,9 @@
 A representation assigns a vector space over a fixed prime field to each
 vertex and a matrix to each arrow.  Morphisms are vertexwise matrices that
 commute with every arrow map exactly (the intertwiner law).  Both are Lawful
-values, as are complexes, chain maps and homotopies: their laws are checked
-at construction, Lawful states when a check may be skipped, and Lawful
-alone decides equality and hashing.
+values, as are complexes, chain maps, homotopies and commuting squares:
+their laws are checked at construction, Lawful states when a check may be
+skipped, and Lawful alone decides equality and hashing.
 """
 
 from __future__ import annotations
@@ -90,8 +90,10 @@ class Lawful:
     identity_map, zero_map and compose; shift, which negates a lawful
     differential; a graded sum's differential, inclusions and projections
     (_graded_sum, GradedSum.inclusion and .projection) and block maps
-    (block_components), lawful blockwise; and complexes whose d² was
-    checked on flat graded maps (HomComplex.complex) or by parse_document.
+    (block_components), lawful blockwise; CommutingSquare.strict, whose
+    zero witness joins two composites it found equal; and complexes whose
+    d² was checked on flat graded maps (HomComplex.complex) or by
+    parse_document.
 
     Equality and hashing are decided here too.  Each type names the fields
     it is compared on in one getter, _key; two values are equal when they

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import tstruct
 from .complexes import (
+    ChainMap,
     CommutingSquare,
     Complex,
     compose,
@@ -285,6 +286,13 @@ def _draw(rng, fld, quiver, config: SuiteConfig) -> Complex:
     )
 
 
+def _draw_map(rng, fld, quiver, config: SuiteConfig) -> tuple[Complex, Complex, ChainMap]:
+    """x and y drawn by _draw, then a chain map f : x -> y."""
+    x = _draw(rng, fld, quiver, config)
+    y = _draw(rng, fld, quiver, config)
+    return x, y, random_chain_map(x, y, rng)
+
+
 def _draw_small(rng, fld, quiver, config: SuiteConfig) -> Complex:
     """Trimmed envelope for the hom-complex-heavy properties: the window's
     part in [-2, 2], or the (at most) 5 degrees of the window nearest 0 when
@@ -321,28 +329,22 @@ class _Fail(Exception):
 
 
 def _case_pullout(rng, fld, quiver, t, config, case):
-    x = _draw(rng, fld, quiver, config)
-    y = _draw(rng, fld, quiver, config)
-    f = random_chain_map(x, y, rng)
+    x, y, f = _draw_map(rng, fld, quiver, config)
     w = _draw(rng, fld, quiver, config)
     g = random_chain_map(w, y, rng)
     z0 = zero_complex(quiver, fld)
 
-    cf = cone(f)
-    sq_cone = CommutingSquare(f, zero_map(x, z0), cf.into, zero_map(z0, cf), cf.null_wit)
     sq_pb = homotopy_pullback(f, g).square
     # degenerate square on x: a pullout exactly when x is acyclic
     sq_zero = CommutingSquare.strict(
         zero_map(x, z0), zero_map(x, z0), zero_map(z0, x), zero_map(z0, x)
     )
-    for tag, sq in (("cone", sq_cone), ("pullback", sq_pb), ("zero", sq_zero)):
+    for tag, sq in (("cone", cone(f).square), ("pullback", sq_pb), ("zero", sq_zero)):
         if is_cartesian(sq) != is_cocartesian(sq):
             raise _Fail(
                 f"cartesian/cocartesian disagree on the {tag} square", maps={"f": f, "g": g}
             )
-    fb = fib(f)
-    sq_fib = CommutingSquare(fb.to_source, zero_map(fb, z0), f, zero_map(z0, y), fb.null_wit)
-    if not is_pullout(sq_fib):
+    if not is_pullout(fib(f).square):
         raise _Fail("fiber square is not a pullout", maps={"f": f})
 
 
@@ -365,9 +367,7 @@ def _case_t_axioms(rng, fld, quiver, t, config, case):
 
 
 def _case_factorization(rng, fld, quiver, t, config, case):
-    x = _draw(rng, fld, quiver, config)
-    y = _draw(rng, fld, quiver, config)
-    f = random_chain_map(x, y, rng)
+    _, _, f = _draw_map(rng, fld, quiver, config)
     shown = {"f": f}
     fac = factor(f, t)
     if not in_E(fac.e, t):
@@ -419,17 +419,13 @@ def _case_normality(rng, fld, quiver, t, config, case):
 
 
 def _case_semiexact(rng, fld, quiver, t, config, case):
-    x = _draw(rng, fld, quiver, config)
-    y = _draw(rng, fld, quiver, config)
-    f = random_chain_map(x, y, rng)
+    _, _, f = _draw_map(rng, fld, quiver, config)
     if not semiexact_check(f, t):
         raise _Fail("pushout-to-pullback comparison is not a quasi-iso", maps={"f": f})
 
 
 def _case_em_intersection(rng, fld, quiver, t, config, case):
-    x = _draw(rng, fld, quiver, config)
-    y = _draw(rng, fld, quiver, config)
-    f = random_chain_map(x, y, rng)
+    x, _, f = _draw_map(rng, fld, quiver, config)
     both = in_E(f, t) and in_M(f, t)
     if both != is_quasi_iso(f):
         raise _Fail("intersection of the two classes differs from quasi-isos", maps={"f": f})
@@ -457,9 +453,7 @@ def _case_three_for_two(rng, fld, quiver, t, config, case):
 
 
 def _case_roundtrips(rng, fld, quiver, t, config, case):
-    x = _draw(rng, fld, quiver, config)
-    y = _draw(rng, fld, quiver, config)
-    f = random_chain_map(x, y, rng)
+    x, _, f = _draw_map(rng, fld, quiver, config)
     if not roundtrip_check(t, morphisms=[f], objects=[x]):
         raise _Fail("membership roundtrip broke", maps={"f": f})
     other = config.shifts[(case + 1) % len(config.shifts)]
@@ -487,9 +481,7 @@ def _case_heart(rng, fld, quiver, t, config, case):
 
 
 def _case_postnikov(rng, fld, quiver, t, config, case):
-    x = _draw(rng, fld, quiver, config)
-    y = _draw(rng, fld, quiver, config)
-    f = random_chain_map(x, y, rng)
+    _, _, f = _draw_map(rng, fld, quiver, config)
     shown = {"f": f}
     tower = postnikov_tower(f)
     if not verify_tower(f, tower):

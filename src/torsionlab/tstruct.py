@@ -262,14 +262,14 @@ def heart_kernel(f: HeartMorphism) -> HeartMorphism:
     """The upper truncation of the fiber, as a mono into the source."""
     fibration = fib(f.map)
     _, iota = truncate_ge(fibration, f.t)
-    return HeartMorphism(compose(fibration.to_source, iota), f.t)
+    return HeartMorphism(compose(fibration.proj_first, iota), f.t)
 
 
 def heart_cokernel(f: HeartMorphism) -> HeartMorphism:
     """The lower truncation of the cofiber (the cone), as an epi out of the target."""
     cofibration = cone(f.map)
     _, pi = truncate_lt(cofibration, f.t.shifted(1))
-    return HeartMorphism(compose(pi, cofibration.into), f.t)
+    return HeartMorphism(compose(pi, cofibration.inj_first), f.t)
 
 
 def heart_image(f: HeartMorphism) -> HeartMorphism:

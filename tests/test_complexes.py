@@ -55,6 +55,7 @@ from torsionlab.factorization import is_orthogonal
 from torsionlab.linalg import Mat, PrimeField, rank
 from torsionlab.postnikov import BoundWindow, _fiber_support, boundedness_window
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
+from torsionlab.suite import resolve_quiver
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -245,7 +246,7 @@ def _rand_map(seed, quiver=PT, field=F2, max_dim=3):
 def test_cone_of_into_recovers_shifted_source():
     f = _rand_map(11)
     c = cone(f)
-    c2 = cone(c.into)  # parts (Y, 1), (cone f, 0)
+    c2 = cone(c.inj_first)  # parts (Y, 1), (cone f, 0), (0, 0)
     target = shift(f.source, 1)
     comps = block_components(c2, target, 0, {(None, 1): (1, c.projection(0).comps)})
     collapse = ChainMap(c2, target, comps)
@@ -481,24 +482,75 @@ def test_pushout_of_zero_legs_is_suspension():
 
 
 def _fiber_square(f):
-    fb = fib(f)
+    """fib(f) -> X over 0 -> Y, assembled by hand: the null-homotopy of
+    f . proj sends the Y[-1] part back to Y, negated."""
+    fb, y = fib(f), f.target
     zc = zero_complex(f.source.quiver, f.source.field)
-    return CommutingSquare(
-        fb.to_source,
-        zero_map(fb, zc),
-        f,
-        zero_map(zc, f.target),
-        fb.null_wit,
-    )
+    proj = fb.projection(0)
+    null = block_components(fb, y, 1, {(None, 2): (-1, identity_map(y).comps)})
+    wit = Homotopy(zero_map(fb, y), compose(f, proj), null)
+    return CommutingSquare(proj, zero_map(fb, zc), f, zero_map(zc, y), wit)
+
+
+def _cofiber_square(f):
+    """X -> Y over X -> 0 into cone(f), assembled by hand: the
+    null-homotopy of inj . f sends X to its copy X[1]."""
+    c, x = cone(f), f.source
+    zc = zero_complex(x.quiver, x.field)
+    inj = c.inclusion(1)
+    null = block_components(x, c, 1, {(0, None): (1, identity_map(x).comps)})
+    wit = Homotopy(zero_map(x, c), compose(inj, f), null)
+    return CommutingSquare(f, zero_map(x, zc), inj, zero_map(zc, c), wit)
 
 
 def test_fiber_square_is_pullout():
     for seed in (1, 2, 9):
         f = _rand_map(seed, quiver=Quiver.a2(), max_dim=2)
-        sq = _fiber_square(f)
+        sq = fib(f).square
+        assert sq == _fiber_square(f)
         assert is_pullout(sq)
         assert is_cartesian(sq)
         assert is_cocartesian(sq)
+
+
+@pytest.mark.parametrize("name", ["a3", "kronecker", "d4"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cone_and_fiber_squares_are_pullouts_past_a2(name, p):
+    """The squares of the pushout cone(f) and the pullback fib(f) are the
+    cofiber and fiber squares assembled by hand, and are pullouts,
+    cartesian and cocartesian, on quivers with paths, parallel arrows and
+    branching."""
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    rng = np.random.default_rng([p, 51])
+    for _ in range(3):
+        x, y = (random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1) for _ in "xy")
+        f = random_chain_map(x, y, rng)
+        pairs = ((cone(f).square, _cofiber_square(f)), (fib(f).square, _fiber_square(f)))
+        for sq, by_hand in pairs:
+            assert sq == by_hand
+            assert is_pullout(sq) and is_cartesian(sq) and is_cocartesian(sq)
+
+
+def test_a_square_with_one_witness_component_negated_is_refused():
+    """The cofiber square's witness h_n sends x to (x, 0) in cone_{n+1}.
+    Negated at one degree n where f is nonzero, d h + h d there becomes
+    (2 dx, -fx) instead of (0, fx), so over an odd prime the checking
+    constructors refuse the square."""
+    rng = np.random.default_rng(52)
+    quiver, refused = resolve_quiver("d4"), 0
+    for fld in (F3, PrimeField(5)):
+        for _ in range(3):
+            x, y = (random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1) for _ in "xy")
+            f = random_chain_map(x, y, rng)
+            sq = cone(f).square
+            wit, edges = sq.witness, (sq.top, sq.left, sq.right, sq.bottom)
+            assert CommutingSquare(*edges, Homotopy(wit.from_map, wit.to_map, wit.comps)) == sq
+            for n in f.comps:
+                negated = {**wit.comps, n: -wit.comps[n]}
+                with pytest.raises(ValueError, match=f"homotopy law fails at degree {n}"):
+                    CommutingSquare(*edges, Homotopy(wit.from_map, wit.to_map, negated))
+                refused += 1
+    assert refused
 
 
 def test_degenerate_non_pullouts():
@@ -679,22 +731,22 @@ def _rechecked_square(sq):
 
 
 @given(
-    st.sampled_from((PT, Quiver.a2(), KRONECKER)),
+    st.sampled_from((PT, Quiver.a2(), KRONECKER, resolve_quiver("d4"))),
     st.sampled_from((2, 3, 5)),
     st.integers(0, 2**32 - 1),
 )
 def test_structure_maps_made_on_first_read_pass_the_checks_and_are_kept(quiver, p, seed):
-    """Every cached map, null-homotopy and witness square of cone, fib and
-    the homotopy (co)limits passes the checking constructors when
-    rebuilt, and a second read returns the identical object."""
+    """Every cached map, witness and square of cone, fib and the homotopy
+    (co)limits passes the checking constructors when rebuilt, and a second
+    read returns the identical object."""
     rng = np.random.default_rng(seed)
     x, y, w = (random_complex(quiver, PrimeField(p), rng, max_dim=2, lo=-1, hi=1) for _ in "xyw")
     f, g, k = random_chain_map(x, y, rng), random_chain_map(w, y, rng), random_chain_map(x, w, rng)
     c, fb = cone(f), fib(f)
     pb, po = homotopy_pullback(f, g), homotopy_pushout(f, k)
     reads = [
-        (c, "into", y, c),
-        (fb, "to_source", fb, x),
+        (c, "inj_first", y, c),
+        (fb, "proj_first", fb, x),
         (pb, "proj_first", pb, x),
         (pb, "proj_second", pb, w),
         (po, "inj_first", y, po),
@@ -709,16 +761,18 @@ def test_structure_maps_made_on_first_read_pass_the_checks_and_are_kept(quiver, 
     proj = c.projection(0)
     assert proj.source == c and proj.target == shift(x, 1)
     _rechecked_map(proj)
-    for obj, composite in ((c, compose(c.into, f)), (fb, compose(f, fb.to_source))):
-        wit = obj.null_wit
-        assert obj.null_wit is wit
+    for obj, composite in ((c, compose(c.inj_first, f)), (fb, compose(f, fb.proj_first))):
+        wit = obj.witness
+        assert obj.witness is wit
         assert wit.from_map.is_zero() and wit.to_map == composite
         _rechecked_homotopy(wit)
-    for obj, legs, edges in ((pb, (f, g), ("right", "bottom")), (po, (f, k), ("top", "left"))):
+    squares = ((pb, (f, g), ("right", "bottom")), (po, (f, k), ("top", "left")))
+    squares += ((c, (f,), ("top",)), (fb, (f,), ("right",)))
+    for obj, legs, edges in squares:
         sq = obj.square
-        assert obj.square is sq
+        assert obj.square is sq and sq.witness is obj.witness
         assert all(getattr(sq, edge) is leg for edge, leg in zip(edges, legs))
-        _rechecked_square(sq)
+        assert _rechecked_square(sq) == sq
 
 
 def _counted(built, name, method):
@@ -855,8 +909,8 @@ def test_hom_transport_in_one_step_is_the_product_of_its_two_halves(quiver, p):
     rng, nonzero = np.random.default_rng([p, 49]), 0
     for _ in range(3):
         x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=2, lo=-1, hi=1) for _ in "xy")
-        pre = cone(random_chain_map(x, y, rng)).into
-        post = fib(random_chain_map(y, x, rng)).to_source
+        pre = cone(random_chain_map(x, y, rng)).inj_first
+        post = fib(random_chain_map(y, x, rng)).proj_first
         src, mid = hom_complex(pre.target, post.source), hom_complex(y, post.source)
         dst = hom_complex(y, y)
         for n in range(-3, 4):

@@ -66,8 +66,8 @@ def _constructions(p: int, seed: int) -> dict[str, str]:
     fac = factor(f, TStructure(seed % 3 - 1))
     tower = postnikov_tower(f)
     maps = {
-        "cone": {"into": c.into, "outof": c.projection(0)},
-        "fib": {"to_source": fb.to_source},
+        "cone": {"into": c.inj_first, "outof": c.projection(0)},
+        "fib": {"to_source": fb.proj_first},
         "pullback": {"first": pb.proj_first, "second": pb.proj_second},
         "pushout": {"first": po.inj_first, "second": po.inj_second},
         "factor": {"e": fac.e, "m": fac.m},

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from torsionlab import tstruct
 from torsionlab.complexes import (
+    ChainMap,
     Complex,
     CommutingSquare,
+    Homotopy,
     compose,
     cone,
     fib,
@@ -207,6 +209,25 @@ def test_factorization_square_is_a_pullout(seed, n):
     f = _rand_map(seed, max_dim=2)
     t = TStructure(n)
     assert is_pullout(factorization_pullout_square(f, t))
+
+
+@pytest.mark.parametrize("name", ["point", "a2", "d4"])
+def test_strict_squares_rebuilt_through_the_checking_constructor_are_equal(name):
+    """CommutingSquare.strict skips the square's checks, its zero witness
+    joining two composites it found equal; every strict square of
+    truncation_square and factorization_pullout_square, its witness and
+    that witness's ends rebuilt checked, is the same square."""
+    quiver, rng = resolve_quiver(name), np.random.default_rng([53, len(name)])
+    for p in (2, 3):
+        fld = PrimeField(p)
+        for n in (-1, 0, 1):
+            x, y = (random_complex(quiver, fld, rng, max_dim=2, lo=-2, hi=2) for _ in "xy")
+            f, t = random_chain_map(x, y, rng), TStructure(n)
+            for sq in (truncation_square(x, t), factorization_pullout_square(f, t)):
+                old = sq.witness
+                ends = [ChainMap(g.source, g.target, g.comps) for g in (old.from_map, old.to_map)]
+                wit = Homotopy(*ends, old.comps)
+                assert CommutingSquare(sq.top, sq.left, sq.right, sq.bottom, wit) == sq
 
 
 # -- orthogonality and lifting -------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given
 from tests.strategies import random_rep_map, reps
 from torsionlab.complexes import (
     ChainMap,
+    CommutingSquare,
     Complex,
     Homotopy,
     cone,
@@ -300,6 +301,7 @@ TRUSTED_CALLERS = {
     ("complexes", "identity_map"),
     ("complexes", "zero_map"),
     ("complexes", "compose"),
+    ("complexes", "CommutingSquare.strict"),
     ("complexes", "shift"),
     ("complexes", "GradedSum.inclusion"),
     ("complexes", "GradedSum.projection"),
@@ -352,7 +354,7 @@ def test_the_caller_scan_sees_methods_and_nested_calls():
 
 
 def test_lawful_values_refuse_assignment():
-    """The five value types share one guard, and Lawful adds no __dict__."""
+    """The six value types share one guard, and Lawful adds no __dict__."""
     a = _a2_rep((1, 1), [1])
     x = Complex(a.quiver, F2, 0, (a,), ())
     ident = identity_map(x)
@@ -362,13 +364,14 @@ def test_lawful_values_refuse_assignment():
         (x, "terms"),
         (ident, "comps"),
         (Homotopy(ident, ident, {}), "comps"),
+        (CommutingSquare.strict(ident, ident, ident, ident), "witness"),
     ):
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
             setattr(value, field, None)
         assert not hasattr(value, "__dict__")
 
 
-# -- value equality: one rule on Lawful for all five value types -------------------
+# -- value equality: one rule on Lawful for all six value types --------------------
 
 F3 = PrimeField(3)
 # the fields each value type is compared on, in __slots__ order
@@ -378,6 +381,7 @@ COMPARED = {
     Complex: ("quiver", "field", "lo", "terms", "diffs"),
     ChainMap: ("source", "target", "comps"),
     Homotopy: ("from_map", "to_map", "comps"),
+    CommutingSquare: ("top", "left", "right", "bottom", "witness"),
 }
 
 
@@ -387,18 +391,20 @@ def _values():
     a = _a2_rep((1, 1), [1])
     x = Complex(Quiver.a2(), PrimeField(2), 0, (a,), ())
     ident = identity_map(x)
-    return [a, RepMap.identity(a), x, ident, Homotopy(ident, ident, {})]
+    square = CommutingSquare.strict(ident, ident, ident, ident)
+    return [a, RepMap.identity(a), x, ident, Homotopy(ident, ident, {}), square]
 
 
 def _others():
     """One value of each type, in the order of _values, that differs from
     it in every compared field: another quiver, F3, degrees 1 and 2, a
-    nonzero homotopy."""
+    nonzero homotopy, and a square that it witnesses."""
     quiver = Quiver(("a", "c"), (("a", "c"),))
     b = QuiverRep(quiver, F3, (2, 1), (Mat(F3, [[1, 2]]),))
     y = Complex(quiver, F3, 1, (b, b), (RepMap.identity(b),))
     h = Homotopy(zero_map(y, y), identity_map(y), {1: RepMap.identity(b)})
-    return [b, RepMap.zero(b, b), y, zero_map(y, y), h]
+    one, zero = identity_map(y), zero_map(y, y)
+    return [b, RepMap.zero(b, b), y, zero, h, CommutingSquare(one, one, one, zero, h)]
 
 
 def _with(value, name, new):
