@@ -26,10 +26,11 @@ category" claims are expressed through an explicit comparison map plus that
 test.
 
 homotopy_pushout and homotopy_pullback return a GradedSum, which is the
-complex it builds.  cone(f) is the pushout of f and X -> 0, so it is the
-cofiber, with inj_first . f null-homotopic by its witness; fib(f) is the
-pullback of f and 0 -> Y, with f . proj_first null-homotopic by its
-witness.  The zero part adds no coordinates, so the layouts above hold.
+complex it builds.  cone(f) is the pushout of f and terminal_map(X) : X -> 0,
+the cofiber, with inj_first . f null-homotopic by its witness; fib(f) is the
+pullback of f and initial_map(Y) : 0 -> Y, with f . proj_first
+null-homotopic by its witness.  Their zero end is the one zero_complex of
+its quiver and field, which adds no coordinates, so the layouts above hold.
 Structure maps, witnesses and squares are made on first read
 (functools.cached_property), through the same checking constructors, and
 kept; most callers never read them.
@@ -48,7 +49,7 @@ every degree for readers of the whole complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import attrgetter
 
@@ -92,6 +93,8 @@ __all__ = [
     "zero_complex",
     "identity_map",
     "zero_map",
+    "initial_map",
+    "terminal_map",
     "compose",
     "shift",
     "homology",
@@ -214,6 +217,7 @@ class Complex(Lawful):
         return f"Complex({self.field}, dims={dims})"
 
 
+@lru_cache(maxsize=64)
 def zero_complex(quiver: Quiver, field: PrimeField) -> Complex:
     return Complex(quiver, field, 0, (), ())
 
@@ -308,6 +312,16 @@ def zero_map(x: Complex, y: Complex) -> ChainMap:
     if x.quiver != y.quiver or x.field != y.field:
         raise ValueError("chain map between incompatible complexes")
     return ChainMap._unchecked(x, y, {})
+
+
+def initial_map(x: Complex) -> ChainMap:
+    """The initial arrow 0 -> x."""
+    return zero_map(zero_complex(x.quiver, x.field), x)
+
+
+def terminal_map(x: Complex) -> ChainMap:
+    """The terminal arrow x -> 0."""
+    return zero_map(x, zero_complex(x.quiver, x.field))
 
 
 def compose(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -696,7 +710,7 @@ def homotopy_pullback(f: ChainMap, g: ChainMap) -> Pullback:
 
 def fib(f: ChainMap) -> Pullback:
     """The fiber of f : X -> Y, the pullback of f and 0 -> Y."""
-    return homotopy_pullback(f, zero_map(zero_complex(f.source.quiver, f.source.field), f.target))
+    return homotopy_pullback(f, initial_map(f.target))
 
 
 def pullback_induced(
@@ -757,7 +771,7 @@ def homotopy_pushout(f: ChainMap, g: ChainMap) -> Pushout:
 
 def cone(f: ChainMap) -> Pushout:
     """The cofiber of f : X -> Y, the pushout of f and X -> 0."""
-    return homotopy_pushout(f, zero_map(f.source, zero_complex(f.source.quiver, f.source.field)))
+    return homotopy_pushout(f, terminal_map(f.source))
 
 
 def _square_glue_map(sq: CommutingSquare) -> ChainMap:

@@ -130,13 +130,18 @@ def _as_matrix(fld: PrimeField, rows, rows_want: int, cols_want: int, where: str
     return Mat(fld, a)
 
 
-def _vertex_matrices(fld, rows_list, target: QuiverRep, source: QuiverRep, where: str):
+def _vertex_matrices(fld, rows_list, source: QuiverRep, target: QuiverRep, where: str) -> RepMap:
+    """The checked intertwiner source -> target with one matrix per vertex."""
     if not isinstance(rows_list, list) or len(rows_list) != len(source.quiver.vertices):
         raise DocumentError(f"{where}: one matrix per vertex required")
-    return tuple(
+    mats = tuple(
         _as_matrix(fld, rows, target.dims[v], source.dims[v], f"{where}, vertex {v}")
         for v, rows in enumerate(rows_list)
     )
+    try:
+        return RepMap(source, target, mats)
+    except ValueError:
+        raise DocumentError(f'invariant "intertwiner" violated in {where}', law="intertwiner") from None
 
 
 def parse_quiver(tree) -> Quiver:
@@ -223,13 +228,7 @@ def parse_document(text: str) -> Document:
         diffs = []
         for j, rows_list in enumerate(diff_bodies):
             where = f"complex {name!r}, diff at degree {lo + j + 1}"
-            mats = _vertex_matrices(fld, rows_list, terms[j], terms[j + 1], where)
-            try:
-                diffs.append(RepMap(terms[j + 1], terms[j], mats))
-            except ValueError:
-                raise DocumentError(
-                    f'invariant "intertwiner" violated in {where}', law="intertwiner"
-                ) from None
+            diffs.append(_vertex_matrices(fld, rows_list, terms[j + 1], terms[j], where))
         for j in range(len(diffs) - 1):
             if not diffs[j].compose(diffs[j + 1]).is_zero():
                 raise DocumentError(
@@ -258,13 +257,7 @@ def parse_document(text: str) -> Document:
             if deg is None or str(deg) != deg_str:
                 raise DocumentError(f"map {name!r}: bad degree key {deg_str!r}")
             where = f"map {name!r} at degree {deg}"
-            mats = _vertex_matrices(fld, rows_list, tgt.term(deg), src.term(deg), where)
-            try:
-                comps[deg] = RepMap(src.term(deg), tgt.term(deg), mats)
-            except ValueError:
-                raise DocumentError(
-                    f'invariant "intertwiner" violated in {where}', law="intertwiner"
-                ) from None
+            comps[deg] = _vertex_matrices(fld, rows_list, src.term(deg), tgt.term(deg), where)
         try:
             maps[name] = ChainMap(src, tgt, comps)
         except ValueError as exc:

@@ -128,10 +128,10 @@ def postnikov_tower(f: ChainMap) -> Tower:
     if window.width == 1:
         return Tower((x, y), (TowerStage(f, lo),), Homotopy(f, f, {}), window)
     cf = cone(f)
-    cutoffs = list(range(hi, lo + 1, -1))  # hi, hi-1, ..., lo+2
+    cuts = [TStructure(hi).shifted(-k) for k in range(hi - lo - 1)]  # hi, ..., lo+2
     fibers, projections = [], []
-    for n in cutoffs:
-        _, pi = truncate_lt(cf, TStructure(n))
+    for t in cuts:
+        _, pi = truncate_lt(cf, t)
         fibers.append(fib(compose(pi, cf.inj_first)))
         projections.append(pi)
     # top: push the cofiber's null-homotopy through the deepest truncation
@@ -141,8 +141,8 @@ def postnikov_tower(f: ChainMap) -> Tower:
     }
     maps = [_lift_into_fiber(f, fibers[0], pushed)]
     same_y, same_zero = identity_map(y), identity_map(fibers[0].g.source)
-    for idx in range(len(cutoffs) - 1):
-        restrict = lt_restriction(cf, TStructure(cutoffs[idx + 1]), TStructure(cutoffs[idx]))
+    for idx in range(len(cuts) - 1):
+        restrict = lt_restriction(cf, cuts[idx + 1], cuts[idx])
         maps.append(pullback_induced(fibers[idx], fibers[idx + 1], same_y, same_zero, restrict))
     maps.append(fibers[-1].proj_first)
     objects = [x, *fibers, y]

@@ -43,6 +43,7 @@ from .complexes import (
     homotopy_pullback,
     identity_map,
     induced_homology_map,
+    initial_map,
     is_cartesian,
     is_cocartesian,
     is_pullout,
@@ -50,8 +51,7 @@ from .complexes import (
     random_chain_map,
     random_complex,
     shift,
-    zero_complex,
-    zero_map,
+    terminal_map,
 )
 from .document import MAX_DIM, _dumps, document_of, parse_quiver, serialize_document
 from .factorization import (
@@ -69,7 +69,7 @@ from .factorization import (
 )
 from .linalg import Mat, PrimeField, rank
 from .postnikov import postnikov_tower, verify_tower
-from .quiver import Quiver, QuiverRep, rep_cokernel, rep_kernel
+from .quiver import Quiver, rep_cokernel, rep_kernel
 
 __all__ = [
     "PropertyResult",
@@ -307,15 +307,6 @@ def _draw_small(rng, fld, quiver, config: SuiteConfig) -> Complex:
     return random_complex(quiver, fld, rng, max_dim=min(config.max_dim, 2), lo=lo, hi=hi)
 
 
-def _sphere(quiver: Quiver, fld: PrimeField, n: int) -> Complex:
-    """One-dimensional stalk at degree n (zero arrow action)."""
-    dims = tuple(1 for _ in quiver.vertices)
-    mats = tuple(
-        Mat.zeros(fld, 1, 1) for _ in quiver.arrows
-    )
-    return Complex(quiver, fld, n, (QuiverRep(quiver, fld, dims, mats),), ())
-
-
 class _Fail(Exception):
     """A failing case: what broke, and the complexes and maps that show it.
     _run_case turns it into the counterexample's detail and document."""
@@ -332,13 +323,10 @@ def _case_pullout(rng, fld, quiver, t, config, case):
     x, y, f = _draw_map(rng, fld, quiver, config)
     w = _draw(rng, fld, quiver, config)
     g = random_chain_map(w, y, rng)
-    z0 = zero_complex(quiver, fld)
-
     sq_pb = homotopy_pullback(f, g).square
     # degenerate square on x: a pullout exactly when x is acyclic
-    sq_zero = CommutingSquare.strict(
-        zero_map(x, z0), zero_map(x, z0), zero_map(z0, x), zero_map(z0, x)
-    )
+    out, back = terminal_map(x), initial_map(x)
+    sq_zero = CommutingSquare.strict(out, out, back, back)
     for tag, sq in (("cone", cone(f).square), ("pullback", sq_pb), ("zero", sq_zero)):
         if is_cartesian(sq) != is_cocartesian(sq):
             raise _Fail(
@@ -401,12 +389,9 @@ def _case_lifting(rng, fld, quiver, t, config, case):
         return
     # constructed non-orthogonal pair: a stalk at the cut receives from the
     # initial object in E, but its collapse is not in M
-    s = _sphere(quiver, fld, t.n)
-    z0 = zero_complex(quiver, fld)
-    e = zero_map(z0, s)
-    m = zero_map(s, z0)
-    sq = CommutingSquare.strict(zero_map(z0, s), e, m, zero_map(s, z0))
-    count, _ = solve_lifting(sq)
+    s = tstruct.heart_stalk(quiver, fld, t)
+    e, m = initial_map(s), terminal_map(s)
+    count, _ = solve_lifting(CommutingSquare.strict(e, e, m, m))
     if is_orthogonal(e, m) or count == 1:
         raise _Fail(f"non-orthogonal stalk pair not detected (count {count})", {"s": s})
 
@@ -456,9 +441,9 @@ def _case_roundtrips(rng, fld, quiver, t, config, case):
     x, _, f = _draw_map(rng, fld, quiver, config)
     if not roundtrip_check(t, morphisms=[f], objects=[x]):
         raise _Fail("membership roundtrip broke", maps={"f": f})
-    other = config.shifts[(case + 1) % len(config.shifts)]
-    lo, hi = sorted((t.n, other))
-    if not antitone_check(f, tstruct.TStructure(lo), tstruct.TStructure(hi)):
+    other = tstruct.TStructure(config.shifts[(case + 1) % len(config.shifts)])
+    lo, hi = sorted((t, other))
+    if not antitone_check(f, lo, hi):
         raise _Fail(
             f"class containment not antitone between cutoffs {lo} and {hi}", maps={"f": f}
         )

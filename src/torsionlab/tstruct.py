@@ -15,6 +15,10 @@ by them and both truncations are kept on the Complex object (outside its
 equality), and every truncation of it or of a map at its ends reuses them.
 A cut outside the support returns the complex itself (or zero), so no
 degree between the cut and the support is ever visited.
+
+Cuts are ordered values that print as their degrees.  Only this module reads
+a cut's degree; the others compare, shift and print cuts, except the suite's
+heart check, whose comparison with rep Q through H_n needs degree cuts.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from .complexes import (
     hom_complex,
     homology_dims,
     identity_map,
+    initial_map,
     random_chain_map,
     random_complex,
+    terminal_map,
     total_solve,
-    zero_complex,
-    zero_map,
 )
 from .linalg import Mat
 from .quiver import (
@@ -65,26 +69,30 @@ __all__ = [
     "heart_image",
     "heart_coimage",
     "heart_comparison",
+    "heart_stalk",
     "random_heart_object",
     "random_heart_morphism",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TStructure:
     """The standard homology cut placed at degree n.
 
     The upper class keeps H_k for k >= n, the lower class for k < n.
-    Shifting the cut is the suspension action; cuts are totally ordered.
-    The cut is all the data of its normal torsion theory (E_t, M_t):
-    factorization takes it as is, with truncate_lt as the reflection and
-    truncate_ge as the coreflection.
+    Shifting the cut is the suspension action; cuts are totally ordered by
+    their degrees, and a cut prints as its degree.  The cut is all the data
+    of its normal torsion theory (E_t, M_t): factorization takes it as is,
+    with truncate_lt as the reflection and truncate_ge as the coreflection.
     """
 
     n: int = 0
 
     def shifted(self, k: int) -> "TStructure":
         return TStructure(self.n + k)
+
+    def __str__(self) -> str:
+        return str(self.n)
 
 
 def _acyclic_where(x: Complex, where) -> bool:
@@ -126,8 +134,8 @@ class _Cut:
     def ge(self) -> tuple[Complex, ChainMap]:
         x, n = self.x, self.n
         if x.is_zero() or x.hi < n:
-            z = zero_complex(x.quiver, x.field)
-            return z, zero_map(z, x)
+            into = initial_map(x)
+            return into.source, into
         if n < x.lo:
             return x, identity_map(x)
         ker, inc = self.kernel
@@ -146,8 +154,8 @@ class _Cut:
     def lt(self) -> tuple[Complex, ChainMap]:
         x, n = self.x, self.n
         if x.is_zero() or x.lo > n:
-            z = zero_complex(x.quiver, x.field)
-            return z, zero_map(x, z)
+            onto = terminal_map(x)
+            return onto.target, onto
         if n > x.hi:
             return x, identity_map(x)
         quo, proj, sects = self.quotient
@@ -162,8 +170,8 @@ class _Cut:
 
 
 def _cut(x: Complex, n: int) -> _Cut:
-    """The cut of x at n, one record per complex object and degree."""
-    memo = x._cut_memo()
+    """The cut of x at n, kept per complex object and degree unless x is zero."""
+    memo = {} if x.is_zero() else x._cut_memo()
     return memo[n] if n in memo else memo.setdefault(n, _Cut(x, n))
 
 
@@ -187,7 +195,7 @@ def truncate_map_ge(f: ChainMap, t: TStructure) -> ChainMap:
     sub_x, _ = truncate_ge(f.source, t)
     sub_y, _ = truncate_ge(f.target, t)
     comps = {k: f.comp(k) for k in sub_x.support if k > n}
-    if n in sub_x.support and not sub_x.term(n).is_zero():
+    if not (sub_x.term(n).is_zero() or f.target.is_zero()):  # else the part at n is zero
         kx = _cut(f.source, n).kernel[1]
         ky = _cut(f.target, n).kernel[1]
         carried = [c @ k for c, k in zip(f.comp(n).components, kx.components)]
@@ -201,7 +209,7 @@ def truncate_map_lt(f: ChainMap, t: TStructure) -> ChainMap:
     quo_x, _ = truncate_lt(f.source, t)
     quo_y, _ = truncate_lt(f.target, t)
     comps = {k: f.comp(k) for k in quo_x.support if k < n}
-    if n in quo_x.support and not quo_x.term(n).is_zero():
+    if not (quo_x.term(n).is_zero() or f.target.is_zero()):  # else the part at n is zero
         sects_x = _cut(f.source, n).quotient[2]
         proj_y = _cut(f.target, n).quotient[1]
         parts = tuple(
@@ -214,11 +222,11 @@ def truncate_map_lt(f: ChainMap, t: TStructure) -> ChainMap:
 
 def lt_restriction(x: Complex, t_lo: TStructure, t_hi: TStructure) -> ChainMap:
     """The strict surjection from the wider lower truncation to the narrower."""
-    if t_hi.n < t_lo.n:
+    if t_hi < t_lo:
         raise ValueError("restriction runs from the higher cut to the lower")
     wide, _ = truncate_lt(x, t_hi)
     narrow, pi_n = truncate_lt(x, t_lo)
-    if t_hi.n == t_lo.n:
+    if t_hi == t_lo:
         return identity_map(wide)
     # the narrow support lies below the higher cut, where wide is x itself
     return ChainMap(wide, narrow, pi_n.comps)
@@ -229,8 +237,7 @@ def truncation_square(x: Complex, t: TStructure) -> CommutingSquare:
     quotient projection.  Its pullout property is the cut's third axiom."""
     sub, iota = truncate_ge(x, t)
     quo, pi = truncate_lt(x, t)
-    zc = zero_complex(x.quiver, x.field)
-    return CommutingSquare.strict(iota, zero_map(sub, zc), pi, zero_map(zc, quo))
+    return CommutingSquare.strict(iota, terminal_map(sub), pi, initial_map(quo))
 
 
 # -- the abelian layer ----------------------------------------------------------
@@ -303,6 +310,13 @@ def heart_comparison(f: HeartMorphism) -> tuple[ChainMap, Homotopy]:
     u = ChainMap(epi.target, mono.source, u_comps)
     wit = Homotopy(f.map, compose(mono.map, compose(u, epi.map)), h_comps)
     return u, wit
+
+
+def heart_stalk(quiver, field, t: TStructure) -> Complex:
+    """The one-dimensional stalk at the cut, with zero arrow action."""
+    mats = tuple(Mat.zeros(field, 1, 1) for _ in quiver.arrows)
+    stalk = QuiverRep(quiver, field, (1,) * len(quiver.vertices), mats)
+    return Complex(quiver, field, t.n, (stalk,), ())
 
 
 def random_heart_object(quiver, field, t: TStructure, rng) -> Complex:

@@ -40,6 +40,7 @@ from torsionlab.complexes import (
     homotopy_pushout,
     identity_map,
     induced_homology_map,
+    initial_map,
     is_cartesian,
     is_cocartesian,
     is_pullout,
@@ -47,6 +48,7 @@ from torsionlab.complexes import (
     random_chain_map,
     random_complex,
     shift,
+    terminal_map,
     total_solve,
     zero_complex,
     zero_map,
@@ -229,6 +231,26 @@ def test_cone_of_map_from_zero_is_target():
     y = _pt_complex(F2, 0, [2, 1], [[[1], [0]]])
     c = cone(zero_map(zero_complex(PT, F2), y))
     assert c == y
+
+
+@pytest.mark.parametrize("name", ["point", "a2", "d4"])
+def test_one_zero_complex_and_its_initial_and_terminal_arrows(name):
+    """zero_complex is one shared object per quiver and field, the two
+    arrows equal their zero_map spellings through a freshly built zero, and
+    cone and fib are taken along them."""
+    quiver = resolve_quiver(name)
+    for fld in (F2, F3):
+        zc = zero_complex(quiver, fld)
+        fresh = Complex(quiver, fld, 0, (), ())
+        assert zc is zero_complex(quiver, fld) and zc == fresh and zc is not fresh
+        rng = np.random.default_rng(fld.p)
+        x, y = (random_complex(quiver, fld, rng, max_dim=2) for _ in "xy")
+        for z in (x, zc):
+            assert initial_map(z) == zero_map(fresh, z) and initial_map(z).source is zc
+            assert terminal_map(z) == zero_map(z, fresh) and terminal_map(z).target is zc
+        f = random_chain_map(x, y, rng)
+        assert cone(f).g == terminal_map(x) and cone(f).g.target is zc
+        assert fib(f).g == initial_map(y) and fib(f).g.source is zc
 
 
 def test_fib_is_shifted_cone():

@@ -433,6 +433,13 @@ def test_antitone_membership(seed, n, gap):
     assert antitone_check(f, TStructure(n), TStructure(n + gap))
 
 
+def test_antitone_check_refuses_cutoffs_out_of_order():
+    f = _rand_map(5, max_dim=2)
+    for lower, higher in ((1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="cutoffs out of order"):
+            antitone_check(f, TStructure(lower), TStructure(higher))
+
+
 # -- semiexactness and roundtrips ------------------------------------------------------
 
 

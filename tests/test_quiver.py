@@ -312,21 +312,47 @@ TRUSTED_CALLERS = {
 }
 
 
-def trusted_callers(sources: dict[str, str]) -> set[tuple[str, str]]:
-    """(module, qualified name) of each top-level function or method whose
-    body calls something._unchecked(...)."""
+def _defs_where(sources: dict[str, str], hit) -> set[tuple[str, str]]:
+    """(module, qualified name) of each top-level function or method with a
+    node in its body for which hit holds."""
     found = set()
     for module, text in sources.items():
         for node in ast.parse(text).body:
             for d in node.body if isinstance(node, ast.ClassDef) else [node]:
-                if isinstance(d, ast.FunctionDef) and any(
-                    isinstance(c, ast.Call)
-                    and isinstance(c.func, ast.Attribute)
-                    and c.func.attr == "_unchecked"
-                    for c in ast.walk(d)
-                ):
+                if isinstance(d, ast.FunctionDef) and any(hit(c) for c in ast.walk(d)):
                     found.add((module, d.name if d is node else f"{node.name}.{d.name}"))
     return found
+
+
+def trusted_callers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, qualified name) of each top-level function or method whose
+    body calls something._unchecked(...)."""
+    return _defs_where(
+        sources,
+        lambda c: isinstance(c, ast.Call)
+        and isinstance(c.func, ast.Attribute)
+        and c.func.attr == "_unchecked",
+    )
+
+
+def degree_readers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, qualified name) of each function or method outside tstruct
+    that reads an attribute n, the degree of a cut."""
+    return _defs_where(
+        {m: text for m, text in sources.items() if m != "tstruct"},
+        lambda c: isinstance(c, ast.Attribute) and c.attr == "n" and isinstance(c.ctx, ast.Load),
+    )
+
+
+def zero_complex_callers(sources: dict[str, str]) -> set[str]:
+    """The modules that call zero_complex(...) anywhere, top level included."""
+    return {
+        module
+        for module, text in sources.items()
+        for c in ast.walk(ast.parse(text))
+        if isinstance(c, ast.Call)
+        and "zero_complex" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+    }
 
 
 def test_the_trusted_path_has_a_fixed_list_of_callers():
@@ -336,6 +362,16 @@ def test_the_trusted_path_has_a_fixed_list_of_callers():
         method = name.rpartition(".")[2]
         if not method.startswith("__"):
             assert re.search(rf"\b{method}\b", Lawful.__doc__), name
+
+
+def test_only_tstruct_reads_a_cut_degree_and_only_complexes_calls_zero_complex():
+    """Outside tstruct, a cut's degree is read only by the suite's heart
+    check, whose comparison with rep Q through H_n holds for degree cuts
+    alone.  Every other module compares, shifts and prints cuts, and takes
+    the zero complex from initial_map and terminal_map."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert degree_readers(sources) == {("suite", "_case_heart")}
+    assert zero_complex_callers(sources) == {"complexes"}
 
 
 def test_the_caller_scan_sees_methods_and_nested_calls():

@@ -6,7 +6,10 @@ up to quasi-isomorphism; the factorization layer relies on that.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,16 +23,19 @@ from torsionlab.complexes import (
     homology_dims,
     identity_map,
     induced_homology_map,
+    initial_map,
     is_pullout,
     is_quasi_iso,
     random_chain_map,
     random_complex,
     shift,
+    terminal_map,
     zero_complex,
     zero_map,
 )
-from torsionlab.linalg import PrimeField, rank
+from torsionlab.linalg import Mat, PrimeField, rank
 from torsionlab.quiver import Quiver, QuiverRep, rep_cokernel, rep_kernel
+from torsionlab.suite import resolve_quiver
 from torsionlab.tstruct import (
     HeartMorphism,
     TStructure,
@@ -39,6 +45,7 @@ from torsionlab.tstruct import (
     heart_image,
     heart_coimage,
     heart_kernel,
+    heart_stalk,
     in_aisle,
     in_coaisle,
     lt_restriction,
@@ -70,6 +77,17 @@ def _rand_map(seed, quiver=PT, field=F2, **kw):
     x = random_complex(quiver, field, rng, **kw)
     y = random_complex(quiver, field, rng, **kw)
     return random_chain_map(x, y, rng)
+
+
+# -- cuts -----------------------------------------------------------------------
+
+
+def test_cuts_are_ordered_by_degree_and_print_as_it():
+    for a, b in itertools.product(range(-2, 3), repeat=2):
+        assert (TStructure(a) < TStructure(b)) == (a < b)
+        assert (TStructure(a) <= TStructure(b)) == (a <= b)
+        assert (TStructure(a) == TStructure(b)) == (a == b)
+    assert str(TStructure(-2)) == "-2" and f"{TStructure(3)}" == "3"
 
 
 # -- membership -----------------------------------------------------------------
@@ -212,6 +230,8 @@ def test_lt_restriction_tower_coheres():
     r_hl = lt_restriction(x, lo, hi)
     assert compose(r_ml, r_hm) == r_hl
     assert lt_restriction(x, hi, hi) == identity_map(truncate_lt(x, hi)[0])
+    with pytest.raises(ValueError, match="from the higher cut to the lower"):
+        lt_restriction(x, hi, lo)
 
 
 @given(complexes(max_dim=2, lo=-2, hi=2), st.integers(-1, 1))
@@ -295,7 +315,35 @@ def test_mapping_complexes_never_keep_cuts():
     assert all(h.complex._cuts is None for h in homs)
 
 
+def test_the_zero_complex_keeps_no_cuts():
+    """Every truncation at and around the zero complex, at cuts -1..2,
+    leaves the shared object as it was, while a complex beside it keeps
+    its cuts."""
+    for quiver in (PT, Quiver.a2()):
+        zc = zero_complex(quiver, F2)
+        x = _rand(41, quiver=quiver)
+        for n in range(-1, 3):
+            t = TStructure(n)
+            assert truncate_ge(zc, t)[0] is zc and truncate_lt(zc, t)[0] is zc
+            truncate_map_ge(initial_map(x), t)
+            truncate_map_lt(terminal_map(x), t)
+            lt_restriction(zc, t, t.shifted(1))
+            truncation_square(zc, t)
+        assert zc._cuts is None and x._cuts is not None
+
+
 # -- heart ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["point", "a2", "d4"])
+def test_heart_stalk_is_the_one_dimensional_stalk_at_the_cut(name):
+    quiver = resolve_quiver(name)
+    dims = tuple(1 for _ in quiver.vertices)
+    for fld, n in itertools.product((F2, PrimeField(3)), (-1, 0, 2)):
+        mats = tuple(Mat.zeros(fld, 1, 1) for _ in quiver.arrows)
+        stalk = Complex(quiver, fld, n, (QuiverRep(quiver, fld, dims, mats),), ())
+        assert heart_stalk(quiver, fld, TStructure(n)) == stalk
+        assert heart_contains(stalk, TStructure(n))
 
 
 def test_heart_object_generator_lands_in_heart():
