@@ -19,31 +19,31 @@ A homotopy h from g to f has components h_n : X_n -> Y_{n+1} and satisfies
 f - g = d h + h d.  H_n of the hom complex is the space of degree-n maps up
 to homotopy; in particular H_0 is chain maps modulo chain homotopy.
 
-Equivalences are never inverted: a map is a quasi-isomorphism exactly when
-its cone is acyclic, which cone_homology_dims decides from the ranks of the
-cone's blocks without building the cone, and all "X equals Y in the homotopy
-category" claims are expressed through an explicit comparison map plus that
-test.
+Equivalences are never inverted: homology, is_quasi_iso and the pullout
+tests answer in the derived category D, where a map is a quasi-isomorphism
+exactly when its cone is acyclic (cone_homology_dims reads the ranks of the
+cone's blocks without building it), and every "X equals Y in D" claim is an
+explicit comparison map plus that test.
 
 homotopy_pushout and homotopy_pullback return a GradedSum, which is the
-complex it builds.  cone(f) is the pushout of f and terminal_map(X) : X -> 0,
-the cofiber, with inj_first . f null-homotopic by its witness; fib(f) is the
-pullback of f and initial_map(Y) : 0 -> Y, with f . proj_first
-null-homotopic by its witness.  Their zero end is the one zero_complex of
-its quiver and field, which adds no coordinates, so the layouts above hold.
-Structure maps, witnesses and squares are made on first read
-(functools.cached_property), through the same checking constructors, and
-kept; most callers never read them.
+complex it builds; every map into a pullback is its gap map (gap_map).
+cone(f) is the pushout of f and terminal_map(X) : X -> 0, the cofiber, with
+inj_first . f null-homotopic by its witness; fib(f) is the pullback of f and
+initial_map(Y) : 0 -> Y, with f . proj_first null-homotopic by its witness.
+Their zero end is the one zero_complex of its quiver and field, which adds
+no coordinates, so the layouts above hold.  Structure maps, witnesses and
+squares are made on first read (functools.cached_property), through the same
+checking constructors, and kept; most callers never read them.
 
-Every mapping-space question is a degree-0 solve (total_solve) on a total
-complex (total_diff) of shifted hom complexes, joined by the transports
-phi -> post phi pre (hom_transport): homotopic is the one-node case,
-Hom(X, Y) at shift 1, and chain_map_basis and random_chain_map read the
-kernel of D_0.  hom_complex builds nothing up front: the slots of a degree
-and each D_n are made on first read and kept, and each D_n checks its d²
-law, on flat graded maps, when it is built.  One step (HomComplex._place)
-turns flat images into slot coordinates.  HomComplex.complex assembles
-every degree for readers of the whole complex.
+Every mapping-space question is answered in the homotopy category K(rep Q)
+by a degree-0 solve (total_solve) on a total complex (total_diff) of shifted
+hom complexes, joined by the transports phi -> post phi pre (hom_transport):
+homotopic is the one-node case, Hom(X, Y) at shift 1, and chain_map_basis
+and random_chain_map read the kernel of D_0.  hom_complex builds nothing up
+front: the slots of a degree and each D_n are made on first read and kept,
+and each D_n checks its d² law, on flat graded maps, when it is built.  One
+step (HomComplex._place) turns flat images into slot coordinates.
+HomComplex.complex assembles every degree for readers of the whole complex.
 """
 
 from __future__ import annotations
@@ -675,7 +675,22 @@ class Pullback(GradedSum):
     """The homotopy pullback of f, g : * -> Z, keeping f and g: the graded
     sum fib(X (+) Y -> Z) of the parts (X, 0), (Y, 0) and (Z, -1); the
     projections, the witness and the square are made, and checked, on
-    first read."""
+    first read; every map into it is its gap_map."""
+
+    def gap_map(self, top: ChainMap, left: ChainMap, witness=None) -> ChainMap:
+        """The gap map W -> P, w -> (top w, left w, -h w), of a square over
+        the legs f and g; witness holds the components of a homotopy h from
+        g . left to f . top (Homotopy.comps), None for a strict square.  The
+        checking ChainMap refuses a square that does not commute."""
+        w = top.source
+        if left.source != w or top.target != self.f.source or left.target != self.g.source:
+            raise ValueError("gap map edges do not meet the pullback's legs")
+        table = {
+            (0, None): (1, top.comps),
+            (1, None): (1, left.comps),
+            (2, None): (-1, witness or {}),
+        }
+        return ChainMap(w, self, block_components(w, self, 0, table))
 
     @cached_property
     def proj_first(self) -> ChainMap:
@@ -800,13 +815,7 @@ def is_pullout(sq: CommutingSquare) -> bool:
 
 def is_cartesian(sq: CommutingSquare) -> bool:
     pb = homotopy_pullback(sq.right, sq.bottom)
-    w = sq.top.source
-    table = {
-        (0, None): (1, sq.top.comps),
-        (1, None): (1, sq.left.comps),
-        (2, None): (-1, sq.witness.comps),
-    }
-    return is_quasi_iso(ChainMap(w, pb, block_components(w, pb, 0, table)))
+    return is_quasi_iso(pb.gap_map(sq.top, sq.left, sq.witness.comps))
 
 
 def is_cocartesian(sq: CommutingSquare) -> bool:

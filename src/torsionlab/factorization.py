@@ -8,11 +8,11 @@ here takes the TStructure itself.  With the cut at n,
 
 both are predicates (in_E, in_M), never materialized.  truncate_lt is the
 reflection onto the torsion-free class and truncate_ge the coreflection
-onto the torsion class.  Every map factors as an E-map into the homotopy
-pullback of its below-cutoff square followed by an M-map out of it.  This
-module decides membership, builds the factorization with its witnesses,
-and implements the certificate suite around it: orthogonality, a
-lifting-count oracle, the six normality conditions, 3-for-2, the
+onto the torsion class.  Every map factors as an E-map, the gap map into
+the homotopy pullback of its below-cutoff square, followed by an M-map out
+of it.  This module decides membership, builds the factorization with its
+witnesses, and implements the certificate suite around it: orthogonality,
+a lifting-count oracle, the six normality conditions, 3-for-2, the
 initial/terminal symmetry, semiexactness, and the reconstruction
 roundtrips.
 
@@ -23,10 +23,13 @@ cartesian, cocartesian and a pullout.  Semiexactness asks the
 factorization's coreflected face (factorization_pullout_square) to be
 cocartesian, and its pulled-back unit to lie in E.
 
-Orthogonality is decided exactly: the filler space for (e, m) is governed
-by hom(cone e, fib m), and contractibility is equivalent to acyclicity of
-that complex in non-negative degrees.  solve_lifting is an independent
-oracle at the level of maps-and-homotopies; it counts homotopy classes of
+is_orthogonal and solve_lifting decide in the homotopy category K(rep Q),
+which agrees with the derived category D on the factored pairs the suite
+draws but not on all (the strict xfail
+test_orthogonality_and_fillers_are_decided_in_the_derived_category).  The
+filler space for (e, m) is governed by hom(cone e, fib m), and
+contractibility is equivalent to acyclicity of that complex in non-negative
+degrees; solve_lifting, an independent oracle, counts homotopy classes of
 fillers by linear algebra over F_p and must agree with the criterion.
 """
 
@@ -40,7 +43,6 @@ from .complexes import (
     Complex,
     Homotopy,
     Pullback,
-    block_components,
     compose,
     cone,
     fib,
@@ -56,6 +58,7 @@ from .complexes import (
     terminal_map,
     total_diff,
     total_solve,
+    zero_map,
 )
 from .linalg import rank
 from .tstruct import (
@@ -174,8 +177,7 @@ def factor(f: ChainMap, t: TStructure) -> Factorization:
     _, unit_y = truncate_lt(y, t)
     pb = homotopy_pullback(below, unit_y)
     _, unit_x = truncate_lt(x, t)
-    comps = block_components(x, pb, 0, {(0, None): (1, unit_x.comps), (1, None): (1, f.comps)})
-    e = ChainMap(x, pb, comps)
+    e = pb.gap_map(unit_x, f)
     m = pb.proj_second
     witness = Homotopy(compose(m, e), f, {})
     return Factorization(e, m, witness, pb)
@@ -195,8 +197,7 @@ def factorization_pullout_square(
     _, counit_x = truncate_ge(x, t)
     sy, counit_y = truncate_ge(y, t)
     above = truncate_map_ge(f, t)
-    comps = block_components(sy, fac.mid, 0, {(1, None): (1, counit_y.comps)})
-    bottom = ChainMap(sy, fac.mid, comps)
+    bottom = fac.mid.gap_map(zero_map(sy, fac.mid.f.source), counit_y)
     return CommutingSquare.strict(counit_x, above, fac.e, bottom)
 
 

@@ -5,11 +5,12 @@ window [lo, hi).  Such a morphism factors into hi - lo stages whose fibers
 are concentrated in single, pairwise distinct degrees: descend the cutoff
 through the truncations of the cofiber and take the fiber of
 Y -> (below-cutoff part of cone f), the pullback along 0 -> B, at each
-step.  The top stage lifts f through the deepest truncation using the
-cofiber's strict null-homotopy (the witness of the pushout cone f), the
-bottom stage is the fiber's projection back onto Y, and every
-intermediate stage is the map of pullbacks (pullback_induced) along a
-restriction of truncations, so the tower composes to f on the nose.
+step.  The top stage is the gap map of f into the deepest fiber, its
+witness the cofiber's strict null-homotopy (the witness of the pushout
+cone f) pushed through the deepest truncation; the bottom stage is the
+fiber's projection back onto Y, and every intermediate stage is the map of
+pullbacks (pullback_induced) along a restriction of truncations, so the
+tower composes to f on the nose.
 
 Construction runs in descending fiber degree (hi-1 down to lo); each stage
 carries its degree label, and checkers treat the labels as a set, so the
@@ -24,8 +25,6 @@ from .complexes import (
     ChainMap,
     Complex,
     Homotopy,
-    Pullback,
-    block_components,
     compose,
     cone,
     cone_homology_dims,
@@ -34,8 +33,8 @@ from .complexes import (
     identity_map,
     is_quasi_iso,
     pullback_induced,
+    terminal_map,
 )
-from .quiver import RepMap
 from .tstruct import TStructure, lt_restriction, truncate_lt
 
 __all__ = [
@@ -110,15 +109,6 @@ def boundedness_window(f: ChainMap) -> BoundWindow | None:
     return BoundWindow(min(supported), max(supported) + 1)
 
 
-def _lift_into_fiber(
-    g: ChainMap, fb: Pullback, null_h: dict[int, RepMap]
-) -> ChainMap:
-    """The strict lift x -> (g x, 0, -h x) of g through fib(q), given a
-    strict null-homotopy h from 0 to q.g."""
-    table = {(0, None): (1, g.comps), (2, None): (-1, null_h)}
-    return ChainMap(g.source, fb, block_components(g.source, fb, 0, table))
-
-
 def postnikov_tower(f: ChainMap) -> Tower:
     window = boundedness_window(f)
     x, y = f.source, f.target
@@ -139,7 +129,7 @@ def postnikov_tower(f: ChainMap) -> Tower:
         m: projections[0].comp(m + 1).compose(h)
         for m, h in cf.witness.comps.items()
     }
-    maps = [_lift_into_fiber(f, fibers[0], pushed)]
+    maps = [fibers[0].gap_map(f, terminal_map(x), pushed)]
     same_y, same_zero = identity_map(y), identity_map(fibers[0].g.source)
     for idx in range(len(cuts) - 1):
         restrict = lt_restriction(cf, cuts[idx + 1], cuts[idx])

@@ -45,6 +45,7 @@ from torsionlab.complexes import (
     is_cocartesian,
     is_pullout,
     is_quasi_iso,
+    pullback_induced,
     random_chain_map,
     random_complex,
     shift,
@@ -647,6 +648,97 @@ def test_pullback_is_the_fiber_of_the_difference_map():
     s = direct_sum_complex(x, y)
     diff = compose(f, s.projection(0)) - compose(g, s.projection(1))
     assert pb == fib(diff)
+
+
+GAP_QUIVERS = ["point", "a2", "kronecker", "d4"]
+
+
+def _cospan(quiver, fld, rng):
+    """Random legs f : X -> Z and g : Y -> Z."""
+    x, y, z = (random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1) for _ in "xyz")
+    return random_chain_map(x, z, rng), random_chain_map(y, z, rng)
+
+
+@pytest.mark.parametrize("name", GAP_QUIVERS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_gap_map_of_a_pullbacks_own_square_is_the_identity(name, p):
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    rng = np.random.default_rng([p, 61])
+    for _ in range(8):
+        pb = homotopy_pullback(*_cospan(quiver, fld, rng))
+        assert pb.gap_map(pb.proj_first, pb.proj_second, pb.witness.comps) == identity_map(pb)
+
+
+@pytest.mark.parametrize("name", GAP_QUIVERS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_cartesian_reads_the_gap_map_of_the_hand_built_table(name, p):
+    """The gap map of a square into the pullback of its right and bottom
+    edges is the table (top, left, -witness) by parts."""
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    rng = np.random.default_rng([p, 62])
+    for _ in range(4):
+        f = _cospan(quiver, fld, rng)[0]
+        for sq in (cone(f).square, fib(f).square):
+            pb, w = homotopy_pullback(sq.right, sq.bottom), sq.top.source
+            table = {
+                (0, None): (1, sq.top.comps),
+                (1, None): (1, sq.left.comps),
+                (2, None): (-1, sq.witness.comps),
+            }
+            by_hand = ChainMap(w, pb, block_components(w, pb, 0, table))
+            assert pb.gap_map(sq.top, sq.left, sq.witness.comps) == by_hand
+            assert is_cartesian(sq) == is_quasi_iso(by_hand)
+
+
+def test_a_square_that_does_not_commute_has_no_gap_map():
+    rng = np.random.default_rng(63)
+    refused = 0
+    for name, fld in itertools.product(GAP_QUIVERS, (F2, F3)):
+        f, g = _cospan(resolve_quiver(name), fld, rng)
+        if f.is_zero():
+            continue
+        pb, x = homotopy_pullback(f, g), f.source
+        # g . 0 = 0 differs from f . id = f
+        with pytest.raises(ValueError, match="chain-map law fails"):
+            pb.gap_map(identity_map(x), zero_map(x, g.source))
+        with pytest.raises(ValueError, match="do not meet the pullback's legs"):
+            pb.gap_map(zero_map(g.source, x), zero_map(x, g.source))
+        refused += 1
+    assert refused
+
+
+@pytest.mark.parametrize("name", GAP_QUIVERS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pullback_induced_is_the_gap_map_of_the_carried_square(name, p):
+    """For a strict cospan map (a, b, c) from (f' a, g' b) to (c f', c g'),
+    the induced map is the gap map of a . proj_first and b . proj_second
+    with the witness carried by c."""
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    rng = np.random.default_rng([p, 64])
+    for _ in range(8):
+        f2, g2 = _cospan(quiver, fld, rng)
+        x, y = (random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1) for _ in "xy")
+        a, b = random_chain_map(x, f2.source, rng), random_chain_map(y, g2.source, rng)
+        z2 = random_complex(quiver, fld, rng, max_dim=2, lo=-1, hi=1)
+        c = random_chain_map(f2.target, z2, rng)
+        pb_from = homotopy_pullback(compose(f2, a), compose(g2, b))
+        pb_to = homotopy_pullback(compose(c, f2), compose(c, g2))
+        carried = {n: c.comp(n + 1).compose(h) for n, h in pb_from.witness.comps.items()}
+        gap = pb_to.gap_map(
+            compose(a, pb_from.proj_first), compose(b, pb_from.proj_second), carried
+        )
+        assert pullback_induced(pb_from, pb_to, a, b, c) == gap
+
+
+def test_pullback_induced_refuses_a_cospan_map_that_does_not_commute():
+    rng = np.random.default_rng(65)
+    f, g = _cospan(Quiver.a2(), F3, rng)
+    while f.is_zero():
+        f, g = _cospan(Quiver.a2(), F3, rng)
+    pb, z = homotopy_pullback(f, g), f.target
+    # 0 . f differs from f . id
+    with pytest.raises(ValueError, match="cospan map does not commute strictly"):
+        pullback_induced(pb, pb, identity_map(f.source), identity_map(g.source), zero_map(z, z))
 
 
 def test_direct_sum_projection_is_quasi_iso_off_acyclic():

@@ -13,6 +13,7 @@ from torsionlab.complexes import (
     Complex,
     CommutingSquare,
     Homotopy,
+    block_components,
     compose,
     cone,
     fib,
@@ -228,6 +229,25 @@ def test_strict_squares_rebuilt_through_the_checking_constructor_are_equal(name)
                 ends = [ChainMap(g.source, g.target, g.comps) for g in (old.from_map, old.to_map)]
                 wit = Homotopy(*ends, old.comps)
                 assert CommutingSquare(sq.top, sq.left, sq.right, sq.bottom, wit) == sq
+
+
+@pytest.mark.parametrize("name", ["point", "a2", "kronecker", "d4"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_and_the_coreflected_face_take_the_gap_maps_of_the_hand_built_tables(name, p):
+    """e is the gap map x -> (unit_x x, f x, 0) into the middle pullback, and
+    the coreflected face's bottom edge is y -> (0, counit_y y, 0)."""
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    rng = np.random.default_rng([p, 54])
+    for n in (-1, 0, 1):
+        x, y = (random_complex(quiver, fld, rng, max_dim=2, lo=-2, hi=2) for _ in "xy")
+        f, t = random_chain_map(x, y, rng), TStructure(n)
+        fac = factor(f, t)
+        unit_x, (sy, counit_y) = truncate_lt(x, t)[1], truncate_ge(y, t)
+        table = {(0, None): (1, unit_x.comps), (1, None): (1, f.comps)}
+        assert fac.e == ChainMap(x, fac.mid, block_components(x, fac.mid, 0, table))
+        table = {(1, None): (1, counit_y.comps)}
+        bottom = ChainMap(sy, fac.mid, block_components(sy, fac.mid, 0, table))
+        assert factorization_pullout_square(f, t, fac).bottom == bottom
 
 
 # -- orthogonality and lifting -------------------------------------------------------

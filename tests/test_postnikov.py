@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionlab.complexes import (
+    ChainMap,
     Complex,
+    block_components,
     cone,
     compose,
     fib,
@@ -34,7 +36,8 @@ from torsionlab.postnikov import (
     verify_tower,
 )
 from torsionlab.quiver import Quiver, QuiverRep, RepMap
-from torsionlab.tstruct import TStructure, heart_contains
+from torsionlab.suite import resolve_quiver
+from torsionlab.tstruct import TStructure, heart_contains, truncate_lt
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -190,6 +193,29 @@ def test_stage_fibers_reproduce_the_fiber_homology(seed):
         fb = fib(st_.map)
         got = homology_dims(fb).get(st_.degree, zero)
         assert got == total.get(st_.degree, zero)
+
+
+@pytest.mark.parametrize("name", ["point", "a2", "kronecker", "d4"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_top_stage_is_the_gap_map_of_the_hand_built_lift(name, p):
+    """The top stage x -> (f x, 0, -h x) lifts f into the deepest fiber,
+    h being the cofiber's null-homotopy pushed through the truncation."""
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    rng = np.random.default_rng([p, 55])
+    lifts = 0
+    for _ in range(8):
+        x, y = (random_complex(quiver, fld, rng, max_dim=2, lo=-2, hi=2) for _ in "xy")
+        f = random_chain_map(x, y, rng)
+        window = boundedness_window(f)
+        if window is None or window.width == 1:
+            continue
+        cf, top = cone(f), postnikov_tower(f).stages[0].map
+        _, pi = truncate_lt(cf, TStructure(window.hi))
+        pushed = {m: pi.comp(m + 1).compose(h) for m, h in cf.witness.comps.items()}
+        fb, table = top.target, {(0, None): (1, f.comps), (2, None): (-1, pushed)}
+        assert top == ChainMap(x, fb, block_components(x, fb, 0, table))
+        lifts += 1
+    assert lifts
 
 
 def test_wide_window_tower():

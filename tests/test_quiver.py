@@ -344,14 +344,14 @@ def degree_readers(sources: dict[str, str]) -> set[tuple[str, str]]:
     )
 
 
-def zero_complex_callers(sources: dict[str, str]) -> set[str]:
-    """The modules that call zero_complex(...) anywhere, top level included."""
+def callers_of(sources: dict[str, str], name: str) -> set[str]:
+    """The modules that call name(...) anywhere, top level included."""
     return {
         module
         for module, text in sources.items()
         for c in ast.walk(ast.parse(text))
         if isinstance(c, ast.Call)
-        and "zero_complex" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+        and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
     }
 
 
@@ -371,7 +371,15 @@ def test_only_tstruct_reads_a_cut_degree_and_only_complexes_calls_zero_complex()
     the zero complex from initial_map and terminal_map."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert degree_readers(sources) == {("suite", "_case_heart")}
-    assert zero_complex_callers(sources) == {"complexes"}
+    assert callers_of(sources, "zero_complex") == {"complexes"}
+
+
+def test_only_complexes_builds_block_maps():
+    """Outside complexes, a map into a homotopy pullback is its gap map
+    (Pullback.gap_map) and a map of pullbacks is pullback_induced; no module
+    lays out a graded sum's blocks by hand."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert callers_of(sources, "block_components") == {"complexes"}
 
 
 def test_the_caller_scan_sees_methods_and_nested_calls():
