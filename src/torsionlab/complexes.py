@@ -187,7 +187,7 @@ class Complex(Lawful):
         return range(self.lo, self.lo + len(self.terms))
 
     def term(self, n: int) -> QuiverRep:
-        if n in self.support:
+        if 0 <= n - self.lo < len(self.terms):
             return self.terms[n - self.lo]
         return QuiverRep.zero(self.quiver, self.field)
 

@@ -2,7 +2,11 @@
 
 Matrices are immutable, row-major numpy int64 arrays with entries reduced to
 [0, p).  Zero-sized matrices (0 x n, n x 0, 0 x 0) are legal everywhere and
-act as the unique linear maps between zero spaces.  Row reduction is
+act as the unique linear maps between zero spaces.  Mat.zeros and
+Mat.identity return one shared read-only matrix per field and shape up to
+_SHARED_CELLS cells (larger ones are built afresh and never kept), and a
+product with an empty operand is Mat.zeros of its shape, with no numpy
+product; nothing ever writes into a matrix's array.  Row reduction is
 Gauss-Jordan with deterministic first-nonzero pivoting: each pivot row is
 scaled by the modular inverse of its pivot, and the pivot column is cleared
 above and below it.  Two kernels run it behind the one entry point
@@ -29,6 +33,7 @@ rows, which hold the identity, and confirms them with one product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,7 +83,13 @@ class PrimeField:
 
 
 class Mat:
-    """Immutable matrix over a prime field."""
+    """Immutable matrix over a prime field; its array is read-only.
+
+    Mat.zeros and Mat.identity share one instance per field and shape up to
+    _SHARED_CELLS cells, and a product with an empty operand is Mat.zeros
+    of its shape.  Equal matrices may or may not be one object, so equality
+    compares field, shape and entries.
+    """
 
     __slots__ = ("field", "a")
 
@@ -100,10 +111,14 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Mat":
+        if rows * cols <= _SHARED_CELLS:
+            return _shared(field, rows, cols, False)
         return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Mat":
+        if n * n <= _SHARED_CELLS:
+            return _shared(field, n, n, True)
         return cls(field, np.eye(n, dtype=np.int64))
 
     # -- shape ----------------------------------------------------------------
@@ -121,7 +136,7 @@ class Mat:
         return self.a.shape
 
     def is_zero(self) -> bool:
-        return not self.a.any()
+        return not np.count_nonzero(self.a)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -133,6 +148,8 @@ class Mat:
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch for product: {self.shape} @ {other.shape}")
+        if not (self.a.size and other.a.size):
+            return Mat.zeros(self.field, self.rows, other.cols)
         return Mat(self.field, self.a @ other.a)
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -153,16 +170,32 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
+        # entries are int64 in [0, p), so equal shapes and bytes mean equal
         return (
             self.field == other.field
-            and self.shape == other.shape
-            and bool(np.array_equal(self.a, other.a))
+            and self.a.shape == other.a.shape
+            and self.a.tobytes() == other.a.tobytes()
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"Mat({self.field}, {self.rows}x{self.cols})"
+
+
+# The largest zero or identity matrix, in cells, that is shared.  The cache
+# holds at most 512 of them, at most 1 MB of entries whatever shapes a run
+# asks for.  Without the bound, the hom space between two points of
+# dimension document.MAX_DIM = 64, 4,096 unknowns and no equations, would
+# pin its kernel basis, a 4,096 x 4,096 identity of 134 MB, for the life of
+# the process.
+_SHARED_CELLS = 256
+
+
+@lru_cache(maxsize=512)
+def _shared(field: PrimeField, rows: int, cols: int, eye: bool) -> Mat:
+    """The shared zero (eye False) or identity (eye True, rows = cols) matrix."""
+    return Mat(field, np.eye(rows, dtype=np.int64) if eye else np.zeros((rows, cols), np.int64))
 
 
 # The cut-off between the two elimination kernels, in cells.  Measured on a

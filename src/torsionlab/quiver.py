@@ -80,16 +80,21 @@ class Quiver:
 class Lawful:
     """An immutable value whose laws are checked where it is built.
 
-    __init__ checks the laws of its type, then stores the fields with _fill
-    (in __slots__ order; Complex and ChainMap normalise them there), and
-    cls._unchecked(*fields) runs _fill alone.  That is allowed only where
-    exact F_p arithmetic makes the result lawful from lawful inputs, or
-    where the caller checked the law another way; data from outside always
-    goes through __init__.  The trusted constructions: RepMap zero,
-    identity, compose, +, - and negation; ChainMap + and negation,
-    identity_map, zero_map and compose; shift, which negates a lawful
-    differential; a graded sum's differential, inclusions and projections
-    (_graded_sum, GradedSum.inclusion and .projection) and block maps
+    __init__ checks the laws of its type, then stores the fields with _fill,
+    and cls._unchecked(*fields) runs _fill alone.  A subclass without a
+    _fill of its own or of a base gets one compiled once from its slot
+    setters, one call per name of __slots__ in order, as dataclasses builds
+    __init__; one that defines or inherits a _fill keeps it (Complex and its
+    graded sums trim their terms there, ChainMap drops its zero components).
+
+    Running _fill alone is allowed only where exact F_p arithmetic makes
+    the result lawful from lawful inputs, or where the caller checked the
+    law another way; data from outside always goes through __init__.  The
+    trusted constructions: RepMap zero, identity, compose, +, - and
+    negation; ChainMap + and negation, identity_map, zero_map and compose;
+    shift, which negates a lawful differential; a graded sum's
+    differential, inclusions and projections (_graded_sum,
+    GradedSum.inclusion and .projection) and block maps
     (block_components), lawful blockwise; CommutingSquare.strict, whose
     zero witness joins two composites it found equal; and complexes whose
     d² was checked on flat graded maps (HomComplex.complex) or by
@@ -105,15 +110,16 @@ class Lawful:
     __slots__ = ()
     __hash__ = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not hasattr(cls, "_fill"):
+            cls._fill = _compile_fill(cls)
+
     @classmethod
     def _unchecked(cls, *fields):
         out = object.__new__(cls)
         out._fill(*fields)
         return out
-
-    def _fill(self, *fields) -> None:
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         key = self._key
@@ -123,6 +129,16 @@ class Lawful:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _compile_fill(cls):
+    """_fill(self, *slots) for cls: each field stored by its slot's setter,
+    which bypasses the guard in __setattr__ as object.__setattr__ does."""
+    names = cls.__slots__
+    scope = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    body = "".join(f"    _set_{n}(self, {n})\n" for n in names)
+    exec(f"def _fill(self, {', '.join(names)}):\n{body}", scope)
+    return scope["_fill"]
 
 
 class QuiverRep(Lawful):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import torsionlab.linalg
-from tests.strategies import complexes, matrices
+from tests.strategies import PRIMES, complexes, matrices
 from torsionlab.complexes import homology_dims
+from torsionlab.document import MAX_DIM
 from torsionlab.linalg import (
     Mat,
     PrimeField,
@@ -96,6 +98,90 @@ def test_zero_sized_answers(p, shape):
     else:
         with pytest.raises(ValueError, match="dependent"):
             quotient(fld, rows, m)
+
+
+# -- shared constants, zero tests, equality and products --------------------------
+
+
+def test_small_zero_and_identity_matrices_are_shared_read_only_constants():
+    side = math.isqrt(torsionlab.linalg._SHARED_CELLS)  # the largest shared identity
+    for p in PRIMES:
+        zero, one = Mat.zeros(PrimeField(p), 3, 4), Mat.identity(PrimeField(p), side)
+        assert Mat.zeros(PrimeField(p), 3, 4) is zero
+        assert Mat.identity(PrimeField(p), side) is one
+        for m in (zero, one):
+            assert not m.a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m.a[0, 0] = 1
+        assert zero.is_zero() and one == Mat(PrimeField(p), np.eye(side, dtype=np.int64))
+    assert Mat.zeros(F2, 3, 4) is not Mat.zeros(F5, 3, 4)
+    assert Mat.zeros(F2, 3, 4) is not Mat.zeros(F2, 4, 3)
+    # a product with an empty operand is the shared zero of its shape
+    assert Mat.zeros(F2, 3, 0) @ Mat.identity(F2, 0) @ Mat.zeros(F2, 0, 4) is Mat.zeros(F2, 3, 4)
+    assert Mat.identity(F2, 2) @ Mat.zeros(F2, 2, 0) is Mat.zeros(F2, 2, 0)
+
+
+def test_shapes_above_the_bound_are_not_kept():
+    """The bound protects a document of points at dimension MAX_DIM: a hom
+    space between two of them has MAX_DIM**2 unknowns and no equations, so
+    its kernel basis is a MAX_DIM**2 identity (134 MB) that must not stay
+    cached.  The same path at MAX_DIM unknowns is above the bound too."""
+    bound = torsionlab.linalg._SHARED_CELLS
+    assert (MAX_DIM**2) ** 2 > MAX_DIM**2 > bound
+    side = math.isqrt(bound) + 1
+    no_equations = Mat.zeros(F2, 0, MAX_DIM)
+    cached = torsionlab.linalg._shared.cache_info().currsize
+    kernel = kernel_basis(no_equations)
+    assert kernel == Mat(F2, np.eye(MAX_DIM, dtype=np.int64))
+    assert kernel is not kernel_basis(no_equations)
+    assert Mat.identity(F2, side) is not Mat.identity(F2, side)
+    assert Mat.zeros(F2, 1, bound + 1) is not Mat.zeros(F2, 1, bound + 1)
+    assert torsionlab.linalg._shared.cache_info().currsize == cached
+
+
+@st.composite
+def viewed(draw, p: int, rows: int, cols: int):
+    """(Mat over F_p, the numpy array it stands for), the Mat built from a
+    plain array, a transpose or a selection of columns, entries unreduced."""
+    def entries(r, c):
+        drawn = draw(st.lists(st.integers(-p, 2 * p), min_size=r * c, max_size=r * c))
+        return np.asarray(drawn, dtype=np.int64).reshape(r, c)
+
+    kind = draw(st.sampled_from(("plain", "transpose", "columns")))
+    if kind == "transpose":
+        view = entries(cols, rows).T
+    elif kind == "columns":
+        picks = draw(st.lists(st.integers(0, cols + 1), min_size=cols, max_size=cols))
+        view = entries(rows, cols + 2)[:, picks]
+    else:
+        view = entries(rows, cols)
+    return Mat(PrimeField(p), view), view % p
+
+
+@given(st.sampled_from(PRIMES), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_zero_test_equality_and_product_agree_with_numpy(p, rows, inner, cols, data):
+    (a, ref_a), (b, ref_b) = data.draw(viewed(p, rows, inner)), data.draw(viewed(p, inner, cols))
+    c, ref_c = data.draw(viewed(p, rows, inner))
+    assert a.is_zero() == (not ref_a.any())
+    assert (a == c) == np.array_equal(ref_a, ref_c) == (not a != c)
+    assert a == Mat(a.field, ref_a.copy()) and not a != Mat(a.field, ref_a.copy())
+    product = a @ b
+    assert product.field == a.field and product.shape == (rows, cols)
+    assert np.array_equal(product.a, (ref_a @ ref_b) % p)
+    # never equal across fields or shapes, even with the same entries
+    for q in PRIMES:
+        assert (Mat(PrimeField(q), ref_a) == a) == (q == p)
+    if rows != inner:
+        assert a != Mat(a.field, ref_a.reshape(inner, rows))
+    assert (a == Mat(a.field, ref_a.reshape(1, -1))) == (rows == 1)
+
+
+def test_a_transposed_matrix_is_not_c_contiguous():
+    """The view case of the test above reaches a Mat whose array is not
+    C-ordered; equality reads its entries in row order all the same."""
+    m = Mat(F5, np.arange(6).reshape(2, 3).T)
+    assert not m.a.flags.c_contiguous
+    assert m == Mat(F5, [[0, 3], [1, 4], [2, 0]])
 
 
 def test_solve_reports_inconsistency():

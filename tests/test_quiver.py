@@ -12,7 +12,10 @@ from torsionlab.complexes import (
     ChainMap,
     CommutingSquare,
     Complex,
+    GradedSum,
     Homotopy,
+    Pullback,
+    Pushout,
     cone,
     fib,
     homotopy_pullback,
@@ -413,6 +416,43 @@ def test_lawful_values_refuse_assignment():
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
             setattr(value, field, None)
         assert not hasattr(value, "__dict__")
+
+
+def _lawful_classes() -> list[type]:
+    out, todo = [], [Lawful]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        out += subs
+        todo += subs
+    return out
+
+
+def test_every_lawful_class_stores_its_fields_through_its_own_fill():
+    """A class without a hand-written _fill gets its own, compiled from its
+    slots; graded sums keep Complex's, which trims, and ChainMap keeps its
+    own, which drops zero components."""
+    hand_written = {Complex: Complex, GradedSum: Complex, Pullback: Complex,
+                    Pushout: Complex, ChainMap: ChainMap}
+    classes = _lawful_classes()
+    assert set(hand_written) <= set(classes)
+    for cls in classes:
+        if cls in hand_written:
+            assert cls._fill is vars(hand_written[cls])["_fill"], cls
+            continue
+        assert "_fill" in vars(cls), cls
+        fields = [object() for _ in cls.__slots__]
+        value = cls._unchecked(*fields)
+        assert all(getattr(value, n) is f for n, f in zip(cls.__slots__, fields)), cls
+        with pytest.raises(TypeError):
+            cls._unchecked(*fields[:-1])
+    a = _a2_rep((1, 1), [1])
+    zero = QuiverRep.zero(a.quiver, F2)
+    for cls in (Complex, GradedSum, Pullback, Pushout):
+        diffs = (RepMap.zero(a, zero), RepMap.zero(zero, a))
+        x = cls._unchecked(a.quiver, F2, -1, (zero, a, zero), diffs)
+        assert (x.lo, x.terms, x.diffs) == (0, (a,), ()), cls
+    x = Complex(a.quiver, F2, 0, (a,), ())
+    assert ChainMap._unchecked(x, x, {0: RepMap.zero(a, a)}).comps == {}
 
 
 # -- value equality: one rule on Lawful for all six value types --------------------
