@@ -3,7 +3,8 @@
 Grading is homological: the differential lowers degree, d_n : X_n -> X_{n-1},
 and d_{n} d_{n+1} = 0 is enforced at construction (Complex, ChainMap,
 Homotopy and CommutingSquare are quiver.Lawful values; Lawful says when a
-check is skipped).
+check is skipped).  The d², chain-map and homotopy laws are checked on the
+raw vertex arrays of the maps involved, with no composite built.
 The conventions below are part of the API contract; all higher
 constructions are derived from them and tests/test_conventions.py pins them
 bit for bit.  Direct sums stack their summands in the order written, at
@@ -26,7 +27,10 @@ cone's blocks without building it), and every "X equals Y in D" claim is an
 explicit comparison map plus that test.
 
 homotopy_pushout and homotopy_pullback return a GradedSum, which is the
-complex it builds; every map into a pullback is its gap map (gap_map).
+complex it builds; every map into a pullback is its gap map (gap_map).  A
+degree where one part alone is nonzero reuses that part: the sum's term is
+the part's term itself, and a differential block that fills the whole
+vertex matrix is the part's own matrices, negated where its sign is -1.
 cone(f) is the pushout of f and terminal_map(X) : X -> 0, the cofiber, with
 inj_first . f null-homotopic by its witness; fib(f) is the pullback of f and
 initial_map(Y) : 0 -> Y, with f . proj_first null-homotopic by its witness.
@@ -69,6 +73,7 @@ from .quiver import (
     Quiver,
     QuiverRep,
     RepMap,
+    _law_breaks,
     cycle_coords,
     direct_sum,
     graded_from_flat,
@@ -139,7 +144,7 @@ class Complex(Lawful):
     ):
         self._fill(quiver, field, lo, terms, diffs)
         for i in range(len(diffs) - 1):
-            if not diffs[i].compose(diffs[i + 1]).is_zero():
+            if _law_breaks(field.p, [(1, diffs[i], diffs[i + 1])]) is not None:
                 raise ValueError("d-squared law fails")
 
     def _fill(self, quiver, field, lo, terms, diffs) -> None:
@@ -238,10 +243,10 @@ class ChainMap(Lawful):
         # both sides of the law at n vanish unless a component sits at n or
         # n - 1, so only those degrees are checked, however far apart the
         # two supports lie
+        f, d_x, d_y = self.comps.get, source._stored_diff, target._stored_diff
         for n in sorted({m for k in self.comps for m in (k, k + 1)}):
-            lhs = _after(target._stored_diff(n), self.comps.get(n))
-            rhs = _after(self.comps.get(n - 1), source._stored_diff(n))
-            if not _agree(lhs, rhs):
+            terms = (1, d_y(n), f(n)), (-1, f(n - 1), d_x(n))
+            if _law_breaks(source.field.p, terms) is not None:
                 raise ValueError(f"chain-map law fails at degree {n}")
 
     def _fill(self, source: Complex, target: Complex, comps: dict[int, RepMap]) -> None:
@@ -277,32 +282,6 @@ class ChainMap(Lawful):
 
     def __repr__(self) -> str:
         return f"ChainMap({self.source!r} -> {self.target!r})"
-
-
-def _after(outer: RepMap | None, inner: RepMap | None) -> RepMap | None:
-    """outer . inner, with None standing for a zero map; an absent factor
-    makes the composite zero without building it."""
-    if outer is None or inner is None:
-        return None
-    return outer.compose(inner)
-
-
-def _plus(lhs: RepMap | None, rhs: RepMap | None) -> RepMap | None:
-    """lhs + rhs, with None standing for a zero map."""
-    if lhs is None:
-        return rhs
-    if rhs is None:
-        return lhs
-    return lhs + rhs
-
-
-def _agree(lhs: RepMap | None, rhs: RepMap | None) -> bool:
-    """Equality of two maps known to share their endpoints, None being zero."""
-    if lhs is None:
-        return rhs is None or rhs.is_zero()
-    if rhs is None:
-        return lhs.is_zero()
-    return lhs.components == rhs.components
 
 
 def identity_map(x: Complex) -> ChainMap:
@@ -355,13 +334,11 @@ class Homotopy(Lawful):
         # both sides of the law at n vanish unless a component of h sits at
         # n or n - 1, or one of the two maps has one at n
         degs = {m for k in kept for m in (k, k + 1)} | set(from_map.comps) | set(to_map.comps)
+        h, d_x, d_y = kept.get, x._stored_diff, y._stored_diff
         for n in sorted(degs):
-            # from + d h + h d = to, an absent map or differential being zero
-            got = _plus(
-                _plus(from_map.comps.get(n), _after(y._stored_diff(n + 1), kept.get(n))),
-                _after(kept.get(n - 1), x._stored_diff(n)),
-            )
-            if not _agree(got, to_map.comps.get(n)):
+            # from + d h + h d - to = 0, an absent map or differential being zero
+            terms = (1, from_map.comps.get(n)), (1, d_y(n + 1), h(n)), (1, h(n - 1), d_x(n))
+            if _law_breaks(x.field.p, (*terms, (-1, to_map.comps.get(n)))) is not None:
                 raise ValueError(f"homotopy law fails at degree {n}")
 
     def __repr__(self) -> str:
@@ -582,13 +559,16 @@ def _sum_table(parts, twists):
 def _blocks(parts, fld, n, src, tgt, table):
     """Vertex matrices holding the table's blocks, with the source parts read
     in degree n; src and tgt are (offsets by part, dims) of the two sides.
-    None when every block is absent."""
+    None when every block is absent; a block that fills them all, leaving
+    the rest empty, gives its own matrices, negated when its sign is -1."""
     (src_at, src_dims), (tgt_at, tgt_dims) = src, tgt
     mats = None
     for (j, i), (sign, maps) in table.items():
         g = maps.get(n - parts[i][1])
         if g is None:
             continue
+        if g.source.dims == src_dims and g.target.dims == tgt_dims:
+            return g.components if sign == 1 else tuple(-b for b in g.components)
         if mats is None:
             mats = [np.zeros(shape, dtype=np.int64) for shape in zip(tgt_dims, src_dims)]
         for a, b, row, col in zip(mats, g.components, tgt_at[j], src_at[i]):

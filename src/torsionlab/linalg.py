@@ -165,7 +165,7 @@ class Mat:
         return Mat(self.field, self.a - other.a)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.field, -self.a)
+        return Mat(self.field, -self.a) if self.a.size else self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
@@ -387,7 +387,7 @@ def kernel_coords(basis: Mat, b: Mat) -> Mat | None:
     x = b.a[free]
     if not np.array_equal(basis.a[rest] @ x % basis.field.p, b.a[rest]):
         return None
-    return Mat(basis.field, x)
+    return Mat(basis.field, x) if x.size else Mat.zeros(basis.field, *x.shape)
 
 
 def image_basis(m: Mat) -> Mat:
@@ -443,6 +443,8 @@ def quotient(field: PrimeField, ambient_dim: int, basis: Mat) -> tuple[Mat, Mat]
     # the row operations E reduce [basis | I] to [E basis | E]; the pivot
     # columns are cob = [basis | the chosen unit vectors] and E cob = I, so
     # the right block E is cob^-1 and its bottom rows are quotient coordinates
+    if k == ambient_dim:  # nothing is left, and both maps have no entries
+        return Mat.zeros(field, 0, k), Mat.zeros(field, k, 0)
     comp = [c - k for c in piv[k:]]
     proj = Mat(field, aug[k:, k:])
     sect = Mat(field, np.eye(ambient_dim, dtype=np.int64)[:, comp])

@@ -81,7 +81,10 @@ class Lawful:
     """An immutable value whose laws are checked where it is built.
 
     __init__ checks the laws of its type, then stores the fields with _fill,
-    and cls._unchecked(*fields) runs _fill alone.  A subclass without a
+    and cls._unchecked(*fields) runs _fill alone.  Every law (intertwiner,
+    d², chain map, homotopy) is one call of _law_breaks, a sum of signed
+    products of raw vertex arrays tested against 0 mod p; no composite
+    RepMap or Mat is built to be compared and dropped.  A subclass without a
     _fill of its own or of a base gets one compiled once from its slot
     setters, one call per name of __slots__ in order, as dataclasses builds
     __init__; one that defines or inherits a _fill keeps it (Complex and its
@@ -95,16 +98,20 @@ class Lawful:
     shift, which negates a lawful differential; a graded sum's
     differential, inclusions and projections (_graded_sum,
     GradedSum.inclusion and .projection) and block maps
-    (block_components), lawful blockwise; CommutingSquare.strict, whose
+    (block_components), lawful blockwise, which reuse rather than copy: a
+    degree with one nonzero part holds that part's term itself (direct_sum)
+    and a block filling every vertex matrix gives its own matrices
+    (_blocks), negated for sign -1; CommutingSquare.strict, whose
     zero witness joins two composites it found equal; and complexes whose
     d² was checked on flat graded maps (HomComplex.complex) or by
     parse_document.
 
-    Equality and hashing are decided here too.  Each type names the fields
-    it is compared on in one getter, _key; two values are equal when they
-    share that getter and its fields are equal, so a subclass that keeps
-    the getter (a GradedSum) equals any plain Complex with the same terms
-    and differentials.  No value is hashable.
+    Equality and hashing are decided here too.  A value equals itself at
+    once, and each type names the fields it is compared on in one getter,
+    _key; two values are equal when they share that getter and its fields
+    are equal, so a subclass that keeps the getter (a GradedSum) equals any
+    plain Complex with the same terms and differentials.  No value is
+    hashable.
     """
 
     __slots__ = ()
@@ -122,6 +129,8 @@ class Lawful:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         key = self._key
         if getattr(other, "_key", None) is not key:
             return NotImplemented
@@ -212,9 +221,14 @@ class RepMap(Lawful):
             want = (target.dim(v), source.dim(v))
             if c.shape != want:
                 raise ValueError(f"component at {v} has shape {c.shape}, expected {want}")
-        for (src, tgt), a_s, a_t in zip(quiver.arrows, source.arrow_maps, target.arrow_maps):
-            i, j = quiver.index(src), quiver.index(tgt)
-            if (a_t @ components[i]) != (components[j] @ a_s):
+            if c.field is not source.field and c.field != source.field:
+                raise ValueError(f"component at {v} over the wrong field")
+        if quiver.arrows:  # a_t c_src - c_tgt a_s = 0 on every arrow
+            at_src = tuple(components[quiver.index(s)] for s, _ in quiver.arrows)
+            at_tgt = tuple(components[quiver.index(t)] for _, t in quiver.arrows)
+            terms = ((1, target.arrow_maps, at_src), (-1, at_tgt, source.arrow_maps))
+            if (broken := _law_breaks(source.field.p, terms)) is not None:
+                src, tgt = quiver.arrows[broken]
                 raise ValueError(f"intertwiner law fails on arrow ({src}, {tgt})")
         self._fill(source, target, tuple(components))
 
@@ -274,6 +288,29 @@ class RepMap(Lawful):
         return f"RepMap({self.source!r} -> {self.target!r})"
 
 
+def _law_breaks(p: int, terms) -> int | None:
+    """The first index v at which the sum over terms (sign, outer, inner) of
+    sign * outer[v] @ inner[v] is not 0 mod p, or None; (sign, outer) is
+    outer alone.  A factor is a RepMap or a tuple of matrices indexed alike,
+    and None, a zero map, drops its term.  Only raw arrays are multiplied
+    and summed, empty ones skipped: no Mat, RepMap or composite is built."""
+    live = []
+    for sign, outer, *inner in terms:
+        if outer is not None and not (inner and inner[0] is None):
+            inner = getattr(inner[0], "components", inner[0]) if inner else None
+            live.append((sign > 0, getattr(outer, "components", outer), inner))
+    for v in range(len(live[0][1]) if live else 0):
+        acc = None
+        for plus, outer, inner in live:
+            a, b = outer[v].a, None if inner is None else inner[v].a
+            if a.size and (b is None or b.size):
+                a = a if b is None else a @ b
+                acc = (a if plus else -a) if acc is None else (acc + a if plus else acc - a)
+        if acc is not None and acc.any() and (acc % p).any():
+            return v
+    return None
+
+
 def flat_dim(source: QuiverRep, target: QuiverRep) -> int:
     return sum(t * s for t, s in zip(target.dims, source.dims))
 
@@ -284,10 +321,11 @@ def graded_from_flat(
     """Inverse of RepMap.flat: the vertex components, not yet checked as an
     intertwiner."""
     comps = []
-    off = 0
+    off, fld = 0, source.field
     for t, s in zip(target.dims, source.dims):
-        comps.append(Mat(source.field, vec[off : off + t * s], shape=(t, s)))
-        off += t * s
+        n = t * s
+        comps.append(Mat(fld, vec[off : off + n], shape=(t, s)) if n else Mat.zeros(fld, t, s))
+        off += n
     return tuple(comps)
 
 
@@ -426,7 +464,8 @@ def direct_sum(*reps: QuiverRep) -> tuple[QuiverRep, tuple[tuple[int, ...], ...]
     """The biproduct of reps, stacked in order at every vertex.
 
     Returns the sum and offsets[i][v], the first coordinate of summand i at
-    vertex v; arrow maps are block diagonal in the same order.
+    vertex v; arrow maps are block diagonal in the same order.  With at most
+    one nonzero summand the sum is that summand itself (or the zero rep).
     """
     quiver, field = reps[0].quiver, reps[0].field
     if any(r.quiver != quiver or r.field != field for r in reps):
@@ -435,6 +474,9 @@ def direct_sum(*reps: QuiverRep) -> tuple[QuiverRep, tuple[tuple[int, ...], ...]
     for r in reps:
         offsets.append(at)
         at = tuple(o + d for o, d in zip(at, r.dims))
+    live = [r for r in reps if not r.is_zero()]
+    if len(live) < 2:
+        return (live[0] if live else _zero_rep(quiver, field)), tuple(offsets)
     arrow_maps = []
     for idx, (src, tgt) in enumerate(quiver.arrows):
         i, j = quiver.index(src), quiver.index(tgt)

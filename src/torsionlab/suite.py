@@ -334,6 +334,8 @@ def _case_pullout(rng, fld, quiver, t, config, case):
             )
     if not is_pullout(fib(f).square):
         raise _Fail("fiber square is not a pullout", maps={"f": f})
+    if is_pullout(sq_zero) != (not any(any(d) for d in homology_dims(x).values())):
+        raise _Fail("pullout test of the zero square disagrees with H(x)", complexes={"x": x})
 
 
 def _case_t_axioms(rng, fld, quiver, t, config, case):

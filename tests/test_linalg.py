@@ -23,6 +23,7 @@ from torsionlab.linalg import (
     rref,
     solve,
 )
+from torsionlab.quiver import Quiver, QuiverRep, graded_from_flat
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -119,6 +120,25 @@ def test_small_zero_and_identity_matrices_are_shared_read_only_constants():
     # a product with an empty operand is the shared zero of its shape
     assert Mat.zeros(F2, 3, 0) @ Mat.identity(F2, 0) @ Mat.zeros(F2, 0, 4) is Mat.zeros(F2, 3, 4)
     assert Mat.identity(F2, 2) @ Mat.zeros(F2, 2, 0) is Mat.zeros(F2, 2, 0)
+
+
+def test_answers_without_entries_are_the_shared_zeros():
+    """quotient, kernel_coords and graded_from_flat build no matrix without
+    cells: each returns Mat.zeros of its shape."""
+    for p in PRIMES:
+        fld = PrimeField(p)
+        for n in (0, 3):
+            proj, sect = quotient(fld, n, Mat.identity(fld, n))
+            assert proj is Mat.zeros(fld, 0, n) and sect is Mat.zeros(fld, n, 0)
+        # no columns to write, or a zero basis: coordinates of no cells
+        basis = kernel_basis(Mat(fld, [[1, 1]]))
+        assert kernel_coords(basis, Mat.zeros(fld, 2, 0)) is Mat.zeros(fld, 1, 0)
+        assert kernel_coords(Mat.zeros(fld, 2, 0), Mat.zeros(fld, 2, 3)) is Mat.zeros(fld, 0, 3)
+        assert kernel_coords(Mat.zeros(fld, 2, 0), Mat.identity(fld, 2)) is None
+        a, b = (QuiverRep(Quiver.a2(), fld, dims, (Mat.zeros(fld, dims[1], dims[0]),))
+                for dims in ((2, 0), (1, 3)))
+        comps = graded_from_flat(a, b, np.arange(2, dtype=np.int64))
+        assert comps[1] is Mat.zeros(fld, 3, 0) and comps[0] == Mat(fld, [[0, 1]])
 
 
 def test_shapes_above_the_bound_are_not_kept():

@@ -166,6 +166,11 @@ def test_direct_sum_biproduct_laws(a):
     b = random_rep(a.quiver, a.field, 3, rng)
     s, offsets = direct_sum(a, b, a)
     assert offsets == ((0,) * len(a.dims), a.dims, tuple(d + e for d, e in zip(a.dims, b.dims)))
+    # with at most one nonzero summand the sum is that summand itself
+    zero = QuiverRep.zero(a.quiver, a.field)
+    alone, at = direct_sum(zero, a, zero)
+    assert alone is (zero if a.is_zero() else a)
+    assert at == ((0,) * len(a.dims), (0,) * len(a.dims), a.dims)
     assert s.dims == tuple(2 * d + e for d, e in zip(a.dims, b.dims))
 
     def inj(rep, at):  # checked: the blocks at the offsets are intertwiners

@@ -142,3 +142,18 @@ def test_forced_failure_reports_are_pinned(monkeypatch, scenario):
     assert not report.ok
     text = re.sub(r"  \(\d+\.\d+s\)$", "", report_text(report), flags=re.M)
     assert (_sha(report_json(report)), _sha(text)) == PINNED[scenario], text
+
+
+def test_pullout_agreement_catches_a_pullout_test_that_always_says_yes(monkeypatch):
+    """The zero square on x is a pullout exactly when x is acyclic, so an
+    is_pullout that answers True on every square fails pullout-agreement as
+    soon as a case draws an x with homology; every other pullout check of
+    the property passes under that mutant."""
+    config = SuiteConfig(cases=6, max_dim=2, window=(-1, 1), seed=3)
+    names = suite.property_names()
+    idx = names.index("pullout-agreement")
+    assert run_suite(config).results[idx].ok
+    monkeypatch.setattr(suite, "is_pullout", lambda sq: True)
+    result = run_suite(config).results[idx]
+    assert result.failed
+    assert result.counterexample["detail"] == "pullout test of the zero square disagrees with H(x)"
