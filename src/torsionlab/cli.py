@@ -6,11 +6,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 
-from .document import DocumentError, _dumps, document_of, document_tree, parse_document
-from .document import serialize_document
+from .document import DocumentError, _dumps, _load_json, document_of, document_tree
+from .document import parse_document, serialize_document
 from .factorization import factor, normality_report
 from .postnikov import postnikov_tower, verify_tower
 from .suite import (
@@ -23,9 +22,9 @@ from .suite import (
 from .tstruct import TStructure, truncate_ge, truncate_lt
 
 
-def _load_document(path: str):
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_document(fh.read())
+        return fh.read()
 
 
 def _pick(table: dict, name: str, kind: str):
@@ -37,8 +36,7 @@ def _pick(table: dict, name: str, kind: str):
 
 def _cmd_verify(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = SuiteConfig.from_tree(json.load(fh))
+        config = SuiteConfig.from_tree(_load_json(_read(args.config), "config"))
     else:
         config = SuiteConfig()
     overrides = {}
@@ -58,7 +56,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    doc = _load_document(args.document)
+    doc = parse_document(_read(args.document))
     f = _pick(doc.maps, args.map, "map")
     fac = factor(f, TStructure(args.shift))
     out = document_of(doc.quiver, doc.field, maps={"e": fac.e, "m": fac.m})
@@ -67,7 +65,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
-    doc = _load_document(args.document)
+    doc = parse_document(_read(args.document))
     x = _pick(doc.complexes, args.object, "complex")
     t = TStructure(args.at)
     if args.side == "ge":
@@ -84,7 +82,7 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_postnikov(args) -> int:
-    doc = _load_document(args.document)
+    doc = parse_document(_read(args.document))
     f = _pick(doc.maps, args.map, "map")
     tower = postnikov_tower(f)
     stages = {f"stage{i}": s.map for i, s in enumerate(tower.stages)}
@@ -101,7 +99,7 @@ def _cmd_postnikov(args) -> int:
 
 
 def _cmd_normality(args) -> int:
-    doc = _load_document(args.document)
+    doc = parse_document(_read(args.document))
     x = _pick(doc.complexes, args.object, "complex")
     report = normality_report(x, TStructure(args.shift))
     tree = dataclasses.asdict(report)
@@ -111,8 +109,7 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.infile, encoding="utf-8") as fh:
-        tree = json.load(fh)
+    tree = _load_json(_read(args.infile), "report")
     sys.stdout.write(render_tree(tree, args.format))
     return 0 if tree.get("ok") else 1
 
@@ -177,7 +174,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (DocumentError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DocumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

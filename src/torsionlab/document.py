@@ -162,17 +162,24 @@ def parse_quiver(tree) -> Quiver:
         raise DocumentError(f"bad quiver: {exc}") from None
 
 
+def _load_json(text: str, what: str):
+    """The JSON value of text, refusing values nested past the decoder's
+    recursion limit with a DocumentError "<what> nests too deeply"."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise DocumentError(f"{what} nests too deeply") from None
+
+
 def parse_document(text: str) -> Document:
     try:
-        tree = json.loads(text)
+        tree = _load_json(text, "document")
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             line=exc.lineno,
             col=exc.colno,
         ) from None
-    except RecursionError:
-        raise DocumentError("document nests too deeply") from None
     _typed(tree, dict, "document")
     version = tree.get("format_version")
     if not _is_int(version) or version != FORMAT_VERSION:

@@ -21,7 +21,6 @@ exception passed through.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
@@ -53,7 +52,7 @@ from .complexes import (
     shift,
     terminal_map,
 )
-from .document import MAX_DIM, _dumps, document_of, parse_quiver, serialize_document
+from .document import MAX_DIM, _dumps, _load_json, document_of, parse_quiver, serialize_document
 from .factorization import (
     antitone_check,
     factor,
@@ -67,7 +66,7 @@ from .factorization import (
     solve_lifting,
     three_for_two_check,
 )
-from .linalg import Mat, PrimeField, rank
+from .linalg import PrimeField, rank
 from .postnikov import postnikov_tower, verify_tower
 from .quiver import Quiver, rep_cokernel, rep_kernel
 
@@ -111,7 +110,7 @@ def resolve_quiver(name: str) -> Quiver:
         return _NAMED_QUIVERS[key]
     if os.path.exists(name):
         with open(name, encoding="utf-8") as fh:
-            return parse_quiver(json.load(fh))
+            return parse_quiver(_load_json(fh.read(), "quiver file"))
     raise ValueError(
         f"unknown quiver {name!r} (try point, a2, a3, kronecker, d4, or a file path)"
     )
@@ -485,52 +484,26 @@ def _case_postnikov(rng, fld, quiver, t, config, case):
         raise _Fail(f"stage degrees {degrees} do not enumerate the window", maps=shown)
 
 
-# -- degree-wise mapping-space counter, assembled from scratch ------------------
-
-
-def _graded_map_boundary(x: Complex, y: Complex, n: int, fld) -> Mat:
-    """Matrix of f |-> d.f - (-1)^n f.d on degree-n graded maps, via Kronecker
-    blocks on raw matrix entries.  Point quiver only."""
-    if x.is_zero() or y.is_zero():
-        return Mat.zeros(fld, 0, 0)
-    slots = list(range(x.lo, x.hi + 1))
-    cols = {i: x.term(i).dims[0] * y.term(i + n).dims[0] for i in slots}
-    rows = {i: x.term(i).dims[0] * y.term(i + n - 1).dims[0] for i in slots}
-    sign = fld.p - 1 if n % 2 else 1
-    total_rows, total_cols = sum(rows.values()), sum(cols.values())
-    out = np.zeros((total_rows, total_cols), dtype=np.int64)
-    row_off = {}
-    acc = 0
-    for i in slots:
-        row_off[i] = acc
-        acc += rows[i]
-    col_off = {}
-    acc = 0
-    for i in slots:
-        col_off[i] = acc
-        acc += cols[i]
-    for i in slots:
-        dy = y.diff(i + n).components[0].a
-        dx = x.diff(i).components[0].a
-        xi = x.term(i).dims[0]
-        yi = y.term(i + n - 1).dims[0]
-        if cols[i] and rows[i]:
-            blk = np.kron(dy, np.eye(xi, dtype=np.int64))
-            out[row_off[i] : row_off[i] + rows[i], col_off[i] : col_off[i] + cols[i]] += blk
-        if i - 1 in col_off and cols[i - 1] and rows[i]:
-            blk = (fld.p - sign) % fld.p * np.kron(np.eye(yi, dtype=np.int64), dx.T)
-            out[row_off[i] : row_off[i] + rows[i], col_off[i - 1] : col_off[i - 1] + cols[i - 1]] += blk
-    return Mat(fld, out % fld.p)
+# -- homotopy classes counted by Künneth from the ends' own ranks ---------------
 
 
 def _class_dim_direct(x: Complex, y: Complex, n: int, fld) -> int:
-    d_n = _graded_map_boundary(x, y, n, fld)
-    d_up = _graded_map_boundary(x, y, n + 1, fld)
-    return d_n.cols - rank(d_n) - rank(d_up)
+    """dim H_n Hom(X, Y) by Künneth: the sum over i of dim H_i(X) *
+    dim H_{i+n}(Y), each read as dim X_i - rank d_i - rank d_{i+1} off the
+    ends' own differentials (point quiver only; fld is not read).  It shares
+    only `rank`, on the ends' small matrices, with the mapping complex."""
+
+    def h(c: Complex, i: int) -> int:
+        out, into = c.diff(i).components[0], c.diff(i + 1).components[0]
+        return c.term(i).dims[0] - rank(out) - rank(into)
+
+    return sum(h(x, i) * h(y, i + n) for i in x.support)
 
 
 def _micro_pair(case: int) -> tuple[Complex, Complex, PrimeField]:
-    """Instance `case` of the fixed micro enumeration (seed-independent)."""
+    """Instance `case` of the fixed micro enumeration (seed-independent):
+    nonzero point-quiver complexes, over F2 for the first half of the cases
+    and F3 for the rest, whose differentials have rank at most 2."""
     half = FIXED_CASES["hom-oracle"] // 2
     p = 2 if case < half else 3
     k = case % half

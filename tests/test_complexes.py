@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import torsionlab.complexes as complexes_module
+import torsionlab.suite as suite
 from tests.strategies import chain_maps, complexes, random_rep_map, transport_map
 from torsionlab.complexes import (
     ChainMap,
@@ -376,6 +377,26 @@ def test_hom_complex_differentials_square_to_zero(quiver, p, seed):
     diffs = [d.components[0].a for d in hom_complex(x, y).complex.diffs]
     for lower, upper in zip(diffs, diffs[1:]):
         assert not (lower @ upper % p).any()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_kunneth_count_of_the_hom_oracle_matches_the_hom_complex(p):
+    """The Künneth count behind the suite's hom-oracle equals the mapping
+    complex's homology on seeded point-quiver pairs wider than its micro
+    enumeration: dims up to 4 on windows of up to 5 degrees, where the
+    ends' own differentials reach rank 3 and more."""
+    fld, top = PrimeField(p), 0
+    for seed in range(100):
+        rng = np.random.default_rng([p, seed])
+        x, y = ends = [
+            random_complex(PT, fld, rng, max_dim=4, lo=lo, hi=lo + 4)
+            for lo in rng.integers(-3, 1, size=2).tolist()
+        ]
+        top = max([top] + [rank(d.components[0]) for c in ends for d in c.diffs])
+        dims = homology_dims(hom_complex(x, y).complex)
+        for n in range(y.lo - x.hi - 1, y.hi - x.lo + 2):
+            assert suite._class_dim_direct(x, y, n, fld) == dims.get(n, (0,))[0], (seed, n)
+    assert top >= 3
 
 
 @given(complexes(max_dim=2, lo=-1, hi=1))

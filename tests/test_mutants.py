@@ -1,0 +1,83 @@
+"""Mutants of src/torsionlab, each with the suite properties that kill it.
+
+A row names a module of the package, an exact text in it (found once), its
+replacement and the properties expected to kill the mutant.  The row is
+applied to a copy of the package imported under its own name, as
+scripts/case_pairs.py does, so the mutant lives beside the real package.
+Only the named properties are replayed, case by case in order, through the
+copy's suite.replay_case under the default config; each must fail on some
+case.  A property that is the only killer of a row cannot go without a
+replacement.
+"""
+
+from __future__ import annotations
+
+import importlib
+import shutil
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "torsionlab"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+def _rank_one_less(name: str, when: str) -> Mutant:
+    """linalg.rank returning one less whenever `when` holds of its true
+    rank r (and the matrix m)."""
+    old = "def rank(m: Mat) -> int:\n"
+    new = (
+        f"{old}    r = _exact_rank(m)\n"
+        f"    return r - 1 if {when} else r\n\n\n"
+        "def _exact_rank(m: Mat) -> int:\n"
+    )
+    return Mutant(name, "linalg.py", old, new, ("hom-oracle",))
+
+
+ROWS = (
+    _rank_one_less("rank-less-from-3", "r >= 3"),
+    _rank_one_less("rank-less-from-2", "r >= 2"),
+    _rank_one_less("rank-less-from-1", "r >= 1"),
+    _rank_one_less("rank-less-from-3-over-F3", "r >= 3 and m.field.p == 3"),
+    Mutant(
+        "hom-differential-without-pre-part",
+        "complexes.py",
+        "        if self._is_slot(n - 1, i + 1):\n"
+        "            pre = pre_op(x.diff(i + 1), y.term(i + n), b)\n"
+        "            out.append((i + 1, (pre if n % 2 else -pre) % x.field.p))\n",
+        "",
+        ("hom-oracle",),
+    ),
+)
+
+
+def _mutant_suite(row: Mutant, root: Path, monkeypatch):
+    """The suite module of a copy of the package with row applied."""
+    package = "mutant_" + row.name.replace("-", "_")
+    shutil.copytree(SRC, root / package, ignore=shutil.ignore_patterns("__pycache__"))
+    path = root / package / row.module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(row.old) == 1, f"{row.name}: the old text is not in {row.module} once"
+    path.write_text(text.replace(row.old, row.new), encoding="utf-8")
+    monkeypatch.syspath_prepend(str(root))
+    return importlib.import_module(f"{package}.suite")
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_each_mutant_is_killed_by_its_properties(row, tmp_path, monkeypatch):
+    suite = _mutant_suite(row, tmp_path, monkeypatch)
+    config = suite.SuiteConfig()
+    for name in row.killers:
+        cases = range(suite._case_count(name, config))
+        assert any(suite.replay_case(config, name, case) for case in cases), (
+            f"{row.name} survives {name}"
+        )

@@ -295,6 +295,27 @@ def test_malformed_config_or_report_exits_with_one_error_line(
     assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["verify", "--config", "PATH", "--cases", "1"], "config"),
+        (["verify", "--quiver", "PATH", "--cases", "1"], "quiver file"),
+        (["report", "--in", "PATH"], "report"),
+        (["normality", "PATH", "--object", "x"], "document"),
+    ],
+    ids=["config", "quiver", "report", "document"],
+)
+def test_json_nested_past_the_decoder_exits_with_one_error_line(tmp_path, capsys, argv, what):
+    """A JSON input nested deeper than the decoder's recursion limit is
+    refused with one error line, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = main([str(path) if arg == "PATH" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {what} nests too deeply\n"
+
+
 def test_render_tree_formats():
     report = run_suite(SuiteConfig(cases=1, max_dim=2, window=(-1, 1)))
     tree = json.loads(report_json(report))
