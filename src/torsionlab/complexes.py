@@ -74,6 +74,7 @@ from .quiver import (
     QuiverRep,
     RepMap,
     _law_breaks,
+    _zero_rep,
     cycle_coords,
     direct_sum,
     graded_from_flat,
@@ -153,7 +154,7 @@ class Complex(Lawful):
         if not terms and diffs:
             raise ValueError("differentials without terms")
         for t in terms:
-            if t.quiver != quiver or t.field != field:
+            if (t.quiver, t.field) != (quiver, field):  # tuples test identity first
                 raise ValueError("term over the wrong quiver or field")
         for i, d in enumerate(diffs):
             if d.source != terms[i + 1] or d.target != terms[i]:
@@ -194,7 +195,7 @@ class Complex(Lawful):
     def term(self, n: int) -> QuiverRep:
         if 0 <= n - self.lo < len(self.terms):
             return self.terms[n - self.lo]
-        return QuiverRep.zero(self.quiver, self.field)
+        return _zero_rep(self.quiver, self.field)
 
     def diff(self, n: int) -> RepMap:
         """The differential X_n -> X_{n-1}."""
@@ -234,7 +235,7 @@ class ChainMap(Lawful):
     _key = attrgetter(*__slots__)
 
     def __init__(self, source: Complex, target: Complex, comps: dict[int, RepMap]):
-        if source.quiver != target.quiver or source.field != target.field:
+        if (source.quiver, source.field) != (target.quiver, target.field):  # identity first
             raise ValueError("chain map between incompatible complexes")
         for n, c in comps.items():
             if c.source != source.term(n) or c.target != target.term(n):
@@ -871,12 +872,16 @@ class HomComplex:
 
     def _place(self, n: int, j: int, img, mat: np.ndarray, col: int, what: str) -> None:
         """Write the slot coordinates of the flat maps in the columns of img,
-        which lie in slot j of degree n, into mat from column col."""
+        which lie in slot j of degree n, into mat from column col.  A square
+        basis is the identity (see kernel_coords): images that fit it are
+        their own coordinates."""
         off, basis = self.slots(n)[j]
-        coords = kernel_coords(basis, Mat(self.source.field, img))
-        if coords is None:
-            raise ValueError(f"{what} is not an intertwiner collection")
-        mat[off : off + basis.cols, col : col + coords.cols] = coords.a
+        if basis.rows != basis.cols or basis.rows != len(img):
+            coords = kernel_coords(basis, Mat(self.source.field, img))
+            if coords is None:
+                raise ValueError(f"{what} is not an intertwiner collection")
+            img = coords.a
+        mat[off : off + basis.cols, col : col + img.shape[1]] = img
 
     def diff(self, n: int) -> Mat:
         """D_n : Hom_n -> Hom_{n-1}, (D phi) = d_Y phi - (-1)^n phi d_X."""

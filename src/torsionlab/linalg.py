@@ -4,36 +4,30 @@ Matrices are immutable, row-major numpy int64 arrays with entries reduced to
 [0, p).  Zero-sized matrices (0 x n, n x 0, 0 x 0) are legal everywhere and
 act as the unique linear maps between zero spaces.  Mat.zeros and
 Mat.identity return one shared read-only matrix per field and shape up to
-_SHARED_CELLS cells (larger ones are built afresh and never kept), and a
-product with an empty operand is Mat.zeros of its shape, with no numpy
-product; nothing ever writes into a matrix's array.  Row reduction is
-Gauss-Jordan with deterministic first-nonzero pivoting: each pivot row is
-scaled by the modular inverse of its pivot, and the pivot column is cleared
-above and below it.  Two kernels run it behind the one entry point
-_eliminate, chosen by the cell count of the array: up to _SMALL_CELLS cells
-on Python ints (a.tolist(), written back in place), where numpy's per-call
-overhead would outweigh the arithmetic, and above it on numpy arrays, one
-vectorised update per pivot.  Their outputs cannot differ: over a field the
-reduced row echelon form of a matrix, and with it its pivot columns, is
-unique, and every derived basis (kernels, images, quotient sections) is read
-off that form, so it is reproducible whichever kernel ran.
+_SHARED_CELLS cells (larger ones are built afresh and never kept); a product
+with an empty operand, and an answer without entries, is Mat.zeros of its
+shape.  Nothing ever writes into a matrix's array.
 
-Each public answer costs at most one elimination: rref, rank, kernel_basis,
-image_basis, solve, inverse and quotient each reduce one matrix once, and
-read everything they return (pivots, nullity, singularity, dependence, the
-inverse of a change of basis) off that one reduced form.  Rank over F2 and
-F3 needs no reduced form: it runs forward elimination on rows packed into
-Python ints, one bit plane per nonzero value (see _rank_packed), and never
-calls _eliminate; every other answer, and rank over every larger prime,
-still costs one _eliminate.  Coordinates in a basis made by kernel_basis
-need no elimination at all: kernel_coords reads them off the basis's free
-rows, which hold the identity, and confirms them with one product.
+Row reduction is Gauss-Jordan with first-nonzero pivoting behind one entry
+point, _eliminate.  Over F2 and F3 it runs at every size on rows packed into
+Python ints, one bit plane per nonzero value (_eliminate_packed); over larger
+primes on lists of Python ints up to _SMALL_CELLS cells (_eliminate_ints)
+and with one numpy update per pivot above (_eliminate_numpy).  Their outputs
+cannot differ: the reduced row echelon form, and with it the pivot columns,
+is unique, and kernels, images and quotient sections are read off it.  Each
+public answer costs at most one kernel run; rank needs only the number of
+pivots, which over F2 and F3 the packed kernel's forward mode counts without
+a reduced form.  kernel_coords costs none: it reads coordinates
+in a basis made by kernel_basis off the basis's free rows and confirms them
+with one product, and in a square such basis, the identity, they are the
+columns themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -52,14 +46,7 @@ __all__ = [
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -141,7 +128,7 @@ class Mat:
     # -- arithmetic -----------------------------------------------------------
 
     def _check_field(self, other: "Mat") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -198,38 +185,35 @@ def _shared(field: PrimeField, rows: int, cols: int, eye: bool) -> Mat:
     return Mat(field, np.eye(rows, dtype=np.int64) if eye else np.zeros((rows, cols), np.int64))
 
 
-# The cut-off between the two elimination kernels, in cells.  Measured on a
-# 2-core Xeon (Python 3.11.7, numpy 2.4.6) by timing both kernels on the same
-# arrays.  On random dense matrices over F2 and F3 the Python kernel was 2-3x
-# faster up to 16 x 16 and 4 x 64 and slower from 24 x 24 and 40 x 8 on
-# (1.4-3.7x at 576 to 2,048 cells): the crossover lies between 256 and 400
-# cells.  On the eliminations captured from one seed-0 round of each
-# benchmark workload, which are sparser and of lower rank, the Python kernel
-# stayed ahead well past 256 cells; the cut-off keeps to the dense crossover,
-# so that no shape of input runs far on the slower kernel.
+# The cut-off between the two kernels over primes >= 5, in cells.  Measured
+# on a 2-core Xeon (Python 3.11.7, numpy 2.4.6) on random dense matrices: the
+# Python kernel was 2-3x faster up to 16 x 16 and 4 x 64 and slower from
+# 24 x 24 and 40 x 8 on (1.4-3.7x at 576 to 2,048 cells): crossover 256-400.
 _SMALL_CELLS = 256
 
 
-def _eliminate(a: np.ndarray, p: int, limit: int) -> list[int]:
-    """Gauss-Jordan over F_p in place; returns the pivot columns.  Pivots
-    only in columns < limit; columns >= limit ride along as attached right
-    sides.
-
-    Pivot choice is the first row with a nonzero entry in the current
-    column, scanning columns left to right; this makes every reduction
-    deterministic.  Small arrays are reduced on Python ints, large ones on
-    numpy; both give the unique reduced row echelon form.
+def _eliminate(a: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan over F_p: a reduced and its pivot columns, all < limit;
+    columns >= limit ride along as attached right sides.  The pivot row is
+    the first with a nonzero entry in the current column, scanning columns
+    left to right, so every kernel gives the same rows, those below the
+    pivots too.  a is never written to, and comes back when no row moved.
     """
-    if a.size <= _SMALL_CELLS:
-        return _eliminate_ints(a, p, limit)
-    return _eliminate_numpy(a, p, limit)
-
-
-def _eliminate_ints(a: np.ndarray, p: int, limit: int) -> list[int]:
-    """_eliminate on the rows of a as lists of Python ints, written back
-    into a.  With no pivot no row moved, and a is left untouched (a 0-row a
-    has no rows to write back)."""
+    if p <= 3:
+        rows = _packed(a, p)
+        before = rows[:]
+        piv = _eliminate_packed(rows, p, limit)
+        return (a if rows == before else _unpacked(rows, p, a.shape[1])), piv
+    if a.size > _SMALL_CELLS:
+        a = a.copy()
+        return a, _eliminate_numpy(a, p, limit)
     rows = a.tolist()
+    piv = _eliminate_ints(rows, p, limit)
+    return (np.array(rows, dtype=np.int64) if piv else a), piv
+
+
+def _eliminate_ints(rows: list[list[int]], p: int, limit: int) -> list[int]:
+    """_eliminate in place on rows, lists of Python ints."""
     n = len(rows)
     piv: list[int] = []
     r = 0
@@ -252,15 +236,13 @@ def _eliminate_ints(a: np.ndarray, p: int, limit: int) -> list[int]:
                 rows[k] = [(e - f * g) % p for e, g in zip(rows[k], row)]
         piv.append(c)
         r += 1
-    if piv:
-        a[:] = rows
     return piv
 
 
 def _eliminate_numpy(a: np.ndarray, p: int, limit: int) -> list[int]:
-    """_eliminate with one vectorised update per pivot.  Every row at or
-    below r is zero left of the pivot column c, so the swap, the scaling and
-    the row updates touch only columns c onwards."""
+    """_eliminate in place on a, with one vectorised update per pivot.  Every
+    row at or below r is zero left of the pivot column c, so the swap, the
+    scaling and the row updates touch only columns c onwards."""
     rows = a.shape[0]
     piv: list[int] = []
     r = 0
@@ -284,71 +266,130 @@ def _eliminate_numpy(a: np.ndarray, p: int, limit: int) -> list[int]:
     return piv
 
 
-def _reduced(m: Mat) -> tuple[np.ndarray, list[int]]:
-    """m's entries reduced (a copy) and its pivot columns: at most one elimination."""
-    if not m.a.size:
-        return m.a, []
-    a = m.a.copy()
-    return a, _eliminate(a, m.field.p, m.cols)
+def _eliminate_packed(rows: list, p: int, limit: int, forward: bool = False) -> list[int]:
+    """_eliminate over F2 or F3 in place on rows packed by _packed.  Rows at
+    and below r are zero left of the next pivot column, so it is the lowest
+    bit < limit set in any of them; the first of them with that bit is the
+    pivot row, swapped up to r, over F3 scaled to lead with 1 (by 2 = -1,
+    which swaps its planes), and cleared from every other row, by XOR over
+    F2 and _minus over F3.  With forward rows is left as it was and only the
+    rank is found: each row, cut at limit, is reduced by the kept row ending
+    where it does until it vanishes or ends at a new column and is kept,
+    scaled to end with 1.  The kept rows are independent and span the row
+    space; the columns they end at, as many as the pivots, are returned."""
+    mask = (1 << limit) - 1
+    if forward:
+        kept: dict = {}
+        for x in rows:
+            if p == 2:
+                x &= mask
+                while x:
+                    lead = x.bit_length()
+                    if lead not in kept:
+                        kept[lead] = x
+                        break
+                    x ^= kept[lead]
+                continue
+            x1, x2 = x[0] & mask, x[1] & mask
+            while x1 or x2:
+                lead = (x1 | x2).bit_length()
+                one = x1.bit_length() == lead  # x's last entry is 1, not 2
+                if lead not in kept:
+                    kept[lead] = (x1, x2) if one else (x2, x1)
+                    break
+                y1, y2 = kept[lead]
+                if one:  # x - y = x + (-y), y's planes swapped; else x - 2y = x + y
+                    y1, y2 = y2, y1
+                t = (x1 | y2) ^ (x2 | y1)
+                x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
+        return [lead - 1 for lead in kept]
+    piv: list[int] = []
+    n, r = len(rows), 0
+    while r < n:
+        acc = 0
+        for x in rows[r:]:
+            acc |= x if p == 2 else x[0] | x[1]
+        if not (low := acc & -acc & mask):
+            break
+        i = r
+        while not (rows[i] if p == 2 else rows[i][0] | rows[i][1]) & low:
+            i += 1
+        y = rows[i]
+        if p == 3 and y[1] & low:
+            y = y[::-1]
+        rows[i] = rows[r]
+        if p == 2:
+            rows[:] = [x ^ y if x & low else x for x in rows]
+        else:
+            rows[:] = [_minus(*x, y, low) if (x[0] | x[1]) & low else x for x in rows]
+        rows[r] = y
+        piv.append(low.bit_length() - 1)
+        r += 1
+    return piv
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    a, piv = _reduced(m)
-    return Mat(m.field, a), tuple(piv)
+def _minus(x1: int, x2: int, y: tuple[int, int], low: int) -> tuple[int, int]:
+    """x - f y over F3 on bit planes, f being x's entry at the bit low, where y
+    holds 1: x - y = x + (-y), whose planes are y's swapped, and x - 2y = x + y;
+    with t = (x1 | y2) ^ (x2 | y1) the sum x + y has planes ((x2 | y2) ^ t, (x1 | y1) ^ t)."""
+    y1, y2 = y if x2 & low else y[::-1]
+    t = (x1 | y2) ^ (x2 | y1)
+    return (x2 | y2) ^ t, (x1 | y1) ^ t
 
 
-def _packed_rows(bits: np.ndarray) -> list[int]:
+# Bit j of a packed row is column j.  Rows of at most 62 columns (no int64
+# product overflows) are packed by one product with these weights and
+# unpacked by shifts; wider ones go through np.packbits and np.unpackbits.
+_BITS = np.arange(62, dtype=np.int64)
+_WEIGHTS = 1 << _BITS
+_PLANES = np.array([[1], [2]], dtype=np.int64)  # the entry each F3 bit plane marks
+
+
+def _packed(a: np.ndarray, p: int) -> list:
+    """The rows of a, entries in [0, p), p = 2 or 3: over F2 one int per row
+    whose bit j is entry j, over F3 the pair (x1, x2) of such ints for the
+    entries equal to 1 and to 2."""
+    if a.shape[1] <= len(_BITS):
+        w = _WEIGHTS[: a.shape[1]]
+        return (a @ w if p == 2 else (a[:, None, :] == _PLANES) @ w).tolist()
+    planes = [_packed_bits(a == v) for v in range(1, p)]
+    return planes[0] if p == 2 else list(zip(*planes))
+
+
+def _packed_bits(bits: np.ndarray) -> list[int]:
     """Each row of a boolean array as one int whose bit j is entry j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     data, w = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(data[i : i + w], "little") for i in range(0, len(data), w)]
 
 
-def _rank_packed(a: np.ndarray, p: int) -> int:
-    """The rank of a nonempty array over F2 or F3, by forward elimination on
-    bit-packed rows.
+def _unpacked(rows: list, p: int, cols: int) -> np.ndarray:
+    """Rows packed by _packed back as an integer array of cols columns."""
+    if cols <= len(_BITS):
+        bits = np.array(rows, dtype=np.int64)[..., None] >> _BITS[:cols] & 1
+    else:
+        ints = rows if p == 2 else [x for planes in rows for x in planes]
+        width = (cols + 7) // 8
+        data = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in ints), np.uint8)
+        bits = np.unpackbits(data.reshape(-1, width), axis=1, count=cols, bitorder="little")
+    return bits if p == 2 else _PLANES[:, 0] @ bits.reshape(len(rows), 2, cols)
 
-    Each row is inserted into a basis keyed by its leading (highest) bit:
-    the basis row it meets there is subtracted until the row vanishes or
-    finds a free key, and the rank is the size of the basis.  Over F2 a row
-    is one int and subtraction is XOR.  Over F3 a row is two disjoint bit
-    planes (x1, x2), the entries equal to 1 and those equal to 2; negation
-    swaps them, a basis row is stored with its leading entry 1, and with
-    t = (x1 | y2) ^ (x2 | y1) the sum x + y has planes ((x2 | y2) ^ t,
-    (x1 | y1) ^ t).
-    """
-    basis: dict = {}
-    if p == 2:
-        for x in _packed_rows(a == 1):
-            while x:
-                lead = x.bit_length()
-                if lead not in basis:
-                    basis[lead] = x
-                    break
-                x ^= basis[lead]
-        return len(basis)
-    for x1, x2 in zip(_packed_rows(a == 1), _packed_rows(a == 2)):
-        while x1 or x2:
-            lead = (x1 | x2).bit_length()
-            one = x1.bit_length() == lead  # the leading entry is 1, not 2
-            if lead not in basis:
-                basis[lead] = (x1, x2) if one else (x2, x1)
-                break
-            y1, y2 = basis[lead]
-            if one:  # x - y = x + (-y), y's planes swapped; else x - 2y = x + y
-                y1, y2 = y2, y1
-            t = (x1 | y2) ^ (x2 | y1)
-            x1, x2 = (x2 | y2) ^ t, (x1 | y1) ^ t
-    return len(basis)
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices."""
+    if not m.a.size:
+        return m, ()
+    rows, piv = _eliminate(m.a, m.field.p, m.cols)
+    return Mat(m.field, rows), tuple(piv)
 
 
 def rank(m: Mat) -> int:
-    """Over F2 and F3 read off bit-packed rows; over larger primes the number
-    of pivots of one elimination."""
+    """The number of pivots of one elimination, over F2 and F3 a forward one."""
+    if not m.a.size:
+        return 0
     if m.field.p > 3:
-        return len(_reduced(m)[1])
-    return _rank_packed(m.a, m.field.p) if m.a.size else 0
+        return len(_eliminate(m.a, m.field.p, m.cols)[1])
+    return len(_eliminate_packed(_packed(m.a, m.field.p), m.field.p, m.cols, forward=True))
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -356,16 +397,20 @@ def kernel_basis(m: Mat) -> Mat:
 
     The basis is the standard one read off the reduced form: one column per
     free column f, with a 1 in slot f and back-substituted pivot entries.
-    Its free rows therefore hold the identity (see kernel_coords).
+    Its free rows therefore hold the identity (see kernel_coords); without a
+    pivot it is the identity, and with a pivot in every column it is empty.
     """
+    fld, cols = m.field, m.cols
     if not m.a.size:  # no equations leave every unknown free
-        return Mat.identity(m.field, m.cols)
-    a, piv = _reduced(m)
+        return Mat.identity(fld, cols)
+    rows, piv = _eliminate(m.a, fld.p, cols)
+    if len(piv) in (0, cols):
+        return Mat.zeros(fld, cols, 0) if piv else Mat.identity(fld, cols)
     # I - (the reduced rows placed at their pivot indices): column f is the
-    # basis vector of free column f, and pivot columns (zero diagonal) vanish
-    out = np.eye(m.cols, dtype=np.int64)
-    out[piv] -= a[: len(piv)]
-    return Mat(m.field, out[:, out.diagonal() != 0])
+    # basis vector of free column f, and pivot columns vanish
+    out = np.eye(cols, dtype=np.int64)
+    out[piv] -= rows[: len(piv)]
+    return Mat(fld, out[:, out.diagonal() != 0])
 
 
 def kernel_coords(basis: Mat, b: Mat) -> Mat | None:
@@ -376,11 +421,14 @@ def kernel_coords(basis: Mat, b: Mat) -> Mat | None:
     and every other column is zero there; so the coordinates are b's free
     rows, and one product confirms that they reproduce b.  The product
     reproduces the free rows by construction, so only the other rows are
-    compared (none when the basis is the identity).
+    compared.  A square such basis has no pivot row: it is the identity, and
+    the coordinates are b itself.
     """
     basis._check_field(b)
     if basis.rows != b.rows:
         raise ValueError(f"coordinate shape mismatch: {basis.shape} vs {b.shape}")
+    if basis.rows == basis.cols:
+        return b
     free = (np.arange(basis.rows)[:, None] * (basis.a != 0)).max(axis=0, initial=0)
     rest = np.ones(basis.rows, dtype=bool)
     rest[free] = False
@@ -392,8 +440,8 @@ def kernel_coords(basis: Mat, b: Mat) -> Mat | None:
 
 def image_basis(m: Mat) -> Mat:
     """Columns of m at the pivot positions; a basis of the column space."""
-    _, piv = _reduced(m)
-    return Mat(m.field, m.a[:, piv].reshape(m.rows, len(piv)))
+    piv = _eliminate(m.a, m.field.p, m.cols)[1] if m.a.size else []
+    return Mat(m.field, m.a[:, piv]) if piv else Mat.zeros(m.field, m.rows, 0)
 
 
 def solve(m: Mat, b: Mat) -> tuple[Mat, int] | None:
@@ -405,8 +453,7 @@ def solve(m: Mat, b: Mat) -> tuple[Mat, int] | None:
     m._check_field(b)
     if m.rows != b.rows:
         raise ValueError(f"solve shape mismatch: {m.shape} vs rhs {b.shape}")
-    aug = np.concatenate([m.a, b.a], axis=1)
-    piv = _eliminate(aug, m.field.p, m.cols)
+    aug, piv = _eliminate(np.concatenate([m.a, b.a], axis=1), m.field.p, m.cols)
     r = len(piv)
     if aug[r:, m.cols :].any():
         return None
@@ -435,9 +482,8 @@ def quotient(field: PrimeField, ambient_dim: int, basis: Mat) -> tuple[Mat, Mat]
         raise ValueError(
             f"subspace basis lives in dim {basis.rows}, ambient is {ambient_dim}"
         )
-    k = basis.cols
-    aug = np.concatenate([basis.a, np.eye(ambient_dim, dtype=np.int64)], axis=1)
-    piv = _eliminate(aug, field.p, ambient_dim + k)
+    k, eye = basis.cols, np.eye(ambient_dim, dtype=np.int64)
+    aug, piv = _eliminate(np.concatenate([basis.a, eye], axis=1), field.p, ambient_dim + k)
     if piv[:k] != list(range(k)):
         raise ValueError("quotient by a dependent spanning set")
     # the row operations E reduce [basis | I] to [E basis | E]; the pivot
@@ -445,7 +491,4 @@ def quotient(field: PrimeField, ambient_dim: int, basis: Mat) -> tuple[Mat, Mat]
     # the right block E is cob^-1 and its bottom rows are quotient coordinates
     if k == ambient_dim:  # nothing is left, and both maps have no entries
         return Mat.zeros(field, 0, k), Mat.zeros(field, k, 0)
-    comp = [c - k for c in piv[k:]]
-    proj = Mat(field, aug[k:, k:])
-    sect = Mat(field, np.eye(ambient_dim, dtype=np.int64)[:, comp])
-    return proj, sect
+    return Mat(field, aug[k:, k:]), Mat(field, eye[:, [c - k for c in piv[k:]]])

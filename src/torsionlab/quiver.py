@@ -210,9 +210,9 @@ class RepMap(Lawful):
     _key = attrgetter(*__slots__)
 
     def __init__(self, source: QuiverRep, target: QuiverRep, components: tuple[Mat, ...]):
-        if source.quiver != target.quiver:
+        if source.quiver is not target.quiver and source.quiver != target.quiver:
             raise ValueError("intertwiner between different quivers")
-        if source.field != target.field:
+        if source.field is not target.field and source.field != target.field:
             raise ValueError("intertwiner between different fields")
         quiver = source.quiver
         if len(components) != len(quiver.vertices):
@@ -374,6 +374,8 @@ def _check_stack(b: np.ndarray, rows: int) -> None:
 def hom_constraint_matrix(a: QuiverRep, b: QuiverRep) -> Mat:
     """Rows cut out the intertwiners inside the flat graded maps a -> b."""
     quiver = a.quiver
+    if not quiver.arrows:  # no equations: every flat graded map intertwines
+        return Mat.zeros(a.field, 0, flat_dim(a, b))
     offsets = np.cumsum([0] + [t * s for t, s in zip(b.dims, a.dims)])
     rows = []
     for (src, tgt), a_map, b_map in zip(quiver.arrows, a.arrow_maps, b.arrow_maps):
@@ -387,9 +389,8 @@ def hom_constraint_matrix(a: QuiverRep, b: QuiverRep) -> Mat:
         block[:, offsets[i] : offsets[i + 1]] += left.reshape(tj * si, ti * si)
         block[:, offsets[j] : offsets[j + 1]] -= right.reshape(tj * si, tj * sj)
         rows.append(block)
-    if not rows:
-        return Mat.zeros(a.field, 0, int(offsets[-1]))
-    return Mat(a.field, np.concatenate(rows, axis=0))
+    out = np.concatenate(rows, axis=0)
+    return Mat(a.field, out) if out.size else Mat.zeros(a.field, *out.shape)
 
 
 def rep_hom_basis_flat(a: QuiverRep, b: QuiverRep) -> Mat:
@@ -468,7 +469,7 @@ def direct_sum(*reps: QuiverRep) -> tuple[QuiverRep, tuple[tuple[int, ...], ...]
     one nonzero summand the sum is that summand itself (or the zero rep).
     """
     quiver, field = reps[0].quiver, reps[0].field
-    if any(r.quiver != quiver or r.field != field for r in reps):
+    if any((r.quiver, r.field) != (quiver, field) for r in reps):  # tuples test identity first
         raise ValueError("direct sum over mismatched quiver or field")
     offsets, at = [], (0,) * len(quiver.vertices)
     for r in reps:

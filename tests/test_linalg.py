@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import torsionlab.linalg
-from tests.strategies import PRIMES, complexes, matrices
+from tests.strategies import PRIMES, complexes, matrices, reps
+from tests.test_quiver import SRC, callers_of
 from torsionlab.complexes import homology_dims
 from torsionlab.document import MAX_DIM
 from torsionlab.linalg import (
@@ -23,7 +24,7 @@ from torsionlab.linalg import (
     rref,
     solve,
 )
-from torsionlab.quiver import Quiver, QuiverRep, graded_from_flat
+from torsionlab.quiver import Quiver, QuiverRep, graded_from_flat, hom_constraint_matrix, random_rep
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -296,22 +297,27 @@ def test_quotient_dimension(m):
 # -- one elimination per answer ------------------------------------------------
 
 
+# Every row reduction runs exactly one of these kernels: the packed one over F2
+# and F3 (full, or forward for rank), the other two over larger primes.
+KERNELS = ("_eliminate_packed", "_eliminate_ints", "_eliminate_numpy")
+
+
 @contextmanager
 def counted_eliminations():
-    """Records the shape of every row reduction linalg runs: each run of
-    _eliminate and of the packed rank kernel _rank_packed."""
+    """Records every row reduction linalg runs, as the kernel's name and the
+    number of rows it reduced."""
     calls = []
 
-    def counting(inner):
-        def run(a, *args):
-            calls.append(a.shape)
-            return inner(a, *args)
+    def counting(name, inner):
+        def run(rows, *args, **kwargs):
+            calls.append((name, len(rows)))
+            return inner(rows, *args, **kwargs)
 
         return run
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_eliminate", "_rank_packed"):
-            patch.setattr(torsionlab.linalg, name, counting(getattr(torsionlab.linalg, name)))
+        for name in KERNELS:
+            patch.setattr(torsionlab.linalg, name, counting(name, getattr(torsionlab.linalg, name)))
         yield calls
 
 
@@ -363,6 +369,50 @@ def test_kernel_coords_match_solving(m, seed):
         assert kernel_coords(k, unit) is None and solve(k, unit) is None
 
 
+@given(matrices(), st.data())
+def test_a_square_kernel_basis_is_the_identity(m, data):
+    """A square kernel_basis output has no pivot row, so it is the identity;
+    kernel_coords and HomComplex._place pass coordinates in it through.  On
+    drawn matrices, their zero multiples, and the intertwiner constraints
+    between drawn representations (a HomComplex slot's basis is their
+    kernel)."""
+    a = data.draw(reps())
+    b = random_rep(a.quiver, a.field, 3, np.random.default_rng(data.draw(st.integers(0, 99))))
+    for c in (m, Mat(m.field, 0 * m.a), hom_constraint_matrix(a, b)):
+        k = kernel_basis(c)
+        assert (k.rows == k.cols) == (rank(c) == 0)
+        if k.rows == k.cols:
+            assert k == Mat.identity(c.field, c.cols)
+
+
+def test_kernel_coords_in_a_square_basis_are_the_columns_themselves():
+    """In a square basis (the identity) kernel_coords returns b itself, after
+    the same field and shape checks as every other basis; other bases still
+    answer None for a column outside their span."""
+    for p in PRIMES:
+        fld = PrimeField(p)
+        eye = kernel_basis(Mat.zeros(fld, 2, 3))
+        b = Mat(fld, [[1, 0], [0, 1], [1, 1]])
+        assert eye == Mat.identity(fld, 3) and kernel_coords(eye, b) is b
+        other = PrimeField(7)
+        with pytest.raises(ValueError, match=rf"^field mismatch: F{p} vs F7$"):
+            kernel_coords(eye, Mat(other, [[1], [0], [1]]))
+        with pytest.raises(ValueError, match=r"^coordinate shape mismatch: \(3, 3\) vs \(2, 2\)$"):
+            kernel_coords(eye, Mat.identity(fld, 2))
+        line = kernel_basis(Mat(fld, [[1, 1, 0]]))  # 3 x 2: (p - 1, 1, 0) and e_2
+        assert kernel_coords(line, Mat(fld, [[1], [0], [0]])) is None
+        assert kernel_coords(line, line @ Mat(fld, [[1], [1]])) == Mat(fld, [[1], [1]])
+
+
+def test_only_linalg_runs_an_elimination_kernel():
+    """Every other module reduces through linalg's public answers, so that
+    each reduction is one counted kernel run and every rank is rank's."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    for name in ("_eliminate", *KERNELS, "_packed", "_unpacked"):
+        assert callers_of(sources, name) <= {"linalg"}, name
+    assert callers_of(sources, "_eliminate_packed") == {"linalg"}
+
+
 @given(matrices(max_dim=5))
 def test_quotient_matches_inverse_of_change_of_basis(m):
     """Reference: extend the basis by unit vectors in index order whenever
@@ -405,6 +455,24 @@ def _gauss_jordan(rows: list[list[int]], p: int, limit: int) -> tuple[list[list[
     return a, piv
 
 
+def _kernel_runs(a: np.ndarray, p: int, limit: int):
+    """(name, the reduced rows as lists, the pivots) of every kernel that can
+    reduce a over F_p, each called directly on its own copy, and of
+    _eliminate."""
+    linalg = torsionlab.linalg
+    rows = a.tolist()
+    yield "ints", rows, linalg._eliminate_ints(rows, p, limit)
+    work = a.copy()
+    piv = linalg._eliminate_numpy(work, p, limit)
+    yield "numpy", work.tolist(), piv
+    reduced, piv = linalg._eliminate(a, p, limit)
+    yield "dispatch", reduced.tolist(), piv
+    if p <= 3:
+        packed = linalg._packed(a, p)
+        piv = linalg._eliminate_packed(packed, p, limit)
+        yield "packed", linalg._unpacked(packed, p, a.shape[1]).tolist(), piv
+
+
 def _low_rank(rng, p, rows, cols):
     inner = int(rng.integers(0, min(rows, cols) + 1))
     a = rng.integers(0, p, size=(rows, inner)) @ rng.integers(0, p, size=(inner, cols))
@@ -416,7 +484,8 @@ def _low_rank(rng, p, rows, cols):
 # right-side columns); the random draws below add more squares and rectangles.
 # The 0 x 6 array with 3 attached columns is the empty augmented system that a
 # kernel must not write its (empty) row list back into.  70 x 130 and 130 x 70
-# have packed rows of more than one 64-bit word for the F2/F3 rank kernel.
+# have packed rows of more than one 64-bit word for the F2/F3 kernel, packed
+# and unpacked through np.packbits; narrower rows go through one product.
 KERNEL_SHAPES = [
     (0, 0, 2), (0, 6, 3), (6, 0, 2), (40, 8, 3), (8, 40, 2), (24, 24, 1),
     (70, 130, 2), (130, 70, 2),
@@ -425,13 +494,13 @@ KERNEL_SHAPES = [
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 1_048_573])
 def test_elimination_matches_plain_gauss_jordan(p):
-    """Each elimination kernel, called directly on the same arrays, and the
-    answers rref and solve build on _eliminate, equal a plain-Python
-    Gauss-Jordan; with attached right sides (limit < cols) too.  rank, on
-    packed rows over F2 and F3, counts its pivots.  1,048,573 is the largest
-    prime PrimeField accepts."""
+    """Each elimination kernel, called directly on the same arrays, the
+    dispatch _eliminate, and the answers rref and solve build on it, equal a
+    plain-Python Gauss-Jordan; with attached right sides (limit < cols) too,
+    down to the rows below the pivots.  Over F2 and F3 the packed kernel
+    runs too, and its forward mode, which rank reads, counts the pivots.
+    1,048,573 is the largest prime PrimeField accepts."""
     fld = PrimeField(p)
-    kernels = (torsionlab.linalg._eliminate_ints, torsionlab.linalg._eliminate_numpy)
     rng = np.random.default_rng(p)
     shapes = KERNEL_SHAPES + [tuple(int(v) for v in rng.integers(0, 25, size=3)) for _ in range(60)]
     for rows, cols, k in shapes:
@@ -450,10 +519,14 @@ def test_elimination_matches_plain_gauss_jordan(p):
         else:
             b = Mat(fld, rng.integers(0, p, size=(rows, k)))
         aug, piv = _gauss_jordan([r + s for r, s in zip(m.a.tolist(), b.a.tolist())], p, cols)
-        for kernel in kernels:
-            a = np.concatenate([m.a, b.a], axis=1)
-            assert kernel(a, p, cols) == piv
-            assert a.tolist() == aug
+        a = np.concatenate([m.a, b.a], axis=1)
+        for name, reduced, got_piv in _kernel_runs(a, p, cols):
+            assert got_piv == piv, name
+            assert reduced == aug, name
+        if p <= 3:  # the forward mode, which rank reads, counts the same pivots
+            packed = torsionlab.linalg._packed(a, p)
+            assert len(torsionlab.linalg._eliminate_packed(packed, p, cols, forward=True)) == len(piv)
+        assert a.tolist() == np.concatenate([m.a, b.a], axis=1).tolist()  # not written to
         sol = solve(m, b)
         if any(e for r in aug[len(piv):] for e in r[cols:]):
             assert sol is None

@@ -57,6 +57,49 @@ ROWS = (
         "",
         ("hom-oracle",),
     ),
+    # the packed F2/F3 kernel, behind every reduction over F2 and F3 but rank's
+    Mutant(
+        "packed-F3-pivot-of-2-unscaled",
+        "linalg.py",
+        "        if p == 3 and y[1] & low:\n            y = y[::-1]\n",
+        "",
+        ("t-axioms", "roundtrips"),
+    ),
+    Mutant(
+        "packed-F2-no-clearing-above-the-pivot",
+        "linalg.py",
+        "            rows[:] = [x ^ y if x & low else x for x in rows]\n",
+        "            rows[r:] = [x ^ y if x & low else x for x in rows[r:]]\n",
+        ("t-axioms", "roundtrips"),
+    ),
+    Mutant(
+        "packed-F3-no-clearing-above-the-pivot",
+        "linalg.py",
+        "            rows[:] = [_minus(*x, y, low) if (x[0] | x[1]) & low else x for x in rows]\n",
+        "            rows[r:] = [_minus(*x, y, low) if (x[0] | x[1]) & low else x for x in rows[r:]]\n",
+        ("roundtrips", "em-intersection"),
+    ),
+    Mutant(
+        "packed-F3-minus-adding-where-it-should-subtract",
+        "linalg.py",
+        "    y1, y2 = y if x2 & low else y[::-1]\n",
+        "    y1, y2 = y\n",
+        ("t-axioms", "roundtrips"),
+    ),
+    Mutant(
+        "packed-F3-unpacked-with-the-planes-swapped",
+        "linalg.py",
+        "else _PLANES[:, 0] @ bits",
+        "else _PLANES[::-1, 0] @ bits",
+        ("t-axioms", "roundtrips"),
+    ),
+    Mutant(
+        "packed-wide-rows-unpacked-backwards",
+        "linalg.py",
+        'count=cols, bitorder="little")',
+        'count=cols, bitorder="big")',
+        ("postnikov",),
+    ),
 )
 
 
