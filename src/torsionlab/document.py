@@ -31,7 +31,7 @@ import numpy as np
 
 from .complexes import ChainMap, Complex
 from .linalg import Mat, PrimeField
-from .quiver import Quiver, QuiverRep, RepMap
+from .quiver import Quiver, QuiverRep, RepMap, _law_breaks
 
 __all__ = [
     "Document",
@@ -237,7 +237,7 @@ def parse_document(text: str) -> Document:
             where = f"complex {name!r}, diff at degree {lo + j + 1}"
             diffs.append(_vertex_matrices(fld, rows_list, terms[j + 1], terms[j], where))
         for j in range(len(diffs) - 1):
-            if not diffs[j].compose(diffs[j + 1]).is_zero():
+            if _law_breaks(fld.p, [(1, diffs[j], diffs[j + 1])]) is not None:
                 raise DocumentError(
                     f'invariant "d-squared" violated in complex {name!r} '
                     f"at degree {lo + j + 2}",

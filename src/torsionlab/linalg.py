@@ -9,18 +9,17 @@ with an empty operand, and an answer without entries, is Mat.zeros of its
 shape.  Nothing ever writes into a matrix's array.
 
 Row reduction is Gauss-Jordan with first-nonzero pivoting behind one entry
-point, _eliminate.  Over F2 and F3 it runs at every size on rows packed into
-Python ints, one bit plane per nonzero value (_eliminate_packed); over larger
-primes on lists of Python ints up to _SMALL_CELLS cells (_eliminate_ints)
-and with one numpy update per pivot above (_eliminate_numpy).  Their outputs
-cannot differ: the reduced row echelon form, and with it the pivot columns,
-is unique, and kernels, images and quotient sections are read off it.  Each
-public answer costs at most one kernel run; rank needs only the number of
-pivots, which over F2 and F3 the packed kernel's forward mode counts without
-a reduced form.  kernel_coords costs none: it reads coordinates
-in a basis made by kernel_basis off the basis's free rows and confirms them
-with one product, and in a square such basis, the identity, they are the
-columns themselves.
+point, _eliminate, and the field alone picks one of two kernels, at every
+size: over F2 and F3 rows packed into Python ints, one bit plane per nonzero
+value (_eliminate_packed), over larger primes one numpy update per pivot
+(_eliminate_numpy).  Their outputs cannot differ: the reduced row echelon
+form, and with it the pivot columns, is unique, and kernels, images and
+quotient sections are read off it.  Each public answer costs at most one
+kernel run; rank needs only the number of pivots, which over F2 and F3 the
+packed kernel's forward mode counts without a reduced form.  kernel_coords
+costs none: it reads coordinates in a basis made by kernel_basis off the
+basis's free rows and confirms them with one product, and in a square such
+basis, the identity, they are the columns themselves.
 """
 
 from __future__ import annotations
@@ -185,58 +184,22 @@ def _shared(field: PrimeField, rows: int, cols: int, eye: bool) -> Mat:
     return Mat(field, np.eye(rows, dtype=np.int64) if eye else np.zeros((rows, cols), np.int64))
 
 
-# The cut-off between the two kernels over primes >= 5, in cells.  Measured
-# on a 2-core Xeon (Python 3.11.7, numpy 2.4.6) on random dense matrices: the
-# Python kernel was 2-3x faster up to 16 x 16 and 4 x 64 and slower from
-# 24 x 24 and 40 x 8 on (1.4-3.7x at 576 to 2,048 cells): crossover 256-400.
-_SMALL_CELLS = 256
-
-
 def _eliminate(a: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan over F_p: a reduced and its pivot columns, all < limit;
     columns >= limit ride along as attached right sides.  The pivot row is
     the first with a nonzero entry in the current column, scanning columns
     left to right, so every kernel gives the same rows, those below the
-    pivots too.  a is never written to, and comes back when no row moved.
+    pivots too.  a is never written to: the packed kernel over F2 and F3
+    hands it back when no row moved, the numpy kernel over larger primes
+    reduces a copy.
     """
     if p <= 3:
         rows = _packed(a, p)
         before = rows[:]
         piv = _eliminate_packed(rows, p, limit)
         return (a if rows == before else _unpacked(rows, p, a.shape[1])), piv
-    if a.size > _SMALL_CELLS:
-        a = a.copy()
-        return a, _eliminate_numpy(a, p, limit)
-    rows = a.tolist()
-    piv = _eliminate_ints(rows, p, limit)
-    return (np.array(rows, dtype=np.int64) if piv else a), piv
-
-
-def _eliminate_ints(rows: list[list[int]], p: int, limit: int) -> list[int]:
-    """_eliminate in place on rows, lists of Python ints."""
-    n = len(rows)
-    piv: list[int] = []
-    r = 0
-    for c in range(limit):
-        if r == n:
-            break
-        for i in range(r, n):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        row = rows[r]
-        if row[c] != 1:
-            inv = pow(row[c], -1, p)
-            row = rows[r] = [e * inv % p for e in row]
-        for k in range(n):
-            f = rows[k][c]
-            if f and k != r:
-                rows[k] = [(e - f * g) % p for e, g in zip(rows[k], row)]
-        piv.append(c)
-        r += 1
-    return piv
+    a = a.copy()
+    return a, _eliminate_numpy(a, p, limit)
 
 
 def _eliminate_numpy(a: np.ndarray, p: int, limit: int) -> list[int]:

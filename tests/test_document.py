@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torsionlab.document
 from torsionlab.complexes import random_chain_map, random_complex, zero_complex
 from torsionlab.document import (
     Document,
@@ -89,7 +90,8 @@ def test_d_squared_violation_named():
 
 def test_d_squared_is_checked_once_per_parsed_complex(monkeypatch):
     """A 3-term complex has one pair of adjacent differentials; the parser's
-    own check, which names the law, is the only product made."""
+    own check, which names the law, is its one law check, and like every law
+    check it multiplies raw vertex arrays and builds no composite."""
     tree = _minimal_tree(p=2)
     tree["reps"]["line"] = {"dims": [1], "arrows": []}
     tree["complexes"]["good"] = {
@@ -97,16 +99,21 @@ def test_d_squared_is_checked_once_per_parsed_complex(monkeypatch):
         "terms": ["line", "line", "line"],
         "diffs": [[[[1]]], [[[0]]]],
     }
-    calls = []
-    compose = RepMap.compose
+    calls, composites = [], []
+    law_breaks, compose = torsionlab.document._law_breaks, RepMap.compose
 
-    def counted(self, other):
-        calls.append(1)
+    def counted(p, terms):
+        calls.append(len(terms))
+        return law_breaks(p, terms)
+
+    def counted_compose(self, other):
+        composites.append(1)
         return compose(self, other)
 
-    monkeypatch.setattr(RepMap, "compose", counted)
+    monkeypatch.setattr(torsionlab.document, "_law_breaks", counted)
+    monkeypatch.setattr(RepMap, "compose", counted_compose)
     doc = parse_document(json.dumps(tree))
-    assert len(calls) == 1
+    assert calls == [1] and composites == []
     assert doc.complexes["good"].diffs[0].components[0].a.tolist() == [[1]]
 
 

@@ -297,9 +297,10 @@ def test_quotient_dimension(m):
 # -- one elimination per answer ------------------------------------------------
 
 
-# Every row reduction runs exactly one of these kernels: the packed one over F2
-# and F3 (full, or forward for rank), the other two over larger primes.
-KERNELS = ("_eliminate_packed", "_eliminate_ints", "_eliminate_numpy")
+# Every row reduction runs exactly one of these kernels, chosen by the field
+# alone: the packed one over F2 and F3 (full, or forward for rank), the numpy
+# one over larger primes.
+KERNELS = ("_eliminate_packed", "_eliminate_numpy")
 
 
 @contextmanager
@@ -339,6 +340,24 @@ def test_each_answer_costs_one_elimination(m):
         assert _eliminations(inverse, m) == 1
     k = kernel_basis(m)
     assert _eliminations(kernel_coords, k, k) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1_048_573])
+def test_the_field_alone_picks_the_kernel(p):
+    """rank, kernel_basis, solve and quotient run the packed kernel over F2
+    and F3 and the numpy kernel over larger primes, at 1 x 1, 16 x 16 and
+    40 x 40 alike: no size switch picks between them."""
+    fld = PrimeField(p)
+    want = "_eliminate_packed" if p <= 3 else "_eliminate_numpy"
+    rng = np.random.default_rng(p)
+    for n in (1, 16, 40):
+        m = Mat(fld, rng.integers(0, p, size=(n, n)))
+        b = Mat(fld, rng.integers(0, p, size=(n, 2)))
+        runs = [(rank, m), (kernel_basis, m), (solve, m, b), (quotient, fld, n, image_basis(m))]
+        for fn, *args in runs:
+            with counted_eliminations() as calls:
+                fn(*args)
+            assert [name for name, _ in calls] == [want], (fn.__name__, n)
 
 
 @given(complexes())
@@ -456,12 +475,11 @@ def _gauss_jordan(rows: list[list[int]], p: int, limit: int) -> tuple[list[list[
 
 
 def _kernel_runs(a: np.ndarray, p: int, limit: int):
-    """(name, the reduced rows as lists, the pivots) of every kernel that can
-    reduce a over F_p, each called directly on its own copy, and of
-    _eliminate."""
+    """(name, the reduced rows as lists, the pivots) of both kernels, each
+    called directly on its own copy, and of _eliminate; the numpy kernel,
+    which _eliminate runs over primes >= 5 only, is run over F2 and F3 too,
+    and the packed one only there."""
     linalg = torsionlab.linalg
-    rows = a.tolist()
-    yield "ints", rows, linalg._eliminate_ints(rows, p, limit)
     work = a.copy()
     piv = linalg._eliminate_numpy(work, p, limit)
     yield "numpy", work.tolist(), piv
@@ -479,9 +497,9 @@ def _low_rank(rng, p, rows, cols):
     return a % p
 
 
-# Both sides of _SMALL_CELLS: squares up to 24 x 24, tall 40 x 8 and wide
-# 8 x 40, and arrays without rows or columns, as (rows, cols, attached
-# right-side columns); the random draws below add more squares and rectangles.
+# Squares up to 24 x 24, tall 40 x 8 and wide 8 x 40, and arrays without rows
+# or columns, for both kernels, as (rows, cols, attached right-side columns);
+# the random draws below add more squares and rectangles.
 # The 0 x 6 array with 3 attached columns is the empty augmented system that a
 # kernel must not write its (empty) row list back into.  70 x 130 and 130 x 70
 # have packed rows of more than one 64-bit word for the F2/F3 kernel, packed

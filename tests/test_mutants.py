@@ -100,6 +100,42 @@ ROWS = (
         'count=cols, bitorder="big")',
         ("postnikov",),
     ),
+    # from the scratch mutation run of ROADMAP item 9, each with its killers
+    Mutant(
+        "in-aisle-off-by-one",
+        "tstruct.py",
+        "_acyclic_where(x, lambda k: k >= t.n)",
+        "_acyclic_where(x, lambda k: k > t.n)",
+        ("roundtrips",),
+    ),
+    Mutant(
+        "is-cocartesian-always-true",
+        "complexes.py",
+        "    return is_quasi_iso(ChainMap(po, z, block_components(po, z, 0, table)))\n",
+        "    return True\n",
+        ("pullout-agreement",),
+    ),
+    Mutant(
+        "is-pullout-always-true",
+        "complexes.py",
+        "    return is_quasi_iso(_square_glue_map(sq))\n",
+        "    return True\n",
+        ("pullout-agreement",),
+    ),
+    Mutant(
+        "homotopic-always-none",
+        "complexes.py",
+        "    return Homotopy(g, f, got[0][0])\n",
+        "    return None\n",
+        ("postnikov",),
+    ),
+    Mutant(
+        "heart-cokernel-cut-one-degree-off",
+        "tstruct.py",
+        "truncate_lt(cofibration, f.t.shifted(1))",
+        "truncate_lt(cofibration, f.t.shifted(2))",
+        ("heart-abelian",),
+    ),
 )
 
 
