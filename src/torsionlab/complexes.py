@@ -45,7 +45,7 @@ hom complexes, joined by the transports phi -> post phi pre (hom_transport):
 homotopic is the one-node case, Hom(X, Y) at shift 1, and chain_map_basis
 and random_chain_map read the kernel of D_0.  hom_complex builds nothing up
 front: the slots of a degree and each D_n are made on first read and kept,
-and each D_n checks its d² law, on flat graded maps, when it is built.  One
+and no D_n checks d², which follows from lawful ends by the sign rule.  One
 step (HomComplex._place) turns flat images into slot coordinates.
 HomComplex.complex assembles every degree for readers of the whole complex.
 """
@@ -822,11 +822,10 @@ class HomComplex:
     graded maps.  The slots of a degree and each differential D_n are built
     on first read and kept; complex assembles every degree.
 
-    D_n checks its own d² law as it is built, on flat graded maps rather
-    than by dense products.  For each slot i of degree n, kernel_coords
-    confirms B_{n-1} D_n[:, i] == images(n, i, B_i) exactly, and the bases B
-    are injective; so D_{n-1} D_n = 0 exactly when images(n - 1, ...) of
-    those images sum to zero in every slot of degree n - 2.
+    D_n places the post and pre images of each slot's basis once, with no
+    d² pass: from d_X² = d_Y² = 0, D_{n-1} D_n = 0 follows by the sign rule
+    (test_hom_complex_differentials_square_to_zero checks it on every named
+    quiver).  _place still refuses an image outside the intertwiner space.
     """
 
     def __init__(self, source: Complex, target: Complex):
@@ -891,14 +890,9 @@ class HomComplex:
         fld = self.source.field
         mat = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
         for i, (col, b) in self.slots(n).items():
-            twice: dict[int, np.ndarray] = {}
             for j, img in self._images(n, i, b.a):
                 self._place(n - 1, j, img, mat, col, "hom differential image")
-                for k, dd in self._images(n - 1, j, img):
-                    twice[k] = twice.get(k, 0) + dd
-            if any((dd % fld.p).any() for dd in twice.values()):
-                raise ValueError("d-squared law fails")
-        got = self._diffs[n] = Mat(fld, mat)
+        got = self._diffs[n] = Mat(fld, mat) if mat.size else Mat.zeros(fld, *mat.shape)
         return got
 
     @cached_property
@@ -969,7 +963,7 @@ def hom_transport(src: HomComplex, dst: HomComplex, n: int, pre=None, post=None)
         if post is not None:
             img = post_op(post.comp(i + n), dst.source.term(i), img)
         dst._place(n, i, img, mat, col, "transported map")
-    return Mat(a.field, mat)
+    return Mat(a.field, mat) if mat.size else Mat.zeros(a.field, *mat.shape)
 
 
 # -- total complexes of mapping complexes ---------------------------------------
@@ -999,7 +993,8 @@ def total_diff(nodes, edges, k: int) -> Mat:
         (h, s), dst = nodes[i], nodes[j][0]
         carried = hom_transport(h, dst, k + s, pre, post)
         mat[rows[j] : rows[j + 1], cols[i] : cols[i + 1]] += sign * carried.a
-    return Mat(nodes[0][0].source.field, mat)
+    fld = nodes[0][0].source.field
+    return Mat(fld, mat) if mat.size else Mat.zeros(fld, *mat.shape)
 
 
 def total_solve(nodes, edges, rhs) -> tuple[list[dict[int, RepMap]], int] | None:

@@ -10,8 +10,8 @@ both are predicates (in_E, in_M), never materialized.  truncate_lt is the
 reflection onto the torsion-free class and truncate_ge the coreflection
 onto the torsion class.  Every map factors as an E-map, the gap map into
 the homotopy pullback of its below-cutoff square, followed by an M-map out
-of it.  This module decides membership, builds the factorization with its
-witnesses, and implements the certificate suite around it: orthogonality,
+of it, m . e == f on the nose.  This module decides membership, builds the
+factorization, and implements the certificate suite around it: orthogonality,
 a lifting-count oracle, the six normality conditions, 3-for-2, the
 initial/terminal symmetry, semiexactness, and the reconstruction
 roundtrips.
@@ -161,13 +161,12 @@ def normality_report(x: Complex, t: TStructure) -> NormalityReport:
 class Factorization:
     """f = m . e through the homotopy pullback of the below-cutoff square.
 
-    The witness records m . e == f; it is the zero homotopy here because
-    truncation is strictly functorial, but consumers must not rely on that.
+    m . e == f on the nose, as truncation is strictly functorial, so no
+    witness is kept; the suite's factorization property and tests check it.
     """
 
     e: ChainMap
     m: ChainMap
-    witness: Homotopy
     mid: Pullback
 
 
@@ -178,9 +177,7 @@ def factor(f: ChainMap, t: TStructure) -> Factorization:
     pb = homotopy_pullback(below, unit_y)
     _, unit_x = truncate_lt(x, t)
     e = pb.gap_map(unit_x, f)
-    m = pb.proj_second
-    witness = Homotopy(compose(m, e), f, {})
-    return Factorization(e, m, witness, pb)
+    return Factorization(e, pb.proj_second, pb)
 
 
 def factorization_pullout_square(

@@ -10,7 +10,7 @@ witness the cofiber's strict null-homotopy (the witness of the pushout
 cone f) pushed through the deepest truncation; the bottom stage is the
 fiber's projection back onto Y, and every intermediate stage is the map of
 pullbacks (pullback_induced) along a restriction of truncations, so the
-tower composes to f on the nose.
+tower composes to f on the nose; verify_tower checks it, with no witness.
 
 Construction runs in descending fiber degree (hi-1 down to lo); each stage
 carries its degree label, and checkers treat the labels as a set, so the
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .complexes import (
     ChainMap,
     Complex,
-    Homotopy,
     compose,
     cone,
     cone_homology_dims,
@@ -82,9 +81,10 @@ class TowerStage:
 
 @dataclass(frozen=True)
 class Tower:
+    """Stages from f.source to f.target that compose to f on the nose."""
+
     objects: tuple[Complex, ...]
     stages: tuple[TowerStage, ...]
-    witness: Homotopy  # from the composite of the stages to the original map
     window: BoundWindow | None
 
 
@@ -112,23 +112,15 @@ def boundedness_window(f: ChainMap) -> BoundWindow | None:
 def postnikov_tower(f: ChainMap) -> Tower:
     window = boundedness_window(f)
     x, y = f.source, f.target
-    if window is None:
-        return Tower((x, y), (TowerStage(f, None),), Homotopy(f, f, {}), None)
+    if window is None or window.width == 1:
+        return Tower((x, y), (TowerStage(f, None if window is None else window.lo),), window)
     lo, hi = window.lo, window.hi
-    if window.width == 1:
-        return Tower((x, y), (TowerStage(f, lo),), Homotopy(f, f, {}), window)
     cf = cone(f)
     cuts = [TStructure(hi).shifted(-k) for k in range(hi - lo - 1)]  # hi, ..., lo+2
-    fibers, projections = [], []
-    for t in cuts:
-        _, pi = truncate_lt(cf, t)
-        fibers.append(fib(compose(pi, cf.inj_first)))
-        projections.append(pi)
+    fibers = [fib(compose(truncate_lt(cf, t)[1], cf.inj_first)) for t in cuts]
     # top: push the cofiber's null-homotopy through the deepest truncation
-    pushed = {
-        m: projections[0].comp(m + 1).compose(h)
-        for m, h in cf.witness.comps.items()
-    }
+    _, deepest = truncate_lt(cf, cuts[0])
+    pushed = {m: deepest.comp(m + 1).compose(h) for m, h in cf.witness.comps.items()}
     maps = [fibers[0].gap_map(f, terminal_map(x), pushed)]
     same_y, same_zero = identity_map(y), identity_map(fibers[0].g.source)
     for idx in range(len(cuts) - 1):
@@ -137,10 +129,7 @@ def postnikov_tower(f: ChainMap) -> Tower:
     maps.append(fibers[-1].proj_first)
     objects = [x, *fibers, y]
     stages = tuple(TowerStage(m, hi - 1 - k) for k, m in enumerate(maps))
-    composite = maps[0]
-    for m in maps[1:]:
-        composite = compose(m, composite)
-    return Tower(tuple(objects), stages, Homotopy(composite, f, {}), window)
+    return Tower(tuple(objects), stages, window)
 
 
 def verify_tower(f: ChainMap, tower: Tower) -> bool:

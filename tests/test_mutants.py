@@ -136,6 +136,60 @@ ROWS = (
         "truncate_lt(cofibration, f.t.shifted(2))",
         ("heart-abelian",),
     ),
+    Mutant(
+        "is-cartesian-always-true",
+        "complexes.py",
+        "    return is_quasi_iso(pb.gap_map(sq.top, sq.left, sq.witness.comps))\n",
+        "    return True\n",
+        ("pullout-agreement",),
+    ),
+    Mutant(
+        "solve-lifting-counts-one-class",
+        "factorization.py",
+        "    classes = sq.top.source.field.p ** (nullity - rank(total_diff(nodes, edges, 1)))\n",
+        "    classes = 1\n",
+        ("lifting-cross-check",),
+    ),
+    Mutant(
+        "is-orthogonal-always-true",
+        "factorization.py",
+        "    return not any(any(d) for n, d in dims.items() if n >= 0)\n",
+        "    return True\n",
+        ("lifting-cross-check",),
+    ),
+    Mutant(
+        "is-quasi-iso-on-degree-0-only",
+        "complexes.py",
+        "    return all(not any(dims) for dims in cone_homology_dims(f).values())\n",
+        "    return not any(cone_homology_dims(f).get(0, ()))\n",
+        ("pullout-agreement", "three-for-two-sator", "roundtrips"),
+    ),
+    # the sign of the pre part of the hom differential; HomComplex.diff runs
+    # no d² pass, so these rows are what catches a wrong sign there
+    Mutant(
+        "hom-differential-pre-part-always-negated",
+        "complexes.py",
+        "(pre if n % 2 else -pre)",
+        "-pre",
+        ("lifting-cross-check",),
+    ),
+    Mutant(
+        "hom-differential-pre-part-never-negated",
+        "complexes.py",
+        "(pre if n % 2 else -pre)",
+        "pre",
+        (
+            "pullout-agreement",
+            "factorization",
+            "lifting-cross-check",
+            "semiexactness",
+            "em-intersection",
+            "three-for-two-sator",
+            "roundtrips",
+            "heart-abelian",
+            "postnikov",
+        ),
+    ),
 )
 
 

@@ -69,6 +69,15 @@ def _rand_map(seed, quiver=A2, field=F2, **kw):
     return random_chain_map(x, y, rng)
 
 
+def _composite(tw):
+    """The stages of a tower composed in order; a tower keeps no witness, so
+    the tests compare this with f itself."""
+    composite = tw.stages[0].map
+    for stage in tw.stages[1:]:
+        composite = compose(stage.map, composite)
+    return composite
+
+
 # -- windows ----------------------------------------------------------------------
 
 
@@ -159,12 +168,7 @@ def test_split_complex_two_stage_tower():
 
 def test_tower_composite_is_strict():
     f = _rand_map(17, max_dim=3)
-    tw = postnikov_tower(f)
-    assert not tw.witness.comps
-    composite = tw.stages[0].map
-    for st in tw.stages[1:]:
-        composite = compose(st.map, composite)
-    assert composite == f
+    assert _composite(postnikov_tower(f)) == f
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
@@ -247,11 +251,12 @@ def test_checker_rejects_zeroed_stage():
     x = _split_complex({0, 1})
     f = zero_map(x, zero_complex(PT, F2))
     tw = postnikov_tower(f)
+    assert _composite(tw) == f
     bad_stage = TowerStage(
         zero_map(tw.stages[0].map.source, tw.stages[0].map.target),
         tw.stages[0].degree,
     )
-    bad = Tower((tw.objects), (bad_stage,) + tw.stages[1:], tw.witness, tw.window)
+    bad = Tower((tw.objects), (bad_stage,) + tw.stages[1:], tw.window)
     assert not verify_tower(f, bad)
 
 
@@ -259,10 +264,10 @@ def test_checker_rejects_wrong_degree():
     s = _sphere()
     f = zero_map(zero_complex(PT, F2), s)
     tw = postnikov_tower(f)
+    assert _composite(tw) == f
     bad = Tower(
         tw.objects,
         (TowerStage(tw.stages[0].map, 5),),
-        tw.witness,
         BoundWindow(5, 6),
     )
     assert not verify_tower(f, bad)
@@ -272,5 +277,6 @@ def test_checker_rejects_window_mismatch():
     x = _split_complex({0, 1})
     f = zero_map(x, zero_complex(PT, F2))
     tw = postnikov_tower(f)
-    bad = Tower(tw.objects, tw.stages, tw.witness, BoundWindow(0, 3))
+    assert _composite(tw) == f
+    bad = Tower(tw.objects, tw.stages, BoundWindow(0, 3))
     assert not verify_tower(f, bad)

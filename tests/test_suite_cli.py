@@ -80,8 +80,9 @@ def test_all_properties_pass_on_named_quivers(config):
 def test_trusted_constructions_pass_the_checks_they_skip(monkeypatch):
     """Composites, sums, negatives, zero and identity maps, and the
     inclusions and projections of graded sums, are built without the law
-    checks; mapping complexes, graded sums (cones, fibers, direct sums,
-    homotopy (co)limits) and shifts without the dense d² product.  Sending
+    checks; graded sums (cones, fibers, direct sums, homotopy (co)limits)
+    and shifts without the dense d² product; and mapping complexes with no
+    d² check at all, lawful by the sign rule from lawful ends.  Sending
     every such construction back through the checking constructors must
     leave the report byte-identical."""
     ordinary = report_json(run_suite(SMALL))
