@@ -45,8 +45,11 @@ hom complexes, joined by the transports phi -> post phi pre (hom_transport):
 homotopic is the one-node case, Hom(X, Y) at shift 1, and chain_map_basis
 and random_chain_map read the kernel of D_0.  hom_complex builds nothing up
 front: the slots of a degree and each D_n are made on first read and kept,
-and no D_n checks d², which follows from lawful ends by the sign rule.  One
-step (HomComplex._place) turns flat images into slot coordinates.
+and no D_n checks d², which follows from lawful ends by the sign rule.  A
+free slot, unconstrained by intertwiner equations, has the identity basis:
+D_n and hom_transport read its images off the Kronecker operators of
+post_op and pre_op, and multiply no identity.  One step
+(HomComplex._place) turns flat images into slot coordinates.
 HomComplex.complex assembles every degree for readers of the whole complex.
 """
 
@@ -574,7 +577,7 @@ def _blocks(parts, fld, n, src, tgt, table):
             mats = [np.zeros(shape, dtype=np.int64) for shape in zip(tgt_dims, src_dims)]
         for a, b, row, col in zip(mats, g.components, tgt_at[j], src_at[i]):
             a[row : row + b.rows, col : col + b.cols] = b.a if sign == 1 else -b.a
-    return None if mats is None else tuple(Mat(fld, a) for a in mats)
+    return None if mats is None else tuple(Mat.of(fld, a) for a in mats)
 
 
 def _layout(side: Complex, whole: bool):
@@ -825,7 +828,9 @@ class HomComplex:
     D_n places the post and pre images of each slot's basis once, with no
     d² pass: from d_X² = d_Y² = 0, D_{n-1} D_n = 0 follows by the sign rule
     (test_hom_complex_differentials_square_to_zero checks it on every named
-    quiver).  _place still refuses an image outside the intertwiner space.
+    quiver).  A free slot's images are the Kronecker operators d_Y (x) I and
+    I (x) d_X^T themselves.  _place still refuses an image outside the
+    intertwiner space.
     """
 
     def __init__(self, source: Complex, target: Complex):
@@ -858,9 +863,10 @@ class HomComplex:
     def dim(self, n: int) -> int:
         return sum(b.cols for _, b in self.slots(n).values())
 
-    def _images(self, n: int, i: int, b: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """d of the flat maps X_i -> Y_{i+n} in the columns of b: the post
-        part in slot i of degree n - 1, the pre part in slot i + 1."""
+    def _images(self, n: int, i: int, b: np.ndarray | None) -> list[tuple[int, np.ndarray]]:
+        """d of the flat maps X_i -> Y_{i+n} in the columns of b, or of every
+        flat map when b is None: the post part in slot i of degree n - 1,
+        the pre part in slot i + 1."""
         x, y, out = self.source, self.target, []
         if self._is_slot(n - 1, i):
             out.append((i, post_op(y.diff(i + n), x.term(i), b)))
@@ -876,7 +882,7 @@ class HomComplex:
         their own coordinates."""
         off, basis = self.slots(n)[j]
         if basis.rows != basis.cols or basis.rows != len(img):
-            coords = kernel_coords(basis, Mat(self.source.field, img))
+            coords = kernel_coords(basis, Mat.of(self.source.field, img))
             if coords is None:
                 raise ValueError(f"{what} is not an intertwiner collection")
             img = coords.a
@@ -887,12 +893,11 @@ class HomComplex:
         got = self._diffs.get(n)
         if got is not None:
             return got
-        fld = self.source.field
         mat = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
         for i, (col, b) in self.slots(n).items():
-            for j, img in self._images(n, i, b.a):
+            for j, img in self._images(n, i, _stack(b)):
                 self._place(n - 1, j, img, mat, col, "hom differential image")
-        got = self._diffs[n] = Mat(fld, mat) if mat.size else Mat.zeros(fld, *mat.shape)
+        got = self._diffs[n] = Mat.of(self.source.field, mat)
         return got
 
     @cached_property
@@ -936,6 +941,12 @@ class HomComplex:
         return out
 
 
+def _stack(basis: Mat) -> np.ndarray | None:
+    """A slot's basis as a stack for post_op and pre_op: None, every flat
+    map, when it is square, the identity of kernel_basis."""
+    return None if basis.rows == basis.cols else basis.a
+
+
 def hom_complex(x: Complex, y: Complex) -> HomComplex:
     """The mapping complex Hom(X, Y); each degree is built when first read."""
     if x.quiver != y.quiver or x.field != y.field:
@@ -957,13 +968,13 @@ def hom_transport(src: HomComplex, dst: HomComplex, n: int, pre=None, post=None)
     for i, (col, basis) in src.slots(n).items():
         if i not in dst_slots:
             continue
-        img = basis.a
+        img = basis.a if pre is None and post is None else _stack(basis)
         if pre is not None:
             img = pre_op(pre.comp(i), b.term(i + n), img)
         if post is not None:
             img = post_op(post.comp(i + n), dst.source.term(i), img)
         dst._place(n, i, img, mat, col, "transported map")
-    return Mat(a.field, mat) if mat.size else Mat.zeros(a.field, *mat.shape)
+    return Mat.of(a.field, mat)
 
 
 # -- total complexes of mapping complexes ---------------------------------------
@@ -993,8 +1004,7 @@ def total_diff(nodes, edges, k: int) -> Mat:
         (h, s), dst = nodes[i], nodes[j][0]
         carried = hom_transport(h, dst, k + s, pre, post)
         mat[rows[j] : rows[j + 1], cols[i] : cols[i + 1]] += sign * carried.a
-    fld = nodes[0][0].source.field
-    return Mat(fld, mat) if mat.size else Mat.zeros(fld, *mat.shape)
+    return Mat.of(nodes[0][0].source.field, mat)
 
 
 def total_solve(nodes, edges, rhs) -> tuple[list[dict[int, RepMap]], int] | None:
@@ -1004,7 +1014,7 @@ def total_solve(nodes, edges, rhs) -> tuple[list[dict[int, RepMap]], int] | None
     decoded into graded maps of degree shift, the nullity), or None when
     there is no solution."""
     b = np.concatenate([h.encode(s - 1, graded) for (h, s), graded in zip(nodes, rhs)])
-    got = solve(total_diff(nodes, edges, 0), Mat(nodes[0][0].source.field, b))
+    got = solve(total_diff(nodes, edges, 0), Mat.of(nodes[0][0].source.field, b))
     if got is None:
         return None
     x, nullity = got
@@ -1061,7 +1071,7 @@ def random_complex(
             coeffs = rng.integers(0, field.p, size=basis.cols)
             vec = (basis.a @ coeffs) % field.p
         else:
-            constraint = Mat(field, post_op(prev, src, basis.a))
+            constraint = Mat.of(field, post_op(prev, src, _stack(basis)))
             ker = kernel_basis(constraint)
             coeffs = rng.integers(0, field.p, size=ker.cols)
             vec = (basis.a @ ((ker.a @ coeffs) % field.p)) % field.p

@@ -4,9 +4,10 @@ Matrices are immutable, row-major numpy int64 arrays with entries reduced to
 [0, p).  Zero-sized matrices (0 x n, n x 0, 0 x 0) are legal everywhere and
 act as the unique linear maps between zero spaces.  Mat.zeros and
 Mat.identity return one shared read-only matrix per field and shape up to
-_SHARED_CELLS cells (larger ones are built afresh and never kept); a product
-with an empty operand, and an answer without entries, is Mat.zeros of its
-shape.  Nothing ever writes into a matrix's array.
+_SHARED_CELLS cells; larger ones are built afresh and never kept, and both
+skip the reduction of Mat.__init__.  A product, sum or difference with
+an empty operand, and an answer without entries, is Mat.zeros of its shape
+(Mat.of).  Nothing ever writes into a matrix's array.
 
 Row reduction is Gauss-Jordan with first-nonzero pivoting behind one entry
 point, _eliminate, and the field alone picks one of two kernels, at every
@@ -95,17 +96,19 @@ class Mat:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Mat":
-        if rows * cols <= _SHARED_CELLS:
-            return _shared(field, rows, cols, False)
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+    @staticmethod
+    def zeros(field: PrimeField, rows: int, cols: int) -> "Mat":
+        return (_shared if rows * cols <= _SHARED_CELLS else _constant)(field, rows, cols, False)
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Mat":
-        if n * n <= _SHARED_CELLS:
-            return _shared(field, n, n, True)
-        return cls(field, np.eye(n, dtype=np.int64))
+    @staticmethod
+    def identity(field: PrimeField, n: int) -> "Mat":
+        return (_shared if n * n <= _SHARED_CELLS else _constant)(field, n, n, True)
+
+    @staticmethod
+    def of(field: PrimeField, arr: np.ndarray) -> "Mat":
+        """Mat(field, arr), or the shared Mat.zeros of its shape when arr has
+        no entries."""
+        return Mat(field, arr) if arr.size else Mat.zeros(field, *arr.shape)
 
     # -- shape ----------------------------------------------------------------
 
@@ -142,13 +145,13 @@ class Mat:
         self._check_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for sum: {self.shape} + {other.shape}")
-        return Mat(self.field, self.a + other.a)
+        return Mat.of(self.field, self.a + other.a)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch for difference: {self.shape} - {other.shape}")
-        return Mat(self.field, self.a - other.a)
+        return Mat.of(self.field, self.a - other.a)
 
     def __neg__(self) -> "Mat":
         return Mat(self.field, -self.a) if self.a.size else self
@@ -178,10 +181,19 @@ class Mat:
 _SHARED_CELLS = 256
 
 
-@lru_cache(maxsize=512)
-def _shared(field: PrimeField, rows: int, cols: int, eye: bool) -> Mat:
-    """The shared zero (eye False) or identity (eye True, rows = cols) matrix."""
-    return Mat(field, np.eye(rows, dtype=np.int64) if eye else np.zeros((rows, cols), np.int64))
+def _constant(field: PrimeField, rows: int, cols: int, eye: bool) -> Mat:
+    """A new zero (eye False) or identity (eye True, rows = cols) matrix,
+    without Mat.__init__'s reduction: 0 and 1 are reduced for every p."""
+    arr = np.eye(rows, dtype=np.int64) if eye else np.zeros((rows, cols), np.int64)
+    arr.setflags(write=False)
+    out = object.__new__(Mat)
+    object.__setattr__(out, "field", field)
+    object.__setattr__(out, "a", arr)
+    return out
+
+
+# the shared zero and identity matrices, at most _SHARED_CELLS cells each
+_shared = lru_cache(maxsize=512)(_constant)
 
 
 def _eliminate(a: np.ndarray, p: int, limit: int) -> tuple[np.ndarray, list[int]]:
@@ -398,7 +410,7 @@ def kernel_coords(basis: Mat, b: Mat) -> Mat | None:
     x = b.a[free]
     if not np.array_equal(basis.a[rest] @ x % basis.field.p, b.a[rest]):
         return None
-    return Mat(basis.field, x) if x.size else Mat.zeros(basis.field, *x.shape)
+    return Mat.of(basis.field, x)
 
 
 def image_basis(m: Mat) -> Mat:
@@ -422,7 +434,7 @@ def solve(m: Mat, b: Mat) -> tuple[Mat, int] | None:
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
     x[piv] = aug[:r, m.cols :]
-    return Mat(m.field, x), m.cols - r
+    return Mat.of(m.field, x), m.cols - r
 
 
 def inverse(m: Mat) -> Mat:
@@ -452,6 +464,4 @@ def quotient(field: PrimeField, ambient_dim: int, basis: Mat) -> tuple[Mat, Mat]
     # the row operations E reduce [basis | I] to [E basis | E]; the pivot
     # columns are cob = [basis | the chosen unit vectors] and E cob = I, so
     # the right block E is cob^-1 and its bottom rows are quotient coordinates
-    if k == ambient_dim:  # nothing is left, and both maps have no entries
-        return Mat.zeros(field, 0, k), Mat.zeros(field, k, 0)
-    return Mat(field, aug[k:, k:]), Mat(field, eye[:, [c - k for c in piv[k:]]])
+    return Mat.of(field, aug[k:, k:]), Mat.of(field, eye[:, [c - k for c in piv[k:]]])

@@ -329,14 +329,18 @@ def graded_from_flat(
     return tuple(comps)
 
 
-def post_op(m: RepMap, source: QuiverRep, b: np.ndarray) -> np.ndarray:
+def post_op(m: RepMap, source: QuiverRep, b: np.ndarray | None) -> np.ndarray:
     """The columns of b, flat graded maps phi : source -> m.source, sent to
     m . phi : source -> m.target, reduced mod p.
 
     A flat map (see RepMap.flat) holds at each vertex the t x s block of
     phi_v row-major, so that block of the stack reshapes to (t, s * k) and
-    one product with m_v composes all k columns at once.
+    one product with m_v composes all k columns at once.  b None stands for
+    every flat map: the answer is the operator itself, m_v (x) I_s at each
+    vertex on the block diagonal, with no product and no reduction.
     """
+    if b is None:
+        return _kron_diag([c.a for c in m.components], source.dims, eye_first=False)
     k = b.shape[1]
     out = np.empty((flat_dim(source, m.target), k), dtype=np.int64)
     at = to = 0
@@ -348,13 +352,16 @@ def post_op(m: RepMap, source: QuiverRep, b: np.ndarray) -> np.ndarray:
     return np.remainder(out, m.source.field.p, out=out)
 
 
-def pre_op(m: RepMap, target: QuiverRep, b: np.ndarray) -> np.ndarray:
+def pre_op(m: RepMap, target: QuiverRep, b: np.ndarray | None) -> np.ndarray:
     """The columns of b, flat graded maps phi : m.target -> target, sent to
     phi . m : m.source -> target, reduced mod p.
 
     At each vertex the t x s row-major block of the stack reshapes to
     (t, s, k), and m_v^T times each of its t slices gives the composites.
+    b None stands for every flat map, as in post_op: I_t (x) m_v^T.
     """
+    if b is None:
+        return _kron_diag([c.a.T for c in m.components], target.dims, eye_first=True)
     k = b.shape[1]
     out = np.empty((flat_dim(m.source, target), k), dtype=np.int64)
     at = to = 0
@@ -364,6 +371,29 @@ def pre_op(m: RepMap, target: QuiverRep, b: np.ndarray) -> np.ndarray:
         at, to = at + t * c.rows, to + t * c.cols
     _check_stack(b, at)
     return np.remainder(out, m.source.field.p, out=out)
+
+
+def _kron_diag(mats, sizes, eye_first: bool) -> np.ndarray:
+    """The block diagonal matrix whose blocks, in order, are m (x) I_n for
+    m, n in mats and sizes, or I_n (x) m with eye_first."""
+    shapes = [(m.shape[0] * n, m.shape[1] * n) for m, n in zip(mats, sizes)]
+    out = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=np.int64)
+    r = c = 0
+    for m, n, (rows, cols) in zip(mats, sizes, shapes):
+        _kron_eye(out[r : r + rows, c : c + cols], m, n, eye_first)
+        r, c = r + rows, c + cols
+    return out
+
+
+def _kron_eye(block: np.ndarray, m: np.ndarray, n: int, eye_first: bool) -> None:
+    """Write m (x) I_n, or I_n (x) m with eye_first, into block, a zero
+    slice of a larger array (splitting its axes keeps it a view), as one
+    broadcast of m along the diagonal of I_n."""
+    (r, c), at = m.shape, np.arange(n)
+    if eye_first:
+        block.reshape(n, r, n, c)[at, :, at, :] = m
+    else:
+        block.reshape(r, n, c, n)[:, at, :, at] = m
 
 
 def _check_stack(b: np.ndarray, rows: int) -> None:
@@ -381,16 +411,15 @@ def hom_constraint_matrix(a: QuiverRep, b: QuiverRep) -> Mat:
     for (src, tgt), a_map, b_map in zip(quiver.arrows, a.arrow_maps, b.arrow_maps):
         i, j = quiver.index(src), quiver.index(tgt)
         # b_map . phi_src - phi_tgt . a_map = 0; row (r, c) is entry (r, c)
-        # of the t_j x s_i result, and each term touches one block of columns
-        tj, ti, si, sj = b.dims[j], b.dims[i], a.dims[i], a.dims[j]
-        left = b_map.a[:, None, :, None] * np.eye(si, dtype=np.int64)[None, :, None, :]
-        right = np.eye(tj, dtype=np.int64)[:, None, :, None] * a_map.a.T[None, :, None, :]
+        # of the t_j x s_i result, and each term touches one block of columns,
+        # b_map (x) I_{s_i} and I_{t_j} (x) a_map^T on row-major flat maps
+        tj, si = b.dims[j], a.dims[i]
         block = np.zeros((tj * si, offsets[-1]), dtype=np.int64)
-        block[:, offsets[i] : offsets[i + 1]] += left.reshape(tj * si, ti * si)
-        block[:, offsets[j] : offsets[j + 1]] -= right.reshape(tj * si, tj * sj)
+        _kron_eye(block[:, offsets[i] : offsets[i + 1]], b_map.a, si, eye_first=False)
+        _kron_eye(block[:, offsets[j] : offsets[j + 1]], -a_map.a.T, tj, eye_first=True)
         rows.append(block)
     out = np.concatenate(rows, axis=0)
-    return Mat(a.field, out) if out.size else Mat.zeros(a.field, *out.shape)
+    return Mat.of(a.field, out)
 
 
 def rep_hom_basis_flat(a: QuiverRep, b: QuiverRep) -> Mat:
@@ -484,7 +513,7 @@ def direct_sum(*reps: QuiverRep) -> tuple[QuiverRep, tuple[tuple[int, ...], ...]
         block = np.zeros((at[j], at[i]), dtype=np.int64)
         for r, off in zip(reps, offsets):
             block[off[j] : off[j] + r.dims[j], off[i] : off[i] + r.dims[i]] = r.arrow_maps[idx].a
-        arrow_maps.append(Mat(field, block))
+        arrow_maps.append(Mat.of(field, block))
     return QuiverRep(quiver, field, at, tuple(arrow_maps)), tuple(offsets)
 
 
@@ -496,6 +525,6 @@ def random_rep(
     arrow_maps = []
     for src, tgt in quiver.arrows:
         i, j = quiver.index(src), quiver.index(tgt)
-        arrow_maps.append(Mat(field, rng.integers(0, field.p, size=(dims[j], dims[i]))))
+        arrow_maps.append(Mat.of(field, rng.integers(0, field.p, size=(dims[j], dims[i]))))
     return QuiverRep(quiver, field, dims, tuple(arrow_maps))
 

@@ -381,13 +381,14 @@ def test_hom_complex_differentials_square_to_zero(name, p, seed):
 
 @contextmanager
 def counted_hom_ops():
-    """Records every post_op and pre_op call that complexes makes, by name."""
+    """Records every post_op and pre_op call that complexes makes, as (name,
+    whether the stack was None, every flat map)."""
     calls = []
 
     def counting(name, inner):
-        def run(*args):
-            calls.append(name)
-            return inner(*args)
+        def run(m, ends, b):
+            calls.append((name, b is None))
+            return inner(m, ends, b)
 
         return run
 
@@ -413,7 +414,34 @@ def test_each_hom_differential_composes_each_slot_once_per_part(name, p, seed):
         slots = len(hom.slots(n))
         with counted_hom_ops() as calls:
             hom.diff(n)
-        assert calls.count("post_op") <= slots and calls.count("pre_op") <= slots, (n, calls)
+        names = [op for op, _ in calls]
+        assert names.count("post_op") <= slots and names.count("pre_op") <= slots, (n, calls)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_hom_differentials_multiply_no_identity_basis(p):
+    """A free slot, one whose basis is square (the identity of kernel_basis:
+    no equation constrains its flat maps), hands post_op and pre_op None,
+    so D_n never multiplies an identity basis; a constrained slot hands them
+    its basis.  Every slot of a point pair is free, and a2 pairs have
+    constrained slots too."""
+    stacks = {"point": set(), "a2": set()}
+    for name, seed in itertools.product(stacks, range(12)):
+        rng = np.random.default_rng([p, seed])
+        quiver = resolve_quiver(name)
+        x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=3, lo=-2, hi=2) for _ in "xy")
+        hom = hom_complex(x, y)
+        for n in range(y.lo - x.hi, y.hi - x.lo + 2):
+            below = hom.slots(n - 1)
+            want = []
+            for i, (_, basis) in hom.slots(n).items():
+                free = basis.rows == basis.cols
+                want += [("post_op", free)] * (i in below) + [("pre_op", free)] * (i + 1 in below)
+            with counted_hom_ops() as calls:
+                hom.diff(n)
+            assert calls == want, (name, seed, n)
+            stacks[name].update(free for _, free in calls)
+    assert stacks == {"point": {True}, "a2": {True, False}}
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

@@ -140,6 +140,32 @@ def test_answers_without_entries_are_the_shared_zeros():
                 for dims in ((2, 0), (1, 3)))
         comps = graded_from_flat(a, b, np.arange(2, dtype=np.int64))
         assert comps[1] is Mat.zeros(fld, 3, 0) and comps[0] == Mat(fld, [[0, 1]])
+        # solutions with no unknowns, sums and differences of no cells
+        assert solve(Mat.zeros(fld, 2, 0), Mat.zeros(fld, 2, 1)) == (Mat.zeros(fld, 0, 1), 0)
+        assert solve(Mat.zeros(fld, 2, 0), Mat.zeros(fld, 2, 1))[0] is Mat.zeros(fld, 0, 1)
+        empty = Mat(fld, np.zeros((2, 0), dtype=np.int64))
+        assert empty + empty is Mat.zeros(fld, 2, 0) and empty - empty is Mat.zeros(fld, 2, 0)
+
+
+def test_no_matrix_without_entries_goes_through_the_constructor():
+    """Every matrix without entries that the suite asks for is the shared
+    Mat.zeros of its shape: on the first cases of every default property,
+    Mat.__init__ never receives an array without cells."""
+    import torsionlab.suite as suite
+
+    config, init, empty = suite.SuiteConfig(), Mat.__init__, []
+
+    def spying(self, field, data, shape=None):
+        init(self, field, data, shape)
+        if not self.a.size:
+            empty.append(self.shape)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Mat, "__init__", spying)
+        for name, _ in suite.PROPERTIES:
+            for case in range(4):
+                assert suite.replay_case(config, name, case) is None, (name, case)
+    assert not empty
 
 
 def test_shapes_above_the_bound_are_not_kept():

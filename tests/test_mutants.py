@@ -190,6 +190,44 @@ ROWS = (
             "postnikov",
         ),
     ),
+    # the Kronecker order of the operators that post_op and pre_op return
+    # for every flat map, the stack of a free slot: m (x) I and I (x) m^T
+    Mutant(
+        "post-op-operator-in-swapped-kronecker-order",
+        "quiver.py",
+        "source.dims, eye_first=False)",
+        "source.dims, eye_first=True)",
+        (
+            "pullout-agreement",
+            "t-axioms",
+            "factorization",
+            "lifting-cross-check",
+            "normality",
+            "semiexactness",
+            "em-intersection",
+            "three-for-two-sator",
+            "roundtrips",
+            "heart-abelian",
+            "postnikov",
+        ),
+    ),
+    Mutant(
+        "pre-op-operator-in-swapped-kronecker-order",
+        "quiver.py",
+        "target.dims, eye_first=True)",
+        "target.dims, eye_first=False)",
+        (
+            "pullout-agreement",
+            "factorization",
+            "lifting-cross-check",
+            "semiexactness",
+            "em-intersection",
+            "three-for-two-sator",
+            "roundtrips",
+            "heart-abelian",
+            "postnikov",
+        ),
+    ),
 )
 
 

@@ -254,27 +254,30 @@ def _any_map(a, b, rng):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("quiver", [Quiver.point(), Quiver.a2(), KRONECKER3], ids=["point", "a2", "k3"])
 def test_post_and_pre_op_equal_their_kronecker_operators(quiver, p):
+    """Stacks of k = 0, 1 and 3 flat maps are sent to the Kronecker operator
+    times the stack; the stack None, every flat map, to the operator itself."""
     fld = PrimeField(p)
     rng = np.random.default_rng([p, len(quiver.arrows)])
     for a, b, c in _draws(quiver, fld, rng):
         m = _any_map(b, c, rng)
-        for k in (0, 1, 3):
-            # post: stacks of flat maps a -> b, sent to m . phi : a -> c
-            stack = rng.integers(0, p, size=(flat_dim(a, b), k))
-            kron = _block_diag(
-                [np.kron(mv.a, np.eye(s, dtype=np.int64)) for mv, s in zip(m.components, a.dims)]
-            )
-            got = post_op(m, a, stack)
-            assert got.shape == (flat_dim(a, c), k)
-            assert np.array_equal(got, kron @ stack % p)
-            # pre: stacks of flat maps c -> a, sent to phi . m : b -> a
-            stack = rng.integers(0, p, size=(flat_dim(c, a), k))
-            kron = _block_diag(
-                [np.kron(np.eye(t, dtype=np.int64), mv.a.T) for mv, t in zip(m.components, a.dims)]
-            )
-            got = pre_op(m, a, stack)
-            assert got.shape == (flat_dim(b, a), k)
-            assert np.array_equal(got, kron @ stack % p)
+        # post: flat maps a -> b, sent to m . phi : a -> c
+        post = _block_diag(
+            [np.kron(mv.a, np.eye(s, dtype=np.int64)) for mv, s in zip(m.components, a.dims)]
+        )
+        # pre: flat maps c -> a, sent to phi . m : b -> a
+        pre = _block_diag(
+            [np.kron(np.eye(t, dtype=np.int64), mv.a.T) for mv, t in zip(m.components, a.dims)]
+        )
+        assert post.shape == (flat_dim(a, c), flat_dim(a, b))
+        assert pre.shape == (flat_dim(b, a), flat_dim(c, a))
+        for op, kron in ((post_op, post), (pre_op, pre)):
+            whole = op(m, a, None)
+            assert whole.dtype == np.int64 and np.array_equal(whole, kron)
+            for k in (0, 1, 3):
+                stack = rng.integers(0, p, size=(kron.shape[1], k))
+                got = op(m, a, stack)
+                assert got.shape == (kron.shape[0], k)
+                assert np.array_equal(got, kron @ stack % p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
