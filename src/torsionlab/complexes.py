@@ -45,11 +45,11 @@ hom complexes, joined by the transports phi -> post phi pre (hom_transport):
 homotopic is the one-node case, Hom(X, Y) at shift 1, and chain_map_basis
 and random_chain_map read the kernel of D_0.  hom_complex builds nothing up
 front: the slots of a degree and each D_n are made on first read and kept,
-and no D_n checks d², which follows from lawful ends by the sign rule.  A
-free slot, unconstrained by intertwiner equations, has the identity basis:
-D_n and hom_transport read its images off the Kronecker operators of
-post_op and pre_op, and multiply no identity.  One step
-(HomComplex._place) turns flat images into slot coordinates.
+and no D_n checks d², which follows from lawful ends by the sign rule.
+Composition on flat maps is one Kronecker operator (post_op, pre_op); a
+slot's images are its product with the slot's basis, or, for a free slot
+(no intertwiner equation, the identity basis), the operator itself.  One
+step (HomComplex._place) turns flat images into slot coordinates.
 HomComplex.complex assembles every degree for readers of the whole complex.
 """
 
@@ -828,9 +828,9 @@ class HomComplex:
     D_n places the post and pre images of each slot's basis once, with no
     d² pass: from d_X² = d_Y² = 0, D_{n-1} D_n = 0 follows by the sign rule
     (test_hom_complex_differentials_square_to_zero checks it on every named
-    quiver).  A free slot's images are the Kronecker operators d_Y (x) I and
-    I (x) d_X^T themselves.  _place still refuses an image outside the
-    intertwiner space.
+    quiver).  A slot's images are the Kronecker operators d_Y (x) I and
+    I (x) d_X^T times its basis, or the operators themselves for a free
+    slot.  _place still refuses an image outside the intertwiner space.
     """
 
     def __init__(self, source: Complex, target: Complex):
@@ -867,12 +867,12 @@ class HomComplex:
         """d of the flat maps X_i -> Y_{i+n} in the columns of b, or of every
         flat map when b is None: the post part in slot i of degree n - 1,
         the pre part in slot i + 1."""
-        x, y, out = self.source, self.target, []
+        x, y, p, out = self.source, self.target, self.source.field.p, []
         if self._is_slot(n - 1, i):
-            out.append((i, post_op(y.diff(i + n), x.term(i), b)))
+            out.append((i, _apply(post_op(y.diff(i + n), x.term(i)), b, p)))
         if self._is_slot(n - 1, i + 1):
-            pre = pre_op(x.diff(i + 1), y.term(i + n), b)
-            out.append((i + 1, (pre if n % 2 else -pre) % x.field.p))
+            pre = _apply(pre_op(x.diff(i + 1), y.term(i + n)), b, p)
+            out.append((i + 1, (pre if n % 2 else -pre) % p))
         return out
 
     def _place(self, n: int, j: int, img, mat: np.ndarray, col: int, what: str) -> None:
@@ -942,9 +942,18 @@ class HomComplex:
 
 
 def _stack(basis: Mat) -> np.ndarray | None:
-    """A slot's basis as a stack for post_op and pre_op: None, every flat
-    map, when it is square, the identity of kernel_basis."""
+    """A slot's basis as a stack for _apply: None, every flat map, when it
+    is square, the identity of kernel_basis, so no identity is multiplied."""
     return None if basis.rows == basis.cols else basis.a
+
+
+def _apply(op: np.ndarray, stack: np.ndarray | None, p: int) -> np.ndarray:
+    """The images of a stack of flat maps under the operator op (post_op,
+    pre_op): one product reduced in place, or op itself for the stack None."""
+    if stack is None:
+        return op
+    out = op @ stack
+    return np.remainder(out, p, out=out)
 
 
 def hom_complex(x: Complex, y: Complex) -> HomComplex:
@@ -958,7 +967,7 @@ def hom_transport(src: HomComplex, dst: HomComplex, n: int, pre=None, post=None)
     """Degree n of hom(A, B) -> hom(A', B'), phi -> post phi pre, between the
     given mapping complexes src = hom(A, B) and dst = hom(A', B'), for
     pre : A' -> A and post : B -> B'; an absent map is the identity."""
-    a, b = src.source, src.target
+    a, b, p = src.source, src.target, src.source.field.p
     pre_ends = (a, a) if pre is None else (pre.target, pre.source)
     post_ends = (b, b) if post is None else (post.source, post.target)
     if pre_ends != (a, dst.source) or post_ends != (b, dst.target):
@@ -970,9 +979,9 @@ def hom_transport(src: HomComplex, dst: HomComplex, n: int, pre=None, post=None)
             continue
         img = basis.a if pre is None and post is None else _stack(basis)
         if pre is not None:
-            img = pre_op(pre.comp(i), b.term(i + n), img)
+            img = _apply(pre_op(pre.comp(i), b.term(i + n)), img, p)
         if post is not None:
-            img = post_op(post.comp(i + n), dst.source.term(i), img)
+            img = _apply(post_op(post.comp(i + n), dst.source.term(i)), img, p)
         dst._place(n, i, img, mat, col, "transported map")
     return Mat.of(a.field, mat)
 
@@ -1071,7 +1080,7 @@ def random_complex(
             coeffs = rng.integers(0, field.p, size=basis.cols)
             vec = (basis.a @ coeffs) % field.p
         else:
-            constraint = Mat.of(field, post_op(prev, src, _stack(basis)))
+            constraint = Mat.of(field, _apply(post_op(prev, src), _stack(basis), field.p))
             ker = kernel_basis(constraint)
             coeffs = rng.integers(0, field.p, size=ker.cols)
             vec = (basis.a @ ((ker.a @ coeffs) % field.p)) % field.p

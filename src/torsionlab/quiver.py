@@ -329,48 +329,19 @@ def graded_from_flat(
     return tuple(comps)
 
 
-def post_op(m: RepMap, source: QuiverRep, b: np.ndarray | None) -> np.ndarray:
-    """The columns of b, flat graded maps phi : source -> m.source, sent to
-    m . phi : source -> m.target, reduced mod p.
-
-    A flat map (see RepMap.flat) holds at each vertex the t x s block of
-    phi_v row-major, so that block of the stack reshapes to (t, s * k) and
-    one product with m_v composes all k columns at once.  b None stands for
-    every flat map: the answer is the operator itself, m_v (x) I_s at each
-    vertex on the block diagonal, with no product and no reduction.
-    """
-    if b is None:
-        return _kron_diag([c.a for c in m.components], source.dims, eye_first=False)
-    k = b.shape[1]
-    out = np.empty((flat_dim(source, m.target), k), dtype=np.int64)
-    at = to = 0
-    for c, s in zip(m.components, source.dims):
-        block = b[at : at + c.cols * s].reshape(c.cols, s * k)
-        out[to : to + c.rows * s] = (c.a @ block).reshape(c.rows * s, k)
-        at, to = at + c.cols * s, to + c.rows * s
-    _check_stack(b, at)
-    return np.remainder(out, m.source.field.p, out=out)
+def post_op(m: RepMap, source: QuiverRep) -> np.ndarray:
+    """Postcomposition with m, phi -> m . phi, on flat graded maps phi :
+    source -> m.source, as one operator: m_v (x) I_s on the block diagonal,
+    since a flat map (see RepMap.flat) holds each t x s block phi_v
+    row-major.  Its entries are m's, already in [0, p)."""
+    return _kron_diag([c.a for c in m.components], source.dims, eye_first=False)
 
 
-def pre_op(m: RepMap, target: QuiverRep, b: np.ndarray | None) -> np.ndarray:
-    """The columns of b, flat graded maps phi : m.target -> target, sent to
-    phi . m : m.source -> target, reduced mod p.
-
-    At each vertex the t x s row-major block of the stack reshapes to
-    (t, s, k), and m_v^T times each of its t slices gives the composites.
-    b None stands for every flat map, as in post_op: I_t (x) m_v^T.
-    """
-    if b is None:
-        return _kron_diag([c.a.T for c in m.components], target.dims, eye_first=True)
-    k = b.shape[1]
-    out = np.empty((flat_dim(m.source, target), k), dtype=np.int64)
-    at = to = 0
-    for c, t in zip(m.components, target.dims):
-        block = b[at : at + t * c.rows].reshape(t, c.rows, k)
-        out[to : to + t * c.cols] = np.matmul(c.a.T, block).reshape(t * c.cols, k)
-        at, to = at + t * c.rows, to + t * c.cols
-    _check_stack(b, at)
-    return np.remainder(out, m.source.field.p, out=out)
+def pre_op(m: RepMap, target: QuiverRep) -> np.ndarray:
+    """Precomposition with m on flat graded maps phi : m.target -> target,
+    as the operator phi -> phi . m : m.source -> target: I_t (x) m_v^T on
+    the block diagonal, as in post_op."""
+    return _kron_diag([c.a.T for c in m.components], target.dims, eye_first=True)
 
 
 def _kron_diag(mats, sizes, eye_first: bool) -> np.ndarray:
@@ -394,11 +365,6 @@ def _kron_eye(block: np.ndarray, m: np.ndarray, n: int, eye_first: bool) -> None
         block.reshape(n, r, n, c)[at, :, at, :] = m
     else:
         block.reshape(r, n, c, n)[:, at, :, at] = m
-
-
-def _check_stack(b: np.ndarray, rows: int) -> None:
-    if b.shape[0] != rows:
-        raise ValueError(f"stack of {b.shape[0]} rows for flat maps of size {rows}")
 
 
 def hom_constraint_matrix(a: QuiverRep, b: QuiverRep) -> Mat:

@@ -382,19 +382,27 @@ def test_hom_complex_differentials_square_to_zero(name, p, seed):
 @contextmanager
 def counted_hom_ops():
     """Records every post_op and pre_op call that complexes makes, as (name,
-    whether the stack was None, every flat map)."""
-    calls = []
+    whether the stack that _apply then multiplied by its operator was None,
+    every flat map); None while its operator is unapplied."""
+    calls, last, apply = [], [], complexes_module._apply
 
     def counting(name, inner):
-        def run(m, ends, b):
-            calls.append((name, b is None))
-            return inner(m, ends, b)
+        def run(m, ends):
+            calls.append((name, None))
+            last[:] = [inner(m, ends)]
+            return last[0]
 
         return run
+
+    def applying(op, stack, p):
+        assert last and op is last[0], "_apply of an operator that is not the last one made"
+        calls[-1] = (calls[-1][0], stack is None)
+        return apply(op, stack, p)
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("post_op", "pre_op"):
             patch.setattr(complexes_module, name, counting(name, getattr(complexes_module, name)))
+        patch.setattr(complexes_module, "_apply", applying)
         yield calls
 
 
@@ -418,13 +426,24 @@ def test_each_hom_differential_composes_each_slot_once_per_part(name, p, seed):
         assert names.count("post_op") <= slots and names.count("pre_op") <= slots, (n, calls)
 
 
+def test_a_stack_of_the_wrong_height_is_refused():
+    """_apply multiplies an operator by a stack of flat maps of its width
+    and refuses any other height, as numpy's matmul does."""
+    op = np.eye(3, 4, dtype=np.int64)
+    assert complexes_module._apply(op, np.ones((4, 2), dtype=np.int64), 3).shape == (3, 2)
+    for rows in (3, 5):
+        with pytest.raises(ValueError):
+            complexes_module._apply(op, np.ones((rows, 2), dtype=np.int64), 3)
+
+
 @pytest.mark.parametrize("p", (2, 3))
 def test_hom_differentials_multiply_no_identity_basis(p):
     """A free slot, one whose basis is square (the identity of kernel_basis:
-    no equation constrains its flat maps), hands post_op and pre_op None,
-    so D_n never multiplies an identity basis; a constrained slot hands them
-    its basis.  Every slot of a point pair is free, and a2 pairs have
-    constrained slots too."""
+    no equation constrains its flat maps), hands _apply the stack None, so
+    D_n takes the operators of post_op and pre_op as they are and never
+    multiplies an identity basis; a constrained slot hands it its basis.
+    Every slot of a point pair is free, and a2 pairs have constrained slots
+    too."""
     stacks = {"point": set(), "a2": set()}
     for name, seed in itertools.product(stacks, range(12)):
         rng = np.random.default_rng([p, seed])

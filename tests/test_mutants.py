@@ -52,8 +52,8 @@ ROWS = (
         "hom-differential-without-pre-part",
         "complexes.py",
         "        if self._is_slot(n - 1, i + 1):\n"
-        "            pre = pre_op(x.diff(i + 1), y.term(i + n), b)\n"
-        "            out.append((i + 1, (pre if n % 2 else -pre) % x.field.p))\n",
+        "            pre = _apply(pre_op(x.diff(i + 1), y.term(i + n)), b, p)\n"
+        "            out.append((i + 1, (pre if n % 2 else -pre) % p))\n",
         "",
         ("hom-oracle",),
     ),
@@ -190,8 +190,8 @@ ROWS = (
             "postnikov",
         ),
     ),
-    # the Kronecker order of the operators that post_op and pre_op return
-    # for every flat map, the stack of a free slot: m (x) I and I (x) m^T
+    # the Kronecker order of the operators m (x) I and I (x) m^T that
+    # post_op and pre_op return, behind the images of every slot
     Mutant(
         "post-op-operator-in-swapped-kronecker-order",
         "quiver.py",
@@ -218,6 +218,7 @@ ROWS = (
         "target.dims, eye_first=False)",
         (
             "pullout-agreement",
+            "t-axioms",
             "factorization",
             "lifting-cross-check",
             "semiexactness",

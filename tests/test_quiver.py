@@ -32,6 +32,7 @@ from torsionlab.quiver import (
     RepMap,
     direct_sum,
     flat_dim,
+    graded_from_flat,
     hom_constraint_matrix,
     post_op,
     pre_op,
@@ -254,30 +255,37 @@ def _any_map(a, b, rng):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("quiver", [Quiver.point(), Quiver.a2(), KRONECKER3], ids=["point", "a2", "k3"])
 def test_post_and_pre_op_equal_their_kronecker_operators(quiver, p):
-    """Stacks of k = 0, 1 and 3 flat maps are sent to the Kronecker operator
-    times the stack; the stack None, every flat map, to the operator itself."""
+    """post_op and pre_op are the block diagonal operators m_v (x) I_s and
+    I_t (x) m_v^T, and times a stack of k = 0, 1 or 3 flat maps they give
+    the flat composites m . phi and phi . m that RepMap.compose makes of its
+    columns, so the reference shares no Kronecker convention with them."""
     fld = PrimeField(p)
     rng = np.random.default_rng([p, len(quiver.arrows)])
     for a, b, c in _draws(quiver, fld, rng):
         m = _any_map(b, c, rng)
-        # post: flat maps a -> b, sent to m . phi : a -> c
         post = _block_diag(
             [np.kron(mv.a, np.eye(s, dtype=np.int64)) for mv, s in zip(m.components, a.dims)]
         )
-        # pre: flat maps c -> a, sent to phi . m : b -> a
         pre = _block_diag(
             [np.kron(np.eye(t, dtype=np.int64), mv.a.T) for mv, t in zip(m.components, a.dims)]
         )
         assert post.shape == (flat_dim(a, c), flat_dim(a, b))
         assert pre.shape == (flat_dim(b, a), flat_dim(c, a))
-        for op, kron in ((post_op, post), (pre_op, pre)):
-            whole = op(m, a, None)
-            assert whole.dtype == np.int64 and np.array_equal(whole, kron)
+        # post: flat maps a -> b, sent to m . phi : a -> c;
+        # pre: flat maps c -> a, sent to phi . m : b -> a
+        sides = (
+            (post_op(m, a), post, (a, b), m.compose),
+            (pre_op(m, a), pre, (c, a), lambda phi: phi.compose(m)),
+        )
+        for op, kron, (src, tgt), composite in sides:
+            assert op.dtype == np.int64 and np.array_equal(op, kron)
             for k in (0, 1, 3):
-                stack = rng.integers(0, p, size=(kron.shape[1], k))
-                got = op(m, a, stack)
-                assert got.shape == (kron.shape[0], k)
-                assert np.array_equal(got, kron @ stack % p)
+                stack = rng.integers(0, p, size=(flat_dim(src, tgt), k))
+                want = np.zeros((op.shape[0], k), dtype=np.int64)
+                for j in range(k):
+                    phi = RepMap._unchecked(src, tgt, graded_from_flat(src, tgt, stack[:, j]))
+                    want[:, j] = composite(phi).flat()
+                assert np.array_equal(op @ stack % p, want)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
