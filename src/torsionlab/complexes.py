@@ -49,7 +49,9 @@ and no D_n checks d², which follows from lawful ends by the sign rule.
 Composition on flat maps is one Kronecker operator (post_op, pre_op); a
 slot's images are its product with the slot's basis, or, for a free slot
 (no intertwiner equation, the identity basis), the operator itself.  One
-step (HomComplex._place) turns flat images into slot coordinates.
+step (HomComplex._place) turns flat images into slot coordinates, but D_n
+writes the operator from a free slot into a free slot straight into its
+block.  The pre part's sign (-1)^n goes onto d_X, never onto an image.
 HomComplex.complex assembles every degree for readers of the whole complex.
 """
 
@@ -65,6 +67,7 @@ import numpy as np
 from .linalg import (
     Mat,
     PrimeField,
+    _reduced,
     image_basis,
     kernel_basis,
     kernel_coords,
@@ -829,8 +832,13 @@ class HomComplex:
     d² pass: from d_X² = d_Y² = 0, D_{n-1} D_n = 0 follows by the sign rule
     (test_hom_complex_differentials_square_to_zero checks it on every named
     quiver).  A slot's images are the Kronecker operators d_Y (x) I and
-    I (x) d_X^T times its basis, or the operators themselves for a free
-    slot.  _place still refuses an image outside the intertwiner space.
+    I (x) (±d_X)^T times its basis, or the operators themselves for a free
+    slot; the pre part's sign is put on d_X.  Where a free slot's image
+    lands in a free slot, the operator is written straight into its block
+    of D_n, once; every other image goes through _place, which still
+    refuses an image outside the intertwiner space.  Every entry written is
+    in [0, p), so D_n becomes a Mat without a second reduction
+    (linalg._reduced).
     """
 
     def __init__(self, source: Complex, target: Complex):
@@ -863,17 +871,17 @@ class HomComplex:
     def dim(self, n: int) -> int:
         return sum(b.cols for _, b in self.slots(n).values())
 
-    def _images(self, n: int, i: int, b: np.ndarray | None) -> list[tuple[int, np.ndarray]]:
-        """d of the flat maps X_i -> Y_{i+n} in the columns of b, or of every
-        flat map when b is None: the post part in slot i of degree n - 1,
-        the pre part in slot i + 1."""
-        x, y, p, out = self.source, self.target, self.source.field.p, []
+    def _parts(self, n: int, i: int):
+        """The parts of D_n on slot i, as (the slot j of degree n - 1 they
+        land in, the operator maker, its map, its ends): the post part
+        d_Y phi in slot i, the pre part -(-1)^n phi d_X in slot i + 1, with
+        its sign on d_X."""
+        x, y = self.source, self.target
         if self._is_slot(n - 1, i):
-            out.append((i, _apply(post_op(y.diff(i + n), x.term(i)), b, p)))
+            yield i, post_op, y.diff(i + n), x.term(i)
         if self._is_slot(n - 1, i + 1):
-            pre = _apply(pre_op(x.diff(i + 1), y.term(i + n)), b, p)
-            out.append((i + 1, (pre if n % 2 else -pre) % p))
-        return out
+            d = x.diff(i + 1)
+            yield i + 1, pre_op, (d if n % 2 else -d), y.term(i + n)
 
     def _place(self, n: int, j: int, img, mat: np.ndarray, col: int, what: str) -> None:
         """Write the slot coordinates of the flat maps in the columns of img,
@@ -893,11 +901,18 @@ class HomComplex:
         got = self._diffs.get(n)
         if got is not None:
             return got
+        fld, below = self.source.field, self.slots(n - 1)
         mat = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
         for i, (col, b) in self.slots(n).items():
-            for j, img in self._images(n, i, _stack(b)):
+            stack = _stack(b)
+            for j, op, m, ends in self._parts(n, i):
+                off, basis = below[j]
+                if stack is None and basis.rows == basis.cols:  # free to free
+                    op(m, ends, out=mat[off : off + basis.cols, col : col + b.cols])
+                    continue
+                img = _apply(op(m, ends), stack, fld.p)
                 self._place(n - 1, j, img, mat, col, "hom differential image")
-        got = self._diffs[n] = Mat.of(self.source.field, mat)
+        got = self._diffs[n] = _reduced(fld, mat) if mat.size else Mat.zeros(fld, *mat.shape)
         return got
 
     @cached_property

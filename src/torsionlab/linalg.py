@@ -4,10 +4,15 @@ Matrices are immutable, row-major numpy int64 arrays with entries reduced to
 [0, p).  Zero-sized matrices (0 x n, n x 0, 0 x 0) are legal everywhere and
 act as the unique linear maps between zero spaces.  Mat.zeros and
 Mat.identity return one shared read-only matrix per field and shape up to
-_SHARED_CELLS cells; larger ones are built afresh and never kept, and both
-skip the reduction of Mat.__init__.  A product, sum or difference with
-an empty operand, and an answer without entries, is Mat.zeros of its shape
-(Mat.of).  Nothing ever writes into a matrix's array.
+_SHARED_CELLS cells; larger ones are built afresh and never kept.  A
+product, sum or difference with an empty operand, and an answer without
+entries, is Mat.zeros of its shape (Mat.of).  Nothing ever writes into a
+matrix's array.
+
+Mat.__init__ copies and reduces its data.  One private maker, _reduced,
+takes an int64 array already in [0, p) as it is, with neither: zero and
+identity matrices are made through it here, and each differential D_n of
+a mapping complex in complexes; no other module calls it.
 
 Row reduction is Gauss-Jordan with first-nonzero pivoting behind one entry
 point, _eliminate, and the field alone picks one of two kernels, at every
@@ -72,6 +77,8 @@ class PrimeField:
 class Mat:
     """Immutable matrix over a prime field; its array is read-only.
 
+    Mat.__init__ and Mat.of reduce their data mod p; only _reduced skips
+    that, for arrays that its callers wrote in [0, p) themselves.
     Mat.zeros and Mat.identity share one instance per field and shape up to
     _SHARED_CELLS cells, and a product with an empty operand is Mat.zeros
     of its shape.  Equal matrices may or may not be one object, so equality
@@ -181,15 +188,22 @@ class Mat:
 _SHARED_CELLS = 256
 
 
-def _constant(field: PrimeField, rows: int, cols: int, eye: bool) -> Mat:
-    """A new zero (eye False) or identity (eye True, rows = cols) matrix,
-    without Mat.__init__'s reduction: 0 and 1 are reduced for every p."""
-    arr = np.eye(rows, dtype=np.int64) if eye else np.zeros((rows, cols), np.int64)
+def _reduced(field: PrimeField, arr: np.ndarray) -> Mat:
+    """The matrix on arr, a 2-d int64 array whose entries are already in
+    [0, p), with no copy and without Mat.__init__'s reduction; arr becomes
+    read-only, and its maker keeps no other handle to write through."""
     arr.setflags(write=False)
     out = object.__new__(Mat)
     object.__setattr__(out, "field", field)
     object.__setattr__(out, "a", arr)
     return out
+
+
+def _constant(field: PrimeField, rows: int, cols: int, eye: bool) -> Mat:
+    """A new zero (eye False) or identity (eye True, rows = cols) matrix:
+    0 and 1 are reduced for every p."""
+    arr = np.eye(rows, dtype=np.int64) if eye else np.zeros((rows, cols), np.int64)
+    return _reduced(field, arr)
 
 
 # the shared zero and identity matrices, at most _SHARED_CELLS cells each

@@ -329,26 +329,30 @@ def graded_from_flat(
     return tuple(comps)
 
 
-def post_op(m: RepMap, source: QuiverRep) -> np.ndarray:
+def post_op(m: RepMap, source: QuiverRep, out: np.ndarray | None = None) -> np.ndarray:
     """Postcomposition with m, phi -> m . phi, on flat graded maps phi :
     source -> m.source, as one operator: m_v (x) I_s on the block diagonal,
     since a flat map (see RepMap.flat) holds each t x s block phi_v
-    row-major.  Its entries are m's, already in [0, p)."""
-    return _kron_diag([c.a for c in m.components], source.dims, eye_first=False)
+    row-major.  Its entries are m's, already in [0, p).  It is written into
+    out, a zero block of its shape, or into a new array when out is None."""
+    return _kron_diag([c.a for c in m.components], source.dims, eye_first=False, out=out)
 
 
-def pre_op(m: RepMap, target: QuiverRep) -> np.ndarray:
+def pre_op(m: RepMap, target: QuiverRep, out: np.ndarray | None = None) -> np.ndarray:
     """Precomposition with m on flat graded maps phi : m.target -> target,
     as the operator phi -> phi . m : m.source -> target: I_t (x) m_v^T on
-    the block diagonal, as in post_op."""
-    return _kron_diag([c.a.T for c in m.components], target.dims, eye_first=True)
+    the block diagonal, written as in post_op."""
+    return _kron_diag([c.a.T for c in m.components], target.dims, eye_first=True, out=out)
 
 
-def _kron_diag(mats, sizes, eye_first: bool) -> np.ndarray:
+def _kron_diag(mats, sizes, eye_first: bool, out: np.ndarray | None) -> np.ndarray:
     """The block diagonal matrix whose blocks, in order, are m (x) I_n for
-    m, n in mats and sizes, or I_n (x) m with eye_first."""
+    m, n in mats and sizes, or I_n (x) m with eye_first, written into out,
+    a zero array or a zero slice of a larger one, or into a new array when
+    out is None; returns the matrix."""
     shapes = [(m.shape[0] * n, m.shape[1] * n) for m, n in zip(mats, sizes)]
-    out = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=np.int64)
+    if out is None:
+        out = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=np.int64)
     r = c = 0
     for m, n, (rows, cols) in zip(mats, sizes, shapes):
         _kron_eye(out[r : r + rows, c : c + cols], m, n, eye_first)

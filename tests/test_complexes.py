@@ -382,27 +382,36 @@ def test_hom_complex_differentials_square_to_zero(name, p, seed):
 @contextmanager
 def counted_hom_ops():
     """Records every post_op and pre_op call that complexes makes, as (name,
-    whether the stack that _apply then multiplied by its operator was None,
-    every flat map); None while its operator is unapplied."""
-    calls, last, apply = [], [], complexes_module._apply
+    how its operator was used): "in place" when it was written into a block
+    of the caller's array (out), else whether the stack that _apply then
+    multiplied it by was None, every flat map, or None while it is
+    unapplied.  Each HomComplex._place call is recorded as ("_place", None)."""
+    calls, last = [], []
+    apply, place = complexes_module._apply, complexes_module.HomComplex._place
 
     def counting(name, inner):
-        def run(m, ends):
-            calls.append((name, None))
-            last[:] = [inner(m, ends)]
+        def run(m, ends, out=None):
+            calls.append((name, None if out is None else "in place"))
+            last[:] = [inner(m, ends, out)]
             return last[0]
 
         return run
 
     def applying(op, stack, p):
         assert last and op is last[0], "_apply of an operator that is not the last one made"
+        assert calls[-1][1] is None, "_apply of an operator written in place"
         calls[-1] = (calls[-1][0], stack is None)
         return apply(op, stack, p)
+
+    def placing(self, *args):
+        calls.append(("_place", None))
+        return place(self, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("post_op", "pre_op"):
             patch.setattr(complexes_module, name, counting(name, getattr(complexes_module, name)))
         patch.setattr(complexes_module, "_apply", applying)
+        patch.setattr(complexes_module.HomComplex, "_place", placing)
         yield calls
 
 
@@ -412,8 +421,9 @@ def counted_hom_ops():
     st.integers(0, 2**32 - 1),
 )
 def test_each_hom_differential_composes_each_slot_once_per_part(name, p, seed):
-    """D_n applies post_op and pre_op at most once per slot of degree n: its
-    images are placed once and never composed again."""
+    """D_n makes the operator of post_op and of pre_op at most once per slot
+    of degree n, written in place or applied: its images are placed once
+    and never composed again."""
     rng = np.random.default_rng(seed)
     quiver = resolve_quiver(name)
     x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=3, lo=-2, hi=2) for _ in "xy")
@@ -439,13 +449,16 @@ def test_a_stack_of_the_wrong_height_is_refused():
 @pytest.mark.parametrize("p", (2, 3))
 def test_hom_differentials_multiply_no_identity_basis(p):
     """A free slot, one whose basis is square (the identity of kernel_basis:
-    no equation constrains its flat maps), hands _apply the stack None, so
-    D_n takes the operators of post_op and pre_op as they are and never
-    multiplies an identity basis; a constrained slot hands it its basis.
-    Every slot of a point pair is free, and a2 pairs have constrained slots
-    too."""
-    stacks = {"point": set(), "a2": set()}
-    for name, seed in itertools.product(stacks, range(12)):
+    no equation constrains its flat maps), never multiplies its identity
+    basis.  When the slot its image lands in is free too, D_n writes the
+    operator of post_op or pre_op straight into its block of D_n, with no
+    _apply and no _place; otherwise it hands _apply the stack None, and
+    _place finds the coordinates.  A constrained slot hands _apply its
+    basis.  Every slot of a point pair is free, so each of its images is
+    written in place; a2 pairs take the product path on their constrained
+    slots."""
+    used = {"point": set(), "a2": set()}
+    for name, seed in itertools.product(used, range(12)):
         rng = np.random.default_rng([p, seed])
         quiver = resolve_quiver(name)
         x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=3, lo=-2, hi=2) for _ in "xy")
@@ -455,12 +468,18 @@ def test_hom_differentials_multiply_no_identity_basis(p):
             want = []
             for i, (_, basis) in hom.slots(n).items():
                 free = basis.rows == basis.cols
-                want += [("post_op", free)] * (i in below) + [("pre_op", free)] * (i + 1 in below)
+                for op, j in (("post_op", i), ("pre_op", i + 1)):
+                    if j not in below:
+                        continue
+                    if free and below[j][1].rows == below[j][1].cols:
+                        want.append((op, "in place"))
+                    else:
+                        want += [(op, free), ("_place", None)]
             with counted_hom_ops() as calls:
                 hom.diff(n)
             assert calls == want, (name, seed, n)
-            stacks[name].update(free for _, free in calls)
-    assert stacks == {"point": {True}, "a2": {True, False}}
+            used[name].update(how for op, how in calls if op != "_place")
+    assert used == {"point": {"in place"}, "a2": {"in place", True, False}}
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

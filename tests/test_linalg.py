@@ -458,6 +458,14 @@ def test_only_linalg_runs_an_elimination_kernel():
     assert callers_of(sources, "_eliminate_packed") == {"linalg"}
 
 
+def test_only_linalg_and_complexes_skip_the_reduction_of_a_matrix():
+    """linalg._reduced trusts its array to be reduced mod p already: linalg
+    makes new zero and identity matrices with it, complexes each D_n of a
+    mapping complex.  Every other module builds through Mat or Mat.of."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert callers_of(sources, "_reduced") == {"linalg", "complexes"}
+
+
 @given(matrices(max_dim=5))
 def test_quotient_matches_inverse_of_change_of_basis(m):
     """Reference: extend the basis by unit vectors in index order whenever
@@ -580,3 +588,27 @@ def test_elimination_matches_plain_gauss_jordan(p):
             x[c] = aug[r][cols:]
         assert sol is not None
         assert sol[0] == Mat(fld, x) and sol[1] == cols - len(piv)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("cols", (61, 62, 63, 64, 127))
+def test_packing_round_trips_and_reduces_at_the_word_boundaries(p, cols):
+    """_packed takes one product up to 62 columns and np.packbits past them.
+    On both sides of that boundary, and at 127 columns, rows come back
+    unchanged through _packed and _unpacked, and both modes of
+    _eliminate_packed agree with a plain Gauss-Jordan: the reduced rows and
+    pivots, and the forward mode's count of them, with and without the last
+    column riding along.  The rows include one of all p - 1 (all 2s over
+    F3) and one whose only p - 1 sits in the last column."""
+    linalg = torsionlab.linalg
+    rng = np.random.default_rng([p, cols])
+    edge = np.zeros((2, cols), dtype=np.int64)
+    edge[0], edge[1, -1] = p - 1, p - 1
+    a = np.concatenate([edge, rng.integers(0, p, size=(6, cols)), _low_rank(rng, p, 5, cols)])
+    assert linalg._unpacked(linalg._packed(a, p), p, cols).tolist() == a.tolist()
+    for limit in (cols, cols - 1):
+        want, want_piv = _gauss_jordan(a.tolist(), p, limit)
+        rows = linalg._packed(a, p)
+        assert len(linalg._eliminate_packed(rows, p, limit, forward=True)) == len(want_piv)
+        assert linalg._eliminate_packed(rows, p, limit) == want_piv
+        assert linalg._unpacked(rows, p, cols).tolist() == want

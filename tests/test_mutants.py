@@ -52,8 +52,8 @@ ROWS = (
         "hom-differential-without-pre-part",
         "complexes.py",
         "        if self._is_slot(n - 1, i + 1):\n"
-        "            pre = _apply(pre_op(x.diff(i + 1), y.term(i + n)), b, p)\n"
-        "            out.append((i + 1, (pre if n % 2 else -pre) % p))\n",
+        "            d = x.diff(i + 1)\n"
+        "            yield i + 1, pre_op, (d if n % 2 else -d), y.term(i + n)\n",
         "",
         ("hom-oracle",),
     ),
@@ -164,20 +164,21 @@ ROWS = (
         "    return not any(cone_homology_dims(f).get(0, ()))\n",
         ("pullout-agreement", "three-for-two-sator", "roundtrips"),
     ),
-    # the sign of the pre part of the hom differential; HomComplex.diff runs
-    # no d² pass, so these rows are what catches a wrong sign there
+    # the sign of the pre part of the hom differential, which sits on d_X;
+    # HomComplex.diff runs no d² pass, so these rows are what catches a
+    # wrong sign there
     Mutant(
         "hom-differential-pre-part-always-negated",
         "complexes.py",
-        "(pre if n % 2 else -pre)",
-        "-pre",
+        "(d if n % 2 else -d)",
+        "-d",
         ("lifting-cross-check",),
     ),
     Mutant(
         "hom-differential-pre-part-never-negated",
         "complexes.py",
-        "(pre if n % 2 else -pre)",
-        "pre",
+        "(d if n % 2 else -d)",
+        "d",
         (
             "pullout-agreement",
             "factorization",
@@ -191,12 +192,13 @@ ROWS = (
         ),
     ),
     # the Kronecker order of the operators m (x) I and I (x) m^T that
-    # post_op and pre_op return, behind the images of every slot
+    # post_op and pre_op write, in place or into a new array, behind the
+    # images of every slot
     Mutant(
         "post-op-operator-in-swapped-kronecker-order",
         "quiver.py",
-        "source.dims, eye_first=False)",
-        "source.dims, eye_first=True)",
+        "source.dims, eye_first=False, out=out)",
+        "source.dims, eye_first=True, out=out)",
         (
             "pullout-agreement",
             "t-axioms",
@@ -214,8 +216,8 @@ ROWS = (
     Mutant(
         "pre-op-operator-in-swapped-kronecker-order",
         "quiver.py",
-        "target.dims, eye_first=True)",
-        "target.dims, eye_first=False)",
+        "target.dims, eye_first=True, out=out)",
+        "target.dims, eye_first=False, out=out)",
         (
             "pullout-agreement",
             "t-axioms",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
@@ -10,12 +11,15 @@ import numpy as np
 import pytest
 
 import torsionlab.cli
+import torsionlab.complexes
+import torsionlab.linalg
 import torsionlab.tstruct
 from torsionlab.cli import main
 from torsionlab.complexes import (
     ChainMap,
     Complex,
     compose,
+    hom_complex,
     homology_dims,
     identity_map,
     random_chain_map,
@@ -101,6 +105,39 @@ def test_trusted_constructions_pass_the_checks_they_skip(monkeypatch):
     assert checked.ok
     assert report_json(checked) == ordinary
     assert all(count > 0 for count in routed.values())
+
+
+def test_the_trusted_matrix_maker_is_given_only_reduced_arrays(monkeypatch):
+    """linalg._reduced makes a Mat on an array without Mat.__init__'s copy
+    and reduction: every D_n of a mapping complex, and every zero or
+    identity matrix made afresh.  Routing it through a checker that refuses
+    anything but a 2-d int64 array already reduced mod p must leave the
+    report byte-identical, and pass every D_n of seeded mapping complexes
+    over point, a2 and Kronecker, over F2, F3 and F5."""
+    ordinary = report_json(run_suite(SMALL))
+    trusted, made = torsionlab.linalg._reduced, []
+
+    def checking(field, arr):
+        assert isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.dtype == np.int64
+        assert arr.size == 0 or (arr.min() >= 0 and arr.max() < field.p)
+        assert np.array_equal(arr % field.p, arr)
+        made.append(arr.shape)
+        return trusted(field, arr)
+
+    for module in (torsionlab.linalg, torsionlab.complexes):
+        monkeypatch.setattr(module, "_reduced", checking)
+    checked = run_suite(SMALL)
+    assert checked.ok
+    assert report_json(checked) == ordinary
+    assert made
+    for name, p, seed in itertools.product(("point", "a2", "kronecker"), (2, 3, 5), range(4)):
+        rng = np.random.default_rng([p, seed])
+        quiver, fld = resolve_quiver(name), PrimeField(p)
+        x, y = (random_complex(quiver, fld, rng, max_dim=3, lo=-2, hi=2) for _ in "xy")
+        hom, before = hom_complex(x, y), len(made)
+        degrees = range(y.lo - x.hi + 1, y.hi - x.lo + 1)
+        hom.complex  # each nonempty D_n, besides new zero and identity matrices
+        assert len(made) - before >= sum(hom.dim(n) * hom.dim(n - 1) > 0 for n in degrees)
 
 
 def test_corrupted_truncation_surfaces_with_replay(monkeypatch):
