@@ -47,11 +47,11 @@ and random_chain_map read the kernel of D_0.  hom_complex builds nothing up
 front: the slots of a degree and each D_n are made on first read and kept,
 and no D_n checks d², which follows from lawful ends by the sign rule.
 Composition on flat maps is one Kronecker operator (post_op, pre_op); a
-slot's images are its product with the slot's basis, or, for a free slot
-(no intertwiner equation, the identity basis), the operator itself.  One
-step (HomComplex._place) turns flat images into slot coordinates, but D_n
-writes the operator from a free slot into a free slot straight into its
-block.  The pre part's sign (-1)^n goes onto d_X, never onto an image.
+slot's images are its product with the slot's basis, or the operator itself
+for a free slot (no intertwiner equation, so no basis: its flat maps are its
+coordinates).  HomComplex._place turns flat images into slot coordinates,
+but D_n writes the operator from a free slot into a free slot straight into
+its block.  The pre part's sign (-1)^n goes onto d_X, never onto an image.
 HomComplex.complex assembles every degree for readers of the whole complex.
 """
 
@@ -83,6 +83,7 @@ from .quiver import (
     _zero_rep,
     cycle_coords,
     direct_sum,
+    flat_dim,
     graded_from_flat,
     post_op,
     pre_op,
@@ -823,19 +824,19 @@ class HomComplex:
     """The mapping complex Hom(X, Y) as a complex of plain vector spaces.
 
     The degree-n term is the intertwiner space (+)_i Hom(X_i, Y_{i+n}) over
-    the one-vertex quiver.  Each slot i keeps its first coordinate and its
-    flat basis (rep_hom_basis_flat), so that coordinates decode back into
-    graded maps.  The slots of a degree and each differential D_n are built
-    on first read and kept; complex assembles every degree.
+    the one-vertex quiver.  Each slot i keeps its first coordinate, its
+    dimension and its flat basis (rep_hom_basis_flat), None for a free slot,
+    whose coordinates are its flat maps; coordinates decode back into graded
+    maps.  The slots of a degree and each D_n are built on first read and
+    kept; complex assembles every degree.
 
     D_n places the post and pre images of each slot's basis once, with no
     d² pass: from d_X² = d_Y² = 0, D_{n-1} D_n = 0 follows by the sign rule
     (test_hom_complex_differentials_square_to_zero checks it on every named
     quiver).  A slot's images are the Kronecker operators d_Y (x) I and
     I (x) (±d_X)^T times its basis, or the operators themselves for a free
-    slot; the pre part's sign is put on d_X.  Where a free slot's image
-    lands in a free slot, the operator is written straight into its block
-    of D_n, once; every other image goes through _place, which still
+    slot.  An image from a free slot into a free slot is written straight
+    into its block of D_n; every other image goes through _place, which
     refuses an image outside the intertwiner space.  Every entry written is
     in [0, p), so D_n becomes a Mat without a second reduction
     (linalg._reduced).
@@ -848,28 +849,30 @@ class HomComplex:
         # when X_i and Y_{i+n} are nonzero
         self._xs = [i for i in source.support if not source.term(i).is_zero()]
         self._ys = {i for i in target.support if not target.term(i).is_zero()}
-        self._slots: dict[int, dict[int, tuple[int, Mat]]] = {}
+        self._slots: dict[int, dict[int, tuple[int, int, Mat | None]]] = {}
         self._diffs: dict[int, Mat] = {}
 
     def _is_slot(self, n: int, i: int) -> bool:
         return i + n in self._ys and i in self._xs
 
-    def slots(self, n: int) -> dict[int, tuple[int, Mat]]:
-        """Slot i of degree n -> (its first coordinate, its flat basis)."""
+    def slots(self, n: int) -> dict[int, tuple[int, int, Mat | None]]:
+        """Slot i of degree n -> (first coordinate, dimension, basis or None)."""
         got = self._slots.get(n)
         if got is None:
             x, y = self.source, self.target
             got, off = {}, 0
             for i in self._xs:
                 if i + n in self._ys:
-                    b = rep_hom_basis_flat(x.term(i), y.term(i + n))
-                    got[i] = (off, b)
-                    off += b.cols
+                    src, tgt = x.term(i), y.term(i + n)
+                    b = rep_hom_basis_flat(src, tgt)
+                    k = flat_dim(src, tgt) if b is None else b.cols
+                    got[i] = (off, k, b)
+                    off += k
             self._slots[n] = got
         return got
 
     def dim(self, n: int) -> int:
-        return sum(b.cols for _, b in self.slots(n).values())
+        return sum(k for _, k, _ in self.slots(n).values())
 
     def _parts(self, n: int, i: int):
         """The parts of D_n on slot i, as (the slot j of degree n - 1 they
@@ -885,16 +888,16 @@ class HomComplex:
 
     def _place(self, n: int, j: int, img, mat: np.ndarray, col: int, what: str) -> None:
         """Write the slot coordinates of the flat maps in the columns of img,
-        which lie in slot j of degree n, into mat from column col.  A square
-        basis is the identity (see kernel_coords): images that fit it are
-        their own coordinates."""
-        off, basis = self.slots(n)[j]
-        if basis.rows != basis.cols or basis.rows != len(img):
+        which lie in slot j of degree n, into mat from column col.  Only a
+        slot with a basis computes coordinates; a free slot's flat maps, of
+        its height (reshape refuses any other), are their own."""
+        off, k, basis = self.slots(n)[j]
+        if basis is not None:
             coords = kernel_coords(basis, Mat.of(self.source.field, img))
             if coords is None:
                 raise ValueError(f"{what} is not an intertwiner collection")
             img = coords.a
-        mat[off : off + basis.cols, col : col + img.shape[1]] = img
+        mat[off : off + k, col : col + img.shape[1]] = img.reshape(k, img.shape[1])
 
     def diff(self, n: int) -> Mat:
         """D_n : Hom_n -> Hom_{n-1}, (D phi) = d_Y phi - (-1)^n phi d_X."""
@@ -903,12 +906,12 @@ class HomComplex:
             return got
         fld, below = self.source.field, self.slots(n - 1)
         mat = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
-        for i, (col, b) in self.slots(n).items():
-            stack = _stack(b)
+        for i, (col, k, b) in self.slots(n).items():
+            stack = None if b is None else b.a
             for j, op, m, ends in self._parts(n, i):
-                off, basis = below[j]
-                if stack is None and basis.rows == basis.cols:  # free to free
-                    op(m, ends, out=mat[off : off + basis.cols, col : col + b.cols])
+                off, rows, basis = below[j]
+                if b is None and basis is None:  # free to free
+                    op(m, ends, out=mat[off : off + rows, col : col + k])
                     continue
                 img = _apply(op(m, ends), stack, fld.p)
                 self._place(n - 1, j, img, mat, col, "hom differential image")
@@ -937,9 +940,9 @@ class HomComplex:
         """Coordinates at degree n -> the checked components X_i -> Y_{i+n}."""
         x, y, p = self.source, self.target, self.source.field.p
         out = {}
-        for i, (off, basis) in self.slots(n).items():
+        for i, (off, k, basis) in self.slots(n).items():
             src, tgt = x.term(i), y.term(i + n)
-            vec = (basis.a @ np.asarray(coeffs[off : off + basis.cols], dtype=np.int64)) % p
+            vec = coeffs[off : off + k] if basis is None else (basis.a @ coeffs[off : off + k]) % p
             out[i] = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
         return out
 
@@ -956,15 +959,9 @@ class HomComplex:
         return out
 
 
-def _stack(basis: Mat) -> np.ndarray | None:
-    """A slot's basis as a stack for _apply: None, every flat map, when it
-    is square, the identity of kernel_basis, so no identity is multiplied."""
-    return None if basis.rows == basis.cols else basis.a
-
-
 def _apply(op: np.ndarray, stack: np.ndarray | None, p: int) -> np.ndarray:
     """The images of a stack of flat maps under the operator op (post_op,
-    pre_op): one product reduced in place, or op itself for the stack None."""
+    pre_op): one product reduced in place, or op itself for a free slot (None)."""
     if stack is None:
         return op
     out = op @ stack
@@ -981,18 +978,19 @@ def hom_complex(x: Complex, y: Complex) -> HomComplex:
 def hom_transport(src: HomComplex, dst: HomComplex, n: int, pre=None, post=None) -> Mat:
     """Degree n of hom(A, B) -> hom(A', B'), phi -> post phi pre, between the
     given mapping complexes src = hom(A, B) and dst = hom(A', B'), for
-    pre : A' -> A and post : B -> B'; an absent map is the identity."""
+    pre : A' -> A and post : B -> B', at least one given; an absent map is
+    the identity."""
     a, b, p = src.source, src.target, src.source.field.p
     pre_ends = (a, a) if pre is None else (pre.target, pre.source)
     post_ends = (b, b) if post is None else (post.source, post.target)
-    if pre_ends != (a, dst.source) or post_ends != (b, dst.target):
+    if pre is post is None or pre_ends != (a, dst.source) or post_ends != (b, dst.target):
         raise ValueError("transport between the wrong mapping complexes")
     dst_slots = dst.slots(n)
     mat = np.zeros((dst.dim(n), src.dim(n)), dtype=np.int64)
-    for i, (col, basis) in src.slots(n).items():
+    for i, (col, _, basis) in src.slots(n).items():
         if i not in dst_slots:
             continue
-        img = basis.a if pre is None and post is None else _stack(basis)
+        img = None if basis is None else basis.a
         if pre is not None:
             img = _apply(pre_op(pre.comp(i), b.term(i + n)), img, p)
         if post is not None:
@@ -1092,13 +1090,12 @@ def random_complex(
         src, tgt = terms[i], terms[i - 1]
         basis = rep_hom_basis_flat(src, tgt)
         if prev is None or prev.is_zero():
-            coeffs = rng.integers(0, field.p, size=basis.cols)
-            vec = (basis.a @ coeffs) % field.p
+            coeffs = rng.integers(0, field.p, flat_dim(src, tgt) if basis is None else basis.cols)
         else:
-            constraint = Mat.of(field, _apply(post_op(prev, src), _stack(basis), field.p))
-            ker = kernel_basis(constraint)
-            coeffs = rng.integers(0, field.p, size=ker.cols)
-            vec = (basis.a @ ((ker.a @ coeffs) % field.p)) % field.p
+            stack = None if basis is None else basis.a
+            ker = kernel_basis(Mat.of(field, _apply(post_op(prev, src), stack, field.p)))
+            coeffs = (ker.a @ rng.integers(0, field.p, size=ker.cols)) % field.p
+        vec = coeffs if basis is None else (basis.a @ coeffs) % field.p
         d = RepMap(src, tgt, graded_from_flat(src, tgt, vec))
         diffs.append(d)
         prev = d

@@ -46,9 +46,9 @@ __all__ = [
 FORMAT_VERSION = 1
 
 # The largest dim a rep may have at one vertex.  Hom spaces are solved on
-# flat coordinates, so at 64 the largest flat hom slot has 64 * 64 = 4,096
-# coordinates, and kernel_basis on an arrowless quiver builds a 4,096 x
-# 4,096 int64 identity (134 MB); a dim of 10^5 would ask for 80 GB.
+# flat coordinates: at 64, two one-term complexes on the point have a D_0 of
+# 64 * 64 = 4,096 columns and no rows, whose kernel basis (chain_map_basis)
+# is a 4,096 x 4,096 int64 identity (134 MB); 10^5 would ask for 80 GB.
 MAX_DIM = 64
 
 

@@ -392,10 +392,12 @@ def hom_constraint_matrix(a: QuiverRep, b: QuiverRep) -> Mat:
     return Mat.of(a.field, out)
 
 
-def rep_hom_basis_flat(a: QuiverRep, b: QuiverRep) -> Mat:
+def rep_hom_basis_flat(a: QuiverRep, b: QuiverRep) -> Mat | None:
     """Deterministic basis of the intertwiner space Hom(a, b), as flat column
-    vectors (see RepMap.flat)."""
-    return kernel_basis(hom_constraint_matrix(a, b))
+    vectors (see RepMap.flat), or None when no equation constrains the flat
+    maps a -> b (the constraints are empty or all zero): every one intertwines."""
+    constraints = hom_constraint_matrix(a, b)
+    return kernel_basis(constraints) if constraints.a.any() else None
 
 
 def rep_kernel(f: RepMap) -> tuple[QuiverRep, RepMap]:

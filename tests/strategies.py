@@ -22,6 +22,7 @@ from torsionlab.quiver import (
     Quiver,
     QuiverRep,
     RepMap,
+    flat_dim,
     graded_from_flat,
     random_rep,
     rep_hom_basis_flat,
@@ -79,10 +80,11 @@ def chain_maps(draw, max_dim=3, lo=-2, hi=2):
 
 
 def random_rep_map(a: QuiverRep, b: QuiverRep, rng: np.random.Generator) -> RepMap:
-    """Uniform draw from the intertwiner space Hom(a, b)."""
+    """Uniform draw from the intertwiner space Hom(a, b); when no equation
+    constrains it (no basis), every flat map of flat_dim(a, b) intertwines."""
     basis = rep_hom_basis_flat(a, b)
-    coeffs = rng.integers(0, a.field.p, size=(basis.cols, 1))
-    vec = (basis.a @ coeffs) % a.field.p
+    coeffs = rng.integers(0, a.field.p, size=(flat_dim(a, b) if basis is None else basis.cols, 1))
+    vec = coeffs if basis is None else (basis.a @ coeffs) % a.field.p
     return RepMap(a, b, graded_from_flat(a, b, vec.reshape(-1)))
 
 

@@ -7,8 +7,10 @@ paths they check.
 
 from __future__ import annotations
 
+import ast
 import itertools
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import torsionlab.complexes as complexes_module
+import torsionlab.quiver as quiver_module
 import torsionlab.suite as suite
 from tests.strategies import chain_maps, complexes, random_rep_map, transport_map
 from torsionlab.complexes import (
@@ -448,38 +451,68 @@ def test_a_stack_of_the_wrong_height_is_refused():
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_hom_differentials_multiply_no_identity_basis(p):
-    """A free slot, one whose basis is square (the identity of kernel_basis:
-    no equation constrains its flat maps), never multiplies its identity
-    basis.  When the slot its image lands in is free too, D_n writes the
-    operator of post_op or pre_op straight into its block of D_n, with no
-    _apply and no _place; otherwise it hands _apply the stack None, and
-    _place finds the coordinates.  A constrained slot hands _apply its
-    basis.  Every slot of a point pair is free, so each of its images is
-    written in place; a2 pairs take the product path on their constrained
-    slots."""
+    """A free slot, one that no equation constrains, has no basis
+    (rep_hom_basis_flat gives None): while every degree is built,
+    kernel_basis runs once per constrained slot, on constraints with a
+    nonzero entry, and never for a free one.  When the slot a free slot's
+    image lands in is free too, D_n writes the operator of post_op or
+    pre_op straight into its block of D_n, with no _apply and no _place;
+    otherwise it hands _apply the stack None, and _place finds the
+    coordinates.  A constrained slot hands _apply its basis.  Every slot of
+    a point pair is free, so each of its images is written in place; a2
+    pairs take the product path on their constrained slots."""
     used = {"point": set(), "a2": set()}
+    kernel, reduced = quiver_module.kernel_basis, []
+
+    def counted_kernel(m):
+        reduced.append(m)
+        return kernel(m)
+
     for name, seed in itertools.product(used, range(12)):
         rng = np.random.default_rng([p, seed])
         quiver = resolve_quiver(name)
         x, y = (random_complex(quiver, PrimeField(p), rng, max_dim=3, lo=-2, hi=2) for _ in "xy")
-        hom = hom_complex(x, y)
-        for n in range(y.lo - x.hi, y.hi - x.lo + 2):
-            below = hom.slots(n - 1)
+        hom, degrees = hom_complex(x, y), range(y.lo - x.hi, y.hi - x.lo + 2)
+        reduced.clear()
+        for n in degrees:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quiver_module, "kernel_basis", counted_kernel)
+                below = hom.slots(n - 1)
+                slots = hom.slots(n)
             want = []
-            for i, (_, basis) in hom.slots(n).items():
-                free = basis.rows == basis.cols
+            for i, (_, _, basis) in slots.items():
                 for op, j in (("post_op", i), ("pre_op", i + 1)):
                     if j not in below:
                         continue
-                    if free and below[j][1].rows == below[j][1].cols:
+                    if basis is None and below[j][2] is None:
                         want.append((op, "in place"))
                     else:
-                        want += [(op, free), ("_place", None)]
+                        want += [(op, basis is None), ("_place", None)]
             with counted_hom_ops() as calls:
                 hom.diff(n)
             assert calls == want, (name, seed, n)
             used[name].update(how for op, how in calls if op != "_place")
+        bases = [b for n in (degrees[0] - 1, *degrees) for _, _, b in hom.slots(n).values()]
+        assert len(reduced) == len(bases) - bases.count(None), (name, seed)
+        assert all(m.a.any() for m in reduced), (name, seed)
     assert used == {"point": {"in place"}, "a2": {"in place", True, False}}
+
+
+def shape_comparisons(text: str) -> list[int]:
+    """The line of each comparison in text with a .rows and a .cols operand:
+    a shape test, where a free slot is told by its missing basis."""
+    return [
+        c.lineno
+        for c in ast.walk(ast.parse(text))
+        if isinstance(c, ast.Compare)
+        and {"rows", "cols"} <= {getattr(o, "attr", None) for o in (c.left, *c.comparators)}
+    ]
+
+
+def test_complexes_tells_a_free_slot_by_its_missing_basis_not_its_shape():
+    assert shape_comparisons("free = basis.rows == basis.cols\n") == [1]
+    text = Path(complexes_module.__file__).read_text(encoding="utf-8")
+    assert shape_comparisons(text) == []
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -1095,6 +1128,7 @@ def test_hom_transports_refuse_the_wrong_mapping_complexes():
     for src, dst, maps in (
         (hxy, hxy, {"post": f}),  # f does not start at the target of hom(x, y)
         (hxx, hxx, {"pre": f}),  # f does not end at the source of hom(x, x)
+        (hxy, hxy, {}),  # neither map: no identity transport is built
         (hxx, hxy, {}),  # the identity cannot change the target
         (hyy, hxy, {"post": f}),  # nor the source
         (hyx, hxy, {"pre": f, "post": identity_map(x)}),
@@ -1156,6 +1190,18 @@ def test_hom_transport_in_one_step_is_the_product_of_its_two_halves(quiver, p):
             assert hom_transport(src, dst, n, pre=pre, post=post) == halves, n
             nonzero += bool(halves.a.any())
     assert nonzero
+
+
+def test_encode_refuses_a_graded_map_of_another_height_in_a_free_slot():
+    """A free slot's flat maps are their own coordinates, but only at the
+    slot's height: the one flat entry of a map between lines is not spread
+    over the four coordinates of the free slot Hom(F2^2, F2^2)."""
+    x, line = _pt_complex(F2, 0, [2], []), _simple(F2)
+    hom = hom_complex(x, x)
+    assert hom.slots(0)[0][1:] == (4, None)
+    with pytest.raises(ValueError):
+        hom.encode(0, {0: identity_map(line).comp(0)})
+    assert hom.encode(0, {0: identity_map(x).comp(0)}).ravel().tolist() == [1, 0, 0, 1]
 
 
 def test_total_solve_returns_none_without_a_solution():

@@ -191,6 +191,15 @@ ROWS = (
             "postnikov",
         ),
     ),
+    # the one place that decides a hom slot is free (no basis): declaring
+    # every slot free makes every flat map of every slot an intertwiner
+    Mutant(
+        "every-hom-slot-declared-free",
+        "quiver.py",
+        "    return kernel_basis(constraints) if constraints.a.any() else None\n",
+        "    return None\n",
+        ("pullout-agreement", "em-intersection", "three-for-two-sator"),
+    ),
     # the Kronecker order of the operators m (x) I and I (x) m^T that
     # post_op and pre_op write, in place or into a new array, behind the
     # images of every slot

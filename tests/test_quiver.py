@@ -24,7 +24,7 @@ from torsionlab.complexes import (
     random_complex,
     zero_map,
 )
-from torsionlab.linalg import Mat, PrimeField
+from torsionlab.linalg import Mat, PrimeField, kernel_basis
 from torsionlab.quiver import (
     Lawful,
     Quiver,
@@ -41,6 +41,7 @@ from torsionlab.quiver import (
     rep_hom_basis_flat,
     rep_kernel,
 )
+from torsionlab.suite import resolve_quiver
 from torsionlab.tstruct import TStructure, truncate_ge
 
 F2 = PrimeField(2)
@@ -89,13 +90,20 @@ def _enumerate_hom_dim(a, b):
     return dim
 
 
+def _hom_dim(a, b):
+    """dim Hom(a, b) read off rep_hom_basis_flat: flat_dim(a, b) when no
+    equation constrains the flat maps (None), else the basis's width."""
+    basis = rep_hom_basis_flat(a, b)
+    return flat_dim(a, b) if basis is None else basis.cols
+
+
 def test_hom_space_on_a2_matches_enumeration():
     proj = _a2_rep((1, 1), [1])  # F2 --id--> F2
     simple = _a2_rep((0, 1), [])  # 0 --> F2
     # forcing through the identity arrow kills every map out of proj
-    assert rep_hom_basis_flat(proj, simple).cols == 0 == _enumerate_hom_dim(proj, simple)
+    assert _hom_dim(proj, simple) == 0 == _enumerate_hom_dim(proj, simple)
     # the socle inclusion survives in the other direction
-    assert rep_hom_basis_flat(simple, proj).cols == 1 == _enumerate_hom_dim(simple, proj)
+    assert _hom_dim(simple, proj) == 1 == _enumerate_hom_dim(simple, proj)
 
 
 @given(reps(max_dim=2))
@@ -106,7 +114,34 @@ def test_hom_basis_agrees_with_enumeration(a):
     b = random_rep(a.quiver, a.field, 2, rng)
     if (a.total_dim + b.total_dim) > 6:
         return
-    assert rep_hom_basis_flat(a, b).cols == _enumerate_hom_dim(a, b)
+    assert _hom_dim(a, b) == _enumerate_hom_dim(a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["point", "a2", "a3", "kronecker", "d4"])
+def test_hom_basis_is_none_exactly_where_kernel_basis_is_the_identity(name, p):
+    """rep_hom_basis_flat(a, b) is None exactly when kernel_basis of the
+    constraint matrix is square (the identity: no equation constrains the
+    flat maps), and that same basis otherwise.  Half the draws have all
+    arrow maps zero, so their constraint matrix has rows but no nonzero
+    entry."""
+    quiver, fld = resolve_quiver(name), PrimeField(p)
+    rng = np.random.default_rng([p, len(quiver.vertices), len(quiver.arrows)])
+    seen = set()
+    for zero_arrows in (False, True) * 20:
+        a, b = (random_rep(quiver, fld, 3, rng) for _ in "ab")
+        if zero_arrows:
+            zeros = (tuple(Mat.zeros(fld, *m.shape) for m in r.arrow_maps) for r in (a, b))
+            a, b = (QuiverRep(quiver, fld, r.dims, z) for r, z in zip((a, b), zeros))
+        constraints = hom_constraint_matrix(a, b)
+        want, got = kernel_basis(constraints), rep_hom_basis_flat(a, b)
+        if want.rows == want.cols:
+            assert got is None
+            seen.add("free with rows" if constraints.rows else "free")
+        else:
+            assert got == want
+            seen.add("constrained")
+    assert seen >= ({"free with rows", "constrained"} if quiver.arrows else {"free"}), seen
 
 
 def test_intertwiner_law_enforced():
