@@ -44,8 +44,8 @@ by a degree-0 solve (total_solve) on a total complex (total_diff) of shifted
 hom complexes, joined by the transports phi -> post phi pre (hom_transport):
 homotopic is the one-node case, Hom(X, Y) at shift 1, and chain_map_basis
 and random_chain_map read the kernel of D_0.  hom_complex builds nothing up
-front: the slots of a degree and each D_n are made on first read and kept,
-and no D_n checks d², which follows from lawful ends by the sign rule.
+front: the slots of a degree are made on first read and kept, D_n on each
+read, and no D_n checks d², which follows from lawful ends by the sign rule.
 Composition on flat maps is one Kronecker operator (post_op, pre_op); a
 slot's images are its product with the slot's basis, or the operator itself
 for a free slot (no intertwiner equation, so no basis: its flat maps are its
@@ -827,8 +827,8 @@ class HomComplex:
     the one-vertex quiver.  Each slot i keeps its first coordinate, its
     dimension and its flat basis (rep_hom_basis_flat), None for a free slot,
     whose coordinates are its flat maps; coordinates decode back into graded
-    maps.  The slots of a degree and each D_n are built on first read and
-    kept; complex assembles every degree.
+    maps.  The slots of a degree are built on first read and kept, and D_n
+    is built on each read; complex assembles every degree.
 
     D_n places the post and pre images of each slot's basis once, with no
     d² pass: from d_X² = d_Y² = 0, D_{n-1} D_n = 0 follows by the sign rule
@@ -850,7 +850,6 @@ class HomComplex:
         self._xs = [i for i in source.support if not source.term(i).is_zero()]
         self._ys = {i for i in target.support if not target.term(i).is_zero()}
         self._slots: dict[int, dict[int, tuple[int, int, Mat | None]]] = {}
-        self._diffs: dict[int, Mat] = {}
 
     def _is_slot(self, n: int, i: int) -> bool:
         return i + n in self._ys and i in self._xs
@@ -901,9 +900,6 @@ class HomComplex:
 
     def diff(self, n: int) -> Mat:
         """D_n : Hom_n -> Hom_{n-1}, (D phi) = d_Y phi - (-1)^n phi d_X."""
-        got = self._diffs.get(n)
-        if got is not None:
-            return got
         fld, below = self.source.field, self.slots(n - 1)
         mat = np.zeros((self.dim(n - 1), self.dim(n)), dtype=np.int64)
         for i, (col, k, b) in self.slots(n).items():
@@ -915,8 +911,7 @@ class HomComplex:
                     continue
                 img = _apply(op(m, ends), stack, fld.p)
                 self._place(n - 1, j, img, mat, col, "hom differential image")
-        got = self._diffs[n] = _reduced(fld, mat) if mat.size else Mat.zeros(fld, *mat.shape)
-        return got
+        return _reduced(fld, mat) if mat.size else Mat.zeros(fld, *mat.shape)
 
     @cached_property
     def complex(self) -> Complex:
@@ -1104,10 +1099,12 @@ def random_complex(
 
 def random_chain_map(x: Complex, y: Complex, rng: np.random.Generator) -> ChainMap:
     """Uniform draw from the space of chain maps X -> Y: a random combination
-    of the kernel basis of D_0, drawing nothing when degree 0 is zero."""
-    hom = hom_complex(x, y)
+    of the kernel basis of D_0, drawing nothing when degree 0 is zero.  A D_0
+    without a nonzero entry has every vector as a cycle, and no basis is built."""
+    hom, p = hom_complex(x, y), x.field.p
     if not hom.dim(0):
         return zero_map(x, y)
-    ker = kernel_basis(hom.diff(0))
-    coeffs = rng.integers(0, x.field.p, size=ker.cols)
-    return ChainMap(x, y, hom.decode(0, (ker.a @ coeffs) % x.field.p))
+    d0 = hom.diff(0)
+    ker = kernel_basis(d0) if d0.a.any() else None
+    coeffs = rng.integers(0, p, size=hom.dim(0) if ker is None else ker.cols)
+    return ChainMap(x, y, hom.decode(0, coeffs if ker is None else (ker.a @ coeffs) % p))

@@ -47,8 +47,9 @@ FORMAT_VERSION = 1
 
 # The largest dim a rep may have at one vertex.  Hom spaces are solved on
 # flat coordinates: at 64, two one-term complexes on the point have a D_0 of
-# 64 * 64 = 4,096 columns and no rows, whose kernel basis (chain_map_basis)
-# is a 4,096 x 4,096 int64 identity (134 MB); 10^5 would ask for 80 GB.
+# 64 * 64 = 4,096 columns and no rows.  random_chain_map draws one cycle of
+# it as it stands, but chain_map_basis returns all 4,096, the columns of an
+# int64 identity (134 MB); 10^5 would ask for 80 GB.
 MAX_DIM = 64
 
 

@@ -182,9 +182,9 @@ class Mat:
 # The largest zero or identity matrix, in cells, that is shared.  The cache
 # holds at most 512 of them, at most 1 MB of entries whatever shapes a run
 # asks for.  Without the bound, a D_0 with 4,096 columns and no rows (one-term
-# point complexes of dimension document.MAX_DIM = 64) would pin its kernel
-# basis in chain_map_basis, a 4,096 x 4,096 identity of 134 MB, for the life
-# of the process.
+# point complexes of dimension document.MAX_DIM = 64) would pin the kernel
+# basis that chain_map_basis decodes, a 4,096 x 4,096 identity of 134 MB, for
+# the life of the process (random_chain_map builds no basis for such a D_0).
 _SHARED_CELLS = 256
 
 

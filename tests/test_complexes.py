@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -59,6 +60,7 @@ from torsionlab.complexes import (
     zero_complex,
     zero_map,
 )
+from torsionlab.document import MAX_DIM
 from torsionlab.factorization import is_orthogonal
 from torsionlab.linalg import Mat, PrimeField, rank
 from torsionlab.postnikov import BoundWindow, _fiber_support, boundedness_window
@@ -447,6 +449,23 @@ def test_a_stack_of_the_wrong_height_is_refused():
     for rows in (3, 5):
         with pytest.raises(ValueError):
             complexes_module._apply(op, np.ones((rows, 2), dtype=np.int64), 3)
+
+
+def test_random_chain_map_builds_no_identity_basis_for_a_d0_without_entries():
+    """Two one-term point complexes of dimension document.MAX_DIM have a D_0
+    of 4,096 columns and no rows, so every coordinate vector is a cycle:
+    the draw is the vector itself, the same p-ary draw a kernel basis would
+    combine, and no 4,096 x 4,096 identity (134 MB) is built for it."""
+    x = _pt_complex(F3, 0, [MAX_DIM], [])
+    tracemalloc.start()
+    try:
+        f = random_chain_map(x, x, np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    coeffs = np.random.default_rng(7).integers(0, 3, size=MAX_DIM**2)
+    assert f == ChainMap(x, x, hom_complex(x, x).decode(0, coeffs))
 
 
 @pytest.mark.parametrize("p", (2, 3))

@@ -189,24 +189,32 @@ def _moved(f: ChainMap, comps: dict) -> ChainMap:
     )
 
 
+# the draws a seeded search makes before it gives up, so that a program
+# that never draws what it looks for fails instead of hanging; the pinned
+# seeds need at most 26
+MAX_DRAWS = 100
+
+
 def _three_terms(fld, rng):
     """The first seeded draw supported on all of degrees -1, 0, 1."""
-    while True:
+    for _ in range(MAX_DRAWS):
         x = random_complex(A2, fld, rng, max_dim=3, lo=-1, hi=1)
         if len(x.support) == 3:
             return x
+    raise AssertionError(f"no complex on degrees -1, 0, 1 in {MAX_DRAWS} draws")
 
 
 def _heart_morphism(fld, t, rng) -> HeartMorphism:
     """The first seeded nonzero map between nonzero heart objects, moved by
     a null-homotopic map so that the comparison needs a homotopy."""
-    while True:
+    for _ in range(MAX_DRAWS):
         a, b = random_heart_object(A2, fld, t, rng), random_heart_object(A2, fld, t, rng)
         if a.is_zero() or b.is_zero():
             continue
         f = random_chain_map(a, b, rng)
         if not f.is_zero():
             return HeartMorphism(_moved(f, _null_homotopic(a, b, rng)), t)
+    raise AssertionError(f"no nonzero heart morphism in {MAX_DRAWS} draws")
 
 
 def _solver_outputs(p: int, seed: int) -> dict[str, str]:

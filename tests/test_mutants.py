@@ -200,6 +200,36 @@ ROWS = (
         "    return None\n",
         ("pullout-agreement", "em-intersection", "three-for-two-sator"),
     ),
+    # class checks that cannot say no: each property also asks its check on
+    # a planted input where the right answer is False
+    Mutant(
+        "three-for-two-check-always-true",
+        "factorization.py",
+        "    return member(f, t) + member(g, t) + member(compose(g, f), t) != 2\n",
+        "    return True\n",
+        ("three-for-two-sator",),
+    ),
+    Mutant(
+        "sator-check-always-true",
+        "factorization.py",
+        "    return member(initial_map(a), t) == member(terminal_map(a), t)\n",
+        "    return True\n",
+        ("three-for-two-sator",),
+    ),
+    Mutant(
+        "antitone-check-always-true",
+        "factorization.py",
+        "    return not member(f, lower) or member(f, higher)\n",
+        "    return True\n",
+        ("roundtrips",),
+    ),
+    Mutant(
+        "verify-tower-always-true",
+        "postnikov.py",
+        '    """Re-check every claim a tower makes about f, from scratch."""\n',
+        '    """Re-check every claim a tower makes about f, from scratch."""\n    return True\n',
+        ("postnikov",),
+    ),
     # the Kronecker order of the operators m (x) I and I (x) m^T that
     # post_op and pre_op write, in place or into a new array, behind the
     # images of every slot
